@@ -1,0 +1,75 @@
+"""
+Command line entry point::
+
+    polyproj project SPEC [--method {fme,chm,afi}] [--verify FIXTURE]
+
+projects the scenario system named by SPEC (see
+:func:`polyproj.scenarios.parse_scenario`) onto its observable coordinates
+and prints the facets as a matrix file.  ``--verify`` compares them with a
+bundled listing (see :mod:`polyproj.verify`) and prints the verdict on
+stderr; the exit status is then 1 when the listing has a class the
+projection lacks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from typing import List, Optional, Sequence
+
+from .afi import AfiConfig, afi_project
+from .chm import chm_project
+from .fme import fme_project
+from .lp import ConstraintSystem, Face, normalize_face
+from .matrixfile import render, reorder_to
+from .scenarios import ScenarioBundle, parse_scenario
+from .verify import compare_listings, load_fixture
+
+METHODS = ("fme", "chm", "afi")
+
+
+def _project(bundle: ScenarioBundle, method: str) -> List[Face]:
+    system, d, group = bundle.system, bundle.scenario.d, bundle.group
+    if method == "fme":
+        return list(fme_project(system, d).rows)
+    if method == "chm":
+        return chm_project(system, d, group=group).facets
+    return afi_project(system, d, AfiConfig(group=group))
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="polyproj", description="Exact projection of polyhedra.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    project = commands.add_parser(
+        "project", help="project a scenario system onto its observables")
+    project.add_argument("spec", help="scenario spec, e.g. cca:3 or bell:2x2:body=1,2")
+    project.add_argument("--method", choices=METHODS, default="fme")
+    project.add_argument("--verify", metavar="FIXTURE",
+                         help="bundled listing to compare with, e.g. cca-3")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        bundle = parse_scenario(args.spec)
+        golden = load_fixture(args.verify).system if args.verify else None
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc))
+    names = bundle.scenario.observable_names
+    facets = sorted({normalize_face(f.f, f.b) for f in _project(bundle, args.method)})
+    result = ConstraintSystem(tuple(facets), bundle.scenario.d, names)
+    sys.stdout.write(render(result, [f"scenario: {args.spec}",
+                                     f"method: {args.method}",
+                                     f"{len(facets)} facets"]))
+    if golden is None:
+        return 0
+    report = compare_listings(result, reorder_to(golden, names), bundle.group)
+    print(f"{args.verify}: {report.summary()}", file=sys.stderr)
+    return 1 if report.missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,10 +14,10 @@ so the inequality is unchanged), which makes rows hashable and deduplicable.
 with the fraction-free simplex from :mod:`polyproj.simplex`.  For the systems
 this package cares about (many rows, comparatively few coordinates) the dual
 tableau is far smaller than a primal encoding with split free variables.  The
-primal point is recovered from the terminal dual basis (x = -pi, feasible by
-the termination condition), the dual vector is the simplex solution itself,
-and unboundedness/infeasibility are separated by an auxiliary Farkas system,
-so no primal-form tableau is ever built.
+primal point is x = -pi, where pi are the simplex multipliers read off the
+terminal cost row (feasible by the termination condition); the dual vector
+is the simplex solution itself, and unboundedness/infeasibility are separated
+by an auxiliary Farkas system, so no primal-form tableau is ever built.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
     unbounded / infeasible; optimal solutions carry the attaining point, the
     exact objective and dual multipliers, unbounded ones a ray witness.
 
-    ``want_point=False`` skips recovery of the attaining point (status,
-    objective and duals only), which callers on hot paths use.
+    ``want_point=False`` skips the attaining point and its exact check
+    against every row (status, objective and duals only), which callers on
+    hot paths use.
     """
     c = list(objective)
     if len(c) != system.dim:

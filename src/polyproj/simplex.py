@@ -18,9 +18,13 @@ scaled by the current basis determinant).  Integer arithmetic on numpy object
 arrays makes the row updates vectorized while staying exact, which is
 considerably faster than elementwise rational arithmetic.
 
-Certificates (optimal multipliers, Farkas vectors for infeasibility) are
-recovered lazily from the terminal basis by an exact dense solve, so callers
-that only need feasibility/objective information never pay for them.
+The m artificial (identity) columns are carried in the tableau after the
+variables; they never enter the basis, and column ``n+1+i`` always belongs to
+input row i.  Under them the cost rows hold ``-c_B B^-1`` (phase 2) and
+``1 - c1_B B^-1`` (phase 1), so the certificates (optimal multipliers, Farkas
+vectors for infeasibility) are read off the terminal cost rows without a
+second factorisation.  A row dropped as linearly dependent keeps its
+artificial basic, so its certificate entry is 0.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import solve_linear
 from .rationals import common_denominator, mpq
 
 OPTIMAL = "optimal"
@@ -38,7 +41,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 #: When true, every pivot re-checks the exact-divisibility invariant.  Slow;
-#: enabled by the test suite on small instances.
+#: enabled by ``tests/test_simplex.py`` on small instances.
 CHECK_PIVOTS = False
 
 
@@ -58,78 +61,49 @@ class StandardResult:
     objective: Optional[object] = None   # exact rational
     ray: Optional[Tuple] = None          # improving ray when unbounded
     basis: Optional[Tuple[int, ...]] = None
-    # Internal state for lazy certificate extraction:
-    _rows: Optional[List[List[int]]] = field(default=None, repr=False)
-    _rhs: Optional[List[int]] = field(default=None, repr=False)
-    _row_scale: Optional[List] = field(default=None, repr=False)
-    _kept: Optional[List[int]] = field(default=None, repr=False)
-    _ncols: int = 0
-    _cost: Optional[List] = field(default=None, repr=False)
+    # Terminal cost-row entries under the artificial columns (phase 2 when
+    # optimal, phase 1 when infeasible), their denominator and the scalings
+    # applied to the input rows and costs.
+    _art_costs: Sequence[int] = field(default=(), repr=False)
+    _det: int = 1
+    _row_scale: Sequence = field(default=(), repr=False)
     _cost_scale: int = 1
-
-    def _basis_column(self, j: int) -> List:
-        rows = self._rows
-        if j < self._ncols:
-            return [rows[i][j] for i in self._kept]
-        art = j - self._ncols
-        return [1 if i == art else 0 for i in self._kept]
-
-    def _solve_against_basis(self, target: List) -> List:
-        if not self.basis:
-            # Every row was dropped as linearly dependent; the zero vector
-            # satisfies (A_B)^T pi = target vacuously.
-            return [mpq(0)] * len(self._rows)
-        cols = [self._basis_column(j) for j in self.basis]
-        # Solve (A_B)^T pi = target, i.e. rows of the transposed basis matrix.
-        mat = [[cols[k][i] for k in range(len(cols))] for i in range(len(self._kept))]
-        matT = [[mat[i][k] for i in range(len(mat))] for k in range(len(cols))]
-        sol = solve_linear(matT, target)
-        if sol is None:
-            raise RuntimeError("terminal basis unexpectedly singular")
-        full = [mpq(0)] * len(self._rows)
-        for pos, i in enumerate(self._kept):
-            full[i] = mpq(sol[pos]) * self._row_scale[i]
-        return full
 
     def multipliers(self) -> Tuple:
         """Exact multipliers pi with pi.A <= c (componentwise on reduced costs)
         and pi.b = objective; defined for optimal results."""
         if self.status != OPTIMAL:
             raise ValueError("multipliers are defined for optimal results only")
-        target = [self._cost[j] if j < self._ncols else 0 for j in self.basis]
-        pi = self._solve_against_basis(target)
-        if self._cost_scale != 1:
-            pi = [y / self._cost_scale for y in pi]
-        return tuple(pi)
+        scale = mpq(self._det * self._cost_scale)
+        return tuple(-mpq(d) / scale * s
+                     for d, s in zip(self._art_costs, self._row_scale))
 
     def farkas(self) -> Tuple:
         """Exact certificate y of infeasibility: y.A <= 0 and y.b > 0."""
         if self.status != INFEASIBLE:
             raise ValueError("farkas certificate exists for infeasible results only")
-        target = [0 if j < self._ncols else 1 for j in self.basis]
-        return tuple(self._solve_against_basis(target))
+        det = mpq(self._det)
+        return tuple((1 - d / det) * s
+                     for d, s in zip(self._art_costs, self._row_scale))
 
 
 class _Tableau:
     def __init__(self, rows: List[List[int]], rhs: List[int], cost: List[int]):
         m, n = len(rows), len(cost)
         self.m, self.n = m, n
-        # Layout: column 0 = RHS, columns 1..n = variables.
-        # Rows 0..m-1 = constraints, row m = phase-2 cost, row m+1 = phase-1 cost.
-        N = np.zeros((m + 2, n + 1), dtype=object)
+        # Layout: column 0 = RHS, columns 1..n = variables, columns n+1..n+m =
+        # artificials.  Rows 0..m-1 = constraints, row m = phase-2 cost,
+        # row m+1 = phase-1 cost.
+        N = np.zeros((m + 2, n + 1 + m), dtype=object)
         for i in range(m):
             N[i, 0] = rhs[i]
-            for j in range(n):
-                N[i, j + 1] = rows[i][j]
-        for j in range(n):
-            N[m, j + 1] = cost[j]
-        N[m + 1, 0] = -sum(rhs)
-        for j in range(n):
-            N[m + 1, j + 1] = -sum(rows[i][j] for i in range(m))
+            N[i, 1:n + 1] = rows[i]
+            N[i, n + 1 + i] = 1
+        N[m, 1:n + 1] = cost
+        N[m + 1, :n + 1] = -N[:m, :n + 1].sum(axis=0)
         self.N = N
         self.det = 1
         self.basis = [n + i for i in range(m)]  # artificial indices
-        self.row_ids = list(range(m))           # original row index per tableau row
 
     def pivot(self, r: int, s: int) -> None:
         N, det = self.N, self.det
@@ -191,7 +165,6 @@ class _Tableau:
         sel = keep + [self.m, self.m + 1]
         self.N = self.N[sel]
         self.basis = [self.basis[i] for i in keep]
-        self.row_ids = [self.row_ids[i] for i in keep]
         self.m = len(keep)
 
 
@@ -230,8 +203,7 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardR
         return StandardResult(
             INFEASIBLE,
             basis=tuple(tab.basis),
-            _rows=rows, _rhs=rhs, _row_scale=row_scale,
-            _kept=list(tab.row_ids), _ncols=n, _cost=cost,
+            _art_costs=tab.N[p1, n + 1:].tolist(), _det=tab.det, _row_scale=row_scale,
         )
 
     # Drive any zero-level artificials out of the basis; drop dependent rows.
@@ -247,7 +219,6 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardR
         tab.drop_rows(to_drop)
 
     status = tab.run(tab.m, lambda j: j < n)
-    kept = list(tab.row_ids)
 
     if status == UNBOUNDED:
         s = tab._unbounded_col
@@ -270,6 +241,6 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardR
         z=tuple(z),
         objective=objective,
         basis=tuple(tab.basis),
-        _rows=rows, _rhs=rhs, _row_scale=row_scale,
-        _kept=kept, _ncols=n, _cost=cost, _cost_scale=cost_scale,
+        _art_costs=tab.N[tab.m, n + 1:].tolist(), _det=tab.det, _row_scale=row_scale,
+        _cost_scale=cost_scale,
     )

@@ -167,3 +167,23 @@ def brute_projection_facets(rows, rhs, dim, keep):
     verts = brute_vertices(rows, rhs, dim)
     shadow = sorted({v[:keep] for v in verts})
     return brute_hull_facets(shadow)
+
+
+def basis_multipliers(A, c, basis, zero_rows=()):
+    """Multipliers of a standard-form basis (min c.z, A z = b, z >= 0).
+
+    The unique pi with pi . A_j = c_j for every basic column j and pi_i = 0
+    for the rows in ``zero_rows`` (rows dropped as linearly dependent).
+    Returns None when that square system is singular.
+    """
+    keep = [i for i in range(len(A)) if i not in set(zero_rows)]
+    if len(keep) != len(basis):
+        return None
+    sol = _solve_square([[A[i][j] for i in keep] for j in basis],
+                        [c[j] for j in basis])
+    if sol is None:
+        return None
+    pi = [Fraction(0)] * len(A)
+    for i, v in zip(keep, sol):
+        pi[i] = v
+    return tuple(pi)

@@ -1,0 +1,29 @@
+import pytest
+
+from polyproj.cli import main
+from polyproj.lp import normalize_face
+from polyproj.matrixfile import parse
+from polyproj.scenarios import elemental_inequalities
+
+
+@pytest.mark.parametrize("method", ["fme", "chm", "afi"])
+def test_project_elemental3(capsys, method):
+    assert main(["project", "elemental:3", "--method", method]) == 0
+    out = parse(capsys.readouterr().out)
+    assert "scenario: elemental:3" in out.comments
+    want = {normalize_face(r.f, r.b) for r in elemental_inequalities(3).rows}
+    assert set(out.system.rows) == want
+
+
+def test_verify_reports_missing_classes(capsys):
+    # The elemental cone lacks the non-Shannon classes listed for cca:3.
+    assert main(["project", "elemental:3", "--verify", "cca-3"]) == 1
+    assert capsys.readouterr().err.startswith("cca-3: mismatch")
+
+
+def test_bad_arguments_exit_with_usage():
+    with pytest.raises(SystemExit) as err:
+        main(["project", "nonsense:3"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["project", "elemental:3", "--verify", "no-such-listing"])

@@ -1,0 +1,109 @@
+"""Certificates of the exact simplex, checked with the pivot invariant on."""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from polyproj import simplex
+from polyproj.linalg import solve_linear
+
+from .oracles import basis_multipliers
+
+
+@pytest.fixture
+def check_pivots(monkeypatch):
+    monkeypatch.setattr(simplex, "CHECK_PIVOTS", True)
+
+
+def _programs(seed, count):
+    """Small random programs; some with a dependent row, some infeasible."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 4), rng.randint(2, 6)
+        A = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+             for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:
+            A[-1] = [rng.randint(-2, 2) * a for a in A[0]]
+        z0 = [rng.randint(0, 2) for _ in range(n)]
+        b = [sum(a * z for a, z in zip(row, z0)) for row in A]
+        if rng.random() < 0.3:
+            b = [x + rng.randint(-2, 2) for x in b]
+        c = [Fraction(rng.randint(-2, 4), rng.choice((1, 2))) for _ in range(n)]
+        yield A, b, c
+
+
+def _column(A, j):
+    return [row[j] for row in A]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _oracle(A, c, basis, pi):
+    """The oracle's multipliers for the basis, with the dropped rows taken
+    among the rows where pi vanishes; None when no choice fits."""
+    zeros = [i for i, p in enumerate(pi) if p == 0]
+    for dropped in combinations(zeros, len(A) - len(basis)):
+        want = basis_multipliers(A, c, basis, dropped)
+        if want is not None:
+            return want, dropped
+    return None, None
+
+
+def test_certificates_on_random_programs(check_pivots):
+    seen = Counter()
+    for A, b, c in _programs(seed=7, count=300):
+        m, n = len(A), len(c)
+        res = simplex.solve_standard(A, b, c)
+        if res.status == simplex.OPTIMAL:
+            pi = res.multipliers()
+            assert len(pi) == m
+            for j in range(n):
+                assert _dot(pi, _column(A, j)) <= c[j]
+            assert _dot(pi, b) == res.objective
+            want, dropped = _oracle(A, c, res.basis, pi)
+            assert want == pi
+            if res.basis:
+                keep = [i for i in range(m) if i not in dropped]
+                basic_rows = [[A[i][j] for i in keep] for j in res.basis]
+                assert solve_linear(basic_rows, [c[j] for j in res.basis]) == \
+                    [pi[i] for i in keep]
+            seen["optimal, dependent rows" if dropped else "optimal"] += 1
+        elif res.status == simplex.INFEASIBLE:
+            y = res.farkas()
+            assert len(y) == m
+            for j in range(n):
+                assert _dot(y, _column(A, j)) <= 0
+            assert _dot(y, b) > 0
+            seen["infeasible"] += 1
+        else:
+            ray = res.ray
+            assert all(r >= 0 for r in ray)
+            assert all(_dot(row, ray) == 0 for row in A)
+            assert _dot(c, ray) < 0
+            seen["unbounded"] += 1
+    assert set(seen) == {"optimal", "optimal, dependent rows", "infeasible",
+                         "unbounded"}
+
+
+def test_certificates_need_the_matching_status():
+    res = simplex.solve_standard([[1, 1]], [1], [1, 2])
+    assert res.status == simplex.OPTIMAL
+    assert res.multipliers() == (1,)
+    with pytest.raises(ValueError):
+        res.farkas()
+    res = simplex.solve_standard([[1, 1]], [-1], [1, 2])
+    assert res.status == simplex.INFEASIBLE
+    assert res.farkas() == (-1,)
+    with pytest.raises(ValueError):
+        res.multipliers()
+
+
+def test_no_rows():
+    res = simplex.solve_standard([], [], [1, 0])
+    assert res.status == simplex.OPTIMAL
+    assert res.multipliers() == ()
