@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from .lp import (ConstraintSystem, Face, InfeasibleSystem, lp_feasible,
                  normalize_face)
-from .rationals import mpq
 from .redundancy import implied_equalities, prune_redundant
 
 #: redundancy_mode values
@@ -154,9 +153,12 @@ def _substitute_equalities(system: ConstraintSystem, cols: List[int]
             if c == 0:
                 new_rows.append(row)
                 continue
-            factor = mpq(c) / eq.f[pivot]
-            f = tuple(rf - factor * ef for rf, ef in zip(row.f, eq.f))
-            new_rows.append(normalize_face(f, row.b - factor * eq.b))
+            # |e|.row - sign(e).c.eq: row - (c/e).eq scaled by |e| > 0,
+            # which normalize_face removes again
+            e = eq.f[pivot]
+            a, g = (e, c) if e > 0 else (-e, -c)
+            f = tuple(a * rf - g * ef for rf, ef in zip(row.f, eq.f))
+            new_rows.append(normalize_face(f, a * row.b - g * eq.b))
         rows = new_rows
         remaining.remove(pivot)
     deduped: List[Face] = []

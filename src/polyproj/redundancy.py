@@ -13,65 +13,100 @@ when needed, but *every drop is justified by an exact certificate*:
     support, or from a full exact LP as fallback).
 
 So floating point influences speed, never results.
+
+The float LPs of one sweep share a single HiGHS model, driven through
+scipy's bindings: a probe changes the objective and lifts one row's bound,
+then solves warm from the previous basis, retrying once from scratch when
+the warm solve ends neither optimal nor unbounded.  Without scipy every row
+goes straight to the exact path.
 """
 
 from typing import List, Optional, Sequence
 
 from .lp import OPTIMAL, UNBOUNDED, ConstraintSystem, Face, lp_minimize
 from .linalg import solve_linear
-from .rationals import dot, mpq
+from .rationals import dot
 
-try:  # scipy is an optional accelerator
+try:  # scipy's vendored HiGHS bindings are an optional accelerator
     import numpy as _np
-    from scipy.optimize import linprog as _linprog
-    from scipy.sparse import csr_matrix as _csr
+    from scipy.optimize._highspy import _core as _hc
 except Exception:  # pragma: no cover - exercised only without scipy
-    _linprog = None
+    _hc = None
 
 _SUPPORT_TOL = 1e-9
 _DECISION_TOL = 1e-7
 _FLOAT_LIMIT = 1e15
-#: stand-in for +inf; scipy's linprog rejects genuine infinities in b_ub.
-#: A relaxed row can only make the minimum more negative, which still maps
-#: to the sound "keep" verdict.
-_RELAXED = 1e14
+
+
+def _linprog(highs):
+    """Solve the model held by `highs` and return its HiGHS model status.
+
+    The solve starts from the basis left by the previous one.  A warm start
+    that ends neither optimal nor unbounded is retried once from scratch.
+    """
+    done = (_hc.HighsModelStatus.kOptimal, _hc.HighsModelStatus.kUnbounded)
+    highs.run()
+    status = highs.getModelStatus()
+    if status not in done:
+        highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+    return status
 
 
 class _FloatFilter:
-    """Reusable float LP over the current kept rows.
+    """One persistent float LP over the rows of a sweep.
 
-    Rows are disabled by relaxing their upper bound to +inf instead of
-    rebuilding the matrix (scipy formulation: -L x <= -a).
+    The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once;
+    each probe changes only the objective and lifts the probed row's bound,
+    so consecutive solves warm-start from the previous basis (with one cold
+    retry, see `_linprog`).  Dropped rows are disabled by relaxing their
+    upper bound to +inf for good.
     """
 
     def __init__(self, rows: Sequence[Face]):
-        self.ok = _linprog is not None
+        self.ok = _hc is not None
         if not self.ok:
             return
         m = len(rows)
         dim = len(rows[0].f) if rows else 0
-        data, indices, indptr = [], [], [0]
-        self.scale = []
+        entries = [[] for _ in range(dim)]
         bub = _np.empty(m)
         for i, row in enumerate(rows):
             mag = max((abs(c) for c in row.f), default=0)
             mag = float(mag) if mag else 1.0
             if not (0 < mag < _FLOAT_LIMIT):
                 mag = mag or 1.0
-            self.scale.append(mag)
             for j, c in enumerate(row.f):
                 if c:
-                    data.append(max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, -float(c) / mag)))
-                    indices.append(j)
-            indptr.append(len(data))
+                    entries[j].append(
+                        (i, max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, -float(c) / mag))))
             bub[i] = max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, -float(row.b) / mag))
-        self.A = _csr((data, indices, indptr), shape=(m, dim))
+        lp = _hc.HighsLp()
+        lp.num_col_ = dim
+        lp.num_row_ = m
+        lp.col_cost_ = _np.zeros(dim)
+        lp.col_lower_ = _np.full(dim, -_hc.kHighsInf)
+        lp.col_upper_ = _np.full(dim, _hc.kHighsInf)
+        lp.row_lower_ = _np.full(m, -_hc.kHighsInf)
+        lp.row_upper_ = bub
+        lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_ = dim
+        lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.start_ = _np.cumsum([0] + [len(e) for e in entries])
+        lp.a_matrix_.index_ = [i for e in entries for i, _ in e]
+        lp.a_matrix_.value_ = [v for e in entries for _, v in e]
+        self.highs = _hc._Highs()
+        self.highs.setOptionValue("output_flag", False)
+        self.ok = self.highs.passModel(lp) != _hc.HighsStatus.kError
         self.bub = bub
         self.active = _np.ones(m, dtype=bool)
         self.dim = dim
+        self.cols = _np.arange(dim, dtype=_np.int32)
 
     def disable(self, i: int) -> None:
         self.active[i] = False
+        self.highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
 
     def probe(self, i: Optional[int], face: Face):
         """Float-minimize face.f over active rows minus row i (i=None keeps
@@ -88,22 +123,29 @@ class _FloatFilter:
         for j, v in enumerate(face.f):
             if v:
                 c[j] = max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, float(v) / mag))
-        bub = _np.where(self.active, self.bub, _RELAXED)
-        if i is not None:
-            bub[i] = _RELAXED
-        res = _linprog(c, A_ub=self.A, b_ub=bub, bounds=(None, None),
-                       method="highs")
-        if res.status == 3:  # unbounded below: certainly not implied
-            return "keep", None
-        if res.status != 0:
-            return None, None
-        target = float(face.b) / mag
-        if res.fun < target - _DECISION_TOL * (1 + abs(target)):
-            # Confidently irredundant; keeps need no certificate.
-            return "keep", None
+        highs = self.highs
+        highs.changeColsCost(self.dim, self.cols, c)
+        lifted = i is not None and self.active[i]
+        if lifted:
+            highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
+        try:
+            status = _linprog(highs)
+            if status == _hc.HighsModelStatus.kUnbounded:
+                return "keep", None  # unbounded below: certainly not implied
+            if status != _hc.HighsModelStatus.kOptimal:
+                return None, None
+            target = float(face.b) / mag
+            fun = highs.getInfo().objective_function_value
+            if fun < target - _DECISION_TOL * (1 + abs(target)):
+                # Confidently irredundant; keeps need no certificate.
+                return "keep", None
+            duals = highs.getSolution().row_dual
+        finally:
+            if lifted:
+                highs.changeRowBounds(i, -_hc.kHighsInf, self.bub[i])
         # The minimum looks >= b: likely redundant, ask for an exact proof.
         support = [
-            k for k, marg in enumerate(res.ineqlin.marginals)
+            k for k, marg in enumerate(duals)
             if self.active[k] and k != i and marg < -_SUPPORT_TOL
         ]
         return "try-drop", support

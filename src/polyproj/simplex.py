@@ -93,7 +93,7 @@ class _Tableau:
         self.m, self.n = m, n
         # Layout: column 0 = RHS, columns 1..n = variables, columns n+1..n+m =
         # artificials.  Rows 0..m-1 = constraints, row m = phase-2 cost,
-        # row m+1 = phase-1 cost.
+        # row m+1 = phase-1 cost (dropped once phase 1 is over).
         N = np.zeros((m + 2, n + 1 + m), dtype=object)
         for i in range(m):
             N[i, 0] = rhs[i]
@@ -161,8 +161,9 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def drop_rows(self, rows_to_drop: List[int]) -> None:
+        """Remove the given constraint rows and the phase-1 cost row."""
         keep = [i for i in range(self.m) if i not in rows_to_drop]
-        sel = keep + [self.m, self.m + 1]
+        sel = keep + [self.m]
         self.N = self.N[sel]
         self.basis = [self.basis[i] for i in keep]
         self.m = len(keep)
@@ -206,7 +207,8 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardR
             _art_costs=tab.N[p1, n + 1:].tolist(), _det=tab.det, _row_scale=row_scale,
         )
 
-    # Drive any zero-level artificials out of the basis; drop dependent rows.
+    # Drive any zero-level artificials out of the basis; drop dependent rows
+    # and the phase-1 cost row, which phase 2 no longer reads.
     to_drop = []
     for i in range(tab.m):
         if tab.basis[i] >= n:
@@ -215,8 +217,7 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardR
                 to_drop.append(i)
             else:
                 tab.pivot(i, s)
-    if to_drop:
-        tab.drop_rows(to_drop)
+    tab.drop_rows(to_drop)
 
     status = tab.run(tab.m, lambda j: j < n)
 

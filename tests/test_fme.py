@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyproj import ConstraintSystem
+from polyproj import ConstraintSystem, redundancy
 from polyproj.fme import (
     DUFFIN,
     FINAL_ONLY,
@@ -192,6 +192,89 @@ def bounded_random_system(draw):
     rows.extend(extra)
     keep = draw(st.integers(min_value=1, max_value=dim - 1))
     return rows, dim, keep
+
+
+@st.composite
+def system_with_implied_rows(draw):
+    """A bounded random system plus rows it implies: duplicates, positive
+    combinations of two rows, and reversed rows (which make equalities)."""
+    pairs, dim, _ = draw(bounded_random_system())
+    pick = st.integers(min_value=0, max_value=len(pairs) - 1)
+    weight = st.integers(min_value=1, max_value=3)
+    extra = draw(st.lists(st.one_of(
+        st.tuples(st.just("dup"), pick),
+        st.tuples(st.just("comb"), pick, pick, weight, weight),
+        st.tuples(st.just("rev"), pick),
+    ), min_size=1, max_size=4))
+    rows = list(pairs)
+    for kind, i, *rest in extra:
+        f, b = pairs[i]
+        if kind == "dup":
+            rows.append((f, b))
+        elif kind == "rev":
+            rows.append((tuple(-c for c in f), -b))
+        else:
+            j, u, v = rest
+            g, a = pairs[j]
+            rows.append((tuple(u * x + v * y for x, y in zip(f, g)), u * b + v * a))
+    order = draw(st.permutations(range(len(rows))))
+    return sys_of([rows[k] for k in order], dim)
+
+
+@given(system_with_implied_rows())
+@settings(max_examples=30)
+def test_float_sweeps_equal_exact_sweeps(s):
+    # floats only steer: the persistent HiGHS model must reach the verdicts of
+    # the exact-only sweep, so a bound left lifted after a probe shows here
+    assert (prune_redundant(s, use_float=True).rows
+            == prune_redundant(s, use_float=False).rows)
+    assert implied_equalities(s) == implied_equalities(s, use_float=False)
+
+
+def test_float_filter_restores_and_disables_rows():
+    # rows 0 and 1 are the same x >= 0; the box closes with x <= 1, 0 <= y <= 1
+    rows = list(sys_of([((1, 0), 0), ((1, 0), 0), ((-1, 0), -1),
+                        ((0, 1), 0), ((0, -1), -1)], 2).rows)
+    filt = redundancy._FloatFilter(rows)
+    assert filt.ok
+    assert filt.probe(0, rows[0]) == ("try-drop", [1])
+    assert filt.probe(0, rows[0]) == ("try-drop", [1])
+    # row 0's bound is back in place after its own probe
+    assert filt.probe(1, rows[1]) == ("try-drop", [0])
+    filt.disable(0)
+    # with row 0 gone nothing else bounds x from below
+    assert filt.probe(1, rows[1]) == ("keep", None)
+    assert filt.probe(None, Face((1, 0), -1)) == ("try-drop", [1])
+
+
+def test_failed_warm_solve_is_retried_cold():
+    hc = pytest.importorskip("scipy.optimize._highspy._core")
+
+    class Highs:
+        def __init__(self):
+            self.log, self.status = [], hc.HighsModelStatus.kUnknown
+
+        def run(self):
+            self.log.append("run")
+
+        def clearSolver(self):
+            self.log.append("clear")
+            self.status = hc.HighsModelStatus.kOptimal
+
+        def getModelStatus(self):
+            return self.status
+
+    highs = Highs()
+    assert redundancy._linprog(highs) == hc.HighsModelStatus.kOptimal
+    assert highs.log == ["run", "clear", "run"]
+
+
+def test_float_filter_binds_scipy_highs():
+    # the filter reaches HiGHS through scipy's private `_highspy._core`
+    # bindings; should a scipy release move them, FME silently falls back to
+    # exact LPs only
+    pytest.importorskip("scipy")
+    assert redundancy._FloatFilter(list(sys_of([((1, 0), 0)], 2).rows)).ok
 
 
 @given(bounded_random_system())
