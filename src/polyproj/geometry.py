@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import orthogonal_complement, orthogonalize, solve_linear
-from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, ConstraintSystem, Face,
-                 as_face, lp_minimize, normalize_face)
-from .rationals import dot, is_zero_vector, mpq, vec_sub
+from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, as_face,
+                 lp_minimize, normalize_face)
+from .rationals import dot, is_zero_vector, vec_sub
 
 
 class UnboundedProjection(Exception):
@@ -70,33 +70,16 @@ def is_implied(system: ConstraintSystem, face) -> bool:
     return sol.objective >= face.b
 
 
-def remove_redundancies(system: ConstraintSystem) -> ConstraintSystem:
-    """
-    Greedy minimal subsystem: scan rows in order and drop each row implied by
-    the remaining ones (one exact LP per row).  The result describes the same
-    polyhedron; no retained row is implied by the other retained rows.
-    Deterministic given the row order.
-    """
-    alive = list(system.rows)
-    i = 0
-    while i < len(alive):
-        rest = alive[:i] + alive[i + 1:]
-        candidate = alive[i]
-        sub = ConstraintSystem(tuple(rest), system.dim)
-        if is_implied(sub, candidate):
-            alive = rest
-        else:
-            i += 1
-    return ConstraintSystem(tuple(alive), system.dim, system.names)
-
-
 def find_vertex(system: ConstraintSystem, d: int, direction: Sequence) -> Tuple:
     """
     A vertex of pi(P) minimizing ``direction`` (stage 1), refined to a unique
     point by exact lexicographic minimization along an orthogonal completion
-    of ``direction`` (stages 2..d); each stage pins the previous optimum with
-    an equality.  Vector lengths are never normalized, only directions matter.
-    Raises UnboundedProjection if some stage is unbounded.
+    of ``direction`` (stages 2..d).  The stages together span R^d, so the
+    lexicographic minimizers all share one image point.  One LP finds it:
+    the later stages are tie-break objectives of ``lp_minimize``, which
+    returns the point a chain of d LPs would (each pinning the previous
+    optimum with an equality).  Vector lengths are never normalized, only
+    directions matter.  Raises UnboundedProjection if some stage is unbounded.
     """
     if is_zero_vector(direction):
         raise ValueError("direction must be nonzero")
@@ -106,18 +89,13 @@ def find_vertex(system: ConstraintSystem, d: int, direction: Sequence) -> Tuple:
     if len(stages) != d:
         raise DegenerateInput("orthogonal completion has wrong size")
 
-    current = system
-    x = None
-    for i, q in enumerate(stages):
-        sol = lp_minimize(current, pad_objective(q, system.dim))
-        if sol.status == UNBOUNDED:
-            raise UnboundedProjection(f"stage {i}: unbounded along {q}")
-        if sol.status == INFEASIBLE:
-            raise DegenerateInput("system is infeasible")
-        x = sol.x
-        if i + 1 < len(stages):
-            current = current.with_equality(pad_objective(q, system.dim), sol.objective)
-    return tuple(x[:d])
+    sol = lp_minimize(system, pad_objective(stages[0], system.dim),
+                      ties=[pad_objective(q, system.dim) for q in stages[1:]])
+    if sol.status == UNBOUNDED:
+        raise UnboundedProjection(f"unbounded along {direction} or a later stage")
+    if sol.status == INFEASIBLE:
+        raise DegenerateInput("system is infeasible")
+    return tuple(sol.x[:d])
 
 
 @dataclass

@@ -18,6 +18,13 @@ primal point is x = -pi, where pi are the simplex multipliers read off the
 terminal cost row (feasible by the termination condition); the dual vector
 is the simplex solution itself, and unboundedness/infeasibility are separated
 by an auxiliary Farkas system, so no primal-form tableau is ever built.
+
+Tie-break objectives t_1, t_2, ... make the minimum lexicographic: min c.x,
+then min t_1.x among those minimizers, and so on.  That is min
+(c + eps t_1 + eps^2 t_2 + ...).x for every small eps > 0, whose dual has the
+right-hand side  c + eps t_1 + ...: the tie objectives become the extra
+columns of the simplex's right-hand-side block, and one solve yields the
+point the chain of staged LPs (each pinning the previous optimum) would.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import simplex
-from .rationals import dot, mpq, scale_to_coprime_ints
+from .rationals import dot, lex_sign, mpq, scale_to_coprime_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -132,15 +139,15 @@ class LpSolution:
     x: Optional[Tuple] = None
     objective: Optional[object] = None
     duals: Optional[Tuple] = None   # q >= 0 with q.L = c and q.a = objective
-    ray: Optional[Tuple] = None     # recession direction with c.ray < 0
+    ray: Optional[Tuple] = None     # recession direction, (c, t_1, ...).ray lex < 0
 
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
 
-def _verify_point(system: ConstraintSystem, x, objective, c) -> None:
-    if dot(c, x) != objective:
+def _verify_point(system: ConstraintSystem, x, values, objectives) -> None:
+    if any(dot(c, x) != v for c, v in zip(objectives, values)):
         raise AssertionError("recovered point does not attain the LP objective")
     for row in system.rows:
         if dot(row.f, x) < row.b:
@@ -148,35 +155,43 @@ def _verify_point(system: ConstraintSystem, x, objective, c) -> None:
 
 
 def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
+                ties: Sequence[Sequence] = (),
                 want_point: bool = True) -> LpSolution:
     """
     Exact min of objective.x over the system.  Status is one of optimal /
     unbounded / infeasible; optimal solutions carry the attaining point, the
     exact objective and dual multipliers, unbounded ones a ray witness.
 
+    ``ties`` are tie-break objectives, in order: the minimum is then
+    lexicographic (see the module docstring), the point is checked against
+    each t_j.x too, and an unbounded ray has (c.ray, t_1.ray, ...)
+    lexicographically negative.
+
     ``want_point=False`` skips the attaining point and its exact check
     against every row (status, objective and duals only), which callers on
     hot paths use.
     """
-    c = list(objective)
-    if len(c) != system.dim:
+    objectives = [list(objective)] + [list(t) for t in ties]
+    if any(len(v) != system.dim for v in objectives):
         raise ValueError("objective width does not match the system")
+    c = objectives[0]
     m = len(system.rows)
     if m == 0:
-        if all(x == 0 for x in c):
+        first = next((v for v in objectives if any(v)), None)
+        if first is None:
             return LpSolution(OPTIMAL, x=tuple([0] * system.dim), objective=mpq(0),
                               duals=())
-        ray = tuple(-x for x in c)
+        ray = tuple(-x for x in first)
         return LpSolution(UNBOUNDED, ray=ray)
 
     res = simplex.solve_standard(system.transpose(), c,
-                                 [-row.b for row in system.rows])
+                                 [-row.b for row in system.rows], ties=objectives[1:])
     if res.status == simplex.OPTIMAL:
-        value = -res.objective
-        sol = LpSolution(OPTIMAL, objective=value, duals=res.z)
+        values = [-res.objective] + [-v for v in res.ties]
+        sol = LpSolution(OPTIMAL, objective=values[0], duals=res.z)
         if want_point:
             x = tuple(-p for p in res.multipliers())
-            _verify_point(system, x, value, c)
+            _verify_point(system, x, values, objectives)
             sol.x = x
         return sol
 
@@ -191,7 +206,7 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
     if feas.status == simplex.OPTIMAL:
         return LpSolution(INFEASIBLE)
     ray = tuple(-y for y in res.farkas())
-    if dot(c, ray) >= 0:
+    if lex_sign(dot(v, ray) for v in objectives) >= 0:
         raise AssertionError("invalid unboundedness certificate")
     for row in system.rows:
         if dot(row.f, ray) < 0:

@@ -86,6 +86,11 @@ def is_zero_vector(u: Sequence) -> bool:
     return all(x == 0 for x in u)
 
 
+def lex_sign(u: Iterable) -> int:
+    """Sign of the first nonzero entry (0 for a zero vector)."""
+    return next((1 if x > 0 else -1 for x in u if x), 0)
+
+
 def common_denominator(values: Iterable) -> int:
     """lcm of the denominators of an iterable of rationals/ints."""
     lcm = 1

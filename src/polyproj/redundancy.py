@@ -200,44 +200,40 @@ def prune_redundant(system: ConstraintSystem, *, protect: Sequence[int] = (),
     """
     rows = list(system.rows)
     alive = [True] * len(rows)
+    n_alive = len(rows)
     protected = set(protect)
     filt = _FloatFilter(rows) if use_float else None
     use_filter = bool(filt and filt.ok)
 
+    def drop(i: int) -> None:
+        nonlocal n_alive
+        alive[i] = False
+        n_alive -= 1
+        if use_filter:
+            filt.disable(i)
+
     for i, face in enumerate(rows):
-        if i in protected:
+        # Row i is still alive here: rows are only dropped when visited.
+        if i in protected or n_alive == 1:
             continue
-        others = [rows[k] for k in range(len(rows)) if alive[k] and k != i]
-        if not others:
-            continue
-        decided = False
         if use_filter:
             verdict, support = filt.probe(i, face)
             if verdict == "keep":
-                decided = True
-            elif verdict == "try-drop" and _exact_certificate(
+                continue
+            if verdict == "try-drop" and _exact_certificate(
                 rows, [s for s in support if alive[s] and s != i], face
             ):
-                alive[i] = False
-                filt.disable(i)
-                decided = True
-        if decided:
-            continue
-        sub = ConstraintSystem(tuple(others), system.dim)
-        sol = lp_minimize(sub, list(face.f), want_point=False)
+                drop(i)
+                continue
+        others = [rows[k] for k in range(len(rows)) if alive[k] and k != i]
+        sol = lp_minimize(ConstraintSystem(tuple(others), system.dim),
+                          list(face.f), want_point=False)
         if sol.status == OPTIMAL and sol.objective >= face.b:
-            alive[i] = False
-            if use_filter:
-                filt.disable(i)
-        elif sol.status == UNBOUNDED:
-            pass  # not implied, keep
-        elif sol.status == OPTIMAL:
-            pass  # minimum below rhs, keep
-        else:
+            drop(i)
+        elif sol.status not in (OPTIMAL, UNBOUNDED):
             # remaining rows infeasible: everything is vacuously implied
-            alive[i] = False
-            if use_filter:
-                filt.disable(i)
+            drop(i)
+        # otherwise unbounded or minimum below rhs: not implied, keep
 
     kept = tuple(r for r, a in zip(rows, alive) if a)
     return ConstraintSystem(kept, system.dim, system.names)

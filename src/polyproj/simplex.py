@@ -6,6 +6,21 @@ Exact two-phase simplex for standard-form programs
 with Bland's smallest-index pivoting rule (no cycling, fully deterministic
 given the row/column order).
 
+The right-hand side may be a block  [b | t_1 | ... | t_{k-1}]  of k columns,
+read as the perturbed program  A z = b + eps t_1 + ... + eps^(k-1) t_{k-1}
+for every small enough eps > 0 (the lexicographic rule of Dantzig, Orden &
+Wolfe, 1955).  Only the ratio test sees the block: a basis is feasible when
+each row of its block is lexicographically nonnegative, and the leaving row
+is the lexicographically smallest ratio row, ties going to the smallest
+basis index as Bland's rule does.  That is Bland's rule on the scalar
+program at one fixed small eps, so it cannot cycle either.  Phase 1 reports
+infeasibility when its block row is lexicographically negative; after a
+feasible phase 1 every basic artificial has an all-zero block row, and only
+such rows are driven out or dropped.  The terminal basis is optimal for all
+small eps at once, and the phase-2 cost row under block column j holds
+``-c_B B^-1 t_j``: column 0 gives the objective, the others the tie values.
+With k = 1 every comparison is the scalar one, pivot for pivot.
+
 The tableau is kept *fraction free*: an integer matrix ``N`` together with a
 positive integer denominator ``det`` represents the rational dictionary
 ``N/det``.  A pivot on entry (r, s) performs the Edmonds/Bareiss update
@@ -19,7 +34,7 @@ arrays makes the row updates vectorized while staying exact, which is
 considerably faster than elementwise rational arithmetic.
 
 The m artificial (identity) columns are carried in the tableau after the
-variables; they never enter the basis, and column ``n+1+i`` always belongs to
+variables; they never enter the basis, and column ``k+n+i`` always belongs to
 input row i.  Under them the cost rows hold ``-c_B B^-1`` (phase 2) and
 ``1 - c1_B B^-1`` (phase 1), so the certificates (optimal multipliers, Farkas
 vectors for infeasibility) are read off the terminal cost rows without a
@@ -34,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rationals import common_denominator, mpq
+from .rationals import common_denominator, lex_sign, mpq
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -45,13 +60,11 @@ UNBOUNDED = "unbounded"
 CHECK_PIVOTS = False
 
 
-def _scale_row_to_ints(row: Sequence, rhs) -> Tuple[List[int], int, int]:
-    """Return (int row, int rhs, positive scale) with row*scale integral."""
-    scale = common_denominator(list(row) + [rhs])
+def _scale_to_ints(values: Sequence, scale: int) -> List[int]:
+    """values * scale as ints; scale must make every entry integral."""
     if scale == 1:
-        return ([int(x) for x in row], int(rhs), 1)
-    introw = [int(x * scale) if not isinstance(x, int) else x * scale for x in row]
-    return (introw, int(rhs * scale) if not isinstance(rhs, int) else rhs * scale, scale)
+        return [int(x) for x in values]
+    return [int(x * scale) if not isinstance(x, int) else x * scale for x in values]
 
 
 @dataclass
@@ -59,6 +72,7 @@ class StandardResult:
     status: str
     z: Optional[Tuple] = None            # primal solution, length n
     objective: Optional[object] = None   # exact rational
+    ties: Tuple = ()                     # values of the tie columns, optimal only
     ray: Optional[Tuple] = None          # improving ray when unbounded
     basis: Optional[Tuple[int, ...]] = None
     # Terminal cost-row entries under the artificial columns (phase 2 when
@@ -88,19 +102,20 @@ class StandardResult:
 
 
 class _Tableau:
-    def __init__(self, rows: List[List[int]], rhs: List[int], cost: List[int]):
-        m, n = len(rows), len(cost)
-        self.m, self.n = m, n
-        # Layout: column 0 = RHS, columns 1..n = variables, columns n+1..n+m =
-        # artificials.  Rows 0..m-1 = constraints, row m = phase-2 cost,
-        # row m+1 = phase-1 cost (dropped once phase 1 is over).
-        N = np.zeros((m + 2, n + 1 + m), dtype=object)
+    def __init__(self, rows: List[List[int]], rhs: List[List[int]], cost: List[int]):
+        m, n, k = len(rows), len(cost), len(rhs[0])
+        self.m, self.n, self.k = m, n, k
+        # Layout: columns 0..k-1 = RHS block, columns k..k+n-1 = variables,
+        # columns k+n..k+n+m-1 = artificials.  Rows 0..m-1 = constraints,
+        # row m = phase-2 cost, row m+1 = phase-1 cost (dropped once phase 1
+        # is over).
+        N = np.zeros((m + 2, k + n + m), dtype=object)
         for i in range(m):
-            N[i, 0] = rhs[i]
-            N[i, 1:n + 1] = rows[i]
-            N[i, n + 1 + i] = 1
-        N[m, 1:n + 1] = cost
-        N[m + 1, :n + 1] = -N[:m, :n + 1].sum(axis=0)
+            N[i, :k] = rhs[i]
+            N[i, k:k + n] = rows[i]
+            N[i, k + n + i] = 1
+        N[m, k:k + n] = cost
+        N[m + 1, :k + n] = -N[:m, :k + n].sum(axis=0)
         self.N = N
         self.det = 1
         self.basis = [n + i for i in range(m)]  # artificial indices
@@ -125,11 +140,13 @@ class _Tableau:
             np.negative(N, out=N)
             piv = -piv
         self.det = int(piv)
-        self.basis[r] = s - 1  # column 1+j holds variable j
+        self.basis[r] = s - self.k  # column k+j holds variable j
 
     def _ratio_leave(self, s: int) -> Optional[int]:
-        """Bland leaving row for entering column s (tableau column index)."""
-        N = self.N
+        """Leaving row for entering column s (tableau column index): the
+        lexicographically smallest ratio of RHS block row to pivot entry,
+        ties by smallest basis index (Bland)."""
+        N, k = self.N, self.k
         best = None
         for i in range(self.m):
             a = N[i, s]
@@ -137,19 +154,22 @@ class _Tableau:
                 if best is None:
                     best = i
                 else:
-                    lhs = N[i, 0] * N[best, s]
-                    rhs = N[best, 0] * N[i, s]
+                    for j in range(k):
+                        lhs = N[i, j] * N[best, s]
+                        rhs = N[best, j] * a
+                        if lhs != rhs:
+                            break
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
                         best = i
         return best
 
     def run(self, cost_row: int, allow_enter) -> str:
         """Bland iterations on the given cost row; returns 'optimal'/'unbounded'."""
-        N = self.N
+        N, k = self.N, self.k
         while True:
             enter = None
-            for j in range(1, self.n + 1):
-                if N[cost_row, j] < 0 and allow_enter(j - 1):
+            for j in range(k, k + self.n):
+                if N[cost_row, j] < 0 and allow_enter(j - k):
                     enter = j
                     break
             if enter is None:
@@ -169,50 +189,57 @@ class _Tableau:
         self.m = len(keep)
 
 
-def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardResult:
+def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
+                   ties: Sequence[Sequence] = ()) -> StandardResult:
     """
     Solve min c.z s.t. A z = b, z >= 0 exactly.  Deterministic: Bland's rule,
     ties by smallest variable index, row order as given.
+
+    ``ties`` are further right-hand sides t_1, t_2, ...: the program solved
+    is then A z = b + eps t_1 + eps^2 t_2 + ... for all small eps > 0 (see
+    the module docstring).  ``z`` and ``objective`` belong to b; an optimal
+    result also carries ``ties``, the optimal value for each t_j in turn.
     """
     m, n = len(A), len(c)
     if m == 0:
         if all(x >= 0 for x in c):
-            return StandardResult(OPTIMAL, z=tuple([0] * n), objective=mpq(0), basis=())
+            return StandardResult(OPTIMAL, z=tuple([0] * n), objective=mpq(0),
+                                  ties=(mpq(0),) * len(ties), basis=())
         j = next(j for j, x in enumerate(c) if x < 0)
         ray = tuple(1 if k == j else 0 for k in range(n))
         return StandardResult(UNBOUNDED, ray=ray)
 
+    k = 1 + len(ties)
     rows, rhs, row_scale = [], [], []
     for i in range(m):
-        introw, intrhs, scale = _scale_row_to_ints(A[i], b[i])
-        if intrhs < 0:
-            introw = [-x for x in introw]
-            intrhs = -intrhs
+        block = [b[i]] + [t[i] for t in ties]
+        scale = common_denominator(list(A[i]) + block)
+        if lex_sign(block) < 0:
             scale = -scale
-        rows.append(introw)
-        rhs.append(intrhs)
+        rows.append(_scale_to_ints(A[i], scale))
+        rhs.append(_scale_to_ints(block, scale))
         row_scale.append(mpq(scale))
 
     cost_scale = common_denominator(c)
-    cost = [int(x * cost_scale) if not isinstance(x, int) else x * cost_scale for x in c]
+    cost = _scale_to_ints(c, cost_scale)
 
     tab = _Tableau(rows, rhs, cost)
     p1 = tab.m + 1
 
-    status = tab.run(p1, lambda j: True)
-    if tab.N[p1, 0] < 0:  # phase-1 optimum -N[p1,0]/det > 0: infeasible
+    tab.run(p1, lambda j: True)
+    if lex_sign(tab.N[p1, :k]) < 0:  # phase-1 optimum lex-positive: infeasible
         return StandardResult(
             INFEASIBLE,
             basis=tuple(tab.basis),
-            _art_costs=tab.N[p1, n + 1:].tolist(), _det=tab.det, _row_scale=row_scale,
+            _art_costs=tab.N[p1, k + n:].tolist(), _det=tab.det, _row_scale=row_scale,
         )
 
-    # Drive any zero-level artificials out of the basis; drop dependent rows
+    # Drive zero-level artificials out of the basis; drop dependent rows
     # and the phase-1 cost row, which phase 2 no longer reads.
     to_drop = []
     for i in range(tab.m):
-        if tab.basis[i] >= n:
-            s = next((j for j in range(1, n + 1) if tab.N[i, j] != 0), None)
+        if tab.basis[i] >= n and not any(tab.N[i, :k]):
+            s = next((j for j in range(k, k + n) if tab.N[i, j] != 0), None)
             if s is None:
                 to_drop.append(i)
             else:
@@ -224,7 +251,7 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardR
     if status == UNBOUNDED:
         s = tab._unbounded_col
         ray = [mpq(0)] * n
-        ray[s - 1] = mpq(1)
+        ray[s - k] = mpq(1)
         det = mpq(tab.det)
         for i in range(tab.m):
             if tab.basis[i] < n:
@@ -236,12 +263,13 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> StandardR
     for i in range(tab.m):
         if tab.basis[i] < n:
             z[tab.basis[i]] = mpq(tab.N[i, 0]) / det
-    objective = -mpq(tab.N[tab.m, 0]) / det / cost_scale
+    values = [-mpq(v) / det / cost_scale for v in tab.N[tab.m, :k]]
     return StandardResult(
         OPTIMAL,
         z=tuple(z),
-        objective=objective,
+        objective=values[0],
+        ties=tuple(values[1:]),
         basis=tuple(tab.basis),
-        _art_costs=tab.N[tab.m, n + 1:].tolist(), _det=tab.det, _row_scale=row_scale,
+        _art_costs=tab.N[tab.m, k + n:].tolist(), _det=tab.det, _row_scale=row_scale,
         _cost_scale=cost_scale,
     )

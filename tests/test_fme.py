@@ -158,13 +158,17 @@ def test_partial_is_outer_approximation():
 
 
 def test_prune_redundant_drops_implied_rows():
-    s = sys_of(
-        [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((2, 1), -1), ((1, 0), -7)],
-        2,
-    )
-    for use_float in (False, True):
-        out = prune_redundant(s, use_float=use_float)
-        assert rowset(out) == {((1, 0), 0), ((0, 1), 0)}
+    square = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
+    cases = [
+        ([((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((2, 1), -1), ((1, 0), -7)],
+         {((1, 0), 0), ((0, 1), 0)}),
+        # the unit square padded with the implied rows (1,1) >= 0, (1,0) >= -5
+        (square + [((1, 1), 0), ((1, 0), -5)], set(square)),
+    ]
+    for pairs, want in cases:
+        for use_float in (False, True):
+            out = prune_redundant(sys_of(pairs, 2), use_float=use_float)
+            assert rowset(out) == want
 
 
 coeff = st.integers(min_value=-4, max_value=4)

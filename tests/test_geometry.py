@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyproj import ConstraintSystem
 from polyproj.geometry import (
@@ -10,8 +10,10 @@ from polyproj.geometry import (
     face_rank,
     find_vertex,
     is_implied,
-    remove_redundancies,
+    pad_objective,
 )
+from polyproj.linalg import orthogonalize
+from polyproj.lp import INFEASIBLE, UNBOUNDED, lp_minimize
 from polyproj.rationals import dot
 
 from .oracles import brute_vertices, satisfies
@@ -44,13 +46,6 @@ def test_is_implied():
 def test_is_implied_vacuous_on_infeasible():
     bad = ConstraintSystem.from_rows([((1,), 1), ((-1,), 0)], 1)
     assert is_implied(bad, ((1,), 100))
-
-
-def test_remove_redundancies_keeps_facets():
-    sq = cube(2)
-    padded = sq.with_rows([((1, 1), 0), ((1, 0), -5)])
-    cleaned = remove_redundancies(padded)
-    assert set(cleaned.rows) == set(sq.rows)
 
 
 def test_find_vertex_on_cube_face():
@@ -174,3 +169,60 @@ def test_find_vertex_returns_actual_vertices(case):
     v = find_vertex(sys_, dim, tuple([1] * dim))
     assert satisfies(rows, rhs, v)
     assert tuple(v) in verts
+
+
+def staged_find_vertex(system, d, direction):
+    """The chain of d LPs that find_vertex replaces: minimize each stage,
+    then pin its optimum with an equality before the next."""
+    unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    stages = [tuple(direction)] + orthogonalize(unit, [tuple(direction)])
+    current, x = system, None
+    for i, q in enumerate(stages):
+        sol = lp_minimize(current, pad_objective(q, system.dim))
+        if sol.status == UNBOUNDED:
+            raise UnboundedProjection(f"stage {i}")
+        if sol.status == INFEASIBLE:
+            raise DegenerateInput("system is infeasible")
+        x = sol.x
+        current = current.with_equality(pad_objective(q, system.dim), sol.objective)
+    return tuple(x[:d])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (UnboundedProjection, DegenerateInput) as exc:
+        return type(exc)
+
+
+@st.composite
+def projection_problem(draw):
+    """d observed plus 0-2 hidden coordinates; optionally boxed, with random
+    rows, a duplicate and a reversed row (unbounded and empty ones too)."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    dim = d + draw(st.integers(min_value=0, max_value=2))
+    small = st.integers(min_value=-3, max_value=3)
+    rows = []
+    if draw(st.booleans()):
+        bound = st.integers(min_value=0, max_value=3)
+        for k in range(dim):
+            e = tuple(1 if j == k else 0 for j in range(dim))
+            rows.append((e, -draw(bound)))
+            rows.append((tuple(-v for v in e), -draw(bound)))
+    rows += draw(st.lists(st.tuples(st.tuples(*[small] * dim),
+                                    st.integers(min_value=-4, max_value=2)),
+                          min_size=1, max_size=5))
+    rows = [r for r in rows if any(r[0])] or [((1,) + (0,) * (dim - 1), 0)]
+    if draw(st.booleans()):
+        f, b = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        rows += [(f, b), (tuple(-v for v in f), -b)]
+    direction = draw(st.tuples(*[small] * d).filter(any))
+    return ConstraintSystem.from_rows(rows, dim), d, direction
+
+
+@settings(max_examples=150)
+@given(projection_problem())
+def test_find_vertex_equals_the_staged_loop(case):
+    system, d, direction = case
+    assert _outcome(find_vertex, system, d, direction) == \
+        _outcome(staged_find_vertex, system, d, direction)

@@ -4,10 +4,10 @@ import pytest
 
 from polyproj.chm import chm_project
 from polyproj.fme import fme_project
-from polyproj.lp import normalize_face
+from polyproj.lp import ConstraintSystem, normalize_face
 from polyproj.matrixfile import reorder_to
 from polyproj.scenarios import parse_scenario
-from polyproj.verify import compare_listings, load_fixture
+from polyproj.verify import MATCH, compare_listings, load_fixture
 
 #: Shannon classes of the observed variables that cca-3.txt leaves out:
 #: I(2:3|1), H(3|12) and I(2:3), as coefficient maps over column names.
@@ -45,3 +45,13 @@ def test_fme_reproduces_cca3_listing(cca3, cca3_fme):
 def test_chm_agrees_with_fme_on_cca3(cca3, cca3_fme):
     hull = chm_project(cca3.system, cca3.scenario.d, group=cca3.group)
     assert set(hull.facets) == {normalize_face(r.f, r.b) for r in cca3_fme.rows}
+
+
+@pytest.mark.slow
+def test_chm_reproduces_bell_08d_listing():
+    bell = parse_scenario("bell:3x2:body=3")
+    names = bell.scenario.observable_names
+    hull = chm_project(bell.system, bell.scenario.d, group=bell.group)
+    computed = ConstraintSystem(tuple(hull.facets), bell.scenario.d, names)
+    golden = reorder_to(load_fixture("bell-08d").system, names)
+    assert compare_listings(computed, golden, bell.group).relation == MATCH

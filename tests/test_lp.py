@@ -38,6 +38,19 @@ def test_unbounded_gives_ray():
         assert dot(row.f, ray) >= 0
 
 
+def test_tie_unbounded_gives_lexicographic_ray():
+    # the strip 0 <= x <= 1: min x is bounded, the tie min y is not
+    sys_ = build([(1, 0, 0), (-1, 0, -1)], 2)
+    objective, tie = (1, 0), (0, 1)
+    assert lp_minimize(sys_, objective).status == "optimal"
+    sol = lp_minimize(sys_, objective, ties=[tie])
+    assert sol.status == "unbounded"
+    ray = sol.ray
+    assert all(dot(row.f, ray) >= 0 for row in sys_.rows)
+    signs = [dot(objective, ray), dot(tie, ray)]
+    assert next(s for s in signs if s) < 0
+
+
 def test_infeasible():
     sys_ = build([(1, 0, 1), (-1, 0, 0)], 2)
     sol = lp_minimize(sys_, [1, 1])

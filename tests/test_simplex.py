@@ -107,3 +107,86 @@ def test_no_rows():
     res = simplex.solve_standard([], [], [1, 0])
     assert res.status == simplex.OPTIMAL
     assert res.multipliers() == ()
+
+
+def _lex_programs(seed, count):
+    """Small random programs with k = 2-3 right-hand sides; some with a
+    dependent row, some infeasible at a later stage, some unbounded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n, k = rng.randint(1, 4), rng.randint(2, 6), rng.randint(2, 3)
+        A = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+             for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:
+            A[-1] = [rng.randint(-2, 2) * a for a in A[0]]
+        block = []
+        for _ in range(k):
+            z = [rng.randint(-1, 2) if block else rng.randint(0, 2) for _ in range(n)]
+            rhs = [sum(a * x for a, x in zip(row, z)) for row in A]
+            if rng.random() < 0.15:
+                rhs = [x + rng.randint(-1, 1) for x in rhs]
+            block.append(rhs)
+        if rng.random() < 0.2:  # a repeated or zero tie column
+            block[-1] = list(block[0]) if rng.random() < 0.5 else [0] * m
+        c = [Fraction(rng.randint(-2, 4), rng.choice((1, 2))) for _ in range(n)]
+        yield A, block, c
+
+
+def _staged(A, block, c):
+    """Reference for a right-hand-side block: one k = 1 solve per column.
+
+    Stage j maximizes b_j.y over the dual {y : y.A <= c} with the earlier
+    optima pinned as rows b_l.y = v_l.  In standard form such a pin is a
+    free column b_l of cost v_l, split into two nonnegative ones; it is kept
+    (at cost 0) when stage 1 is unbounded, so later stages still decide
+    feasibility.  Returns (status, values)."""
+    status, values = simplex.OPTIMAL, []
+    for j, b in enumerate(block):
+        rows = [list(row) + [p[i] for p in block[:j]] + [-p[i] for p in block[:j]]
+                for i, row in enumerate(A)]
+        pins = values if status == simplex.OPTIMAL else [0] * j
+        res = simplex.solve_standard(rows, b, list(c) + pins + [-v for v in pins])
+        if res.status == simplex.INFEASIBLE:
+            return simplex.INFEASIBLE, None
+        if res.status == simplex.UNBOUNDED:
+            assert j == 0 or status == simplex.UNBOUNDED
+            status = simplex.UNBOUNDED
+        else:
+            values.append(res.objective)
+    return status, (values if status == simplex.OPTIMAL else None)
+
+
+def test_rhs_block_matches_staged_solves(check_pivots):
+    seen = Counter()
+    for A, block, c in _lex_programs(seed=3, count=300):
+        m, n = len(A), len(c)
+        res = simplex.solve_standard(A, block[0], c, ties=block[1:])
+        want_status, want_values = _staged(A, block, c)
+        assert res.status == want_status
+        if res.status == simplex.OPTIMAL:
+            assert (res.objective,) + res.ties == tuple(want_values)
+            assert res.objective == simplex.solve_standard(A, block[0], c).objective
+            assert all(x >= 0 for x in res.z)
+            assert all(_dot(row, res.z) == b for row, b in zip(A, block[0]))
+            pi = res.multipliers()
+            for j in range(n):
+                assert _dot(pi, _column(A, j)) <= c[j]
+            assert tuple(_dot(pi, b) for b in block) == tuple(want_values)
+            dependent = len(res.basis) < m
+            seen["optimal, dependent rows" if dependent else "optimal"] += 1
+        elif res.status == simplex.INFEASIBLE:
+            y = res.farkas()
+            for j in range(n):
+                assert _dot(y, _column(A, j)) <= 0
+            signs = [_dot(y, b) for b in block]
+            assert next(s for s in signs if s) > 0
+            later = simplex.solve_standard(A, block[0], c).status != simplex.INFEASIBLE
+            seen["infeasible at a later stage" if later else "infeasible"] += 1
+        else:
+            ray = res.ray
+            assert all(r >= 0 for r in ray)
+            assert all(_dot(row, ray) == 0 for row in A)
+            assert _dot(c, ray) < 0
+            seen["unbounded"] += 1
+    assert set(seen) == {"optimal", "optimal, dependent rows", "infeasible",
+                         "infeasible at a later stage", "unbounded"}
