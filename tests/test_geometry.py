@@ -15,6 +15,7 @@ from polyproj.geometry import (
 from polyproj.linalg import orthogonalize
 from polyproj.lp import INFEASIBLE, UNBOUNDED, lp_minimize
 from polyproj.rationals import dot
+from polyproj.redundancy import prune_redundant
 
 from .oracles import brute_vertices, satisfies
 
@@ -46,6 +47,13 @@ def test_is_implied():
 def test_is_implied_vacuous_on_infeasible():
     bad = ConstraintSystem.from_rows([((1,), 1), ((-1,), 0)], 1)
     assert is_implied(bad, ((1,), 100))
+
+
+def test_remove_redundancies_keeps_facets():
+    sq = cube(2)
+    padded = sq.with_rows([((1, 1), 0), ((1, 0), -5)])
+    cleaned = prune_redundant(padded, use_float=False)
+    assert set(cleaned.rows) == set(sq.rows)
 
 
 def test_find_vertex_on_cube_face():
