@@ -28,53 +28,33 @@ occur for an extreme ray (such a ray would be interior).
 from typing import List, Sequence, Tuple
 
 from .geometry import DegenerateInput
+from .linalg import integer_rref
 from .lp import Face, normalize_face
-from .rationals import dot, mpq, rational, scale_to_coprime_ints
+from .rationals import dot, rational, scale_to_coprime_ints
 
 
 def _affinely_independent_subset(points: List[Tuple], k: int) -> List[int]:
-    """Indices of k+1 points spanning R^k affinely, greedily by exact rank."""
-    chosen = [0]
-    rows = []  # rref state of the difference vectors
-    for idx in range(1, len(points)):
-        if len(chosen) == k + 1:
-            break
-        diff = [mpq(a) - mpq(b) for a, b in zip(points[idx], points[chosen[0]])]
-        # reduce against current rows
-        for pivot_col, row in rows:
-            if diff[pivot_col] != 0:
-                factor = mpq(diff[pivot_col]) / row[pivot_col]
-                diff = [d - factor * r for d, r in zip(diff, row)]
-        pivot_col = next((j for j, v in enumerate(diff) if v != 0), None)
-        if pivot_col is None:
-            continue
-        rows.append((pivot_col, diff))
-        chosen.append(idx)
-    if len(chosen) != k + 1:
+    """Indices of k+1 points spanning R^k affinely: the first point, then
+    each point whose difference from it is independent of the earlier ones
+    (the pivot columns of the differences, taken as columns)."""
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    pivots = integer_rref(list(zip(*diffs)))[1]
+    if len(pivots) != k:
         raise DegenerateInput(
-            "points span an affine subspace of dimension %d < %d"
-            % (len(chosen) - 1, k)
+            "points span an affine subspace of dimension %d < %d" % (len(pivots), k)
         )
-    return chosen
+    return [0] + [c + 1 for c in pivots]
 
 
-def _solve_inverse_columns(mat: List[List]) -> List[List]:
-    """Columns of mat^-1 for a square exact matrix (raises if singular)."""
+def _solve_inverse_columns(mat: List[List]) -> List[List[int]]:
+    """Columns of mat^-1 for a square exact matrix, all scaled by one
+    positive integer (raises if singular)."""
     n = len(mat)
-    aug = [[mpq(v) for v in row] + [mpq(1) if i == j else mpq(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise DegenerateInput("singular initial simplex")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [[aug[i][n + j] for i in range(n)] for j in range(n)]
+    reduced, pivots, _ = integer_rref([list(row) + [int(i == j) for j in range(n)]
+                                       for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise DegenerateInput("singular initial simplex")
+    return [[row[n + j] for row in reduced] for j in range(n)]
 
 
 class _Ray:

@@ -1,11 +1,12 @@
 """
 Dense exact linear algebra over the rationals.
 
-Everything here is plain Gaussian elimination on lists of scalars.  Matrices
-are lists of row tuples/lists.  These routines back the geometric primitives
-(affine ranks, orthogonal complements, lifting faces through embeddings); the
-simplex solver has its own fraction-free kernel and does not use this module
-for pivoting.
+Matrices are lists of row tuples/lists of rationals.  Elimination runs
+fraction free over the integers (``integer_rref``); ``rref``, which the
+solvers here build on, makes rationals only for its result.  These routines
+back the geometric primitives (orthogonal complements, lifting faces through
+embeddings, the initial simplex of a hull); the simplex solver has its own
+fraction-free kernel and does not use this module for pivoting.
 """
 
 from __future__ import annotations
@@ -15,37 +16,55 @@ from typing import List, Optional, Sequence, Tuple
 from .rationals import Vector, dot, is_zero_vector, mpq, scale_to_coprime_ints
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
+def integer_rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
     """
-    Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
+    Reduced row echelon form, fraction free: returns (integer rows, pivot
+    columns, det) with det > 0, where the reduced nonzero rows are the
+    integer rows divided by det.
+
+    Gauss-Jordan elimination over the integers (Bareiss, 1968): each row is
+    scaled to integers, and a pivot on (r, c) replaces every other row by
+    ``(row * piv - row[c] * pivot_row) / det``, where ``det`` is the previous
+    pivot and the division is exact.  Every pivot row then holds ``det`` in
+    its pivot column.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    mat = [list(scale_to_coprime_ints(r)) for r in rows]
     pivots: List[int] = []
+    det = 1
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mpq(1) / mpq(mat[r][c]) if mat[r][c] != 1 else 1
-        if inv != 1:
-            mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        piv = prow[c]
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                mat[i] = [(a * piv - f * b) // det for a, b in zip(row, prow)]
+            elif piv != det:
+                mat[i] = [a * piv // det for a in row]
+        det = piv
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    if det < 0:
+        return [[-x for x in row] for row in mat[:r]], pivots, -det
+    return mat[:r], pivots, det
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
+    """
+    Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
+    The reduced form is unique; it is computed by ``integer_rref``, and
+    rationals are built only for the returned rows.
+    """
+    mat, pivots, det = integer_rref(rows)
+    return [[mpq(x, det) for x in row] for row in mat], pivots
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
@@ -119,13 +138,3 @@ def orthogonal_complement(vectors: Sequence[Sequence], dim: int) -> List[Vector]
     if not vecs:
         return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     return nullspace(vecs, dim)
-
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of the points, plus one (i.e. max number
-    of affinely independent points among them)."""
-    if not points:
-        return 0
-    base = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    return 1 + matrix_rank(diffs) if diffs else 1

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import simplex
-from .rationals import dot, lex_sign, mpq, scale_to_coprime_ints
+from .rationals import common_denominator, dot, lex_sign, mpq, scale_to_coprime_ints, scaled_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -147,10 +147,12 @@ class LpSolution:
 
 
 def _verify_point(system: ConstraintSystem, x, values, objectives) -> None:
-    if any(dot(c, x) != v for c, v in zip(objectives, values)):
+    D = common_denominator(x)
+    X = scaled_ints(x, D)
+    if any(dot(c, X) != v * D for c, v in zip(objectives, values)):
         raise AssertionError("recovered point does not attain the LP objective")
     for row in system.rows:
-        if dot(row.f, x) < row.b:
+        if dot(row.f, X) < row.b * D:
             raise AssertionError("recovered LP point violates the system")
 
 

@@ -14,7 +14,7 @@ relies on for caching faces, deduplicating rows and building orbit sets.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 try:
     from gmpy2 import mpq
@@ -38,16 +38,6 @@ def rational(value, denom=None) -> Rational:
     if isinstance(value, int):
         return value
     return mpq(value)
-
-
-def as_int(value) -> int:
-    """Convert an integral rational to a Python int, erroring on fractions."""
-    if isinstance(value, int):
-        return value
-    num, den = value.numerator, value.denominator
-    if den != 1:
-        raise ValueError(f"not an integer: {value}")
-    return int(num)
 
 
 def format_rational(value) -> str:
@@ -101,14 +91,20 @@ def common_denominator(values: Iterable) -> int:
     return lcm
 
 
+def scaled_ints(values: Iterable, scale: int) -> List[int]:
+    """values * scale as ints; scale must be a multiple of every denominator."""
+    if scale == 1:
+        return [int(v) for v in values]
+    return [int(v.numerator) * (scale // int(v.denominator)) for v in values]
+
+
 def scale_to_coprime_ints(values: Sequence) -> Tuple[int, ...]:
     """
     Scale a rational vector by the unique positive rational that makes all
     entries coprime integers.  The zero vector maps to itself.  Orientation
     (overall sign) is preserved.
     """
-    lcm = common_denominator(values)
-    ints = [as_int(v * lcm) if not isinstance(v, int) else v * lcm for v in values]
+    ints = scaled_ints(values, common_denominator(values))
     g = 0
     for x in ints:
         if x:

@@ -29,9 +29,13 @@ positive integer denominator ``det`` represents the rational dictionary
     N'[r, j] = N[r, j],            det' = N[r, s]
 
 where the division is exact (tableau entries are subdeterminants of the input
-scaled by the current basis determinant).  Integer arithmetic on numpy object
-arrays makes the row updates vectorized while staying exact, which is
-considerably faster than elementwise rational arithmetic.
+scaled by the current basis determinant).  ``N`` is a numpy ``int64`` array
+while a bound proves the update exact in machine integers: before each pivot
+B = max|N|, and when B < 2^31 every intermediate ``N*piv - outer(col, row)``
+is below 2 B^2 < 2^63.  Once B reaches 2^31 the tableau is promoted, for good,
+to an ``object`` array of Python ints, where the same update is exact at any
+size.  One pivot routine serves both; only the dtype differs.  Everything
+read out of the tableau (ratio test, certificates) goes through Python ints.
 
 The m artificial (identity) columns are carried in the tableau after the
 variables; they never enter the basis, and column ``k+n+i`` always belongs to
@@ -45,11 +49,12 @@ artificial basic, so its certificate entry is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rationals import common_denominator, lex_sign, mpq
+from .rationals import common_denominator, lex_sign, mpq, scaled_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -58,13 +63,6 @@ UNBOUNDED = "unbounded"
 #: When true, every pivot re-checks the exact-divisibility invariant.  Slow;
 #: enabled by ``tests/test_simplex.py`` on small instances.
 CHECK_PIVOTS = False
-
-
-def _scale_to_ints(values: Sequence, scale: int) -> List[int]:
-    """values * scale as ints; scale must make every entry integral."""
-    if scale == 1:
-        return [int(x) for x in values]
-    return [int(x * scale) if not isinstance(x, int) else x * scale for x in values]
 
 
 @dataclass
@@ -80,7 +78,7 @@ class StandardResult:
     # applied to the input rows and costs.
     _art_costs: Sequence[int] = field(default=(), repr=False)
     _det: int = 1
-    _row_scale: Sequence = field(default=(), repr=False)
+    _row_scale: Sequence[int] = field(default=(), repr=False)
     _cost_scale: int = 1
 
     def multipliers(self) -> Tuple:
@@ -88,17 +86,20 @@ class StandardResult:
         and pi.b = objective; defined for optimal results."""
         if self.status != OPTIMAL:
             raise ValueError("multipliers are defined for optimal results only")
-        scale = mpq(self._det * self._cost_scale)
-        return tuple(-mpq(d) / scale * s
-                     for d, s in zip(self._art_costs, self._row_scale))
+        den = self._det * self._cost_scale
+        return tuple(mpq(-d * s, den) for d, s in zip(self._art_costs, self._row_scale))
 
     def farkas(self) -> Tuple:
         """Exact certificate y of infeasibility: y.A <= 0 and y.b > 0."""
         if self.status != INFEASIBLE:
             raise ValueError("farkas certificate exists for infeasible results only")
-        det = mpq(self._det)
-        return tuple((1 - d / det) * s
+        det = self._det
+        return tuple(mpq((det - d) * s, det)
                      for d, s in zip(self._art_costs, self._row_scale))
+
+
+#: Tableau entries below this bound keep the Bareiss update inside int64.
+_INT64_BOUND = 2 ** 31
 
 
 class _Tableau:
@@ -108,12 +109,13 @@ class _Tableau:
         # Layout: columns 0..k-1 = RHS block, columns k..k+n-1 = variables,
         # columns k+n..k+n+m-1 = artificials.  Rows 0..m-1 = constraints,
         # row m = phase-2 cost, row m+1 = phase-1 cost (dropped once phase 1
-        # is over).
-        N = np.zeros((m + 2, k + n + m), dtype=object)
-        for i in range(m):
-            N[i, :k] = rhs[i]
-            N[i, k:k + n] = rows[i]
-            N[i, k + n + i] = 1
+        # is over).  With the input below the bound, the phase-1 sums still
+        # fit in int64; pivot() checks the bound before it multiplies.
+        big = max(map(abs, chain(*rows, *rhs, cost)), default=0)
+        N = np.zeros((m + 2, k + n + m), dtype=np.int64 if big < _INT64_BOUND else object)
+        N[:m, :k] = rhs
+        N[:m, k:k + n] = rows
+        N[range(m), range(k + n, k + n + m)] = 1
         N[m, k:k + n] = cost
         N[m + 1, :k + n] = -N[:m, :k + n].sum(axis=0)
         self.N = N
@@ -122,6 +124,8 @@ class _Tableau:
 
     def pivot(self, r: int, s: int) -> None:
         N, det = self.N, self.det
+        if N.dtype != object and max(N.max(), -N.min()) >= _INT64_BOUND:
+            N = self.N = N.astype(object)
         piv = N[r, s]
         if piv == 0:
             raise RuntimeError("zero pivot")
@@ -129,7 +133,7 @@ class _Tableau:
         col = N[:, s].copy()
         if CHECK_PIVOTS:
             R = N * piv - np.outer(col, rowr)
-            if det != 1 and not all(int(x) % det == 0 for x in R.ravel()):
+            if det != 1 and (R % det).any():
                 raise AssertionError("integer pivoting divisibility violated")
         N *= piv
         N -= np.outer(col, rowr)
@@ -146,34 +150,30 @@ class _Tableau:
         """Leaving row for entering column s (tableau column index): the
         lexicographically smallest ratio of RHS block row to pivot entry,
         ties by smallest basis index (Bland)."""
-        N, k = self.N, self.k
+        col = self.N[:self.m, s].tolist()
+        block = self.N[:self.m, :self.k].tolist()
         best = None
-        for i in range(self.m):
-            a = N[i, s]
+        for i, a in enumerate(col):
             if a > 0:
                 if best is None:
                     best = i
-                else:
-                    for j in range(k):
-                        lhs = N[i, j] * N[best, s]
-                        rhs = N[best, j] * a
-                        if lhs != rhs:
-                            break
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
-                        best = i
+                    continue
+                for x, y in zip(block[i], block[best]):
+                    lhs, rhs = x * col[best], y * a
+                    if lhs != rhs:
+                        break
+                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
+                    best = i
         return best
 
-    def run(self, cost_row: int, allow_enter) -> str:
+    def run(self, cost_row: int) -> str:
         """Bland iterations on the given cost row; returns 'optimal'/'unbounded'."""
-        N, k = self.N, self.k
+        k = self.k
         while True:
-            enter = None
-            for j in range(k, k + self.n):
-                if N[cost_row, j] < 0 and allow_enter(j - k):
-                    enter = j
-                    break
-            if enter is None:
+            negative = np.flatnonzero(self.N[cost_row, k:k + self.n] < 0)
+            if not negative.size:
                 return OPTIMAL
+            enter = k + int(negative[0])
             leave = self._ratio_leave(enter)
             if leave is None:
                 self._unbounded_col = enter
@@ -216,17 +216,17 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
         scale = common_denominator(list(A[i]) + block)
         if lex_sign(block) < 0:
             scale = -scale
-        rows.append(_scale_to_ints(A[i], scale))
-        rhs.append(_scale_to_ints(block, scale))
-        row_scale.append(mpq(scale))
+        rows.append(scaled_ints(A[i], scale))
+        rhs.append(scaled_ints(block, scale))
+        row_scale.append(scale)
 
     cost_scale = common_denominator(c)
-    cost = _scale_to_ints(c, cost_scale)
+    cost = scaled_ints(c, cost_scale)
 
     tab = _Tableau(rows, rhs, cost)
     p1 = tab.m + 1
 
-    tab.run(p1, lambda j: True)
+    tab.run(p1)
     if lex_sign(tab.N[p1, :k]) < 0:  # phase-1 optimum lex-positive: infeasible
         return StandardResult(
             INFEASIBLE,
@@ -246,24 +246,22 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
                 tab.pivot(i, s)
     tab.drop_rows(to_drop)
 
-    status = tab.run(tab.m, lambda j: j < n)
+    status = tab.run(tab.m)
 
     if status == UNBOUNDED:
         s = tab._unbounded_col
         ray = [mpq(0)] * n
         ray[s - k] = mpq(1)
-        det = mpq(tab.det)
         for i in range(tab.m):
             if tab.basis[i] < n:
-                ray[tab.basis[i]] = -mpq(tab.N[i, s]) / det
+                ray[tab.basis[i]] = mpq(-int(tab.N[i, s]), tab.det)
         return StandardResult(UNBOUNDED, ray=tuple(ray))
 
-    det = mpq(tab.det)
     z = [mpq(0)] * n
     for i in range(tab.m):
         if tab.basis[i] < n:
-            z[tab.basis[i]] = mpq(tab.N[i, 0]) / det
-    values = [-mpq(v) / det / cost_scale for v in tab.N[tab.m, :k]]
+            z[tab.basis[i]] = mpq(int(tab.N[i, 0]), tab.det)
+    values = [mpq(-v, tab.det * cost_scale) for v in tab.N[tab.m, :k].tolist()]
     return StandardResult(
         OPTIMAL,
         z=tuple(z),

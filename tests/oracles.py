@@ -45,6 +45,29 @@ def _solve_square(rows, rhs):
     return tuple(m[where[c]][n] for c in range(n))
 
 
+def reduced_row_echelon(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions.
+
+    Returns (the nonzero reduced rows, their pivot columns).
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
 def _fraction_nullspace_1d(rows, n):
     """Return a nonzero vector v with rows . v = 0, assuming rank n-1."""
     m = [[Fraction(x) for x in row] for row in rows]

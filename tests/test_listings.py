@@ -41,7 +41,6 @@ def test_fme_reproduces_cca3_listing(cca3, cca3_fme):
     assert set(report.extra) == extra
 
 
-@pytest.mark.slow
 def test_chm_agrees_with_fme_on_cca3(cca3, cca3_fme):
     hull = chm_project(cca3.system, cca3.scenario.d, group=cca3.group)
     assert set(hull.facets) == {normalize_face(r.f, r.b) for r in cca3_fme.rows}

@@ -190,3 +190,83 @@ def test_rhs_block_matches_staged_solves(check_pivots):
             seen["unbounded"] += 1
     assert set(seen) == {"optimal", "optimal, dependent rows", "infeasible",
                          "infeasible at a later stage", "unbounded"}
+
+
+def _wide_programs(seed, count):
+    """Random integer programs whose entries are small, moderate, just below
+    2^31 or above it, so that some tableaux stay int64, some start as
+    object and some are promoted in the middle of a solve."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        top = rng.choice((4, 2 ** 12, 2 ** 20, 2 ** 31, 2 ** 32, 2 ** 40))
+
+        def nonzero():
+            return rng.choice((-1, 1)) * rng.randint(top - top // 8 - 1, top - 1)
+
+        def entry():
+            return 0 if rng.random() < 0.25 else nonzero()
+
+        m, n = rng.randint(1, 4), rng.randint(2, 6)
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1] = [2 * a for a in A[0]]
+        block = []
+        for _ in range(rng.choice((1, 1, 2))):
+            z = [rng.randint(0, 2) for _ in range(n)]
+            rhs = [_dot(row, z) for row in A]
+            if rng.random() < 0.3:
+                rhs = [x + entry() for x in rhs]
+            block.append(rhs)
+        c = [entry() for _ in range(n)]
+        c[rng.randrange(n)] = nonzero()
+        yield A, block, c
+
+
+def test_int64_tableaux_match_object_ones(check_pivots, monkeypatch):
+    """Each program is solved as given and with its costs scaled by 2^40,
+    which leaves every pivot choice alone but makes the tableau an object
+    array from the start: both runs must pivot alike and give the same
+    results, the costs' scale aside."""
+    pivots = []
+    pivot = simplex._Tableau.pivot
+
+    def spy(self, r, s):
+        before = self.N.dtype
+        pivot(self, r, s)
+        pivots.append((r, s, before, self.N.dtype))
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", spy)
+    S = 2 ** 40
+    seen = Counter()
+    for A, block, c in _wide_programs(seed=11, count=300):
+        pivots.clear()
+        res = simplex.solve_standard(A, block[0], c, ties=block[1:])
+        run = list(pivots)
+        pivots.clear()
+        ref = simplex.solve_standard(A, block[0], [S * x for x in c], ties=block[1:])
+        assert [p[:2] for p in run] == [p[:2] for p in pivots]
+        assert all(p[2] == object for p in pivots)
+        assert (res.status, res.z, res.ray, res.basis) == \
+            (ref.status, ref.z, ref.ray, ref.basis)
+        if res.status == simplex.OPTIMAL:
+            assert res.objective * S == ref.objective
+            assert tuple(t * S for t in res.ties) == ref.ties
+            pi = res.multipliers()
+            assert tuple(p * S for p in pi) == ref.multipliers()
+            for j in range(len(c)):
+                assert _dot(pi, _column(A, j)) <= c[j]
+            assert _dot(pi, block[0]) == res.objective
+            assert _oracle(A, c, res.basis, pi)[0] == pi
+        elif res.status == simplex.INFEASIBLE:
+            assert res.farkas() == ref.farkas()
+        if not run:
+            continue
+        dtypes = [run[0][2]] + [p[3] for p in run]
+        if dtypes[0] == object:
+            seen["object from the start"] += 1
+        elif dtypes[-1] != object:
+            seen["int64 throughout"] += 1
+        elif dtypes[1] != object:
+            seen["promoted in the middle"] += 1
+    assert set(seen) == {"int64 throughout", "object from the start",
+                         "promoted in the middle"}
