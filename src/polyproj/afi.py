@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chm import chm_project
-from .epm import build_combination_polytope, epm_sample_face, separation_objective
+from .epm import (build_combination_polytope, combination_face, epm_sample_face,
+                  separation_objective)
 from .geometry import (
     AffineEmbedding,
     BasisSimplex,
@@ -51,6 +52,7 @@ from .lp import (
     as_face,
     feasible_point,
     lp_minimize,
+    lp_standard,
     normalize_face,
 )
 from .rationals import dot, is_zero_vector, rational, vec_add, vec_scale, vec_sub
@@ -148,7 +150,7 @@ def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
     d = len(g.f)
     if d > system.dim:
         raise ValueError("face is wider than the system")
-    work = capped(system, d) if system.homogeneous else system
+    work = capped(system, d)
     norm_g = dot(g.f, g.f)
     norm_s = dot(s.f, s.f)
     moved = False
@@ -244,27 +246,36 @@ def _tighten(work: ConstraintSystem, d: int, face: Face,
         face = cand
 
 
+def _prepare(system: ConstraintSystem, d: int, face
+             ) -> Tuple[ConstraintSystem, Face, BasisSimplex, List[Tuple]]:
+    """Set-up shared by ``to_facet`` and ``to_facets``: the capped working
+    system, the face padded to width d with its offset raised to the
+    supporting value, and the image's basis simplex with its directions.
+    One exact LP both rejects invalid faces and lifts the offset, so a valid
+    face that is slack everywhere becomes tight before any tightening."""
+    face = as_face(face)
+    if len(face.f) > d:
+        raise ValueError("face is wider than the output space")
+    face = face.pad(d)
+    work = capped(system, d)
+    support = lp_minimize(work, pad_objective(face.f, work.dim), want_point=False)
+    if support.status == UNBOUNDED or (support.optimal and support.objective < face.b):
+        raise ValueError("input face is not valid on the projection")
+    if support.optimal and support.objective > face.b:
+        face = normalize_face(face.f, support.objective)
+    P = basis_simplex(work, d)
+    return work, face, P, [vec_sub(p, P.base) for p in P.points[1:]]
+
+
 def to_facet(system: ConstraintSystem, d: int, face) -> Face:
     """Tighten a valid inequality into a facet of the projection whose tight
     set contains the input's tight set.  Facet inputs come back unchanged;
     invalid or trivial inputs are rejected.  A valid face that is slack
     everywhere has its offset raised to the supporting value first, so the
     tightening loop always starts from a nonempty tight set."""
-    face = as_face(face)
-    if len(face.f) > d:
-        raise ValueError("face is wider than the output space")
-    face = face.pad(d)
-    if is_zero_vector(face.f):
+    if is_zero_vector(as_face(face).f):
         raise ValueError("the trivial face cannot be tightened")
-    work = capped(system, d) if system.homogeneous else system
-    if not is_implied(work, face.pad(work.dim)):
-        raise ValueError("input face is not valid on the projection")
-    support = lp_minimize(work, pad_objective(face.f, work.dim),
-                          want_point=False)
-    if support.optimal and support.objective > face.b:
-        face = normalize_face(face.f, support.objective)
-    P = basis_simplex(work, d)
-    pdirs = [vec_sub(p, P.base) for p in P.points[1:]]
+    work, face, P, pdirs = _prepare(system, d, face)
     return _tighten(work, d, face, P, pdirs)
 
 
@@ -301,17 +312,11 @@ def to_facets(system: ConstraintSystem, d: int, face, known: Iterable = ()) -> L
     exterior control point, which the control-point tightener converts into
     a facet strictly cutting it.  Terminates because each new facet removes
     its control point from the region.  ``known`` facets seed the region and
-    are included in the returned set."""
-    face = as_face(face)
-    if len(face.f) > d:
-        raise ValueError("face is wider than the output space")
-    face = face.pad(d)
-    work = capped(system, d) if system.homogeneous else system
-    if not is_implied(work, face.pad(work.dim)):
-        raise ValueError("input face is not valid on the projection")
+    are included in the returned set.  A valid face that is slack everywhere
+    has its offset raised to the supporting value first, as in
+    ``to_facet``."""
+    work, face, P, pdirs = _prepare(system, d, face)
     out: Set[Face] = {as_face(k).pad(d) for k in known}
-    P = basis_simplex(work, d)
-    pdirs = [vec_sub(p, P.base) for p in P.points[1:]]
     # the region is intersected with the cap for cones so control points
     # stay on the polytope side of the cap and can never select it
     region_extra = [cap_face(d, d)] if system.homogeneous else []
@@ -355,49 +360,35 @@ def point_to_facets(system: ConstraintSystem, d: int, y: Sequence) -> List[Face]
     cp = build_combination_polytope(system, d)
     padded = y + (0,) * (system.dim - d)
 
-    candidate = None
-    sample = epm_sample_face(cp, [dot(row.f, padded) for row in system.rows])
-    if not is_zero_vector(sample.f) and dot(sample.f, y) <= sample.b:
-        candidate = sample
-    if candidate is None:
+    def certifies(face: Face) -> bool:
+        return not is_zero_vector(face.f) and dot(face.f, y) <= face.b
+
+    candidate = epm_sample_face(cp, [dot(row.f, padded) for row in system.rows])
+    if not certifies(candidate):
         # rows with offsets need the slack objective; it also decides
-        # interiority exactly
+        # interiority exactly.  The sample above proved cp nonempty, and it
+        # is bounded, so every LP below is optimal.
         slack = separation_objective(system, padded)
-        sol = lp_minimize(cp.base, slack)
-        if not sol.optimal:
-            raise InfeasibleSystem("no normalized row combination lands in the output space")
+        sol = lp_standard(cp.A, cp.b, slack)
         if sol.objective > 0:
             raise ValueError("the point is strictly interior to the projection")
-        sample = _combination_face(cp, sol.x)
-        if not is_zero_vector(sample.f) and dot(sample.f, y) <= sample.b:
-            candidate = sample
-        else:
+        candidate = combination_face(cp, sol.x)
+        if not certifies(candidate):
             # minimal slack 0 met only by trivial combinations so far: look
             # for a nonzero tight inequality coordinate by coordinate
-            pinned = cp.base.with_equality(slack, sol.objective)
-            columns = cp.link.transpose()
-            for j in range(d):
-                for sign in (1, -1):
-                    probe = lp_minimize(pinned, [sign * v for v in columns[j]])
-                    if probe.optimal and probe.objective < 0:
-                        candidate = _combination_face(cp, probe.x)
-                        break
-                if candidate is not None:
-                    break
-            if candidate is None:
+            pinned = (cp.A + (tuple(slack),), cp.b + (sol.objective,))
+            columns = system.transpose()
+            probes = (lp_standard(*pinned, [sign * v for v in columns[j]])
+                      for j in range(d) for sign in (1, -1))
+            q = next((probe.x for probe in probes if probe.objective < 0), None)
+            if q is None:
                 raise ValueError("the point is strictly interior to the projection")
+            candidate = combination_face(cp, q)
     facets = to_facets(system, d, candidate)
     certifying = [g for g in facets if dot(g.f, y) <= g.b]
     if not certifying:
         raise AssertionError("implying facet set lost the certificate")
     return certifying
-
-
-def _combination_face(cp, q) -> Face:
-    columns = cp.link.transpose()
-    coeffs = [dot(q, columns[j]) for j in range(cp.d)]
-    rhs = dot(q, [row.b for row in cp.link.rows])
-    return normalize_face(coeffs, rhs)
 
 
 def _chart(system: ConstraintSystem, bs: BasisSimplex) -> AffineEmbedding:
@@ -478,8 +469,7 @@ def _project(system: ConstraintSystem, d: int, depth: int, group,
         if not budget.take():
             return []
         return chm_project(system, d, group=group).facets
-    homogeneous = system.homogeneous
-    work = capped(system, d) if homogeneous else system
+    work = capped(system, d)
     bs = basis_simplex(work, d)
     if bs.rank == 0:
         return []
@@ -500,7 +490,7 @@ def _project(system: ConstraintSystem, d: int, depth: int, group,
         queue = FacetQueue()
     _walk(work, d, depth, group, budget, rng, known, queue)
     facets = sorted(queue.done)
-    if homogeneous:
+    if system.homogeneous:
         facets = [f for f in facets if f.b == 0]
     return facets
 
@@ -539,7 +529,7 @@ def rfd(system: ConstraintSystem, d: int, cfg: AfiConfig,
         raise ValueError(f"projection dimension {d} out of range")
     known = [as_face(k).pad(d) for k in known]
     if known and validate_known:
-        work = capped(system, d) if system.homogeneous else system
+        work = capped(system, d)
         rank = basis_simplex(work, d).rank
         for k in known:
             if not is_implied(work, k.pad(work.dim)):

@@ -23,12 +23,11 @@ roughly by the orbit size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .geometry import (
     AffineEmbedding,
-    UnboundedProjection,
     basis_simplex,
     capped,
     find_vertex,
@@ -108,14 +107,14 @@ def chm_project(system: ConstraintSystem, d: int, *, group=None) -> HullResult:
     Homogeneous systems are capped and the cap artifacts removed, so the
     returned facets are exactly the facets of the cone's projection.
     Unbounded non-homogeneous projections raise
-    :class:`UnboundedProjection`; bound the system first (for cones see
-    ``scenarios.truncate_cone``).
+    :class:`geometry.UnboundedProjection`; bound the system first.  Cones
+    whose image has a ray outside the cap's domain raise it too (see
+    ``geometry.cap_face``).
     """
 
     if not 1 <= d <= system.dim:
         raise ValueError(f"projection dimension {d} out of range")
-    homogeneous = system.homogeneous
-    work = capped(system, d) if homogeneous else system
+    work = capped(system, d)
 
     def vertex_probe(direction):
         return find_vertex(work, d, direction)
@@ -140,6 +139,6 @@ def chm_project(system: ConstraintSystem, d: int, *, group=None) -> HullResult:
     else:
         result = _full_dim_chm(work, d, list(bs.points), group)
 
-    if homogeneous:
+    if system.homogeneous:
         result.facets = [face for face in result.facets if face.b == 0]
     return result

@@ -7,6 +7,11 @@ eliminated coordinates.  Normalizing by sum(q) = 1 makes the feasible q a
 polytope, and optimizing a linear objective over it yields faces of the
 shadow directly -- one exact LP per sample, no vertex structure needed.
 
+That polytope is already in standard form, {q >= 0 : A q = b} with one row
+for sum(q) = 1 and one per eliminated coordinate, so each sample is a single
+``lp.lp_standard`` solve of dim - d + 1 rows: q >= 0 is never written out as
+rows, and nothing is dualized.
+
 The sampled face for an optimal vertex q is ((q^T L)[:d], q^T a).  Choosing
 the objective p_i = f_i . x0 - b_i for a candidate point x0 makes
 
@@ -19,15 +24,9 @@ lies outside the shadow the returned face separates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
-from .lp import (
-    ConstraintSystem,
-    Face,
-    InfeasibleSystem,
-    lp_minimize,
-    normalize_face,
-)
+from .lp import ConstraintSystem, Face, InfeasibleSystem, lp_standard, normalize_face
 from .rationals import dot
 
 
@@ -35,13 +34,15 @@ from .rationals import dot
 class CombinationPolytope:
     """Normalized non-negative row combinations landing in the output space.
 
-    ``base`` constrains the combination vector q: q >= 0, sum(q) = 1, and
-    (q^T L) = 0 on every coordinate past ``d``.  ``link`` is the system the
-    combinations are drawn from, so any feasible q maps to the inequality
-    (q^T L)[:d] . x >= q^T a, valid on the projection by construction.
+    The combination vectors are {q >= 0 : A q = b}: the first row of ``A``
+    is sum(q) = 1, each further row sets (q^T L)_j = 0 for one coordinate j
+    past ``d``.  ``link`` is the system the combinations are drawn from, so
+    any feasible q maps to the inequality (q^T L)[:d] . x >= q^T a, valid on
+    the projection by construction (see ``combination_face``).
     """
 
-    base: ConstraintSystem
+    A: Tuple[Tuple[int, ...], ...]
+    b: Tuple[int, ...]
     link: ConstraintSystem
     d: int
 
@@ -50,40 +51,36 @@ def build_combination_polytope(system: ConstraintSystem, d: int) -> CombinationP
     """Set up the combination polytope for projecting onto the first d coords."""
     if not 0 <= d <= system.dim:
         raise ValueError("output dimension out of range")
-    m = len(system.rows)
-    rows = []
-    for i in range(m):
-        unit = [0] * m
-        unit[i] = 1
-        rows.append(Face(tuple(unit), 0))
-    base = ConstraintSystem.from_rows(rows, m)
-    base = base.with_equality([1] * m, 1)
     columns = system.transpose()
-    for j in range(d, system.dim):
-        base = base.with_equality(columns[j], 0)
-    return CombinationPolytope(base=base, link=system, d=d)
+    A = ((1,) * len(system.rows),) + tuple(tuple(columns[j]) for j in range(d, system.dim))
+    b = (1,) + (0,) * (system.dim - d)
+    return CombinationPolytope(A=A, b=b, link=system, d=d)
+
+
+def combination_face(cp: CombinationPolytope, q: Sequence) -> Face:
+    """The (normalized) inequality ((q^T L)[:d], q^T a) of a combination q."""
+    columns = cp.link.transpose()
+    coeffs = [dot(q, columns[j]) for j in range(cp.d)]
+    rhs = dot(q, [row.b for row in cp.link.rows])
+    return normalize_face(coeffs, rhs)
 
 
 def epm_sample_face(cp: CombinationPolytope, p: Sequence) -> Face:
     """The face of the projection selected by minimizing p.q over the polytope.
 
-    The optimum is attained at a vertex q, which maps to the (normalized)
-    inequality ((q^T L)[:d], q^T a).  The result can be a face of any rank,
-    including the trivial 0 . x >= b one.  Raises InfeasibleSystem when no
-    combination cancels the eliminated coordinates (the shadow is the whole
-    output space and has no nontrivial valid inequalities).
+    The optimum is attained at a vertex q, which maps to its
+    ``combination_face``.  The result can be a face of any rank, including
+    the trivial 0 . x >= b one.  Raises InfeasibleSystem when no combination
+    cancels the eliminated coordinates (the shadow is the whole output space
+    and has no nontrivial valid inequalities).
     """
     p = list(p)
     if len(p) != len(cp.link.rows):
         raise ValueError("objective width does not match the row count")
-    sol = lp_minimize(cp.base, p)
+    sol = lp_standard(cp.A, cp.b, p)
     if not sol.optimal:
         raise InfeasibleSystem("no normalized row combination lands in the output space")
-    q = sol.x
-    columns = cp.link.transpose()
-    coeffs = [dot(q, columns[j]) for j in range(cp.d)]
-    rhs = dot(q, [row.b for row in cp.link.rows])
-    return normalize_face(coeffs, rhs)
+    return combination_face(cp, sol.x)
 
 
 def separation_objective(system: ConstraintSystem, point: Sequence) -> list:

@@ -10,8 +10,8 @@ positive/negative pair (p, a_p), (q, a_q) combines into the valid row
 whose v-coefficient cancels.  Doing this for every coordinate past the first
 d yields a description of the shadow of the polyhedron on those first d
 coordinates.  Row counts can square at each step, so redundancy removal
-between steps (and, in the budgeted variant, hard row caps) is what makes
-the method usable.
+between steps (and, with ``FmeOptions.row_budget``, a hard row cap) is what
+makes the method usable.
 
 Every row produced is a nonnegative combination of input rows, hence valid
 for the projection no matter which rows are later dropped: pruning affects
@@ -184,27 +184,15 @@ def fme_project(system: ConstraintSystem, d: int,
 
     With redundancy_mode="per-step" the result is the irredundant
     description; "final-only" prunes once at the end; None never prunes.
+    Setting opts.row_budget makes this the budgeted outer approximation:
+    after every elimination step the row count is capped at the budget,
+    keeping the sparsest rows (ties by position).  Every surviving row is
+    still implied by the input system; only completeness is lost.
     Raises InfeasibleSystem when the input has no solutions.
     """
     if not 0 <= d <= system.dim:
         raise ValueError("cannot project %d-dim system to %d coordinates"
                          % (system.dim, d))
-    if not lp_feasible(system):
-        raise InfeasibleSystem("input system has no solutions")
-    return _run(system, d, opts)
-
-
-def fme_partial(system: ConstraintSystem, d: int,
-                opts: FmeOptions) -> ConstraintSystem:
-    """Budgeted outer approximation of the shadow.
-
-    After every elimination step the row count is capped at
-    opts.row_budget, keeping the sparsest rows (ties by position).  Every
-    surviving row is still implied by the input system; only completeness
-    is sacrificed.
-    """
-    if opts.row_budget is None:
-        raise ValueError("fme_partial requires row_budget")
     if not lp_feasible(system):
         raise InfeasibleSystem("input system has no solutions")
     return _run(system, d, opts)

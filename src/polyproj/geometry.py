@@ -16,7 +16,7 @@ well-defined on cones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import orthogonal_complement, orthogonalize, solve_linear
 from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, as_face,
@@ -27,8 +27,8 @@ from .rationals import dot, is_zero_vector, vec_sub
 class UnboundedProjection(Exception):
     """The projected polyhedron is unbounded in a queried direction.
 
-    For cones this usually means the caller should project the capped cone
-    (see truncate at the scenario level) instead of the raw system."""
+    For cones this usually means the cone is outside the domain of the
+    canonical cap (see ``cap_face``), which ``capped`` adds."""
 
 
 class DegenerateInput(Exception):
@@ -52,6 +52,10 @@ def cap_face(dim: int, d: int) -> Face:
 
 
 def capped(system: ConstraintSystem, d: int) -> ConstraintSystem:
+    """A cone bounded by the canonical cap on its first d coordinates; a
+    system with a nonzero right-hand side comes back unchanged."""
+    if not system.homogeneous:
+        return system
     return system.with_rows([cap_face(system.dim, d)])
 
 
@@ -128,7 +132,7 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
     Callers that need genuine vertices (the hull driver) pass
     ``probe=lambda c: find_vertex(system, d, c)``.
     """
-    work = capped(system, d) if system.homogeneous else system
+    work = capped(system, d)
 
     if probe is None:
         def probe(direction):

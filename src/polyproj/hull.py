@@ -169,11 +169,3 @@ class IncrementalHull:
                 counts[low.bit_length() - 1] += 1
                 mask ^= low
         return [p for p, c in zip(self.points, counts) if c >= self.k]
-
-
-def convex_hull(points: Sequence[Sequence]) -> List[Face]:
-    """
-    Facet inequalities f . x >= b of conv(points), normalized and sorted.
-    The points must affinely span their ambient space.
-    """
-    return IncrementalHull(points).facets()

@@ -25,6 +25,10 @@ then min t_1.x among those minimizers, and so on.  That is min
 right-hand side  c + eps t_1 + ...: the tie objectives become the extra
 columns of the simplex's right-hand-side block, and one solve yields the
 point the chain of staged LPs (each pinning the previous optimum) would.
+
+``lp_standard`` is the entry for programs already in standard form,
+min c.q subject to A q = b, q >= 0: it hands them to the simplex as they
+are, with no dualization, and checks the returned q exactly.
 """
 
 from __future__ import annotations
@@ -214,6 +218,33 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
         if dot(row.f, ray) < 0:
             raise AssertionError("certificate is not a recession direction")
     return LpSolution(UNBOUNDED, ray=ray)
+
+
+def lp_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LpSolution:
+    """
+    Exact min c.q subject to A q = b, q >= 0.  Optimal solutions carry q as
+    ``x`` and the exact objective, checked exactly: q >= 0, A q = b and
+    c.q = objective.  Unbounded ones carry a ray r >= 0 with A r = 0 and
+    c.r < 0, checked the same way.
+    """
+    if len(b) != len(A) or any(len(row) != len(c) for row in A):
+        raise ValueError("program shape does not match")
+    res = simplex.solve_standard(A, b, c)
+    if res.status == simplex.INFEASIBLE:
+        return LpSolution(INFEASIBLE)
+    if res.status == simplex.UNBOUNDED:
+        ray = res.ray
+        if (any(v < 0 for v in ray) or dot(c, ray) >= 0
+                or any(dot(row, ray) != 0 for row in A)):
+            raise AssertionError("invalid unboundedness certificate")
+        return LpSolution(UNBOUNDED, ray=ray)
+    D = common_denominator(res.z)
+    Q = scaled_ints(res.z, D)
+    if any(v < 0 for v in Q) or any(dot(row, Q) != v * D for row, v in zip(A, b)):
+        raise AssertionError("standard-form point violates the program")
+    if dot(c, Q) != res.objective * D:
+        raise AssertionError("standard-form point does not attain the objective")
+    return LpSolution(OPTIMAL, x=res.z, objective=res.objective)
 
 
 def lp_feasible(system: ConstraintSystem) -> bool:

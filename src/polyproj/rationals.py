@@ -67,11 +67,6 @@ def vec_scale(u: Sequence, s) -> Vector:
     return tuple(a * s for a in u)
 
 
-def vec_combine(a, u: Sequence, b, v: Sequence) -> Vector:
-    """Return a*u + b*v elementwise."""
-    return tuple(a * x + b * y for x, y in zip(u, v))
-
-
 def is_zero_vector(u: Sequence) -> bool:
     return all(x == 0 for x in u)
 

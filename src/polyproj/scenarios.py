@@ -32,7 +32,6 @@ from typing import (
     Tuple,
 )
 
-from .geometry import cap_face
 from .lp import ConstraintSystem, Face, as_face, lp_feasible, normalize_face
 from .rationals import rational
 
@@ -477,13 +476,6 @@ def cca_symmetry_group(n: int, scenario: Optional[MarginalScenario] = None) -> S
     return SymmetryGroup(generators=generators, dim=scenario.d)
 
 
-def classify(facets: Iterable, group: SymmetryGroup) -> List[Face]:
-    """Orbit representatives (lexicographically smallest member, sorted)."""
-
-    reps = {min(group.orbit(face)) for face in facets}
-    return sorted(reps)
-
-
 # ---------------------------------------------------------------------------
 # Membership and the deterministic correlator polytope
 # ---------------------------------------------------------------------------
@@ -522,22 +514,6 @@ def bell_probability_polytope(settings: int = 2, outcomes: int = 2) -> List[Tupl
     for a1, a2, b1, b2 in product((1, -1), repeat=4):
         points.append((a1, a2, b1, b2, a1 * b1, a1 * b2, a2 * b1, a2 * b2))
     return points
-
-
-def truncate_cone(system: ConstraintSystem, scenario) -> ConstraintSystem:
-    """Bound a cone by adding ``Σ observable coordinates <= 1``.
-
-    Facets of the result that are tight only at the new bound do not
-    correspond to faces of the cone; projection code recognizes them by
-    their nonzero right-hand side.
-    """
-
-    if not system.homogeneous:
-        raise ValueError("truncation applies to homogeneous systems only")
-    d = scenario.d if isinstance(scenario, MarginalScenario) else int(scenario)
-    if not 1 <= d <= system.dim:
-        raise ValueError("observable count out of range")
-    return system.with_rows([cap_face(system.dim, d)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ direction is reported separately so a partial result can still be
 recognized as sound.
 
 The package ships reference listings as matrix files under
-``polyproj/data/``; each carries a ``scenario:`` comment naming the space
-its columns live in, so callers can rebuild the matching symmetry group.
+``polyproj/data/``, read by ``load_fixture``.  Each carries a ``scenario:``
+comment naming the space its columns live in; it documents the listing for
+a reader, and code that checks a listing builds its scenario from the spec
+itself (see ``scenarios.parse_scenario``).
 """
 
 from __future__ import annotations
@@ -114,12 +116,3 @@ def load_fixture(name: str) -> MatrixFile:
             f"no bundled listing {name!r}; available: {', '.join(fixture_names())}"
         ) from None
     return parse(text)
-
-
-def fixture_scenario(mf: MatrixFile) -> Optional[str]:
-    """The scenario spec string recorded in a listing's comments, if any."""
-    for comment in mf.comments:
-        text = comment.strip()
-        if text.startswith("scenario:"):
-            return text.split(":", 1)[1].strip()
-    return None

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polyproj import afi
 from polyproj.afi import (
     AfiConfig,
     FacetQueue,
@@ -14,8 +15,9 @@ from polyproj.afi import (
     to_facets,
 )
 from polyproj.chm import chm_project
+from polyproj.fme import fme_project
 from polyproj.geometry import DegenerateInput, face_rank, is_implied
-from polyproj.lp import ConstraintSystem, Face, normalize_face
+from polyproj.lp import ConstraintSystem, Face, lp_standard, normalize_face
 from polyproj.rationals import dot
 from polyproj.scenarios import SymmetryGroup
 
@@ -380,3 +382,77 @@ def test_point_to_facets_cube_shadow_exterior():
     for g in out:
         assert dot(g.f, (-1, 2)) <= g.b
         assert face_rank(CUBE, 2, g) == 1
+
+
+def test_to_facets_lifts_a_face_that_misses_the_polytope():
+    # x >= -1 holds on the square but touches it nowhere
+    face = Face((1, 0), -1)
+    assert to_facet(SQUARE, 2, face) == Face((1, 0), 0)
+    assert to_facets(SQUARE, 2, face) == [Face((1, 0), 0)]
+
+
+def _certifies_with_fme_facets(system, d, y, out):
+    facets = set(fme_project(system, d).rows)
+    assert out
+    for g in out:
+        assert g in facets
+        assert dot(g.f, y) <= g.b
+
+
+@pytest.mark.parametrize("rows, dim, probes", [
+    # minimizing the value at y = 0 alone gives a trivial face: the slack
+    # LP finds a tight one
+    ([((1,), -1), ((1,), 0), ((1,), 0), ((1,), -3), ((-1,), -3)], 1, 1),
+    # z = 0 is an implicit equality, so the slack minimum 0 is first met by
+    # the trivial combination of its two rows: the pinned coordinate probes
+    # find x >= 0
+    ([((0, 1), 0), ((0, -1), 0), ((1, 0), 0), ((-1, 0), -3)], 2, 3),
+])
+def test_point_to_facets_slack_and_pinned_probes(monkeypatch, rows, dim, probes):
+    # count the standard-form LPs point_to_facets makes itself: the slack LP
+    # and then the pinned probes, up to the first one that finds a face
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lp_standard(*args)
+
+    monkeypatch.setattr(afi, "lp_standard", counted)
+    system = ConstraintSystem.from_rows(rows, dim)
+    out = point_to_facets(system, 1, (0,))
+    assert len(calls) == probes
+    assert out == [Face((1,), 0)]
+    _certifies_with_fme_facets(system, 1, (0,), out)
+
+
+def test_point_to_facets_on_a_hidden_implicit_equality():
+    # x + 2z = 0 inside the box -3 <= x, z <= 3
+    box = [((1, 0), -3), ((-1, 0), -3), ((0, 1), -3), ((0, -1), -3)]
+    system = ConstraintSystem.from_rows(
+        [((-1, -2), 0), ((-1, -2), 0), ((1, 0), -2), ((1, 2), 0), ((1, 2), 0)] + box, 2)
+    out = point_to_facets(system, 1, (-2,))
+    assert out == [Face((1,), -2)]
+    _certifies_with_fme_facets(system, 1, (-2,), out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_point_to_facets_certifies_exactly_the_non_interior_points(seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        d = rng.randint(1, 2)
+        dim = d + rng.randint(0, 2)
+        # a box and random rows with the origin strictly inside: bounded and
+        # full-dimensional
+        rows = [(tuple(s * int(i == k) for i in range(dim)), -3)
+                for k in range(dim) for s in (1, -1)]
+        rows += [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-4, -1))
+                 for _ in range(rng.randint(1, 4))]
+        system = ConstraintSystem.from_rows(rows, dim)
+        facets = fme_project(system, d).rows
+        for _ in range(4):
+            y = tuple(rng.randint(-4, 4) for _ in range(d))
+            if all(dot(g.f, y) > g.b for g in facets):
+                with pytest.raises(ValueError):
+                    point_to_facets(system, d, y)
+            else:
+                _certifies_with_fme_facets(system, d, y, point_to_facets(system, d, y))

@@ -13,10 +13,10 @@ from polyproj.chm import chm_project
 from polyproj.lp import ConstraintSystem, Face, normalize_face
 from polyproj.matrixfile import reorder_to
 from polyproj.scenarios import (ElementalForm, bell_scenario,
-                                bell_symmetry_group, classify,
+                                bell_symmetry_group,
                                 elemental_inequalities, entropy_space,
                                 form_row)
-from polyproj.verify import load_fixture
+from polyproj.verify import canonical_classes, load_fixture
 
 F = frozenset
 
@@ -327,7 +327,7 @@ def test_18d_k1_covers_listed_mi_and_short_chains(tripartite_18d):
                         scenario.observable_names)
     group = bell_symmetry_group(3, 2, scenario)
     facets = enumerate_structured_facets(scenario, system, 1)
-    found = set(classify(facets, group))
+    found = canonical_classes(ConstraintSystem.from_rows(facets, scenario.d), group)
     for row in golden.rows:
         report = structural_check(row, scenario)
         if report.category == MUTUAL_INFORMATION or \
@@ -343,7 +343,6 @@ def test_12d_enumeration_sound():
     golden = reorder_to(load_fixture("bell-12d").system,
                         scenario.observable_names)
     group = bell_symmetry_group(3, 2, scenario)
-    golden_classes = set(classify(
-        [normalize_face(r.f, r.b) for r in golden.rows], group))
-    for rep in classify(facets, group):
-        assert rep in golden_classes
+    golden_classes = canonical_classes(golden, group)
+    computed = ConstraintSystem.from_rows(facets, scenario.d)
+    assert canonical_classes(computed, group) <= golden_classes

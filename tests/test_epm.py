@@ -4,7 +4,7 @@ import pytest
 
 from polyproj.epm import build_combination_polytope, epm_sample_face, separation_objective
 from polyproj.geometry import is_implied
-from polyproj.lp import ConstraintSystem, Face, InfeasibleSystem, lp_feasible
+from polyproj.lp import INFEASIBLE, ConstraintSystem, Face, InfeasibleSystem, lp_standard
 from polyproj.rationals import dot, rational
 from polyproj.scenarios import elemental_inequalities
 
@@ -15,15 +15,21 @@ def test_unique_combination_interval():
     # {y >= 0, -y >= -1}, eliminate everything: only q = (1/2, 1/2) survives
     system = ConstraintSystem.from_rows([((1,), 0), ((-1,), -1)], 1)
     cp = build_combination_polytope(system, 0)
-    assert cp.base.dim == 2
+    # two combination weights; rows sum(q) = 1 and the cancelled coordinate
+    assert cp.A == ((1, 1), (1, -1)) and cp.b == (1, 0)
     for p in ([0, 0], [1, 0], [-3, 7]):
         face = epm_sample_face(cp, p)
         assert face.f == ()
         assert face.b < 0  # 0 >= -1/2 up to scaling: strictly slack
-    # the combination polytope itself is the single point (1/2, 1/2)
-    probe = cp.base.with_rows([Face((1, 0), rational(1, 2)), Face((0, 1), rational(1, 2))])
-    assert lp_feasible(probe)
-    assert not lp_feasible(cp.base.with_rows([Face((1, 0), rational(2, 3))]))
+    # the combination polytope itself is the single point (1/2, 1/2): each
+    # weight has minimum and maximum 1/2, so q_1 >= 2/3 is infeasible
+    for c in ([1, 0], [-1, 0], [0, 1], [0, -1]):
+        sol = lp_standard(cp.A, cp.b, c)
+        assert sol.x == (rational(1, 2), rational(1, 2))
+    # q_1 - s = 2/3 with a slack s >= 0
+    rows = [row + (0,) for row in cp.A] + [(1, 0, -1)]
+    above = lp_standard(rows, cp.b + (rational(2, 3),), [0, 0, 0])
+    assert above.status == INFEASIBLE
 
 
 def test_untouched_variables_full_simplex():
@@ -37,7 +43,7 @@ def test_untouched_variables_full_simplex():
 def test_elemental_one_body_feasible():
     system = elemental_inequalities(3)
     cp = build_combination_polytope(system, 3)
-    assert lp_feasible(cp.base)
+    assert lp_standard(cp.A, cp.b, [0] * len(system.rows)).optimal
     face = epm_sample_face(cp, [1] * len(system.rows))
     assert is_implied(system, face.pad(system.dim))
 

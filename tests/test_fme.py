@@ -10,7 +10,6 @@ from polyproj.fme import (
     INPUT_ORDER,
     FmeOptions,
     choose_elimination_variable,
-    fme_partial,
     fme_project,
     fme_step,
 )
@@ -131,13 +130,13 @@ def test_partial_budget_never_binding_matches_exact():
         3,
     )
     exact = fme_project(s, 2)
-    capped = fme_partial(s, 2, FmeOptions(row_budget=10_000))
+    capped = fme_project(s, 2, FmeOptions(row_budget=10_000))
     assert rowset(capped) == rowset(exact)
 
 
 def test_partial_budget_zero_gives_whole_space():
     s = sys_of([((1, 1), 0), ((1, -1), 0)], 2)
-    out = fme_partial(s, 1, FmeOptions(row_budget=0))
+    out = fme_project(s, 1, FmeOptions(row_budget=0))
     assert len(out) == 0
     assert out.dim == 1
 
@@ -151,7 +150,7 @@ def test_partial_is_outer_approximation():
         ],
         3,
     )
-    capped = fme_partial(s, 2, FmeOptions(row_budget=3))
+    capped = fme_project(s, 2, FmeOptions(row_budget=3))
     for row in capped.rows:
         padded = (tuple(row.f) + (0,), row.b)
         assert is_implied(s, padded)

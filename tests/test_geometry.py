@@ -7,13 +7,14 @@ from polyproj.geometry import (
     DegenerateInput,
     UnboundedProjection,
     basis_simplex,
+    capped,
     face_rank,
     find_vertex,
     is_implied,
     pad_objective,
 )
 from polyproj.linalg import orthogonalize
-from polyproj.lp import INFEASIBLE, UNBOUNDED, lp_minimize
+from polyproj.lp import INFEASIBLE, UNBOUNDED, Face, lp_minimize
 from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
 
@@ -47,6 +48,16 @@ def test_is_implied():
 def test_is_implied_vacuous_on_infeasible():
     bad = ConstraintSystem.from_rows([((1,), 1), ((-1,), 0)], 1)
     assert is_implied(bad, ((1,), 100))
+
+
+def test_capped_bounds_cones_only():
+    orthant = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), 0)], 2)
+    triangle = capped(orthant, 2)
+    assert len(triangle) == 3
+    assert triangle.rows[-1] == Face((-1, -1), -1)
+    assert capped(triangle, 2) is triangle
+    bounded = ConstraintSystem.from_rows([((1, 0), -1)], 2)
+    assert capped(bounded, 1) is bounded
 
 
 def test_remove_redundancies_keeps_facets():

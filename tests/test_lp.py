@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polyproj import ConstraintSystem, lp_feasible, lp_minimize
+from polyproj.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_standard
 from polyproj.rationals import dot, rational
 
 coeff = st.integers(min_value=-6, max_value=6)
@@ -151,3 +153,46 @@ def test_deterministic(case):
     a = lp_minimize(sys_, objective)
     b = lp_minimize(sys_, objective)
     assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
+
+
+def _explicit_rows(A, b):
+    """min c.q, A q = b, q >= 0 as an inequality system: unit rows q >= 0
+    and each equality as a paired row."""
+    n = len(A[0])
+    system = ConstraintSystem.from_rows(
+        [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)], n)
+    for row, rhs in zip(A, b):
+        system = system.with_equality(row, rhs)
+    return system
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_standard_form_matches_the_explicit_encoding(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(60):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        b = [rational(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(m)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        got = lp_standard(A, b, c)
+        want = lp_minimize(_explicit_rows(A, b), c, want_point=False)
+        assert got.status == want.status
+        seen.add(got.status)
+        if got.optimal:
+            assert got.objective == want.objective
+            q = got.x
+            assert all(v >= 0 for v in q)
+            assert all(dot(row, q) == v for row, v in zip(A, b))
+            assert dot(c, q) == got.objective
+        elif got.status == UNBOUNDED:
+            assert all(v >= 0 for v in got.ray) and dot(c, got.ray) < 0
+            assert all(dot(row, got.ray) == 0 for row in A)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_standard_form_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        lp_standard([[1, 2]], [1], [1])
+    with pytest.raises(ValueError):
+        lp_standard([[1, 2]], [1, 0], [1, 1])

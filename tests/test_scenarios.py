@@ -12,7 +12,6 @@ from polyproj.scenarios import (
     cca_scenario,
     cca_symmetry_group,
     check_membership,
-    classify,
     common_ancestor_model,
     elemental_forms,
     elemental_inequalities,
@@ -20,8 +19,8 @@ from polyproj.scenarios import (
     identity_group,
     marginal_scenario,
     parse_scenario,
-    truncate_cone,
 )
+from polyproj.verify import canonical_classes
 
 from .oracles import brute_hull_facets
 
@@ -135,7 +134,7 @@ def test_cca_model_shape():
 def test_classify_with_identity_group_counts_distinct_faces():
     group = identity_group(2)
     faces = [Face((1, 0), 0), Face((2, 0), 0), Face((0, 1), 0)]
-    assert len(classify(faces, group)) == 2
+    assert len(canonical_classes(ConstraintSystem.from_rows(faces, 2), group)) == 2
 
 
 def test_classify_merges_symmetric_faces():
@@ -147,7 +146,7 @@ def test_classify_merges_symmetric_faces():
         coeffs = [0] * scenario.d
         coeffs[k] = 1
         faces.append(Face(tuple(coeffs), 0))
-    assert len(classify(faces, group)) == 1
+    assert len(canonical_classes(ConstraintSystem.from_rows(faces, scenario.d), group)) == 1
 
 
 def test_membership_zero_vector_and_feasible_projection():
@@ -193,16 +192,6 @@ def test_chsh_facets_of_the_correlator_polytope():
         if face in facets:
             found += 1
     assert found == 8
-
-
-def test_truncate_cone():
-    orthant = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), 0)], 2)
-    triangle = truncate_cone(orthant, 2)
-    assert len(triangle) == 3
-    assert triangle.rows[-1] == Face((-1, -1), -1)
-    bounded = ConstraintSystem.from_rows([((1, 0), -1)], 2)
-    with pytest.raises(ValueError):
-        truncate_cone(bounded, 1)
 
 
 def test_parse_scenario_strings():
