@@ -9,7 +9,7 @@ entirely in rational arithmetic, via four interchangeable methods (iterated
 variable elimination, convex-hull expansion, extreme-point sampling and
 adjacent-facet traversal), plus the marginal-cone machinery built on top of
 them: entropy spaces, correlation scenarios, causal models with hidden common
-ancestors, symmetry reduction and structured facet search.
+ancestors, symmetry reduction and exact proofs of marginal inequalities.
 """
 
 from .lp import ConstraintSystem, Face, LpSolution, lp_feasible, lp_minimize, normalize_face

@@ -66,14 +66,12 @@ class AfiConfig:
 
     ``depth`` is the number of walk levels above the hull-based projector
     (depth 0 is plain chm).  ``group`` marks whole orbits done from a single
-    representative.  ``rfd_budget`` caps the total number of hull-projector
-    leaf calls in randomized mode.  ``seed`` drives every random choice, so
-    equal seeds give identical runs.
+    representative.  ``seed`` drives every random choice, so equal seeds
+    give identical runs.
     """
 
     depth: int = 1
     group: Optional[object] = None
-    rfd_budget: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -107,10 +105,6 @@ class _Budget:
     @property
     def limited(self) -> bool:
         return self.limit is not None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.limited and self.left <= 0
 
     def take(self) -> bool:
         if not self.limited:
@@ -510,25 +504,25 @@ def afi_project(system: ConstraintSystem, d: int,
     return _project(system, d, cfg.depth, cfg.group, _Budget(None), rng, (), None)
 
 
-def rfd(system: ConstraintSystem, d: int, cfg: AfiConfig,
-        known: Iterable = (), state: Optional[FacetQueue] = None,
-        validate_known: bool = True) -> List[Face]:
+def rfd(system: ConstraintSystem, d: int, budget: int,
+        cfg: Optional[AfiConfig] = None, known: Iterable = (),
+        state: Optional[FacetQueue] = None) -> List[Face]:
     """Randomized facet discovery: the adjacency walk with a global budget
-    of hull-projector leaf calls.
+    of ``budget`` hull-projector leaf calls.
 
     Returns the (sound, possibly partial) facet list discovered before the
-    budget ran out.  ``known`` facets seed the queue; facets with the fewest
-    cached ridges are explored first.  Passing a ``state`` object makes the
-    run resumable: unexplored facets stay pending and ridge caches carry
-    over.  ``validate_known=False`` skips the facet check for faces replayed
-    from a trusted earlier run.
+    budget ran out.  ``known`` facets seed the queue, each checked to be a
+    facet of the projection; facets with the fewest cached ridges are
+    explored first.  Passing a ``state`` object makes the run resumable:
+    unexplored facets stay pending and ridge caches carry over.
     """
-    if cfg.rfd_budget is None or cfg.rfd_budget < 1:
-        raise ValueError("rfd requires rfd_budget >= 1")
+    if budget < 1:
+        raise ValueError("rfd requires budget >= 1")
+    cfg = cfg or AfiConfig()
     if not 1 <= d <= system.dim:
         raise ValueError(f"projection dimension {d} out of range")
     known = [as_face(k).pad(d) for k in known]
-    if known and validate_known:
+    if known:
         work = capped(system, d)
         rank = basis_simplex(work, d).rank
         for k in known:
@@ -537,5 +531,5 @@ def rfd(system: ConstraintSystem, d: int, cfg: AfiConfig,
             if face_rank(work, d, k) != rank - 1:
                 raise ValueError(f"known face {k} is not a facet")
     rng = random.Random(cfg.seed)
-    return _project(system, d, cfg.depth, cfg.group, _Budget(cfg.rfd_budget),
+    return _project(system, d, cfg.depth, cfg.group, _Budget(budget),
                     rng, known, state)

@@ -1,25 +1,23 @@
 """Structural analysis of marginal-cone inequalities.
 
-Three post-processing stages for inequalities produced by the projection
+Two post-processing stages for inequalities produced by the projection
 algorithms:
 
 * exact proofs: an inequality valid over an elemental system is a
   nonnegative combination of elemental rows, read off the dual of the
   verifying LP and re-checked coordinate by coordinate,
 * a coefficient-sum classification for inequalities written over one- and
-  two-body marginal coordinates,
-* a bounded generator that assembles candidate facets from layered
-  conditional-mutual-information combinations and validates every
-  candidate against the model system.
+  two-body marginal coordinates.
+
+``lift_to_space`` rewrites a facet over a scenario's observable coordinates
+as a face over its full entropy space, the form ``extract_proof`` takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
-from .geometry import basis_simplex, face_rank, is_implied
 from .lp import ConstraintSystem, Face, lp_minimize, normalize_face
 from .rationals import format_rational
 from .scenarios import (ElementalForm, EntropySpace, MarginalScenario,
@@ -245,298 +243,3 @@ def structural_check(face: Face, scenario: MarginalScenario) -> StructureReport:
         if 0 <= m <= k:
             return StructureReport(CHAIN, sums, k=k, m=m)
     return StructureReport(VIOLATION, sums)
-
-
-# ---------------------------------------------------------------------------
-# Candidate enumeration
-# ---------------------------------------------------------------------------
-
-
-class EnumerationIncomplete(RuntimeError):
-    """Node budget hit; ``partial`` holds the facets validated so far."""
-
-    def __init__(self, partial: List[Face], expansions: int):
-        super().__init__(
-            f"node budget exhausted after {expansions} expansions")
-        self.partial = partial
-        self.expansions = expansions
-
-
-def _mutual_information_candidates(scenario: MarginalScenario) -> Set[Face]:
-    obs_index = {s: pos for pos, s in enumerate(scenario.observable)}
-    out: Set[Face] = set()
-    for pair, pos in obs_index.items():
-        if len(pair) != 2:
-            continue
-        i, j = sorted(pair)
-        lo, hi = obs_index.get(frozenset({i})), obs_index.get(frozenset({j}))
-        if lo is None or hi is None:
-            continue
-        coeffs = [0] * scenario.d
-        coeffs[lo] = coeffs[hi] = 1
-        coeffs[pos] = -1
-        out.add(normalize_face(coeffs, 0))
-    return out
-
-
-class _ChainSearch:
-    """Breadth-first assembly of chain combinations, one layer at a time.
-
-    The layer-matching data structure is the divergence-risk area of this
-    module: the write-ups of this construction stay at the idea level
-    ("combinations of CMIs that eliminate the according terms"), so the
-    concrete bookkeeping below is this implementation's own design.
-
-    State is the exact coefficient vector over the full entropy space.
-    A round for parameter k starts from every multiset of k conditional
-    entropies H(Xi|rest).  The layer at conditioning size q then adds one
-    CMI I(Xi:Xj|ω), |ω| = q, per unit of positive coefficient at subset
-    size q+2 (with {i,j} ⊆ the subset, ω the rest), so each layer spends
-    exactly k elemental forms.  Choices must consume every negative
-    coefficient at size q+1 while that size is outside the output space;
-    once inside, partial cancellation is legitimate and the coefficient
-    arithmetic sorts it out.  Layers stop as soon as the next size is
-    observable, and a state survives only if its support lies entirely
-    on observable subsets.
-
-    On spaces without one-body coordinates a final |ω| = 0 layer matches
-    the leftover negative one-body units into distinct-variable pairs
-    and spends one plain mutual information per pair, lifting the state
-    into the pure two-body space.
-    """
-
-    def __init__(self, scenario: MarginalScenario,
-                 node_budget: Optional[int]):
-        self.scenario = scenario
-        self.space = scenario.space
-        self.max_body = max(len(s) for s in scenario.observable)
-        self.node_budget = node_budget
-        self.expansions = 0
-        self.aborted = False
-        coords = self.space.coords
-        self.positions_by_size: Dict[int, List[int]] = {}
-        for pos, subset in enumerate(coords):
-            self.positions_by_size.setdefault(len(subset), []).append(pos)
-        self.obs_positions = {self.space.index[s]
-                              for s in scenario.observable}
-        self.singles_observable = any(len(s) == 1
-                                      for s in scenario.observable)
-
-    def _charge(self) -> bool:
-        """Account for one generated state; False when over budget."""
-
-        if self.node_budget is not None and \
-                self.expansions >= self.node_budget:
-            self.aborted = True
-            return False
-        self.expansions += 1
-        return True
-
-    def _initial_states(self, k: int) -> Set[Tuple]:
-        space = self.space
-        states: Set[Tuple] = set()
-        rows = [form_row(space, ElementalForm("H", i, 0, space.full - {i}))
-                for i in range(1, space.n + 1)]
-        for combo in combinations_with_replacement(range(space.n), k):
-            if not self._charge():
-                break
-            vec = [0] * space.dim
-            for var in combo:
-                for pos, value in enumerate(rows[var].f):
-                    if value:
-                        vec[pos] += value
-            states.add(tuple(vec))
-        return states
-
-    def _layer(self, states: Set[Tuple], q: int) -> Set[Tuple]:
-        space = self.space
-        index = space.index
-        coords = space.coords
-        forced = (q + 1) > self.max_body
-        nxt: Set[Tuple] = set()
-
-        for vec in states:
-            if self.aborted:
-                break
-            units: List[Subset] = []
-            bad = False
-            for pos in self.positions_by_size[q + 2]:
-                value = vec[pos]
-                if value < 0:
-                    bad = True     # later layers only subtract at this size
-                    break
-                units.extend([coords[pos]] * value)
-            if bad:
-                continue
-            need: Dict[int, int] = {}
-            need_total = 0
-            if forced:
-                for pos in self.positions_by_size[q + 1]:
-                    if vec[pos] < 0:
-                        need[pos] = -vec[pos]
-                        need_total += vec[pos] * -1
-            pair_lists = [list(combinations(sorted(subset), 2))
-                          for subset in units]
-            delta = [0] * space.dim
-
-            def descend(idx: int, min_pair: int, remaining_need: int) -> None:
-                if self.aborted:
-                    return
-                if remaining_need > 2 * (len(units) - idx):
-                    return         # cannot consume what is left
-                if idx == len(units):
-                    if remaining_need == 0 and self._charge():
-                        nxt.add(tuple(a + b for a, b in zip(vec, delta)))
-                    return
-                subset = units[idx]
-                same_as_prev = idx > 0 and units[idx - 1] == subset
-                start = min_pair if same_as_prev else 0
-                for choice in range(start, len(pair_lists[idx])):
-                    i, j = pair_lists[idx][choice]
-                    cond = subset - {i, j}
-                    touched = [(index[subset], -1),
-                               (index[subset - {i}], 1),
-                               (index[subset - {j}], 1)]
-                    if cond:
-                        touched.append((index[cond], -1))
-                    consumed = 0
-                    for pos, value in touched:
-                        delta[pos] += value
-                        if value > 0 and need.get(pos, 0) > 0 \
-                                and vec[pos] + delta[pos] <= 0:
-                            consumed += 1
-                    descend(idx + 1, choice, remaining_need - consumed)
-                    for pos, value in touched:
-                        delta[pos] -= value
-
-            # Recount consumption exactly: a +1 contribution consumes a
-            # needed unit only while the running coefficient is still
-            # negative, which the vec+delta comparison above tracks.
-            descend(0, 0, need_total)
-        return nxt
-
-    def _pair_completions(self, vec: Tuple) -> List[Tuple]:
-        """The |ω| = 0 layer: match negative one-body units into pairs of
-        distinct variables, one plain mutual information per pair."""
-
-        space = self.space
-        units: List[int] = []
-        for pos in self.positions_by_size[1]:
-            value = vec[pos]
-            if value > 0:
-                return []          # nothing ever cancels a positive here
-            if value < 0:
-                (var,) = space.coords[pos]
-                units.extend([var] * -value)
-        if not units:
-            return [vec]
-        if len(units) % 2:
-            return []
-        index = space.index
-        out: Set[Tuple] = set()
-
-        def match(remaining: Tuple[int, ...], delta: Dict[int, int]) -> None:
-            if self.aborted:
-                return
-            if not remaining:
-                if self._charge():
-                    new = list(vec)
-                    for pos, value in delta.items():
-                        new[pos] += value
-                    out.add(tuple(new))
-                return
-            first, rest = remaining[0], remaining[1:]
-            seen: Set[int] = set()
-            for t, partner in enumerate(rest):
-                if partner == first or partner in seen:
-                    continue
-                seen.add(partner)
-                step = dict(delta)
-                for one in (frozenset({first}), frozenset({partner})):
-                    step[index[one]] = step.get(index[one], 0) + 1
-                pair = index[frozenset({first, partner})]
-                step[pair] = step.get(pair, 0) - 1
-                match(rest[:t] + rest[t + 1:], step)
-
-        match(tuple(sorted(units)), {})
-        return sorted(out)
-
-    def run(self, k_max: int) -> Set[Face]:
-        scenario = self.scenario
-        candidates: Set[Face] = set()
-        first_layer = self.space.n - 2
-        last_layer = self.max_body - 1
-        for k in range(1, k_max + 1):
-            states = self._initial_states(k)
-            for q in range(first_layer, last_layer - 1, -1):
-                states = self._layer(states, q)
-                if self.aborted:
-                    break
-            if not self.singles_observable:
-                completed: Set[Tuple] = set()
-                for vec in states:
-                    if self.aborted:
-                        break
-                    completed.update(self._pair_completions(vec))
-                states = completed
-            if self.aborted:
-                break
-            for vec in states:
-                if any(vec[pos] and pos not in self.obs_positions
-                       for pos in range(len(vec))):
-                    continue
-                coeffs = [vec[self.space.index[s]]
-                          for s in scenario.observable]
-                if any(coeffs):
-                    candidates.add(normalize_face(coeffs, 0))
-        return candidates
-
-
-def structured_candidates(scenario: MarginalScenario, k_max: int, *,
-                          node_budget: Optional[int] = None
-                          ) -> Tuple[List[Face], bool]:
-    """All mutual-information and chain candidates with parameter ≤ k_max.
-
-    Returns the deduplicated, unvalidated candidate faces over the
-    observable coordinates plus a completeness flag (False when the node
-    budget stopped the search early).
-    """
-
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    search = _ChainSearch(scenario, node_budget)
-    candidates = search.run(k_max)
-    candidates |= _mutual_information_candidates(scenario)
-    return sorted(candidates), not search.aborted
-
-
-def enumerate_structured_facets(scenario: MarginalScenario,
-                                system: ConstraintSystem, k_max: int, *,
-                                node_budget: Optional[int] = None
-                                ) -> List[Face]:
-    """Facets of the marginal cone reachable by chain combinations ≤ k_max.
-
-    Every candidate emitted by the layer-by-layer search is validated
-    against the model system (is_implied) and rank-checked; only genuine
-    facets are returned, so the output is sound, and it contains every
-    facet whose chain parameter is at most ``k_max``.  When the node
-    budget stops the search early, the facets validated so far are
-    raised inside :class:`EnumerationIncomplete`.
-    """
-
-    if system.dim != scenario.space.dim:
-        raise ValueError("system does not live on the scenario's space")
-    candidates, complete = structured_candidates(
-        scenario, k_max, node_budget=node_budget)
-    d = scenario.d
-    target_rank = basis_simplex(system, d).rank - 1
-    facets = []
-    for face in candidates:
-        padded = face.pad(system.dim)
-        if not is_implied(system, padded):
-            continue
-        if face_rank(system, d, face) == target_rank:
-            facets.append(face)
-    if not complete:
-        raise EnumerationIncomplete(facets, expansions=node_budget or 0)
-    return sorted(facets)

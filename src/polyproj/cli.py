@@ -55,10 +55,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         bundle = parse_scenario(args.spec)
-        golden = load_fixture(args.verify).system if args.verify else None
+        names = bundle.scenario.observable_names
+        golden = reorder_to(load_fixture(args.verify).system, names) if args.verify else None
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-    names = bundle.scenario.observable_names
     facets = sorted({normalize_face(f.f, f.b) for f in _project(bundle, args.method)})
     result = ConstraintSystem(tuple(facets), bundle.scenario.d, names)
     sys.stdout.write(render(result, [f"scenario: {args.spec}",
@@ -66,7 +66,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                      f"{len(facets)} facets"]))
     if golden is None:
         return 0
-    report = compare_listings(result, reorder_to(golden, names), bundle.group)
+    report = compare_listings(result, golden, bundle.group)
     print(f"{args.verify}: {report.summary()}", file=sys.stderr)
     return 1 if report.missing else 0
 

@@ -9,48 +9,22 @@ positive/negative pair (p, a_p), (q, a_q) combines into the valid row
 
 whose v-coefficient cancels.  Doing this for every coordinate past the first
 d yields a description of the shadow of the polyhedron on those first d
-coordinates.  Row counts can square at each step, so redundancy removal
-between steps (and, with ``FmeOptions.row_budget``, a hard row cap) is what
-makes the method usable.
+coordinates.  Row counts can square at each step, so ``fme_project`` first
+turns implied equalities into Gaussian substitutions, picks each next
+coordinate by Duffin's growth score and drops redundant rows after every
+step (float probes steer, exact certificates decide); its ``row_budget``
+adds a hard row cap.
 
 Every row produced is a nonnegative combination of input rows, hence valid
 for the projection no matter which rows are later dropped: pruning affects
 completeness, never soundness.
 """
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .lp import (ConstraintSystem, Face, InfeasibleSystem, lp_feasible,
                  normalize_face)
 from .redundancy import implied_equalities, prune_redundant
-
-#: redundancy_mode values
-PER_STEP = "per-step"
-FINAL_ONLY = "final-only"
-
-#: heuristic values
-INPUT_ORDER = "input-order"
-DUFFIN = "duffin"
-
-
-@dataclass(frozen=True)
-class FmeOptions:
-    redundancy_mode: Optional[str] = PER_STEP
-    heuristic: str = DUFFIN
-    row_budget: Optional[int] = None
-    use_float_filter: bool = True
-    #: detect rows forced to equality by the rest of the system and use them
-    #: for Gaussian substitution before any pairwise elimination; a major
-    #: saving on systems of conditional-independence models, never a
-    #: semantic change
-    detect_equalities: bool = True
-
-    def __post_init__(self):
-        if self.redundancy_mode not in (None, PER_STEP, FINAL_ONLY):
-            raise ValueError("unknown redundancy_mode %r" % (self.redundancy_mode,))
-        if self.heuristic not in (INPUT_ORDER, DUFFIN):
-            raise ValueError("unknown heuristic %r" % (self.heuristic,))
 
 
 def fme_step(system: ConstraintSystem, var: int) -> ConstraintSystem:
@@ -178,26 +152,6 @@ def _truncate(system: ConstraintSystem, d: int) -> ConstraintSystem:
     return ConstraintSystem(rows, d, names)
 
 
-def fme_project(system: ConstraintSystem, d: int,
-                opts: FmeOptions = FmeOptions()) -> ConstraintSystem:
-    """Shadow of the system on its first d coordinates.
-
-    With redundancy_mode="per-step" the result is the irredundant
-    description; "final-only" prunes once at the end; None never prunes.
-    Setting opts.row_budget makes this the budgeted outer approximation:
-    after every elimination step the row count is capped at the budget,
-    keeping the sparsest rows (ties by position).  Every surviving row is
-    still implied by the input system; only completeness is lost.
-    Raises InfeasibleSystem when the input has no solutions.
-    """
-    if not 0 <= d <= system.dim:
-        raise ValueError("cannot project %d-dim system to %d coordinates"
-                         % (system.dim, d))
-    if not lp_feasible(system):
-        raise InfeasibleSystem("input system has no solutions")
-    return _run(system, d, opts)
-
-
 def _enforce_budget(rows: Sequence[Face], budget: int) -> List[Face]:
     if len(rows) <= budget:
         return list(rows)
@@ -209,14 +163,13 @@ def _enforce_budget(rows: Sequence[Face], budget: int) -> List[Face]:
     return [rows[i] for i in keep]
 
 
-def _promote_equalities(system: ConstraintSystem,
-                        use_float: bool) -> ConstraintSystem:
+def _promote_equalities(system: ConstraintSystem) -> ConstraintSystem:
     """Make every implicit equality explicit by adding its reverse row.
 
     The added rows are implied, so the solution set is untouched; the
     explicit pairs then feed the Gaussian substitution pass.
     """
-    idx = implied_equalities(system, use_float=use_float)
+    idx = implied_equalities(system)
     if not idx:
         return system
     present = set(system.rows)
@@ -233,27 +186,37 @@ def _promote_equalities(system: ConstraintSystem,
                             system.names)
 
 
-def _run(system: ConstraintSystem, d: int, opts: FmeOptions) -> ConstraintSystem:
-    if opts.detect_equalities:
-        system = _promote_equalities(system, opts.use_float_filter)
+def fme_project(system: ConstraintSystem, d: int, *,
+                row_budget: Optional[int] = None) -> ConstraintSystem:
+    """Shadow of the system on its first d coordinates, irredundant.
+
+    Implied equalities are made explicit and substituted away first; then
+    each remaining coordinate is eliminated in Duffin's order (see
+    ``choose_elimination_variable``), with a redundancy sweep after every
+    step and a final one on the result.  Setting ``row_budget`` makes this
+    the budgeted outer approximation: after every elimination step the row
+    count is capped at the budget, keeping the sparsest rows (ties by
+    position).  Every surviving row is still implied by the input system;
+    only completeness is lost.
+    Raises InfeasibleSystem when the input has no solutions.
+    """
+    if not 0 <= d <= system.dim:
+        raise ValueError("cannot project %d-dim system to %d coordinates"
+                         % (system.dim, d))
+    if not lp_feasible(system):
+        raise InfeasibleSystem("input system has no solutions")
+    system = _promote_equalities(system)
     work, cols = _substitute_equalities(system, list(range(d, system.dim)))
     cols = [c for c in cols if any(row.f[c] != 0 for row in work.rows)]
     while cols:
-        if opts.heuristic == DUFFIN:
-            var = choose_elimination_variable(work, cols)
-        else:
-            var = cols[0]
+        var = choose_elimination_variable(work, cols)
         cols.remove(var)
         work = fme_step(work, var)
         rows = _purge_trivial(work.rows)
+        if row_budget is not None:
+            rows = _enforce_budget(rows, row_budget)
         work = ConstraintSystem(tuple(rows), work.dim, work.names)
-        if opts.row_budget is not None:
-            rows = _enforce_budget(work.rows, opts.row_budget)
-            work = ConstraintSystem(tuple(rows), work.dim, work.names)
-        if opts.redundancy_mode == PER_STEP and cols:
-            work = prune_redundant(work, use_float=opts.use_float_filter)
+        if cols:
+            work = prune_redundant(work)
         cols = [c for c in cols if any(row.f[c] != 0 for row in work.rows)]
-    out = _truncate(work, d)
-    if opts.redundancy_mode in (PER_STEP, FINAL_ONLY):
-        out = prune_redundant(out, use_float=opts.use_float_filter)
-    return out
+    return prune_redundant(_truncate(work, d))

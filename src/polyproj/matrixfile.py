@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .lp import ConstraintSystem, Face, normalize_face
+from .lp import ConstraintSystem, Face
 from .rationals import format_rational, rational
 
 _COLUMNS_PREFIX = "# columns:"
@@ -149,9 +149,3 @@ def reorder_to(system: ConstraintSystem, names: Sequence[str]) -> ConstraintSyst
     order = [position[name] for name in names]
     rows = [Face(f=tuple(row.f[i] for i in order), b=row.b) for row in system.rows]
     return ConstraintSystem(rows=tuple(rows), dim=system.dim, names=tuple(names))
-
-
-def normalized_row_set(system: ConstraintSystem):
-    """The system's rows as a set of normalized faces (for comparisons)."""
-
-    return {normalize_face(row.f, row.b) for row in system.rows}

@@ -24,9 +24,6 @@ except ImportError:  # pragma: no cover - exercised only on gmpy2-less installs
 Rational = object  # mpq | int; alias kept for documentation purposes
 Vector = Tuple[Rational, ...]
 
-ZERO = mpq(0)
-ONE = mpq(1)
-
 
 def rational(value, denom=None) -> Rational:
     """Coerce ints, strings like ``"3/4"``, and rationals to an exact scalar.

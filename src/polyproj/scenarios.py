@@ -333,12 +333,6 @@ def _common_ancestor(n: int) -> Tuple[ConstraintSystem, MarginalScenario]:
     return scenario.reorder(system), scenario
 
 
-def common_ancestor_model(n: int) -> ConstraintSystem:
-    """Ring causal model ``C_n``: n observables, n pairwise-shared ancestors."""
-
-    return _common_ancestor(n)[0]
-
-
 def cca_scenario(n: int) -> MarginalScenario:
     """The marginal scenario of ``C_n``: all observable-only subsets."""
 

@@ -251,13 +251,13 @@ def test_afi_completeness_random(seed):
 
 
 def test_rfd_exhausts_square():
-    cfg = AfiConfig(depth=1, rfd_budget=50, seed=1)
-    assert rfd(SQUARE, 2, cfg) == sorted(SQUARE.rows)
+    cfg = AfiConfig(depth=1, seed=1)
+    assert rfd(SQUARE, 2, 50, cfg) == sorted(SQUARE.rows)
 
 
 def test_rfd_budget_one_is_sound():
-    cfg = AfiConfig(depth=1, rfd_budget=1, seed=2)
-    out = rfd(CUBE, 3, cfg)
+    cfg = AfiConfig(depth=1, seed=2)
+    out = rfd(CUBE, 3, 1, cfg)
     assert out  # at least something discovered
     for f in out:
         assert f in set(CUBE.rows)
@@ -265,28 +265,28 @@ def test_rfd_budget_one_is_sound():
 
 def test_rfd_requires_budget():
     with pytest.raises(ValueError):
-        rfd(SQUARE, 2, AfiConfig(depth=1))
+        rfd(SQUARE, 2, 0, AfiConfig(depth=1))
 
 
 def test_rfd_known_seeding_and_validation():
-    cfg = AfiConfig(depth=1, rfd_budget=50, seed=0)
-    out = rfd(SQUARE, 2, cfg, known=[Face((1, 0), 0)])
+    cfg = AfiConfig(depth=1, seed=0)
+    out = rfd(SQUARE, 2, 50, cfg, known=[Face((1, 0), 0)])
     assert out == sorted(SQUARE.rows)
     with pytest.raises(ValueError):
-        rfd(SQUARE, 2, cfg, known=[Face((1, 1), 0)])  # valid but not a facet
+        rfd(SQUARE, 2, 50, cfg, known=[Face((1, 1), 0)])  # valid but not a facet
     with pytest.raises(ValueError):
-        rfd(SQUARE, 2, cfg, known=[Face((1, 0), 1)])  # not even valid
+        rfd(SQUARE, 2, 50, cfg, known=[Face((1, 0), 1)])  # not even valid
 
 
 def test_rfd_resumes_from_state():
     state = FacetQueue()
-    cfg = AfiConfig(depth=1, rfd_budget=2, seed=4)
-    first = rfd(CUBE, 3, cfg, state=state)
+    cfg = AfiConfig(depth=1, seed=4)
+    first = rfd(CUBE, 3, 2, cfg, state=state)
     assert len(first) < 6
     assert state.pending  # something left to explore
     # resume with more budget until complete
     for _ in range(10):
-        out = rfd(CUBE, 3, AfiConfig(depth=1, rfd_budget=4, seed=4), state=state)
+        out = rfd(CUBE, 3, 4, cfg, state=state)
         if len(out) == 6:
             break
     assert out == sorted(CUBE.rows)

@@ -1,22 +1,21 @@
-"""Tests for dual proofs, structural classification, and the candidate
-enumeration over marginal scenarios."""
+"""Tests for dual proofs and the structural classification of marginal
+inequalities."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polyproj.analysis import (CHAIN, MUTUAL_INFORMATION, VIOLATION,
-                               ElementalProof, EnumerationIncomplete,
-                               enumerate_structured_facets, extract_proof,
-                               lift_to_space, structural_check,
-                               structured_candidates)
+                               ElementalProof, extract_proof, lift_to_space,
+                               structural_check)
 from polyproj.chm import chm_project
-from polyproj.lp import ConstraintSystem, Face, normalize_face
+from polyproj.lp import Face, normalize_face
 from polyproj.matrixfile import reorder_to
 from polyproj.scenarios import (ElementalForm, bell_scenario,
-                                bell_symmetry_group,
                                 elemental_inequalities, entropy_space,
                                 form_row)
-from polyproj.verify import canonical_classes, load_fixture
+from polyproj.verify import load_fixture
 
 F = frozenset
 
@@ -259,34 +258,29 @@ def test_12d_listing_classifies_cleanly():
 
 
 # ---------------------------------------------------------------------------
-# enumerate_structured_facets
+# structural_check on complete facet lists
 # ---------------------------------------------------------------------------
 
 
 def test_bipartite_enumeration_sound_and_complete(bipartite):
     system, scenario = bipartite
-    facets = enumerate_structured_facets(scenario, system, 2)
     true_facets = set(chm_project(system, scenario.d).facets)
-    assert set(facets) <= true_facets          # soundness
-    assert normalize_face(chshe_face(scenario).f, 0) in facets
+    assert normalize_face(chshe_face(scenario).f, 0) in true_facets
     mi = scenario_face(scenario, [({1}, 1), ({3}, 1), ({1, 3}, -1)])
-    assert normalize_face(mi.f, 0) in facets
-    # completeness for the classified range: every true facet whose
-    # structure is a mutual information or a chain with k <= 2 is found
-    for facet in true_facets:
-        report = structural_check(facet, scenario)
-        if report.category == MUTUAL_INFORMATION or \
-                (report.category == CHAIN and report.k <= 2):
-            assert facet in facets
+    assert normalize_face(mi.f, 0) in true_facets
+    # every facet of this cone is a mutual information or a chain with k <= 2
+    reports = [structural_check(facet, scenario) for facet in true_facets]
+    assert Counter((r.category, r.k, r.m) for r in reports) == {
+        (MUTUAL_INFORMATION, None, None): 4,
+        (CHAIN, 1, 0): 8,
+        (CHAIN, 2, 1): 4,
+    }
 
 
 def test_pure_two_body_enumeration():
     system, scenario = bell_scenario(2, 2, (2,))
-    facets = enumerate_structured_facets(scenario, system, 2)
-    true_facets = set(chm_project(system, scenario.d).facets)
-    # the four submodularity-style chains plus the four nonnegativity
-    # rows: all eight facets of this cone fall out of the search
-    assert set(facets) == true_facets
+    facets = chm_project(system, scenario.d).facets
+    # the four submodularity-style chains plus the four nonnegativity rows
     assert len(facets) == 8
     reports = [structural_check(face, scenario) for face in facets]
     chains = [r for r in reports if r.category == CHAIN]
@@ -294,55 +288,3 @@ def test_pure_two_body_enumeration():
     assert all((r.k, r.m) == (2, 0) for r in chains)
     # plain nonnegativity rows sit outside the chain template
     assert sum(r.category == VIOLATION for r in reports) == 4
-
-
-def test_candidates_deduplicated_and_flagged(bipartite):
-    _, scenario = bipartite
-    candidates, complete = structured_candidates(scenario, 2)
-    assert complete
-    assert len(candidates) == len(set(candidates))
-    assert all(face.b == 0 for face in candidates)
-    with pytest.raises(ValueError):
-        structured_candidates(scenario, 0)
-
-
-def test_budget_abort_carries_partial(bipartite):
-    system, scenario = bipartite
-    with pytest.raises(EnumerationIncomplete) as err:
-        enumerate_structured_facets(scenario, system, 2, node_budget=3)
-    assert isinstance(err.value.partial, list)
-
-
-def test_enumeration_rejects_foreign_system(bipartite):
-    _, scenario = bipartite
-    with pytest.raises(ValueError):
-        enumerate_structured_facets(
-            scenario, ConstraintSystem(rows=(), dim=3), 1)
-
-
-@pytest.mark.slow
-def test_18d_k1_covers_listed_mi_and_short_chains(tripartite_18d):
-    system, scenario = tripartite_18d
-    golden = reorder_to(load_fixture("bell-18d").system,
-                        scenario.observable_names)
-    group = bell_symmetry_group(3, 2, scenario)
-    facets = enumerate_structured_facets(scenario, system, 1)
-    found = canonical_classes(ConstraintSystem.from_rows(facets, scenario.d), group)
-    for row in golden.rows:
-        report = structural_check(row, scenario)
-        if report.category == MUTUAL_INFORMATION or \
-                (report.category == CHAIN and report.k == 1):
-            rep = min(group.orbit(normalize_face(row.f, row.b)))
-            assert rep in found
-
-
-@pytest.mark.slow
-def test_12d_enumeration_sound():
-    system, scenario = bell_scenario(3, 2, (2,))
-    facets = enumerate_structured_facets(scenario, system, 2)
-    golden = reorder_to(load_fixture("bell-12d").system,
-                        scenario.observable_names)
-    group = bell_symmetry_group(3, 2, scenario)
-    golden_classes = canonical_classes(golden, group)
-    computed = ConstraintSystem.from_rows(facets, scenario.d)
-    assert canonical_classes(computed, group) <= golden_classes

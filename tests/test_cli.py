@@ -27,3 +27,7 @@ def test_bad_arguments_exit_with_usage():
     assert err.value.code == 2
     with pytest.raises(SystemExit):
         main(["project", "elemental:3", "--verify", "no-such-listing"])
+    # a listing whose columns are not the scenario's is refused before projecting
+    with pytest.raises(SystemExit) as err:
+        main(["project", "elemental:3", "--verify", "bell-08d"])
+    assert err.value.code == 2

@@ -4,13 +4,13 @@ from polyproj.lp import ConstraintSystem, Face
 from polyproj.matrixfile import (
     MatrixFileError,
     load,
-    normalized_row_set,
     parse,
     render,
     reorder_to,
     save,
 )
 from polyproj.rationals import rational
+from polyproj.verify import canonical_classes
 
 
 def sample_system():
@@ -79,4 +79,4 @@ def test_reorder_to_matches_by_name():
 def test_normalized_row_set_identifies_scaled_rows():
     a = ConstraintSystem.from_rows([((2, 4), 2)], 2)
     b = ConstraintSystem.from_rows([((1, 2), 1)], 2)
-    assert normalized_row_set(a) == normalized_row_set(b)
+    assert canonical_classes(a) == canonical_classes(b)

@@ -12,7 +12,6 @@ from polyproj.scenarios import (
     cca_scenario,
     cca_symmetry_group,
     check_membership,
-    common_ancestor_model,
     elemental_forms,
     elemental_inequalities,
     entropy_space,
@@ -22,7 +21,7 @@ from polyproj.scenarios import (
 )
 from polyproj.verify import canonical_classes
 
-from .oracles import brute_hull_facets
+from .oracles import affine_rank
 
 
 def expected_row_count(n: int) -> int:
@@ -120,7 +119,7 @@ def test_group_action_preserves_validity():
 
 
 def test_cca_model_shape():
-    system = common_ancestor_model(3)
+    system = parse_scenario("cca:3").system
     scenario = cca_scenario(3)
     assert scenario.d == 7
     assert system.dim == 63
@@ -182,16 +181,21 @@ def test_bell_probability_polytope_points():
 
 def test_chsh_facets_of_the_correlator_polytope():
     points = bell_probability_polytope()
-    facets = {normalize_face(*f) for f in brute_hull_facets(points)}
-    found = 0
+    assert affine_rank(points) == 8
+
+    def is_facet(face):
+        # valid on every point, and tight on points spanning a hyperplane
+        values = [sum(c * x for c, x in zip(face.f, p)) for p in points]
+        tight = [p for p, v in zip(points, values) if v == face.b]
+        return min(values) >= face.b and affine_rank(tight) == 7
+
     for signs in [
         (1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1), (-1, 1, 1, 1),
         (-1, -1, -1, 1), (-1, -1, 1, -1), (-1, 1, -1, -1), (1, -1, -1, -1),
     ]:
-        face = normalize_face((0, 0, 0, 0) + tuple(-s for s in signs), -2)
-        if face in facets:
-            found += 1
-    assert found == 8
+        assert is_facet(normalize_face((0, 0, 0, 0) + tuple(-s for s in signs), -2))
+    # A1B1 >= -1 is valid and tight on 8 points, but they span only 6 dimensions
+    assert not is_facet(Face((0, 0, 0, 0, 1, 0, 0, 0), -1))
 
 
 def test_parse_scenario_strings():
