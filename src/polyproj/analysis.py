@@ -93,16 +93,6 @@ class ElementalProof:
             rhs += coeff * row.b
         return Face(f=tuple(coeffs), b=rhs)
 
-    def describe(self) -> str:
-        """Human-readable expansion like ``H(A1|A2,B1) + 2·I(A1:B1|A2)``."""
-
-        parts = []
-        for form, coeff in self.terms:
-            label = form.describe(self.space)
-            parts.append(label if coeff == 1 else
-                         f"{format_rational(coeff)}·{label}")
-        return " + ".join(parts) if parts else "0"
-
     def __len__(self) -> int:
         return len(self.terms)
 

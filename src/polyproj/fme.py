@@ -18,6 +18,20 @@ adds a hard row cap.
 Every row produced is a nonnegative combination of input rows, hence valid
 for the projection no matter which rows are later dropped: pruning affects
 completeness, never soundness.
+
+Many rows of a step are pass-through rows, and after the first step their
+redundancy is already settled.  Let P be full-dimensional and described
+irredundantly, and let F be a facet of P whose row has coefficient 0 at v.
+The direction e_v lies in the hyperplane of F, so F loses exactly one
+dimension in the projection along v: its image has dimension dim P - 2, a
+facet of the (full-dimensional) shadow.  So a step whose input was pruned
+needs to probe only the rows it creates, and ``fme_project`` protects the
+others in its per-step sweeps, matching them by value, not by position, so
+that a row budget cannot misalign them.  Should the premise fail (the
+working system is flat, through an equality among the kept coordinates or
+one the float search missed, or a float verdict kept a redundant row), a
+protected row may be redundant: keeping a valid row is always sound, and the
+final sweep, which protects nothing, removes it.
 """
 
 from typing import List, Optional, Sequence, Set, Tuple
@@ -193,21 +207,28 @@ def fme_project(system: ConstraintSystem, d: int, *,
     Implied equalities are made explicit and substituted away first; then
     each remaining coordinate is eliminated in Duffin's order (see
     ``choose_elimination_variable``), with a redundancy sweep after every
-    step and a final one on the result.  Setting ``row_budget`` makes this
-    the budgeted outer approximation: after every elimination step the row
-    count is capped at the budget, keeping the sparsest rows (ties by
-    position).  Every surviving row is still implied by the input system;
-    only completeness is lost.
-    Raises InfeasibleSystem when the input has no solutions.
+    step and a final one on the result.  The sweep after a step probes only
+    the rows that are not pass-through rows of the previous pruned system;
+    the first step's sweep, whose input was never pruned, and the final
+    sweep probe every row (see the module docstring for why).  Setting
+    ``row_budget`` makes this the budgeted outer approximation: after every
+    elimination step the row count is capped at the budget, keeping the
+    sparsest rows (ties by position).  Every surviving row is still implied
+    by the input system; only completeness is lost.
+    Raises ValueError for a d outside 0..dim or a negative row_budget, and
+    InfeasibleSystem when the input has no solutions.
     """
     if not 0 <= d <= system.dim:
         raise ValueError("cannot project %d-dim system to %d coordinates"
                          % (system.dim, d))
+    if row_budget is not None and row_budget < 0:
+        raise ValueError("row budget must be nonnegative, got %d" % row_budget)
     if not lp_feasible(system):
         raise InfeasibleSystem("input system has no solutions")
     system = _promote_equalities(system)
     work, cols = _substitute_equalities(system, list(range(d, system.dim)))
     cols = [c for c in cols if any(row.f[c] != 0 for row in work.rows)]
+    pruned: Set[Face] = set()  # rows of the last pruned system
     while cols:
         var = choose_elimination_variable(work, cols)
         cols.remove(var)
@@ -217,6 +238,8 @@ def fme_project(system: ConstraintSystem, d: int, *,
             rows = _enforce_budget(rows, row_budget)
         work = ConstraintSystem(tuple(rows), work.dim, work.names)
         if cols:
-            work = prune_redundant(work)
+            passed = [i for i, row in enumerate(rows) if row in pruned]
+            work = prune_redundant(work, protect=passed)
+            pruned = set(work.rows)
         cols = [c for c in cols if any(row.f[c] != 0 for row in work.rows)]
     return prune_redundant(_truncate(work, d))

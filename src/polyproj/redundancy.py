@@ -19,9 +19,17 @@ scipy's bindings: a probe changes the objective and lifts one row's bound,
 then solves warm from the previous basis, retrying once from scratch when
 the warm solve ends neither optimal nor unbounded.  Without scipy every row
 goes straight to the exact path.
+
+`implied_equalities` first solves one more float LP, for a point of the
+system at which as many rows as possible hold strictly: a row strict there
+by half its scale is no implicit equality and gets no probe of its own.  This
+too only skips work.  Skipping a row that is an equality, were float error
+ever to do it, would only leave that equality unreported, and a caller that
+is not told of an equality still has a correct system: FME then eliminates
+through that row like any inequality, which is exact but makes more rows.
 """
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .lp import OPTIMAL, UNBOUNDED, ConstraintSystem, Face, lp_minimize
 from .linalg import solve_linear
@@ -54,55 +62,93 @@ def _linprog(highs):
     return status
 
 
+def _scaled(face: Face) -> Tuple[List[float], float]:
+    """face.f and face.b as floats divided by max |f_j| (1 for a zero row),
+    each clamped to +-_FLOAT_LIMIT."""
+    mag = float(max((abs(c) for c in face.f), default=0)) or 1.0
+
+    def scale(v):
+        return max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, float(v) / mag)) if v else 0.0
+
+    return [scale(c) for c in face.f], scale(face.b)
+
+
+def _highs(cost, lower, upper, columns, row_upper):
+    """A quiet HiGHS instance holding  min cost.x  s.t.  A x <= row_upper,
+    lower <= x <= upper, where columns[j] lists column j of A as
+    (row, value) pairs; None when HiGHS rejects the model."""
+    n, m = len(columns), len(row_upper)
+    lp = _hc.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.col_cost_ = cost
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = _np.full(m, -_hc.kHighsInf)
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.start_ = _np.cumsum([0] + [len(e) for e in columns])
+    lp.a_matrix_.index_ = [i for e in columns for i, _ in e]
+    lp.a_matrix_.value_ = [v for e in columns for _, v in e]
+    highs = _hc._Highs()
+    highs.setOptionValue("output_flag", False)
+    return highs if highs.passModel(lp) != _hc.HighsStatus.kError else None
+
+
 class _FloatFilter:
     """One persistent float LP over the rows of a sweep.
 
-    The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once;
-    each probe changes only the objective and lifts the probed row's bound,
-    so consecutive solves warm-start from the previous basis (with one cold
-    retry, see `_linprog`).  Dropped rows are disabled by relaxing their
-    upper bound to +inf for good.
+    The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once,
+    with every row scaled by `_scaled`; each probe changes only the
+    objective and lifts the probed row's bound, so consecutive solves
+    warm-start from the previous basis (with one cold retry, see
+    `_linprog`).  Dropped rows are disabled by relaxing their upper bound to
+    +inf for good.
     """
 
     def __init__(self, rows: Sequence[Face]):
         self.ok = _hc is not None
         if not self.ok:
             return
-        m = len(rows)
         dim = len(rows[0].f) if rows else 0
-        entries = [[] for _ in range(dim)]
-        bub = _np.empty(m)
+        self.columns = [[] for _ in range(dim)]
+        self.bub = _np.empty(len(rows))
         for i, row in enumerate(rows):
-            mag = max((abs(c) for c in row.f), default=0)
-            mag = float(mag) if mag else 1.0
-            if not (0 < mag < _FLOAT_LIMIT):
-                mag = mag or 1.0
-            for j, c in enumerate(row.f):
+            f, b = _scaled(row)
+            for j, c in enumerate(f):
                 if c:
-                    entries[j].append(
-                        (i, max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, -float(c) / mag))))
-            bub[i] = max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, -float(row.b) / mag))
-        lp = _hc.HighsLp()
-        lp.num_col_ = dim
-        lp.num_row_ = m
-        lp.col_cost_ = _np.zeros(dim)
-        lp.col_lower_ = _np.full(dim, -_hc.kHighsInf)
-        lp.col_upper_ = _np.full(dim, _hc.kHighsInf)
-        lp.row_lower_ = _np.full(m, -_hc.kHighsInf)
-        lp.row_upper_ = bub
-        lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_ = dim
-        lp.a_matrix_.num_row_ = m
-        lp.a_matrix_.start_ = _np.cumsum([0] + [len(e) for e in entries])
-        lp.a_matrix_.index_ = [i for e in entries for i, _ in e]
-        lp.a_matrix_.value_ = [v for e in entries for _, v in e]
-        self.highs = _hc._Highs()
-        self.highs.setOptionValue("output_flag", False)
-        self.ok = self.highs.passModel(lp) != _hc.HighsStatus.kError
-        self.bub = bub
-        self.active = _np.ones(m, dtype=bool)
+                    self.columns[j].append((i, -c))
+            self.bub[i] = -b
+        inf = _hc.kHighsInf
+        self.highs = _highs(_np.zeros(dim), _np.full(dim, -inf),
+                            _np.full(dim, inf), self.columns, self.bub)
+        self.ok = self.highs is not None
+        self.active = _np.ones(len(rows), dtype=bool)
         self.dim = dim
         self.cols = _np.arange(dim, dtype=_np.int32)
+
+    def strict_rows(self) -> Set[int]:
+        """Rows that hold with slack >= 1/2 (scaled) at one float point.
+
+        Solves  max sum t  s.t.  Lx - t >= a,  0 <= t <= 1  (free x) over
+        the scaled rows, in a model of its own.  A relative-interior point
+        of the system makes every row that is no implicit equality strict,
+        and on a cone scaling that point up brings each such row to t = 1;
+        on a thin polytope some rows may stay below 1/2.  Empty unless the
+        LP ends optimal.
+        """
+        m, dim, inf = len(self.bub), self.dim, _hc.kHighsInf
+        highs = _highs(
+            _np.concatenate([_np.zeros(dim), _np.full(m, -1.0)]),
+            _np.concatenate([_np.full(dim, -inf), _np.zeros(m)]),
+            _np.concatenate([_np.full(dim, inf), _np.ones(m)]),
+            self.columns + [[(i, 1.0)] for i in range(m)], self.bub)
+        if highs is None or _linprog(highs) != _hc.HighsModelStatus.kOptimal:
+            return set()
+        slack = highs.getSolution().col_value[dim:]
+        return {i for i, t in enumerate(slack) if t >= 0.5}
 
     def disable(self, i: int) -> None:
         self.active[i] = False
@@ -117,14 +163,9 @@ class _FloatFilter:
         """
         if not self.ok:
             return None, None
-        mag = max((abs(c) for c in face.f), default=0)
-        mag = float(mag) if mag else 1.0
-        c = _np.zeros(self.dim)
-        for j, v in enumerate(face.f):
-            if v:
-                c[j] = max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, float(v) / mag))
+        f, target = _scaled(face)
         highs = self.highs
-        highs.changeColsCost(self.dim, self.cols, c)
+        highs.changeColsCost(self.dim, self.cols, _np.array(f))
         lifted = i is not None and self.active[i]
         if lifted:
             highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
@@ -134,7 +175,6 @@ class _FloatFilter:
                 return "keep", None  # unbounded below: certainly not implied
             if status != _hc.HighsModelStatus.kOptimal:
                 return None, None
-            target = float(face.b) / mag
             fun = highs.getInfo().objective_function_value
             if fun < target - _DECISION_TOL * (1 + abs(target)):
                 # Confidently irredundant; keeps need no certificate.
@@ -168,15 +208,24 @@ def implied_equalities(system: ConstraintSystem, *,
     """Indices of rows that hold with equality on the whole solution set.
 
     Row f.x >= b is an implicit equality iff the reverse -f.x >= -b is also
-    implied by the system (max of f equals b).  Each detection is confirmed
-    exactly; the float LP only routes rows past the expensive check.  Rows
-    of infeasible systems are not reported — callers decide feasibility.
+    implied by the system (max of f equals b).  With floats, one LP first
+    looks for a point where many rows are strict (see
+    `_FloatFilter.strict_rows`); the rows it shows strict by half their
+    scale are skipped, and every other row gets its own reverse probe.  Each
+    detection is confirmed exactly; the float LPs only route rows past the
+    expensive check, and a row they wrongly routed past it would be a missed
+    equality, which costs FME speed, not correctness (see the module
+    docstring).  Rows of infeasible systems are not reported — callers
+    decide feasibility.
     """
     rows = list(system.rows)
     filt = _FloatFilter(rows) if use_float else None
     use_filter = bool(filt and filt.ok)
+    strict = filt.strict_rows() if use_filter else set()
     out: List[int] = []
     for i, face in enumerate(rows):
+        if i in strict:
+            continue  # strict at a point of the system: no equality
         rev = Face(tuple(-c for c in face.f), -face.b)
         if use_filter:
             verdict, support = filt.probe(None, rev)

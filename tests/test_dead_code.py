@@ -5,7 +5,9 @@ classes, module-level constants and every imported name; dunder names are
 exempt, and so are the imports of ``__init__.py``, which re-export.  A
 definition counts as used when its name is read anywhere in ``src/polyproj``
 outside its own definition (as a name or as an attribute, annotations and
-decorators included); importing it is not a use.  An import counts as used
+decorators included); reads inside a method count for that method, so a
+method read only by itself or by nothing is dead even when its class is
+used.  Importing a name is not a use.  An import counts as used
 when its module reads the name.  Tests do not count, so code kept alive only
 by its tests fails here.  The names are matched without resolving modules,
 so the check can miss dead code whose name is also used for something else;
@@ -32,6 +34,8 @@ ALLOWED = {
     "matrixfile.save": "public file I/O for matrix files",
     "scenarios.check_membership": "public marginal membership test",
     "scenarios.bell_probability_polytope": "public builder of the deterministic correlator points",
+    "scenarios.ElementalForm.describe":
+        "labels like I(A1:B1|A2); ROADMAP item 2 names Shannon classes with it",
 }
 
 
@@ -52,6 +56,19 @@ def _definitions(module, stmt):
             if not (name.startswith("__") and name.endswith("__"))]
 
 
+def _scopes(module, stmt, names):
+    """(owner, node) pairs covering a top-level statement: each method of a
+    class owns the reads in its body, the statement's first name the rest."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(names[0][0] if names else None, stmt)]
+    key = "%s.%s" % (module, stmt.name)
+    out = [(key, node) for node in stmt.bases + stmt.keywords + stmt.decorator_list]
+    for item in stmt.body:
+        method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        out.append(("%s.%s" % (key, item.name) if method else key, item))
+    return out
+
+
 def _unread():
     """Definitions and imports ("module.name") that nothing reads."""
     defined = {}
@@ -64,17 +81,16 @@ def _unread():
         for stmt in tree.body:
             names = _definitions(module, stmt)
             defined.update(names)
-            # the statement's first name owns every read in it, methods included
-            owner = names[0][0] if names else None
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                read.add(name)
-                used_by.setdefault(name, set()).add(owner)
+            for owner, scope in _scopes(module, stmt, names):
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    read.add(name)
+                    used_by.setdefault(name, set()).add(owner)
         if module == "__init__":
             continue
         for node in ast.walk(tree):

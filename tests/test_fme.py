@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyproj import ConstraintSystem, redundancy
+from polyproj import ConstraintSystem, fme, redundancy
 from polyproj.fme import choose_elimination_variable, fme_project, fme_step
 from polyproj.geometry import is_implied
 from polyproj.lp import Face, InfeasibleSystem
 from polyproj.redundancy import implied_equalities, prune_redundant
+from polyproj.scenarios import parse_scenario
 
 from .oracles import (affine_rank, brute_hull_facets,
                       brute_projection_facets, brute_vertices)
@@ -124,6 +125,74 @@ def test_partial_budget_never_binding_matches_exact():
     exact = fme_project(s, 2)
     capped = fme_project(s, 2, row_budget=10_000)
     assert rowset(capped) == rowset(exact)
+
+
+def test_negative_budget_is_refused_before_any_lp(monkeypatch):
+    s = sys_of(
+        [
+            ((1, 0, 1), 0), ((-1, 0, 1), 0), ((0, 1, -1), -2),
+            ((0, -1, -1), -2), ((0, 0, 1), 0), ((0, 0, -1), -4),
+        ],
+        3,
+    )
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP solved before the budget was checked")
+
+    monkeypatch.setattr(fme, "lp_feasible", no_lp)
+    with pytest.raises(ValueError):
+        fme_project(s, 2, row_budget=-1)
+
+
+def test_budget_cutting_pass_through_rows_keeps_protection_exact(monkeypatch):
+    # The three dense rows on the kept coordinates pass through every step;
+    # the budget keeps the sparsest rows, so at the second step it cuts
+    # pass-through rows.  Each per-step sweep must protect exactly the rows
+    # the previous sweep kept, wherever the cut moved them.
+    s = sys_of(
+        [
+            ((-1, -1, -1, 1, 0, 0, 0), -3), ((1, -1, 1, 1, 0, 0, 0), -2),
+            ((1, -1, 1, -1, 0, 0, 0), -3), ((0, 0, 1, 0, 1, 0, 0), 0),
+            ((0, -1, 0, 0, 1, 0, 0), -1), ((0, 0, 0, 1, 1, 0, 0), -1),
+            ((1, 0, 0, 0, 1, 0, 0), -2), ((1, 0, 0, 0, -1, 0, 0), -2),
+            ((0, 0, -1, 0, -1, 0, 0), -4), ((0, 0, 1, 0, -1, 0, 0), 0),
+            ((-1, 0, 0, 0, -1, 0, 0), -2), ((0, 0, 0, 1, 0, 1, 0), -4),
+            ((0, 0, 1, 0, 0, 1, 0), -1), ((0, 1, 0, 0, 0, 1, 0), -2),
+            ((1, 0, 0, 0, 0, 1, 0), -4), ((1, 0, 0, 0, 0, -1, 0), -3),
+            ((0, 0, 0, 1, 0, -1, 0), 0), ((0, -1, 0, 0, 0, -1, 0), -3),
+            ((0, 0, 0, -1, 0, 0, 1), -4), ((0, 1, 0, 0, 0, 0, 1), -2),
+            ((0, 0, 0, -1, 0, 0, -1), -2), ((1, 0, 0, 0, 0, 0, -1), -2),
+        ],
+        7,
+    )
+    step, sweep = fme.fme_step, fme.prune_redundant
+    eliminated, sweeps = [], []
+
+    def logged_step(system, var):
+        eliminated.append(var)
+        return step(system, var)
+
+    def logged_sweep(system, protect=()):
+        out = sweep(system, protect=protect)
+        sweeps.append((system.rows, protect, out.rows))
+        return out
+
+    monkeypatch.setattr(fme, "fme_step", logged_step)
+    monkeypatch.setattr(fme, "prune_redundant", logged_sweep)
+    capped = fme_project(s, 4, row_budget=23)
+    assert not sweeps[0][1] and not sweeps[-1][1]  # first and final: full
+    cut = False
+    for var, (_, _, before), (rows, protect, _) in zip(
+            eliminated[1:], sweeps, sweeps[1:-1]):
+        assert {rows[i] for i in protect} == set(rows) & set(before)
+        cut |= any(r.f[var] == 0 and r not in rows for r in before)
+    assert cut
+    for row in capped.rows:
+        assert is_implied(s, (tuple(row.f) + (0, 0, 0), row.b))
+    # protecting only skips probes: the sweeps without it keep the same rows
+    monkeypatch.setattr(fme, "prune_redundant",
+                        lambda system, protect=(): sweep(system))
+    assert fme_project(s, 4, row_budget=23).rows == capped.rows
 
 
 def test_partial_budget_zero_gives_whole_space():
@@ -306,6 +375,61 @@ def _same_polyhedron(system, expected_pairs, dim):
     )
 
 
+def test_flat_working_system_projects_exactly(monkeypatch):
+    # x1 = x2 among the kept coordinates: substitution pivots only on
+    # eliminated columns, so the working system stays flat and the facet
+    # argument behind the protected sweeps does not apply there
+    rows = [
+        ((1, -1, 0, 0, 0, 0), 0), ((-1, 1, 0, 0, 0, 0), 0),
+        ((0, 0, 0, 1, 0, 0), 0), ((0, 0, 0, -1, 0, 0), -1),
+        ((0, 0, 0, 0, 1, 0), 0), ((0, 0, 0, 0, -1, 0), -1),
+        ((0, 0, 0, 0, 0, 1), 0), ((0, 0, 0, 0, 0, -1), -1),
+        ((1, 0, 0, -1, 0, 0), 0), ((-1, 0, 0, 1, 1, 0), 0),
+        ((0, 0, 1, 0, -1, 1), -1), ((0, 0, -1, 0, 1, 1), -1),
+        ((1, 0, 1, 0, 0, -1), -2),
+    ]
+    s = sys_of(rows, 6)
+    sweep, protected = fme.prune_redundant, []
+
+    def logged_sweep(system, protect=()):
+        protected.append(len(protect))
+        return sweep(system, protect=protect)
+
+    monkeypatch.setattr(fme, "prune_redundant", logged_sweep)
+    out = fme_project(s, 3)
+    assert any(protected)
+    # the shadow is {x1 = x2} over the shadow on (x1, x3), which is
+    # full-dimensional: swap x2 behind x3 to read that one off the oracle
+    swapped = [((f[0], f[2], f[1]) + f[3:], b) for f, b in rows]
+    plane = brute_projection_facets(
+        [list(f) for f, _ in swapped], [b for _, b in swapped], 6, 2)
+    expected = [((f[0], 0, f[1]), b) for f, b in plane]
+    expected += [((1, -1, 0), 0), ((-1, 1, 0), 0)]
+    assert _same_polyhedron(out, expected, 3)
+
+
+def _count_float_lps(monkeypatch):
+    """A list that gains one entry per HiGHS solve of `redundancy`."""
+    solve, calls = redundancy._linprog, []
+
+    def counted(highs):
+        calls.append(None)
+        return solve(highs)
+
+    monkeypatch.setattr(redundancy, "_linprog", counted)
+    return calls
+
+
+def test_per_step_sweeps_skip_pass_through_rows(monkeypatch):
+    # probing every pass-through row and every row's reverse costs 1,397
+    # float LPs on cca:3; the skips leave 501, the interior LP included
+    cca3 = parse_scenario("cca:3")
+    calls = _count_float_lps(monkeypatch)
+    out = fme_project(cca3.system, cca3.scenario.d)
+    assert len(out) == 16
+    assert len(calls) <= 520
+
+
 # ------------------------------------------------- implicit equalities
 
 
@@ -325,6 +449,28 @@ def test_implied_equalities_pinched_segment():
 def test_implied_equalities_none_on_square():
     s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)], 2)
     assert implied_equalities(s) == []
+
+
+def test_implied_equalities_thin_box_is_left_to_the_probes(monkeypatch):
+    # 0 <= x, y <= 1/1000: no point has a row slack of half its scale, so
+    # the interior LP settles nothing and each row gets its own probe
+    s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1000, 0), -1), ((0, -1000), -1)], 2)
+    assert redundancy._FloatFilter(list(s.rows)).strict_rows() == set()
+    calls = _count_float_lps(monkeypatch)
+    assert implied_equalities(s) == [] == implied_equalities(s, use_float=False)
+    assert len(calls) == 1 + 4
+
+
+def test_implied_equalities_hidden_in_a_cycle():
+    # x - y >= 1, y - z >= -2, z - x >= 1 sum to 0 >= 0, so all three are
+    # tight: x = y + 1 = z - 1, with no row the reverse of another; the
+    # bounds 0 <= x <= 3, 0 <= w <= 5 are strict at the interior point
+    s = sys_of([((1, -1, 0, 0), 1), ((0, 1, -1, 0), -2), ((-1, 0, 1, 0), 1),
+                ((1, 0, 0, 0), 0), ((-1, 0, 0, 0), -3),
+                ((0, 0, 0, 1), 0), ((0, 0, 0, -1), -5)], 4)
+    assert redundancy._FloatFilter(list(s.rows)).strict_rows() == {3, 4, 5, 6}
+    assert implied_equalities(s) == [0, 1, 2]
+    assert implied_equalities(s, use_float=False) == [0, 1, 2]
 
 
 def test_implied_equalities_explicit_pair():
