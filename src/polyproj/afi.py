@@ -346,11 +346,27 @@ def point_to_facets(system: ConstraintSystem, d: int, y: Sequence) -> List[Face]
     y), refined into implying facets, and the result filtered to the members
     that themselves certify y — a nonempty set, since a non-negative
     combination of the facets weakly dominates the sampled inequality.
-    Raises ValueError when y is strictly interior (no certificate exists).
+
+    A flat image is charted onto its affine hull first, as in ``_project``,
+    and the facets found there are lifted back.  Raises ValueError when y
+    is in the relative interior of the projection (no certificate exists;
+    on a single-point image that is the point itself) and when y is off
+    the affine hull of a flat image.
     """
     y = tuple(rational(v) for v in y)
     if len(y) != d:
         raise ValueError("point width does not match the output dimension")
+    bs = basis_simplex(system, d)
+    if bs.rank < d:
+        emb = _chart(system, bs)
+        try:
+            reduced_y = emb.embed_point(y)
+        except DegenerateInput:
+            raise ValueError("the point is off the affine hull of the projection") from None
+        if bs.rank == 0:
+            raise ValueError("the point is the whole projection, so interior to it")
+        inner = point_to_facets(reduce_system(system, d, emb), bs.rank, reduced_y)
+        return sorted(emb.lift_face(f) for f in inner)
     cp = build_combination_polytope(system, d)
     padded = y + (0,) * (system.dim - d)
 

@@ -1,14 +1,16 @@
 """
 Command line entry point::
 
-    polyproj project SPEC [--method {fme,chm,afi}] [--verify FIXTURE]
+    polyproj project SPEC [--method {fme,chm,afi,rfd}] [--budget N] [--verify FIXTURE]
 
 projects the scenario system named by SPEC (see
 :func:`polyproj.scenarios.parse_scenario`) onto its observable coordinates
-and prints the facets as a matrix file.  ``--verify`` compares them with a
-bundled listing (see :mod:`polyproj.verify`) and prints the verdict on
-stderr; the exit status is then 1 when the listing has a class the
-projection lacks.
+and prints the facets as a matrix file.  ``--method rfd`` needs
+``--budget N`` and prints the facets that the randomized facet discovery
+finds within N hull-projector calls, a sound but possibly partial list.
+``--verify`` compares them with a bundled listing (see
+:mod:`polyproj.verify`) and prints the verdict on stderr; the exit status
+is then 1 when the listing has a class the projection lacks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .afi import AfiConfig, afi_project
+from .afi import AfiConfig, afi_project, rfd
 from .chm import chm_project
 from .fme import fme_project
 from .lp import ConstraintSystem, Face, normalize_face
@@ -25,15 +27,17 @@ from .matrixfile import render, reorder_to
 from .scenarios import ScenarioBundle, parse_scenario
 from .verify import compare_listings, load_fixture
 
-METHODS = ("fme", "chm", "afi")
+METHODS = ("fme", "chm", "afi", "rfd")
 
 
-def _project(bundle: ScenarioBundle, method: str) -> List[Face]:
+def _project(bundle: ScenarioBundle, method: str, budget: Optional[int]) -> List[Face]:
     system, d, group = bundle.system, bundle.scenario.d, bundle.group
     if method == "fme":
         return list(fme_project(system, d).rows)
     if method == "chm":
         return chm_project(system, d, group=group).facets
+    if method == "rfd":
+        return rfd(system, d, budget, AfiConfig(group=group))
     return afi_project(system, d, AfiConfig(group=group))
 
 
@@ -45,6 +49,8 @@ def _parser() -> argparse.ArgumentParser:
         "project", help="project a scenario system onto its observables")
     project.add_argument("spec", help="scenario spec, e.g. cca:3 or bell:2x2:body=1,2")
     project.add_argument("--method", choices=METHODS, default="fme")
+    project.add_argument("--budget", type=int, metavar="N",
+                         help="hull-projector calls allowed to --method rfd (required there)")
     project.add_argument("--verify", metavar="FIXTURE",
                          help="bundled listing to compare with, e.g. cca-3")
     return parser
@@ -53,13 +59,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if (args.method == "rfd") != (args.budget is not None):
+        parser.error("--budget N goes with --method rfd, and only with it")
+    if args.budget is not None and args.budget < 1:
+        parser.error("--budget must be at least 1")
     try:
         bundle = parse_scenario(args.spec)
         names = bundle.scenario.observable_names
         golden = reorder_to(load_fixture(args.verify).system, names) if args.verify else None
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-    facets = sorted({normalize_face(f.f, f.b) for f in _project(bundle, args.method)})
+    facets = sorted({normalize_face(f.f, f.b)
+                     for f in _project(bundle, args.method, args.budget)})
     result = ConstraintSystem(tuple(facets), bundle.scenario.d, names)
     sys.stdout.write(render(result, [f"scenario: {args.spec}",
                                      f"method: {args.method}",

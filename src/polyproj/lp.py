@@ -26,6 +26,16 @@ right-hand side  c + eps t_1 + ...: the tie objectives become the extra
 columns of the simplex's right-hand-side block, and one solve yields the
 point the chain of staged LPs (each pinning the previous optimum) would.
 
+The dual of every ``lp_minimize`` on one system has the same matrix and
+costs; only its right-hand side, the objective, changes.  So each system
+caches the last optimal dual tableau (beside its cached transpose), and the
+next ``lp_minimize`` on it starts from that tableau with a dual simplex
+instead of a phase 1 (see :mod:`polyproj.simplex`); when the dual simplex
+finds the dual infeasible, the solve goes cold.  Status, objective, tie
+values and, with ties that span R^d, the point do not depend on the cache.
+With several optimal points, the point returned (and the duals) may depend
+on which solves came before on the same system.
+
 ``lp_standard`` is the entry for programs already in standard form,
 min c.q subject to A q = b, q >= 0: it hands them to the simplex as they
 are, with no dualization, and checks the returned q exactly.
@@ -190,8 +200,13 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
         ray = tuple(-x for x in first)
         return LpSolution(UNBOUNDED, ray=ray)
 
-    res = simplex.solve_standard(system.transpose(), c,
-                                 [-row.b for row in system.rows], ties=objectives[1:])
+    # The cache is emptied during the solve, which pivots the tableau in
+    # place, so a solve that fails part-way leaves no tableau behind.
+    warm = getattr(system, "_tableau_cache", None)
+    object.__setattr__(system, "_tableau_cache", None)
+    res = simplex.solve_standard(system.transpose(), c, [-row.b for row in system.rows],
+                                 ties=objectives[1:], warm=warm)
+    object.__setattr__(system, "_tableau_cache", res._tableau)
     if res.status == simplex.OPTIMAL:
         values = [-res.objective] + [-v for v in res.ties]
         sol = LpSolution(OPTIMAL, objective=values[0], duals=res.z)

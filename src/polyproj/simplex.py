@@ -44,6 +44,21 @@ input row i.  Under them the cost rows hold ``-c_B B^-1`` (phase 2) and
 vectors for infeasibility) are read off the terminal cost rows without a
 second factorisation.  A row dropped as linearly dependent keeps its
 artificial basic, so its certificate entry is 0.
+
+Warm starts.  A new right-hand side leaves the cost row of an optimal
+tableau as it was, so its basis stays dual feasible.  ``solve_standard``
+accepts such a tableau (``warm``, an earlier result's ``_tableau`` for the
+same A and c), puts the new block under its basis in one integer product
+with the artificial columns (``_Tableau.set_rhs``) and runs the dual
+simplex ``_Tableau.dual_run`` (Lemke, 1954) with Bland's rule on the dual,
+sharing ``pivot`` with the primal ``run``.  Only tableaux where phase 1
+dropped no row are offered for reuse: a dropped row would go unchecked
+under a new block.  When ``dual_run`` meets a row with no entering column
+the standard form is infeasible, and the solve goes cold, so every
+certificate of infeasibility still comes from phase 1.  A warm solve ends
+on the lexicographic optimum, like a cold one, so status, objective and
+tie values agree; when that optimum has several optimal bases, the two may
+end on different ones, and then ``z`` and the multipliers may differ.
 """
 
 from __future__ import annotations
@@ -80,6 +95,9 @@ class StandardResult:
     _det: int = 1
     _row_scale: Sequence[int] = field(default=(), repr=False)
     _cost_scale: int = 1
+    # The terminal tableau when it can warm-start a solve with a new
+    # right-hand side (see ``solve_standard``), else None.
+    _tableau: Optional["_Tableau"] = field(default=None, repr=False)
 
     def multipliers(self) -> Tuple:
         """Exact multipliers pi with pi.A <= c (componentwise on reduced costs)
@@ -103,9 +121,13 @@ _INT64_BOUND = 2 ** 31
 
 
 class _Tableau:
-    def __init__(self, rows: List[List[int]], rhs: List[List[int]], cost: List[int]):
+    def __init__(self, rows: List[List[int]], rhs: List[List[int]], cost: List[int],
+                 row_scale: List[int], cost_scale: int):
         m, n, k = len(rows), len(cost), len(rhs[0])
         self.m, self.n, self.k = m, n, k
+        # Row i of the input is scaled by row_scale[i], the costs by
+        # cost_scale and the right-hand-side block by rhs_scale.
+        self.row_scale, self.cost_scale, self.rhs_scale = row_scale, cost_scale, 1
         # Layout: columns 0..k-1 = RHS block, columns k..k+n-1 = variables,
         # columns k+n..k+n+m-1 = artificials.  Rows 0..m-1 = constraints,
         # row m = phase-2 cost, row m+1 = phase-1 cost (dropped once phase 1
@@ -180,6 +202,58 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(leave, enter)
 
+    def set_rhs(self, block: List[List]) -> None:
+        """Replace the right-hand-side block by ``block`` (one list per input
+        row, rationals allowed) under the current basis.  The artificial
+        columns hold det B^-1 in the scaled frame, so the new block is the
+        one integer product  N[:, art] . (rhs_scale * row_scale * block),
+        with rhs_scale the smallest positive integer making it integral."""
+        m, n, k = self.m, self.n, self.k
+        scaled = [[d * v for v in row] for d, row in zip(self.row_scale, block)]
+        lam = common_denominator(chain(*scaled))
+        scaled = np.array([scaled_ints(row, lam) for row in scaled], dtype=object)
+        art = self.N[:, k + n:]
+        if art.dtype != object:
+            bound = int(max(art.max(), -art.min())) * max(map(abs, scaled.flat)) * m
+            if bound < 2 ** 63:
+                scaled = scaled.astype(np.int64)
+            else:
+                art = art.astype(object)
+        new = art @ scaled
+        N = self.N
+        if N.dtype != object and max(new.max(), -new.min()) >= _INT64_BOUND:
+            N = N.astype(object)
+        self.N = np.concatenate([new.astype(N.dtype), N[:, k:]], axis=1)
+        self.k, self.rhs_scale = len(block[0]), lam
+
+    def dual_run(self) -> str:
+        """Dual simplex iterations from a basis whose phase-2 cost row is
+        optimal; returns 'optimal', or 'infeasible' when a row has no
+        entering column (the standard form has no feasible point).
+
+        Bland's rule on the dual: the leaving row is the lexicographically
+        negative block row with the smallest basis index; the entering
+        column minimises N[m, j] / -N[r, j] over N[r, j] < 0, ties going to
+        the smallest j."""
+        m, n, k = self.m, self.n, self.k
+        rows = np.arange(m)
+        while True:
+            block = self.N[:m, :k]
+            first = block[rows, (block != 0).argmax(axis=1)]
+            negative = np.flatnonzero(first < 0)
+            if not negative.size:
+                return OPTIMAL
+            r = min(negative.tolist(), key=self.basis.__getitem__)
+            row = self.N[r, k:k + n].tolist()
+            cost = self.N[m, k:k + n].tolist()
+            enter = None
+            for j, a in enumerate(row):
+                if a < 0 and (enter is None or cost[j] * row[enter] > cost[enter] * a):
+                    enter = j
+            if enter is None:
+                return INFEASIBLE
+            self.pivot(r, k + enter)
+
     def drop_rows(self, rows_to_drop: List[int]) -> None:
         """Remove the given constraint rows and the phase-1 cost row."""
         keep = [i for i in range(self.m) if i not in rows_to_drop]
@@ -190,7 +264,8 @@ class _Tableau:
 
 
 def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
-                   ties: Sequence[Sequence] = ()) -> StandardResult:
+                   ties: Sequence[Sequence] = (),
+                   warm: Optional[_Tableau] = None) -> StandardResult:
     """
     Solve min c.z s.t. A z = b, z >= 0 exactly.  Deterministic: Bland's rule,
     ties by smallest variable index, row order as given.
@@ -199,6 +274,10 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
     is then A z = b + eps t_1 + eps^2 t_2 + ... for all small eps > 0 (see
     the module docstring).  ``z`` and ``objective`` belong to b; an optimal
     result also carries ``ties``, the optimal value for each t_j in turn.
+
+    ``warm`` is the ``_tableau`` of an earlier result for the same A and c;
+    the solve updates it in place (see "Warm starts" in the module
+    docstring).
     """
     m, n = len(A), len(c)
     if m == 0:
@@ -209,6 +288,21 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
         ray = tuple(1 if k == j else 0 for k in range(n))
         return StandardResult(UNBOUNDED, ray=ray)
 
+    if warm is not None:
+        warm.set_rhs([[b[i]] + [t[i] for t in ties] for i in range(m)])
+        if warm.dual_run() == OPTIMAL:
+            return _optimal(warm)
+        res = _solve_cold(A, b, c, ties)
+        if res._tableau is None:
+            res._tableau = warm  # still dual feasible: keep it for the next solve
+        return res
+    return _solve_cold(A, b, c, ties)
+
+
+def _solve_cold(A: Sequence[Sequence], b: Sequence, c: Sequence,
+                ties: Sequence[Sequence]) -> StandardResult:
+    """Two-phase solve from the artificial basis (m > 0)."""
+    m, n = len(A), len(c)
     k = 1 + len(ties)
     rows, rhs, row_scale = [], [], []
     for i in range(m):
@@ -221,9 +315,7 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
         row_scale.append(scale)
 
     cost_scale = common_denominator(c)
-    cost = scaled_ints(c, cost_scale)
-
-    tab = _Tableau(rows, rhs, cost)
+    tab = _Tableau(rows, rhs, scaled_ints(c, cost_scale), row_scale, cost_scale)
     p1 = tab.m + 1
 
     tab.run(p1)
@@ -257,17 +349,26 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
                 ray[tab.basis[i]] = mpq(-int(tab.N[i, s]), tab.det)
         return StandardResult(UNBOUNDED, ray=tuple(ray))
 
+    # a dropped row's constraint would go unchecked under a new block
+    return _optimal(tab, reusable=not to_drop)
+
+
+def _optimal(tab: _Tableau, reusable: bool = True) -> StandardResult:
+    """The result read off an optimal phase-2 tableau; it carries the
+    tableau for warm starts when ``reusable``."""
+    m, n, k, det = tab.m, tab.n, tab.k, tab.det
     z = [mpq(0)] * n
-    for i in range(tab.m):
+    for i in range(m):
         if tab.basis[i] < n:
-            z[tab.basis[i]] = mpq(int(tab.N[i, 0]), tab.det)
-    values = [mpq(-v, tab.det * cost_scale) for v in tab.N[tab.m, :k].tolist()]
+            z[tab.basis[i]] = mpq(int(tab.N[i, 0]), det * tab.rhs_scale)
+    den = det * tab.cost_scale * tab.rhs_scale
+    values = [mpq(-v, den) for v in tab.N[m, :k].tolist()]
     return StandardResult(
         OPTIMAL,
         z=tuple(z),
         objective=values[0],
         ties=tuple(values[1:]),
         basis=tuple(tab.basis),
-        _art_costs=tab.N[tab.m, k + n:].tolist(), _det=tab.det, _row_scale=row_scale,
-        _cost_scale=cost_scale,
+        _art_costs=tab.N[m, k + n:].tolist(), _det=det, _row_scale=tab.row_scale,
+        _cost_scale=tab.cost_scale, _tableau=tab if reusable else None,
     )

@@ -435,6 +435,38 @@ def test_point_to_facets_on_a_hidden_implicit_equality():
     _certifies_with_fme_facets(system, 1, (-2,), out)
 
 
+def test_point_to_facets_off_a_flat_image():
+    # x >= -3, -x >= -3, x >= -2 and the equality x = 0: the image is {0}
+    system = ConstraintSystem.from_rows(
+        [((1,), -3), ((-1,), -3), ((1,), -2), ((1,), 0), ((-1,), 0)], 1)
+    for y in [(2,), (0,)]:
+        with pytest.raises(ValueError):
+            point_to_facets(system, 1, y)
+    # the segment 0 <= x <= 2 on the line y = x
+    segment = ConstraintSystem.from_rows(
+        [((1, 0), 0), ((-1, 0), -2), ((1, -1), 0), ((-1, 1), 0)], 2)
+    with pytest.raises(ValueError, match="affine hull"):
+        point_to_facets(segment, 2, (1, 0))
+    with pytest.raises(ValueError, match="interior"):
+        point_to_facets(segment, 2, (1, 1))
+
+
+@pytest.mark.parametrize("y, tight", [((2, 2), (2, 2)), ((3, 3), (2, 2)), ((0, 0), (0, 0))])
+def test_point_to_facets_on_a_flat_image(y, tight):
+    # the segment 0 <= x <= 2 on the line y = x, with a hidden coordinate
+    system = ConstraintSystem.from_rows(
+        [((1, 0, 0), 0), ((-1, 0, 1), -2), ((1, -1, 0), 0), ((-1, 1, 0), 0),
+         ((0, 0, 1), 0), ((0, 0, -1), 0)], 3)
+    out = point_to_facets(system, 2, y)
+    assert len(out) == 1
+    g = out[0]
+    assert dot(g.f, y) <= g.b
+    assert dot(g.f, tight) == g.b
+    # valid on the whole segment, strict at its other end
+    other = (2, 2) if tight == (0, 0) else (0, 0)
+    assert is_implied(system, g.pad(3)) and dot(g.f, other) > g.b
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_point_to_facets_certifies_exactly_the_non_interior_points(seed):
     rng = random.Random(seed)

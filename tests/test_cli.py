@@ -15,6 +15,28 @@ def test_project_elemental3(capsys, method):
     assert set(out.system.rows) == want
 
 
+def test_rfd_prints_the_facets_it_finds(capsys):
+    assert main(["project", "elemental:3", "--method", "rfd", "--budget", "2"]) == 0
+    out = parse(capsys.readouterr().out)
+    assert "method: rfd" in out.comments
+    want = {normalize_face(r.f, r.b) for r in elemental_inequalities(3).rows}
+    assert out.system.rows and set(out.system.rows) <= want
+    # a budget that covers the walk finds every facet
+    assert main(["project", "elemental:3", "--method", "rfd", "--budget", "1000"]) == 0
+    assert set(parse(capsys.readouterr().out).system.rows) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "rfd"],
+    ["--method", "rfd", "--budget", "0"],
+    ["--method", "afi", "--budget", "3"],
+])
+def test_rfd_budget_is_required_and_exclusive(argv):
+    with pytest.raises(SystemExit) as err:
+        main(["project", "elemental:3"] + argv)
+    assert err.value.code == 2
+
+
 def test_verify_reports_missing_classes(capsys):
     # The elemental cone lacks the non-Shannon classes listed for cca:3.
     assert main(["project", "elemental:3", "--verify", "cca-3"]) == 1

@@ -25,7 +25,6 @@ PACKAGE = Path(polyproj.__file__).parent
 #: definitions allowed to have no caller in the package, each with its reason
 ALLOWED = {
     "afi.point_to_facets": "AFI's certificate for non-interior points; public API",
-    "afi.rfd": "AFI's budgeted, resumable facet search; public API",
     "analysis.extract_proof": "proof extraction; ROADMAP item 2 uses it to tell Shannon classes",
     "analysis.lift_to_space": "analysis entry point; ROADMAP item 2 gives analysis a caller",
     "analysis.structural_check":

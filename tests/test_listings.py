@@ -2,6 +2,7 @@
 
 import pytest
 
+from polyproj.afi import AfiConfig, afi_project
 from polyproj.chm import chm_project
 from polyproj.fme import fme_project
 from polyproj.lp import ConstraintSystem, normalize_face
@@ -46,11 +47,30 @@ def test_chm_agrees_with_fme_on_cca3(cca3, cca3_fme):
     assert set(hull.facets) == {normalize_face(r.f, r.b) for r in cca3_fme.rows}
 
 
-@pytest.mark.slow
-def test_chm_reproduces_bell_08d_listing():
-    bell = parse_scenario("bell:3x2:body=3")
+@pytest.fixture(scope="module")
+def bell08d():
+    return parse_scenario("bell:3x2:body=3")
+
+
+@pytest.fixture(scope="module")
+def bell08d_chm(bell08d):
+    return chm_project(bell08d.system, bell08d.scenario.d, group=bell08d.group).facets
+
+
+def _assert_matches_bell_08d(bell, facets):
     names = bell.scenario.observable_names
-    hull = chm_project(bell.system, bell.scenario.d, group=bell.group)
-    computed = ConstraintSystem(tuple(hull.facets), bell.scenario.d, names)
+    computed = ConstraintSystem(tuple(facets), bell.scenario.d, names)
     golden = reorder_to(load_fixture("bell-08d").system, names)
     assert compare_listings(computed, golden, bell.group).relation == MATCH
+
+
+def test_chm_reproduces_bell_08d_listing(bell08d, bell08d_chm):
+    _assert_matches_bell_08d(bell08d, bell08d_chm)
+
+
+@pytest.mark.slow
+def test_afi_reproduces_bell_08d_listing(bell08d, bell08d_chm):
+    cfg = AfiConfig(depth=1, group=bell08d.group)
+    facets = afi_project(bell08d.system, bell08d.scenario.d, cfg)
+    _assert_matches_bell_08d(bell08d, facets)
+    assert set(facets) == set(bell08d_chm)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polyproj import ConstraintSystem, lp_feasible, lp_minimize
+from polyproj import ConstraintSystem, lp_feasible, lp_minimize, simplex
 from polyproj.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_standard
 from polyproj.rationals import dot, rational
 
@@ -196,3 +196,124 @@ def test_standard_form_rejects_mismatched_shapes():
         lp_standard([[1, 2]], [1], [1])
     with pytest.raises(ValueError):
         lp_standard([[1, 2]], [1, 0], [1, 1])
+
+
+@pytest.fixture
+def pivot_counts(monkeypatch):
+    """Checks every pivot's divisibility and counts pivots and dual runs."""
+    monkeypatch.setattr(simplex, "CHECK_PIVOTS", True)
+    counts = {"pivots": 0, "dual_runs": 0}
+    pivot, dual_run = simplex._Tableau.pivot, simplex._Tableau.dual_run
+
+    def counted_pivot(self, r, s):
+        counts["pivots"] += 1
+        return pivot(self, r, s)
+
+    def counted_dual_run(self):
+        counts["dual_runs"] += 1
+        return dual_run(self)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", counted_pivot)
+    monkeypatch.setattr(simplex._Tableau, "dual_run", counted_dual_run)
+    return counts
+
+
+def _fresh(system):
+    """An equal system with no cached tableau."""
+    return ConstraintSystem(system.rows, system.dim)
+
+
+def _random_polyhedron(rng, dim, boxed):
+    """Random rows that the origin satisfies, inside the box |x_i| <= 5 if
+    ``boxed``, with now and then an equality row."""
+    rows = [(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-4, 0))
+            for _ in range(rng.randint(1, 6))]
+    if boxed:
+        rows += [(tuple(s * int(i == j) for j in range(dim)), -5)
+                 for i in range(dim) for s in (1, -1)]
+    system = ConstraintSystem.from_rows(rows, dim)
+    if rng.random() < 0.3:
+        system = system.with_equality([rng.randint(-2, 2) for _ in range(dim)], 0)
+    return system
+
+
+def _objective(rng, dim, kind):
+    if kind == "fractional":
+        return [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) for _ in range(dim)]
+    if kind == "huge":  # right-hand-side blocks beyond the int64 kernel
+        return [rng.randint(-2 ** 40, 2 ** 40) for _ in range(dim)]
+    return [rng.randint(-3, 3) for _ in range(dim)]
+
+
+def _spanning_ties(rng, dim):
+    """Tie stages that, with any objective, span R^d: all unit vectors."""
+    units = [[int(i == j) * rng.choice((1, -1)) for j in range(dim)] for i in range(dim)]
+    rng.shuffle(units)
+    return units
+
+
+def _assert_same_solution(warm, cold, objectives, spanning):
+    assert warm.status == cold.status
+    if warm.status != OPTIMAL:
+        return
+    assert warm.objective == cold.objective
+    values = [tuple(dot(v, sol.x) for v in objectives) for sol in (warm, cold)]
+    assert values[0] == values[1]
+    if spanning:
+        assert warm.x == cold.x
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "huge"])
+def test_warm_solves_match_cold_solves(pivot_counts, kind):
+    rng = random.Random(kind)
+    warm_pivots = cold_pivots = 0
+    statuses, object_tableaux = set(), 0
+    for index in range(12):
+        dim = rng.randint(1, 4)
+        system = _random_polyhedron(rng, dim, boxed=index % 4 != 0)
+        for _ in range(8):
+            c = _objective(rng, dim, kind)
+            ties, spanning = [], rng.random() < 0.5
+            if spanning:
+                ties = _spanning_ties(rng, dim)
+            elif rng.random() < 0.5:
+                ties = [_objective(rng, dim, kind)]
+            before = pivot_counts["pivots"]
+            warm = lp_minimize(system, c, ties=ties)
+            middle = pivot_counts["pivots"]
+            cold = lp_minimize(_fresh(system), c, ties=ties)
+            warm_pivots += middle - before
+            cold_pivots += pivot_counts["pivots"] - middle
+            _assert_same_solution(warm, cold, [c] + ties, spanning)
+            statuses.add(warm.status)
+            cached = system._tableau_cache
+            object_tableaux += cached is not None and cached.N.dtype == object
+    assert statuses == {OPTIMAL, UNBOUNDED}
+    assert (object_tableaux > 0) == (kind == "huge")
+    assert pivot_counts["dual_runs"] > 0
+    assert warm_pivots < cold_pivots
+
+
+def test_warm_solve_scales_a_fractional_block():
+    system = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)], 2)
+    assert lp_minimize(system, [1, 2]).x == (0, 0)
+    sol = lp_minimize(system, [Fraction(-1, 3), Fraction(-1, 2)])
+    assert system._tableau_cache.rhs_scale == 6
+    assert sol.objective == Fraction(-3, 2) and sol.x == (0, 3)
+
+
+def test_unbounded_after_bounded_goes_cold(pivot_counts):
+    # the cone x >= 0, y >= 0, x + 2y >= 0 is not capped
+    cone = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), 0), ((1, 2), 0)], 2)
+    assert lp_minimize(cone, [1, 1]).objective == 0
+    tableau = cone._tableau_cache
+    assert tableau is not None
+    sol = lp_minimize(cone, [1, -1])
+    assert sol.status == UNBOUNDED
+    assert dot((1, -1), sol.ray) < 0
+    assert all(dot(row.f, sol.ray) >= 0 for row in cone.rows)
+    assert pivot_counts["dual_runs"] == 1
+    # the dual-feasible tableau stays cached for the next bounded objective
+    assert cone._tableau_cache is tableau
+    assert lp_minimize(cone, [2, 1]).objective == 0
+    assert pivot_counts["dual_runs"] == 2
