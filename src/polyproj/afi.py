@@ -9,11 +9,10 @@ unexplored.  The ridge projector is chosen recursively — depth 0 uses the
 hull-based projector (chm), depth k uses this walk again — which trades hull
 size against LP count.
 
-The same rotation primitive supports turning arbitrary valid inequalities
-into facets (``to_facet``), refining an inequality into an implying facet set
-(``to_facets``), certifying non-interior points (``point_to_facets``), and a
-budgeted randomized search (``rfd``) that returns a sound partial facet list
-and can be resumed.
+The same rotation primitive supports refining a valid inequality into an
+implying facet set (``to_facets``), certifying non-interior points
+(``point_to_facets``), and a budgeted randomized search (``rfd``) that
+returns a sound partial facet list.
 
 Cones are bounded by the canonical cap on the output coordinates; the walk
 traverses the truncated polytope (including the cap facet, whose ridges lead
@@ -23,8 +22,8 @@ to genuine neighbors) and the cap artifacts are dropped from returned lists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .chm import chm_project
 from .epm import (build_combination_polytope, combination_face, epm_sample_face,
@@ -37,8 +36,6 @@ from .geometry import (
     basis_simplex,
     cap_face,
     capped,
-    face_rank,
-    is_implied,
     pad_objective,
     reduce_system,
 )
@@ -79,35 +76,15 @@ class AfiConfig:
             raise ValueError("depth must be non-negative")
 
 
-@dataclass
-class FacetQueue:
-    """Resumable traversal state of the facet walk.
-
-    ``pending`` holds discovered-but-unexplored facets, ``done`` the explored
-    ones (plus their orbit images), ``cache`` each explored facet's ridge
-    list.  All faces are normalized and live on the working polytope, i.e.
-    for cones they include the cap facet.
-    """
-
-    pending: Set[Face] = field(default_factory=set)
-    done: Set[Face] = field(default_factory=set)
-    cache: Dict[Face, Tuple[Face, ...]] = field(default_factory=dict)
-
-
 class _Budget:
     """Counts down hull-projector leaf calls; None means unlimited."""
 
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
-        self.left = limit
-        self.denied = False  # a leaf call was refused: results since are partial
-
-    @property
-    def limited(self) -> bool:
-        return self.limit is not None
+    def __init__(self, left: Optional[int]):
+        self.left = left
+        self.denied = False  # a leaf call was refused: the walks stop
 
     def take(self) -> bool:
-        if not self.limited:
+        if self.left is None:
             return True
         if self.left <= 0:
             self.denied = True
@@ -195,11 +172,11 @@ def _subface_axis(face: Face, pdirs: List[Tuple], fbase: Tuple,
     return None
 
 
-def _tighten(work: ConstraintSystem, d: int, face: Face,
-             P: BasisSimplex, pdirs: List[Tuple],
+def _tighten(work: ConstraintSystem, d: int, face: Face, P: BasisSimplex,
              control: Optional[Tuple] = None) -> Face:
-    """Drive a valid width-d inequality up the face lattice until it is a
-    facet of the image of ``work`` (rank |P|-2... i.e. P.rank - 1).
+    """Drive a valid, tight width-d inequality up the face lattice until it
+    is a facet of the image of ``work``, whose basis simplex is ``P``: until
+    its tight set has rank P.rank - 1.
 
     Each round: take the tight-set simplex F of the current face, pick a
     pivot axis in the image's span orthogonal to F and the face, orient it
@@ -213,9 +190,10 @@ def _tighten(work: ConstraintSystem, d: int, face: Face,
     """
     if control is not None and not dot(face.f, control) < face.b:
         raise ValueError("control point must strictly violate the face")
+    pdirs = [vec_sub(p, P.base) for p in P.points[1:]]
     prev_rank = None
     while True:
-        F = basis_simplex(work.with_rows([(-face).pad(work.dim)]), d)
+        F = basis_simplex(work.with_rows([-face]), d)
         if prev_rank is not None and F.rank <= prev_rank:
             raise AssertionError("face rank did not increase during tightening")
         prev_rank = F.rank
@@ -240,77 +218,52 @@ def _tighten(work: ConstraintSystem, d: int, face: Face,
         face = cand
 
 
-def _prepare(system: ConstraintSystem, d: int, face
-             ) -> Tuple[ConstraintSystem, Face, BasisSimplex, List[Tuple]]:
-    """Set-up shared by ``to_facet`` and ``to_facets``: the capped working
-    system, the face padded to width d with its offset raised to the
-    supporting value, and the image's basis simplex with its directions.
-    One exact LP both rejects invalid faces and lifts the offset, so a valid
-    face that is slack everywhere becomes tight before any tightening."""
+def _support(work: ConstraintSystem, d: int, face) -> Face:
+    """The face padded to width d with its offset raised to the supporting
+    value on the image of ``work``.  One exact LP both rejects invalid faces
+    and lifts the offset, so a valid face that is slack everywhere becomes
+    tight before any tightening."""
     face = as_face(face)
     if len(face.f) > d:
         raise ValueError("face is wider than the output space")
     face = face.pad(d)
-    work = capped(system, d)
     support = lp_minimize(work, pad_objective(face.f, work.dim), want_point=False)
     if support.status == UNBOUNDED or (support.optimal and support.objective < face.b):
         raise ValueError("input face is not valid on the projection")
     if support.optimal and support.objective > face.b:
         face = normalize_face(face.f, support.objective)
-    P = basis_simplex(work, d)
-    return work, face, P, [vec_sub(p, P.base) for p in P.points[1:]]
+    return face
 
 
-def to_facet(system: ConstraintSystem, d: int, face) -> Face:
-    """Tighten a valid inequality into a facet of the projection whose tight
-    set contains the input's tight set.  Facet inputs come back unchanged;
-    invalid or trivial inputs are rejected.  A valid face that is slack
-    everywhere has its offset raised to the supporting value first, so the
-    tightening loop always starts from a nonempty tight set."""
-    if is_zero_vector(as_face(face).f):
-        raise ValueError("the trivial face cannot be tightened")
-    work, face, P, pdirs = _prepare(system, d, face)
-    return _tighten(work, d, face, P, pdirs)
-
-
-def get_facet(system: ConstraintSystem, d: int, seed: int = 0) -> Face:
-    """An arbitrary facet of the projection: sample a valid inequality from
-    the row-combination polytope with a random objective, then tighten it.
-    Trivial samples are redrawn a bounded number of times.  Flat images are
-    charted onto their affine hull first and the facet is returned in the
-    chart's coordinates."""
-    if not 1 <= d <= system.dim:
-        raise ValueError(f"projection dimension {d} out of range")
-    rng = random.Random(seed)
-    bs = basis_simplex(system, d)
-    if bs.rank == 0:
-        raise DegenerateInput("the image is a single point; it has no facets")
-    if bs.rank < d:
-        emb = _chart(system, bs)
-        reduced = reduce_system(system, d, emb)
-        return get_facet(reduced, bs.rank, seed=rng.randrange(2**32))
-    cp = build_combination_polytope(system, d)
+def _seed_facet(work: ConstraintSystem, d: int, P: BasisSimplex,
+                rng: random.Random) -> Face:
+    """A facet of the full-dimensional image of ``work`` (basis simplex
+    ``P``): sample a valid inequality from the row-combination polytope with
+    a random objective, then tighten it.  Trivial samples are redrawn a
+    bounded number of times."""
+    cp = build_combination_polytope(work, d)
     for _ in range(_SAMPLE_RETRIES):
-        p = [rng.randint(-(2**20), 2**20) for _ in system.rows]
-        sample = epm_sample_face(cp, p)
+        sample = epm_sample_face(cp, [rng.randint(-(2**20), 2**20) for _ in work.rows])
         if not is_zero_vector(sample.f):
-            return to_facet(system, d, sample)
+            return _tighten(work, d, _support(work, d, sample), P)
     raise DegenerateInput("row combinations produced only trivial faces")
 
 
-def to_facets(system: ConstraintSystem, d: int, face, known: Iterable = ()) -> List[Face]:
+def to_facets(system: ConstraintSystem, d: int, face) -> List[Face]:
     """A set of facets that together imply the given valid inequality.
 
     Repeatedly minimize the face over the region cut out by the facets found
     so far; every minimizer that still violates the face is a certified
     exterior control point, which the control-point tightener converts into
     a facet strictly cutting it.  Terminates because each new facet removes
-    its control point from the region.  ``known`` facets seed the region and
-    are included in the returned set.  A valid face that is slack everywhere
-    has its offset raised to the supporting value first, as in
-    ``to_facet``."""
-    work, face, P, pdirs = _prepare(system, d, face)
-    out: Set[Face] = {as_face(k).pad(d) for k in known}
+    its control point from the region.  A valid face that is slack
+    everywhere has its offset raised to the supporting value first, so the
+    tightening always starts from a nonempty tight set.  Invalid faces are
+    rejected."""
+    work = capped(system, d)
+    face = _support(work, d, face)
+    P = basis_simplex(work, d)
+    out: Set[Face] = set()
     # the region is intersected with the cap for cones so control points
     # stay on the polytope side of the cap and can never select it
     region_extra = [cap_face(d, d)] if system.homogeneous else []
@@ -331,7 +284,7 @@ def to_facets(system: ConstraintSystem, d: int, face, known: Iterable = ()) -> L
             return sorted(out)
         else:
             x = sol.x
-        facet = _tighten(work, d, face, P, pdirs, control=x)
+        facet = _tighten(work, d, face, P, control=x)
         if not dot(facet.f, x) < facet.b:
             raise AssertionError("new facet does not cut its control point")
         out.add(facet)
@@ -358,7 +311,7 @@ def point_to_facets(system: ConstraintSystem, d: int, y: Sequence) -> List[Face]
         raise ValueError("point width does not match the output dimension")
     bs = basis_simplex(system, d)
     if bs.rank < d:
-        emb = _chart(system, bs)
+        emb = AffineEmbedding.chart(system, bs)
         try:
             reduced_y = emb.embed_point(y)
         except DegenerateInput:
@@ -401,16 +354,6 @@ def point_to_facets(system: ConstraintSystem, d: int, y: Sequence) -> List[Face]
     return certifying
 
 
-def _chart(system: ConstraintSystem, bs: BasisSimplex) -> AffineEmbedding:
-    """Chart for a flat image.  A cone's affine hull is a linear subspace,
-    so its chart is rooted at the apex — that keeps the reduced system
-    homogeneous and lets the recursion apply its own cap."""
-    if system.homogeneous:
-        dirs = [vec_sub(p, bs.base) for p in bs.points[1:]]
-        return AffineEmbedding(base=(0,) * len(bs.base), directions=dirs)
-    return AffineEmbedding.from_basis(bs)
-
-
 def _reject_from(face: Face, axis: Face) -> Face:
     """Component of ``axis`` orthogonal to ``face.f`` (offset adjusted the
     same way), preserving the axis' orientation on the face's hyperplane."""
@@ -423,57 +366,33 @@ def _reject_from(face: Face, axis: Face) -> Face:
 
 
 def _walk(work: ConstraintSystem, d: int, depth: int, group, budget: _Budget,
-          rng: random.Random, known: Sequence[Face], queue: FacetQueue) -> None:
-    """The adjacency walk proper, on a bounded full-dimensional image.
+          rng: random.Random, P: BasisSimplex) -> Set[Face]:
+    """The adjacency walk proper, on a bounded full-dimensional image of
+    ``work`` with basis simplex ``P``.
 
-    Mutates ``queue``: explored facets (and their orbits) accumulate in
-    ``queue.done``, ridge lists in ``queue.cache``.  Stops early when the
-    budget runs out, leaving unexplored facets in ``queue.pending`` so a
-    later call can resume.
+    Returns the explored facets (with their orbits) and the discovered ones
+    still pending.  Once a leaf call is refused the walk stops exploring, so
+    under a budget the result may be partial; each member is still a facet.
     """
     if group is not None and group.dim != d:
         raise ValueError("symmetry group dimension does not match the output space")
-    for k in known:
-        k = as_face(k).pad(d)
-        if k not in queue.done:
-            queue.pending.add(k)
-    if not queue.pending and not queue.done:
-        queue.pending.add(get_facet(work, d, seed=rng.randrange(2**32)))
-    while queue.pending:
-        if budget.denied:
-            break
-        facet = min(
-            queue.pending, key=lambda h: (len(queue.cache.get(h, ())), h)
-        )
-        queue.pending.discard(facet)
-        if facet in queue.done:
-            continue
+    pending = {_seed_facet(work, d, P, rng)}
+    done: Set[Face] = set()
+    while pending and not budget.denied:
+        facet = min(pending)
         members = group.orbit(facet) if group is not None else (facet,)
-        queue.done.update(members)
-        ridges = queue.cache.get(facet)
-        if ridges is None:
-            sub = work.with_rows([(-facet).pad(work.dim)])
-            ridges = tuple(
-                _project(sub, d, depth - 1, None, budget, rng, (), None)
-            )
-            if budget.denied:
-                # a leaf call inside the subsolve was refused, so the ridge
-                # list may be partial: forget this facet so a resumed run
-                # redoes it with fresh budget
-                queue.done.difference_update(members)
-                queue.pending.add(facet)
-                break
-            queue.cache[facet] = ridges
-        for ridge in ridges:
-            axis = _reject_from(facet, ridge)
-            neighbor, _ = rotate(work, -facet, axis)
-            if neighbor not in queue.done:
-                queue.pending.add(neighbor)
+        done.update(members)
+        pending.difference_update(members)
+        sub = work.with_rows([-facet])
+        for ridge in _project(sub, d, depth - 1, None, budget, rng):
+            neighbor, _ = rotate(work, -facet, _reject_from(facet, ridge))
+            if neighbor not in done:
+                pending.add(neighbor)
+    return done | pending
 
 
 def _project(system: ConstraintSystem, d: int, depth: int, group,
-             budget: _Budget, rng: random.Random, known: Sequence[Face],
-             queue: Optional[FacetQueue]) -> List[Face]:
+             budget: _Budget, rng: random.Random) -> List[Face]:
     """Recursive facet-list driver shared by the complete and budgeted modes."""
     if depth == 0:
         if not budget.take():
@@ -490,16 +409,10 @@ def _project(system: ConstraintSystem, d: int, depth: int, group,
             return []
         return chm_project(system, d, group=group).facets
     if bs.rank < d:
-        emb = _chart(system, bs)
-        reduced = reduce_system(system, d, emb)
-        reduced_known = [emb.reduce_face(as_face(k).pad(d)) for k in known]
-        inner = _project(reduced, bs.rank, depth, None, budget, rng,
-                         reduced_known, queue)
+        emb = AffineEmbedding.chart(system, bs)
+        inner = _project(reduce_system(system, d, emb), bs.rank, depth, None, budget, rng)
         return sorted(emb.lift_face(f) for f in inner)
-    if queue is None:
-        queue = FacetQueue()
-    _walk(work, d, depth, group, budget, rng, known, queue)
-    facets = sorted(queue.done)
+    facets = sorted(_walk(work, d, depth, group, budget, rng, bs))
     if system.homogeneous:
         facets = [f for f in facets if f.b == 0]
     return facets
@@ -517,35 +430,21 @@ def afi_project(system: ConstraintSystem, d: int,
     if not 1 <= d <= system.dim:
         raise ValueError(f"projection dimension {d} out of range")
     rng = random.Random(cfg.seed)
-    return _project(system, d, cfg.depth, cfg.group, _Budget(None), rng, (), None)
+    return _project(system, d, cfg.depth, cfg.group, _Budget(None), rng)
 
 
 def rfd(system: ConstraintSystem, d: int, budget: int,
-        cfg: Optional[AfiConfig] = None, known: Iterable = (),
-        state: Optional[FacetQueue] = None) -> List[Face]:
+        cfg: Optional[AfiConfig] = None) -> List[Face]:
     """Randomized facet discovery: the adjacency walk with a global budget
     of ``budget`` hull-projector leaf calls.
 
-    Returns the (sound, possibly partial) facet list discovered before the
-    budget ran out.  ``known`` facets seed the queue, each checked to be a
-    facet of the projection; facets with the fewest cached ridges are
-    explored first.  Passing a ``state`` object makes the run resumable:
-    unexplored facets stay pending and ridge caches carry over.
+    Returns the sound, possibly partial, facet list discovered before the
+    budget ran out: the walk stops at the first refused leaf call.
     """
     if budget < 1:
         raise ValueError("rfd requires budget >= 1")
     cfg = cfg or AfiConfig()
     if not 1 <= d <= system.dim:
         raise ValueError(f"projection dimension {d} out of range")
-    known = [as_face(k).pad(d) for k in known]
-    if known:
-        work = capped(system, d)
-        rank = basis_simplex(work, d).rank
-        for k in known:
-            if not is_implied(work, k.pad(work.dim)):
-                raise ValueError(f"known face {k} is not valid on the projection")
-            if face_rank(work, d, k) != rank - 1:
-                raise ValueError(f"known face {k} is not a facet")
     rng = random.Random(cfg.seed)
-    return _project(system, d, cfg.depth, cfg.group, _Budget(budget),
-                    rng, known, state)
+    return _project(system, d, cfg.depth, cfg.group, _Budget(budget), rng)

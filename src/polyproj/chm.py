@@ -123,7 +123,7 @@ def chm_project(system: ConstraintSystem, d: int, *, group=None) -> HullResult:
     if bs.rank == 0:
         result = HullResult(facets=[], vertices=[bs.base], rank=0)
     elif bs.rank < d:
-        emb = AffineEmbedding.from_basis(bs)
+        emb = AffineEmbedding.chart(system, bs)
         reduced = reduce_system(work, d, emb)
         seeds = [emb.embed_point(p) for p in bs.points]
         # the group acts on the ambient output coordinates; orbit expansion

@@ -9,8 +9,7 @@ The vertex-finding and basis-simplex routines operate on pi(P) without ever
 materializing it: every query is answered by an exact LP over the input
 system.  Homogeneous systems (cones) are bounded internally by the canonical
 cap  sum_{i<d} x_i <= 1  where a polytope is required; ranks and affine hulls
-of cone faces are unchanged by the cap, which is how face_rank stays
-well-defined on cones.
+of cone faces are unchanged by the cap.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .linalg import orthogonal_complement, orthogonalize, solve_linear
+from .linalg import orthogonal_complement, solve_linear
 from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, as_face,
                  lp_minimize, normalize_face)
 from .rationals import dot, is_zero_vector, vec_sub
@@ -77,24 +76,20 @@ def is_implied(system: ConstraintSystem, face) -> bool:
 def find_vertex(system: ConstraintSystem, d: int, direction: Sequence) -> Tuple:
     """
     A vertex of pi(P) minimizing ``direction`` (stage 1), refined to a unique
-    point by exact lexicographic minimization along an orthogonal completion
-    of ``direction`` (stages 2..d).  The stages together span R^d, so the
-    lexicographic minimizers all share one image point.  One LP finds it:
-    the later stages are tie-break objectives of ``lp_minimize``, which
-    returns the point a chain of d LPs would (each pinning the previous
-    optimum with an equality).  Vector lengths are never normalized, only
-    directions matter.  Raises UnboundedProjection if some stage is unbounded.
+    point by exact lexicographic minimization along the unit vectors
+    (stages 2..d), leaving out e_i for the first i with direction[i] != 0.
+    The stages together span R^d, so the lexicographic minimizers all share
+    one image point.  One LP finds it: the later stages are tie-break
+    objectives of ``lp_minimize``, which returns the point a chain of d LPs
+    would (each pinning the previous optimum with an equality).  Raises
+    UnboundedProjection if some stage is unbounded.
     """
     if is_zero_vector(direction):
         raise ValueError("direction must be nonzero")
-    unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    completion = orthogonalize(unit, [tuple(direction)])
-    stages = [tuple(direction)] + completion
-    if len(stages) != d:
-        raise DegenerateInput("orthogonal completion has wrong size")
-
-    sol = lp_minimize(system, pad_objective(stages[0], system.dim),
-                      ties=[pad_objective(q, system.dim) for q in stages[1:]])
+    skip = next(i for i, a in enumerate(direction) if a != 0)
+    ties = [pad_objective([int(j == i) for j in range(d)], system.dim)
+            for i in range(d) if i != skip]
+    sol = lp_minimize(system, pad_objective(direction, system.dim), ties=ties)
     if sol.status == UNBOUNDED:
         raise UnboundedProjection(f"unbounded along {direction} or a later stage")
     if sol.status == INFEASIBLE:
@@ -167,17 +162,6 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
     return BasisSimplex(points=points, nulls=nulls)
 
 
-def face_rank(system: ConstraintSystem, d: int, face: Face) -> int:
-    """
-    Rank (affine dimension) of the face of pi(P) induced by a valid
-    inequality: the dimension of pi(P) intersected with {f.x = b}, computed
-    as |basis_simplex of the system with -f adjoined| - 1.  A facet of a
-    full-dimensional r-dim projection has rank r-1.
-    """
-    aug = system.with_rows([(-as_face(face)).pad(system.dim)])
-    return basis_simplex(aug, d).rank
-
-
 @dataclass
 class AffineEmbedding:
     """
@@ -190,9 +174,14 @@ class AffineEmbedding:
     directions: List[Tuple]  # r independent vectors in R^d
 
     @classmethod
-    def from_basis(cls, bs: BasisSimplex) -> "AffineEmbedding":
+    def chart(cls, system: ConstraintSystem, bs: BasisSimplex) -> "AffineEmbedding":
+        """Chart for the flat image of ``system`` spanned by ``bs``.  A cone's
+        affine hull is a linear subspace, so its chart is rooted at the apex:
+        that keeps the reduced system homogeneous and lets the recursion
+        apply its own cap."""
         dirs = [vec_sub(p, bs.base) for p in bs.points[1:]]
-        return cls(base=bs.base, directions=dirs)
+        base = (0,) * len(bs.base) if system.homogeneous else bs.base
+        return cls(base=base, directions=dirs)
 
     @property
     def ambient_dim(self) -> int:
@@ -217,12 +206,6 @@ class AffineEmbedding:
             if coef:
                 x = [a + coef * b for a, b in zip(x, v)]
         return tuple(x)
-
-    def reduce_face(self, face) -> Face:
-        """Restrict an ambient inequality to reduced coordinates."""
-        face = as_face(face)
-        coeffs = [dot(face.f, v) for v in self.directions]
-        return normalize_face(coeffs, face.b - dot(face.f, self.base))
 
     def lift_face(self, face) -> Face:
         """

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .rationals import Vector, dot, is_zero_vector, mpq, scale_to_coprime_ints
+from .rationals import Vector, is_zero_vector, mpq, scale_to_coprime_ints
 
 
 def integer_rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
@@ -107,29 +107,6 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec
             vec[c] = -row[free]
         basis.append(scale_to_coprime_ints(vec))
     return basis
-
-
-def orthogonalize(vectors: Sequence[Sequence], against: Sequence[Sequence]) -> List[Vector]:
-    """
-    Gram–Schmidt without normalization: project each vector orthogonal to
-    ``against`` and to the previously accepted outputs, dropping zeros.
-    Lengths are never normalized (that would leave the rationals), only
-    directions matter to the callers.
-    """
-    basis: List[Vector] = [tuple(v) for v in against]
-    out: List[Vector] = []
-    for v in vectors:
-        w = list(v)
-        for b in basis:
-            num = dot(w, b)
-            if num:
-                coef = mpq(num) / mpq(dot(b, b))
-                w = [x - coef * y for x, y in zip(w, b)]
-        if not is_zero_vector(w):
-            w = scale_to_coprime_ints(w)
-            basis.append(w)
-            out.append(w)
-    return out
 
 
 def orthogonal_complement(vectors: Sequence[Sequence], dim: int) -> List[Vector]:

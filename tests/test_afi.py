@@ -2,24 +2,28 @@ import random
 
 import pytest
 
-from polyproj import afi
+from polyproj import afi, chm
 from polyproj.afi import (
     AfiConfig,
-    FacetQueue,
     afi_project,
-    get_facet,
     point_to_facets,
     rfd,
     rotate,
-    to_facet,
     to_facets,
 )
 from polyproj.chm import chm_project
 from polyproj.fme import fme_project
-from polyproj.geometry import DegenerateInput, face_rank, is_implied
+from polyproj.geometry import (
+    AffineEmbedding,
+    DegenerateInput,
+    basis_simplex,
+    capped,
+    is_implied,
+    reduce_system,
+)
 from polyproj.lp import ConstraintSystem, Face, lp_standard, normalize_face
 from polyproj.rationals import dot
-from polyproj.scenarios import SymmetryGroup
+from polyproj.scenarios import SymmetryGroup, parse_scenario
 
 from .oracles import brute_hull_facets, brute_projection_facets, brute_vertices
 
@@ -39,6 +43,11 @@ def random_polytope(rng, dim):
     if not facets:
         return None, None
     return ConstraintSystem.from_rows(facets, dim), facets
+
+
+def _rank(system, d, face):
+    """Rank of the face a valid inequality cuts from the projection."""
+    return basis_simplex(system.with_rows([-face]), d).rank
 
 
 # ---------------------------------------------------------------- rotate
@@ -105,76 +114,21 @@ def _ridge_axis(f, g, ridge):
     return normalize_face(coeffs, dot(coeffs, point))
 
 
-# ---------------------------------------------------------------- to_facet
+# ---------------------------------------------------------------- seed facet
 
 
-def test_to_facet_fixed_point():
-    for f in [Face((1, 0), 0), Face((0, -1), -1)]:
-        assert to_facet(SQUARE, 2, f) == normalize_face(f.f, f.b)
-
-
-def test_to_facet_vertex_face_of_square():
-    out = to_facet(SQUARE, 2, Face((1, 1), 0))
-    assert out in (Face((1, 0), 0), Face((0, 1), 0))
-
-
-def test_to_facet_edge_of_cube():
-    out = to_facet(CUBE, 3, Face((1, 1, 0), 0))
-    assert out in (Face((1, 0, 0), 0), Face((0, 1, 0), 0))
-
-
-def test_to_facet_rejects_invalid():
-    with pytest.raises(ValueError):
-        to_facet(SQUARE, 2, Face((1, 0), 1))  # x >= 1 does not hold
-    with pytest.raises(ValueError):
-        to_facet(SQUARE, 2, Face((0, 0), 0))
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_to_facet_random_valid_faces(seed):
-    rng = random.Random(2000 + seed)
-    dim = rng.choice([3, 4])
-    system, facets = random_polytope(rng, dim)
-    if system is None:
-        pytest.skip("degenerate sample")
-    verts = brute_vertices([f for f, _ in facets], [b for _, b in facets], dim)
-    norm = [normalize_face(*f) for f in facets]
-    # a valid face: positive combination of two facets
-    f1, f2 = rng.sample(norm, 2)
-    face = normalize_face(
-        [a + b for a, b in zip(f1.f, f2.f)], f1.b + f2.b
-    )
-    if is_zero_vector_like(face.f):
-        pytest.skip("combination collapsed")
-    out = to_facet(system, dim, face)
-    assert out in norm  # genuine facet
-    # containment: vertices tight on the input face stay tight on the output
-    tight_in = {v for v in verts if dot(face.f, v) == face.b}
-    tight_out = {v for v in verts if dot(out.f, v) == out.b}
-    assert tight_in <= tight_out
-
-
-def is_zero_vector_like(v):
-    return all(x == 0 for x in v)
-
-
-# ---------------------------------------------------------------- get_facet
-
-
-def test_get_facet_square():
-    face = get_facet(SQUARE, 2, seed=3)
-    assert face in set(SQUARE.rows)
-
-
-def test_get_facet_is_seeded():
-    assert get_facet(CUBE, 3, seed=11) == get_facet(CUBE, 3, seed=11)
+def _seed(system, d, seed):
+    """The walk's seed facet for the image of ``system``."""
+    work = capped(system, d)
+    return afi._seed_facet(work, d, basis_simplex(work, d), random.Random(seed))
 
 
 def test_get_facet_segment_reduced():
-    # segment x = y in the unit square: the image of d=2 is flat; the facet
-    # comes back in the 1D chart of the segment
+    # segment x = y in the unit square: the image of d=2 is flat; charted
+    # onto its affine hull, the seed facet comes back in the 1D chart
     segment = SQUARE.with_rows([Face((1, -1), 0), Face((-1, 1), 0)])
-    face = get_facet(segment, 2, seed=0)
+    emb = AffineEmbedding.chart(segment, basis_simplex(capped(segment, 2), 2))
+    face = _seed(reduce_system(segment, 2, emb), emb.reduced_dim, seed=0)
     assert len(face.f) == 1
     assert face.f[0] != 0
 
@@ -184,7 +138,7 @@ def test_get_facet_point_errors():
         [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], 2
     )
     with pytest.raises(DegenerateInput):
-        get_facet(point, 2, seed=0)
+        _seed(point, 2, seed=0)
 
 
 # ---------------------------------------------------------------- afi
@@ -211,6 +165,23 @@ def test_afi_depth0_is_chm():
 def test_afi_depth2():
     cfg = AfiConfig(depth=2)
     assert afi_project(CUBE, 3, cfg) == sorted(CUBE.rows)
+
+
+def test_afi_flat_image_is_charted():
+    # the segment x = y in the unit square: its facets are its endpoints,
+    # found in the segment's 1D chart and lifted back to the plane
+    segment = SQUARE.with_rows([Face((1, -1), 0), Face((-1, 1), 0)])
+    out = afi_project(segment, 2)
+    assert len(out) == 2
+    for g in out:
+        assert is_implied(segment, g)
+    assert {_rank(segment, 2, g) for g in out} == {0}
+    assert {tuple(dot(g.f, v) == g.b for v in [(0, 0), (1, 1)]) for g in out} == \
+        {(True, False), (False, True)}
+    point = ConstraintSystem.from_rows(
+        [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], 2
+    )
+    assert afi_project(point, 2) == []
 
 
 def test_afi_homogeneous_cone():
@@ -247,6 +218,28 @@ def test_afi_completeness_random(seed):
     assert set(got) == expected
 
 
+@pytest.mark.parametrize("spec", ["cube", "elemental:3"])
+def test_afi_computes_each_basis_simplex_once(monkeypatch, spec):
+    # the walk hands each image's basis simplex down instead of probing the
+    # same system again; the hull projector's vertex probes are its own
+    if spec == "cube":
+        system, d, group = CUBE, 3, None
+    else:
+        bundle = parse_scenario(spec)
+        system, d, group = bundle.system, bundle.scenario.d, bundle.group
+    seen = []  # keeps every probed system alive, so ids stay unique
+    for module in (afi, chm):
+        def counted(work, dd, probe=None, _inner=module.basis_simplex):
+            if probe is None:
+                seen.append((work, dd))
+            return _inner(work, dd, probe=probe)
+        monkeypatch.setattr(module, "basis_simplex", counted)
+    facets = afi_project(system, d, AfiConfig(group=group))
+    assert facets
+    keys = [(id(work), dd) for work, dd in seen]
+    assert len(keys) == len(set(keys))
+
+
 # ---------------------------------------------------------------- rfd
 
 
@@ -263,36 +256,66 @@ def test_rfd_budget_one_is_sound():
         assert f in set(CUBE.rows)
 
 
+def test_rfd_is_seeded():
+    cfg = AfiConfig(depth=1, seed=11)
+    assert rfd(CUBE, 3, 2, cfg) == rfd(CUBE, 3, 2, cfg)
+
+
 def test_rfd_requires_budget():
     with pytest.raises(ValueError):
         rfd(SQUARE, 2, 0, AfiConfig(depth=1))
 
 
-def test_rfd_known_seeding_and_validation():
-    cfg = AfiConfig(depth=1, seed=0)
-    out = rfd(SQUARE, 2, 50, cfg, known=[Face((1, 0), 0)])
-    assert out == sorted(SQUARE.rows)
-    with pytest.raises(ValueError):
-        rfd(SQUARE, 2, 50, cfg, known=[Face((1, 1), 0)])  # valid but not a facet
-    with pytest.raises(ValueError):
-        rfd(SQUARE, 2, 50, cfg, known=[Face((1, 0), 1)])  # not even valid
-
-
-def test_rfd_resumes_from_state():
-    state = FacetQueue()
-    cfg = AfiConfig(depth=1, seed=4)
-    first = rfd(CUBE, 3, 2, cfg, state=state)
-    assert len(first) < 6
-    assert state.pending  # something left to explore
-    # resume with more budget until complete
-    for _ in range(10):
-        out = rfd(CUBE, 3, 4, cfg, state=state)
-        if len(out) == 6:
-            break
-    assert out == sorted(CUBE.rows)
-
-
 # ---------------------------------------------------------------- to_facets
+
+
+def test_to_facet_fixed_point():
+    for f in [Face((1, 0), 0), Face((0, -1), -1)]:
+        assert to_facets(SQUARE, 2, f) == [normalize_face(f.f, f.b)]
+
+
+def test_to_facet_edge_of_cube():
+    out = to_facets(CUBE, 3, Face((1, 1, 0), 0))
+    assert out == [Face((0, 1, 0), 0), Face((1, 0, 0), 0)]
+
+
+def test_to_facet_rejects_invalid():
+    with pytest.raises(ValueError):
+        to_facets(SQUARE, 2, Face((1, 0), 1))  # x >= 1 does not hold
+    with pytest.raises(ValueError):
+        to_facets(SQUARE, 2, Face((1, 0, 0), 0))  # wider than the output space
+    # the trivial face needs no facet to imply it
+    assert to_facets(SQUARE, 2, Face((0, 0), 0)) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_to_facet_random_valid_faces(seed):
+    rng = random.Random(2000 + seed)
+    dim = rng.choice([3, 4])
+    system, facets = random_polytope(rng, dim)
+    if system is None:
+        pytest.skip("degenerate sample")
+    verts = brute_vertices([f for f, _ in facets], [b for _, b in facets], dim)
+    norm = [normalize_face(*f) for f in facets]
+    # a valid face: positive combination of two facets
+    f1, f2 = rng.sample(norm, 2)
+    face = normalize_face(
+        [a + b for a, b in zip(f1.f, f2.f)], f1.b + f2.b
+    )
+    if is_zero_vector_like(face.f):
+        pytest.skip("combination collapsed")
+    out = to_facets(system, dim, face)
+    assert is_implied(ConstraintSystem.from_rows(out, dim), face)
+    tight_in = {v for v in verts if dot(face.f, v) == face.b}
+    for g in out:
+        assert g in norm  # genuine facet, by its tight set's rank too
+        assert _rank(system, dim, g) == dim - 1
+        # containment: vertices tight on the input face stay tight on g
+        assert tight_in <= {v for v in verts if dot(g.f, v) == g.b}
+
+
+def is_zero_vector_like(v):
+    return all(x == 0 for x in v)
 
 
 def test_to_facets_facet_input():
@@ -302,13 +325,6 @@ def test_to_facets_facet_input():
 def test_to_facets_square_corner():
     out = to_facets(SQUARE, 2, Face((1, 1), 0))
     assert out == [Face((0, 1), 0), Face((1, 0), 0)]
-
-
-def test_to_facets_keeps_known():
-    known = [Face((0, 1), 0)]
-    out = to_facets(SQUARE, 2, Face((1, 1), 0), known=known)
-    assert Face((0, 1), 0) in out
-    assert Face((1, 0), 0) in out
 
 
 def test_to_facets_implication_on_randoms():
@@ -381,13 +397,12 @@ def test_point_to_facets_cube_shadow_exterior():
     out = point_to_facets(CUBE, 2, (-1, 2))
     for g in out:
         assert dot(g.f, (-1, 2)) <= g.b
-        assert face_rank(CUBE, 2, g) == 1
+        assert _rank(CUBE, 2, g) == 1
 
 
 def test_to_facets_lifts_a_face_that_misses_the_polytope():
     # x >= -1 holds on the square but touches it nowhere
     face = Face((1, 0), -1)
-    assert to_facet(SQUARE, 2, face) == Face((1, 0), 0)
     assert to_facets(SQUARE, 2, face) == [Face((1, 0), 0)]
 
 

@@ -8,12 +8,11 @@ from polyproj.geometry import (
     UnboundedProjection,
     basis_simplex,
     capped,
-    face_rank,
     find_vertex,
     is_implied,
     pad_objective,
+    reduce_system,
 )
-from polyproj.linalg import orthogonalize
 from polyproj.lp import INFEASIBLE, UNBOUNDED, Face, lp_minimize
 from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
@@ -123,13 +122,6 @@ def test_basis_simplex_on_cone_uses_cap():
     assert bs.rank == 3
 
 
-def test_face_rank_on_square():
-    sq = cube(2)
-    assert face_rank(sq, 2, ((1, 0), 0)) == 1  # edge x = 0
-    assert face_rank(sq, 2, ((1, 1), 0)) == 0  # vertex (0, 0)
-    assert face_rank(sq, 2, ((0, -1), -1)) == 1  # edge y = 1
-
-
 def test_projection_of_simplex_is_lower_simplex():
     bs = basis_simplex(simplex3(), 2)
     assert bs.rank == 2
@@ -149,7 +141,7 @@ def test_embedding_face_round_trip():
     face = ((3, -1), 4)
     lifted = emb.lift_face(face)
     # the lifted face must reduce back to a positive multiple of the original
-    back_f, back_b = emb.reduce_face(lifted)
+    back_f, back_b = reduce_system(ConstraintSystem.from_rows([lifted], 3), 3, emb).rows[0]
     assert back_f[0] * face[0][1] == back_f[1] * face[0][0]
     ratio_ok = any(back_f[k] != 0 for k in range(2))
     assert ratio_ok
@@ -192,9 +184,12 @@ def test_find_vertex_returns_actual_vertices(case):
 
 def staged_find_vertex(system, d, direction):
     """The chain of d LPs that find_vertex replaces: minimize each stage,
-    then pin its optimum with an equality before the next."""
-    unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    stages = [tuple(direction)] + orthogonalize(unit, [tuple(direction)])
+    then pin its optimum with an equality before the next.  The stages are
+    the direction and the unit vectors, less e_i for the first i with
+    direction[i] != 0."""
+    skip = next(i for i, a in enumerate(direction) if a)
+    stages = [tuple(direction)] + [tuple(int(j == i) for j in range(d))
+                                   for i in range(d) if i != skip]
     current, x = system, None
     for i, q in enumerate(stages):
         sol = lp_minimize(current, pad_objective(q, system.dim))
