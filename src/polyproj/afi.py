@@ -14,9 +14,10 @@ implying facet set (``to_facets``), certifying non-interior points
 (``point_to_facets``), and a budgeted randomized search (``rfd``) that
 returns a sound partial facet list.
 
-Cones are bounded by the canonical cap on the output coordinates; the walk
-traverses the truncated polytope (including the cap facet, whose ridges lead
-to genuine neighbors) and the cap artifacts are dropped from returned lists.
+Each image reaches the walk through ``geometry.project_image``, which caps
+cones, charts flat images and drops the cap's facets; the walk traverses a
+capped cone's truncated polytope, cap facet included, since the cap's ridges
+lead to genuine neighbors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .geometry import (
     cap_face,
     capped,
     pad_objective,
+    project_image,
     reduce_system,
 )
 from .linalg import nullspace
@@ -365,8 +367,8 @@ def _reject_from(face: Face, axis: Face) -> Face:
     return normalize_face(coeffs, axis.b - lam * face.b)
 
 
-def _walk(work: ConstraintSystem, d: int, depth: int, group, budget: _Budget,
-          rng: random.Random, P: BasisSimplex) -> Set[Face]:
+def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
+          budget: _Budget, rng: random.Random) -> Set[Face]:
     """The adjacency walk proper, on a bounded full-dimensional image of
     ``work`` with basis simplex ``P``.
 
@@ -374,8 +376,12 @@ def _walk(work: ConstraintSystem, d: int, depth: int, group, budget: _Budget,
     still pending.  Once a leaf call is refused the walk stops exploring, so
     under a budget the result may be partial; each member is still a facet.
     """
-    if group is not None and group.dim != d:
-        raise ValueError("symmetry group dimension does not match the output space")
+    if P.rank == 1:
+        # a segment's facets are its endpoints, which are not adjacent:
+        # the walk cannot connect them, so fall back to the hull projector
+        if not budget.take():
+            return set()
+        return set(chm_project(work, d, group=group).facets)
     pending = {_seed_facet(work, d, P, rng)}
     done: Set[Face] = set()
     while pending and not budget.denied:
@@ -393,29 +399,15 @@ def _walk(work: ConstraintSystem, d: int, depth: int, group, budget: _Budget,
 
 def _project(system: ConstraintSystem, d: int, depth: int, group,
              budget: _Budget, rng: random.Random) -> List[Face]:
-    """Recursive facet-list driver shared by the complete and budgeted modes."""
+    """Recursive facet-list driver shared by the complete and budgeted
+    modes: the hull projector at depth 0, else the walk."""
     if depth == 0:
         if not budget.take():
             return []
         return chm_project(system, d, group=group).facets
-    work = capped(system, d)
-    bs = basis_simplex(work, d)
-    if bs.rank == 0:
-        return []
-    if bs.rank == 1:
-        # a segment's facets are its endpoints, which are not adjacent:
-        # the walk cannot connect them, so fall back to the hull projector
-        if not budget.take():
-            return []
-        return chm_project(system, d, group=group).facets
-    if bs.rank < d:
-        emb = AffineEmbedding.chart(system, bs)
-        inner = _project(reduce_system(system, d, emb), bs.rank, depth, None, budget, rng)
-        return sorted(emb.lift_face(f) for f in inner)
-    facets = sorted(_walk(work, d, depth, group, budget, rng, bs))
-    if system.homogeneous:
-        facets = [f for f in facets if f.b == 0]
-    return facets
+    return project_image(
+        system, d, lambda work, r, P, g: _walk(work, r, P, g, depth, budget, rng), group
+    )
 
 
 def afi_project(system: ConstraintSystem, d: int,
@@ -427,8 +419,6 @@ def afi_project(system: ConstraintSystem, d: int,
     Cones come back as genuine cone facets (cap artifacts removed).
     """
     cfg = cfg or AfiConfig()
-    if not 1 <= d <= system.dim:
-        raise ValueError(f"projection dimension {d} out of range")
     rng = random.Random(cfg.seed)
     return _project(system, d, cfg.depth, cfg.group, _Budget(None), rng)
 
@@ -444,7 +434,5 @@ def rfd(system: ConstraintSystem, d: int, budget: int,
     if budget < 1:
         raise ValueError("rfd requires budget >= 1")
     cfg = cfg or AfiConfig()
-    if not 1 <= d <= system.dim:
-        raise ValueError(f"projection dimension {d} out of range")
     rng = random.Random(cfg.seed)
     return _project(system, d, cfg.depth, cfg.group, _Budget(budget), rng)

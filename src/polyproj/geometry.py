@@ -10,6 +10,10 @@ materializing it: every query is answered by an exact LP over the input
 system.  Homogeneous systems (cones) are bounded internally by the canonical
 cap  sum_{i<d} x_i <= 1  where a polytope is required; ranks and affine hulls
 of cone faces are unchanged by the cap.
+
+``project_image`` is the one driver of the facet-listing methods (CHM and
+AFI): it caps cones, charts flat images and drops the cap's facets, and
+hands each method a bounded, full-dimensional image.
 """
 
 from __future__ import annotations
@@ -99,10 +103,9 @@ def find_vertex(system: ConstraintSystem, d: int, direction: Sequence) -> Tuple:
 
 @dataclass
 class BasisSimplex:
-    """Affinely independent points spanning pi(P), plus its null directions."""
+    """Affinely independent points spanning pi(P)."""
 
     points: List[Tuple]
-    nulls: List[Tuple]
 
     @property
     def rank(self) -> int:
@@ -115,16 +118,17 @@ class BasisSimplex:
 
 def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
     """
-    r+1 affinely independent points of pi(P) (r = dim pi(P)) and a basis of
-    the directions along which pi(P) is flat.  Homogeneous systems are capped
-    first; the affine hull and ranks of cone faces are unaffected.
+    r+1 affinely independent points of pi(P) (r = dim pi(P)).  Homogeneous
+    systems are capped first; the affine hull and ranks of cone faces are
+    unaffected.
 
     Directions are probed in a deterministic order: at each step the first
     basis vector of the exact orthogonal complement of everything recorded so
-    far (both spanning and null directions).  The default probe is a single
-    LP — the points only need to be affinely independent members of pi(P),
-    not vertices, so the lexicographic refinement of find_vertex is skipped.
-    Callers that need genuine vertices (the hull driver) pass
+    far (both spanning directions and those along which pi(P) is flat).  The
+    default probe is a single LP — the points only need to be affinely
+    independent members of pi(P), not vertices, so the lexicographic
+    refinement of find_vertex is skipped.  ``project_image`` needs genuine
+    vertices, which seed the hull, and passes
     ``probe=lambda c: find_vertex(system, d, c)``.
     """
     work = capped(system, d)
@@ -138,28 +142,20 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
                 raise DegenerateInput("system is infeasible")
             return tuple(sol.x[:d])
 
-    def measure(direction):
-        x = probe(direction)
-        return x, dot(direction, x)
-
-    x0, _ = measure(tuple(1 if i == 0 else 0 for i in range(d)))
+    x0 = probe(tuple(1 if i == 0 else 0 for i in range(d)))
     points = [x0]
-    nulls: List[Tuple] = []
     recorded: List[Tuple] = []
     while len(recorded) < d:
         g = orthogonal_complement(recorded, d)[0]
-        accepted = False
         for cand in (g, tuple(-a for a in g)):
-            x, value = measure(cand)
-            if value != dot(cand, x0):
+            x = probe(cand)
+            if dot(cand, x) != dot(cand, x0):
                 points.append(x)
                 recorded.append(vec_sub(x, x0))
-                accepted = True
                 break
-        if not accepted:
-            nulls.append(g)
+        else:
             recorded.append(g)
-    return BasisSimplex(points=points, nulls=nulls)
+    return BasisSimplex(points=points)
 
 
 @dataclass
@@ -177,8 +173,8 @@ class AffineEmbedding:
     def chart(cls, system: ConstraintSystem, bs: BasisSimplex) -> "AffineEmbedding":
         """Chart for the flat image of ``system`` spanned by ``bs``.  A cone's
         affine hull is a linear subspace, so its chart is rooted at the apex:
-        that keeps the reduced system homogeneous and lets the recursion
-        apply its own cap."""
+        the cone's facets keep b = 0 in the chart, and the reduced bare cone
+        stays homogeneous."""
         dirs = [vec_sub(p, bs.base) for p in bs.points[1:]]
         base = (0,) * len(bs.base) if system.homogeneous else bs.base
         return cls(base=base, directions=dirs)
@@ -200,13 +196,6 @@ class AffineEmbedding:
             raise DegenerateInput("point is outside the affine hull")
         return tuple(y)
 
-    def lift_point(self, y: Sequence) -> Tuple:
-        x = list(self.base)
-        for coef, v in zip(y, self.directions):
-            if coef:
-                x = [a + coef * b for a, b in zip(x, v)]
-        return tuple(x)
-
     def lift_face(self, face) -> Face:
         """
         Any ambient inequality agreeing with the reduced one on the hull
@@ -225,7 +214,7 @@ def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> Con
     Rewrite a projection problem whose image is flat into reduced output
     coordinates: substituting x[:d] = base + V y turns each row (f, b) into
     (f[:d] V  ++  f[d:],  b - f[:d] . base) over r + (dim - d) variables.
-    Solutions map back through ``emb.lift_point`` on their first r entries.
+    A solution's first r entries y map back to x = base + V y.
     """
     if emb.ambient_dim != d:
         raise ValueError("embedding does not chart the first d coordinates")
@@ -237,3 +226,43 @@ def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> Con
     return ConstraintSystem(
         rows=tuple(rows), dim=emb.reduced_dim + (system.dim - d)
     )
+
+
+def project_image(system: ConstraintSystem, d: int, full_dim, group=None) -> List[Face]:
+    """The facets of pi(P), sorted, with ``full_dim`` listing the facets of
+    a bounded, full-dimensional image.
+
+    ``full_dim(work, r, bs, group)`` returns the facets of the image of
+    ``work`` in its first r coordinates; ``bs`` is that image's basis
+    simplex, whose points are vertices.  Around it:
+
+    - a cone is bounded by the canonical cap on the output coordinates
+      (``capped``), and the facets with a nonzero right-hand side, which are
+      tight only at the cap, are dropped on output; so a cone comes back as
+      its genuine facets;
+    - the image's basis simplex is computed once; a single point has no
+      facets;
+    - a flat image (rank r < d) is charted onto R^r exactly by
+      ``AffineEmbedding.chart`` (rooted at the apex for cones, so the cone's
+      own facets keep b = 0), ``full_dim`` runs on the reduced system and
+      its facets are lifted back to the ambient coordinates.  The group acts
+      on the ambient coordinates, so the chart runs without it.
+    """
+    if not 1 <= d <= system.dim:
+        raise ValueError(f"projection dimension {d} out of range")
+    if group is not None and group.dim != d:
+        raise ValueError("symmetry group dimension does not match the output space")
+    work = capped(system, d)
+    bs = basis_simplex(work, d, probe=lambda c: find_vertex(work, d, c))
+    if bs.rank == 0:
+        return []
+    if bs.rank < d:
+        emb = AffineEmbedding.chart(system, bs)
+        charted = BasisSimplex([emb.embed_point(p) for p in bs.points])
+        inner = full_dim(reduce_system(work, d, emb), bs.rank, charted, None)
+        faces = [emb.lift_face(f) for f in inner]
+    else:
+        faces = full_dim(work, d, bs, group)
+    if system.homogeneous:
+        faces = [f for f in faces if f.b == 0]
+    return sorted(faces)

@@ -109,9 +109,6 @@ class IncrementalHull:
         self._insert(len(self.points) - 1)
         return True
 
-    def __contains__(self, point: Sequence) -> bool:
-        return tuple(rational(c) for c in point) in self._seen
-
     def _insert(self, i: int) -> None:
         normal = list(self.points[i]) + [-1]
         rays = self._rays
@@ -158,14 +155,3 @@ class IncrementalHull:
                 raise AssertionError("interior direction reported as extreme ray")
             out.append(normalize_face(f, b))
         return sorted(set(out))
-
-    def vertex_points(self) -> List[Tuple]:
-        """Inserted points that are vertices (tight on >= k facets)."""
-        counts = [0] * len(self.points)
-        for r in self._rays:
-            mask = r.mask
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] += 1
-                mask ^= low
-        return [p for p, c in zip(self.points, counts) if c >= self.k]

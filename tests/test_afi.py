@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polyproj import afi, chm
+from polyproj import afi, geometry, simplex
 from polyproj.afi import (
     AfiConfig,
     afi_project,
@@ -21,6 +21,7 @@ from polyproj.geometry import (
     is_implied,
     reduce_system,
 )
+from polyproj.linalg import integer_rref
 from polyproj.lp import ConstraintSystem, Face, lp_standard, normalize_face
 from polyproj.rationals import dot
 from polyproj.scenarios import SymmetryGroup, parse_scenario
@@ -220,24 +221,92 @@ def test_afi_completeness_random(seed):
 
 @pytest.mark.parametrize("spec", ["cube", "elemental:3"])
 def test_afi_computes_each_basis_simplex_once(monkeypatch, spec):
-    # the walk hands each image's basis simplex down instead of probing the
-    # same system again; the hull projector's vertex probes are its own
+    # the driver computes each image's basis simplex once and hands it down:
+    # no (system, d) pair is probed twice, whatever the probe
     if spec == "cube":
         system, d, group = CUBE, 3, None
     else:
         bundle = parse_scenario(spec)
         system, d, group = bundle.system, bundle.scenario.d, bundle.group
     seen = []  # keeps every probed system alive, so ids stay unique
-    for module in (afi, chm):
+    for module in (geometry, afi):
         def counted(work, dd, probe=None, _inner=module.basis_simplex):
-            if probe is None:
-                seen.append((work, dd))
+            seen.append((work, dd))
             return _inner(work, dd, probe=probe)
         monkeypatch.setattr(module, "basis_simplex", counted)
     facets = afi_project(system, d, AfiConfig(group=group))
     assert facets
     keys = [(id(work), dd) for work, dd in seen]
     assert len(keys) == len(set(keys))
+
+
+def _hull_of(points, homogeneous):
+    """x = sum_j lam_j p_j with lam >= 0 (and sum_j lam_j = 1 unless
+    ``homogeneous``) as a system over (x, lam): its image in the first
+    len(p) coordinates is the cone, or polytope, the points generate."""
+    n, m = len(points[0]), len(points)
+    rows = []
+    for i in range(n):
+        row = tuple(int(k == i) for k in range(n)) + tuple(-p[i] for p in points)
+        rows += [(row, 0), (tuple(-a for a in row), 0)]
+    rows += [(tuple(int(k == n + j) for k in range(n + m)), 0) for j in range(m)]
+    if not homogeneous:
+        ones = (0,) * n + (1,) * m
+        rows += [(ones, 1), (tuple(-a for a in ones), -1)]
+    return ConstraintSystem.from_rows(rows, n + m)
+
+
+def _flat_cone(seed):
+    """A cone of rank 2-3 in R^4 or R^5, generated by nonnegative integer
+    vectors: nonnegative combinations of r nonnegative basis vectors."""
+    rng = random.Random(seed)
+    while True:
+        n, r = rng.choice([4, 5]), rng.choice([2, 3])
+        basis = [[rng.randint(0, 2) for _ in range(n)] for _ in range(r)]
+        gens = [tuple(sum(c * b[i] for c, b in zip(coefs, basis)) for i in range(n))
+                for coefs in ([rng.randint(0, 2) for _ in range(r)]
+                              for _ in range(r + rng.randint(1, 2)))]
+        if all(any(g) for g in gens) and len(integer_rref(gens)[1]) == r:
+            return _hull_of(gens, homogeneous=True), n
+
+
+@pytest.mark.parametrize("case", [f"cone-{seed}" for seed in range(6)] + ["polytope"])
+def test_flat_images_share_the_chart(case):
+    # CHM and the walk at depths 1 and 2 chart a flat image the same way, so
+    # they lift the same facets back; each is a facet of the image
+    if case == "polytope":
+        # a quadrilateral in a plane of R^4, off the origin, with one
+        # generator inside it
+        system = _hull_of([(1, 0, 2, 1), (3, 2, 2, 3), (1, 2, 6, 3), (3, 3, 4, 4),
+                           (2, 2, 4, 3)], homogeneous=False)
+        d = 4
+    else:
+        system, d = _flat_cone(int(case.split("-")[1]))
+    r = basis_simplex(system, d).rank
+    assert r < d
+    facets = chm_project(system, d).facets
+    assert facets
+    assert afi_project(system, d, AfiConfig(depth=1)) == facets
+    assert afi_project(system, d, AfiConfig(depth=2)) == facets
+    for face in facets:
+        assert is_implied(system, face.pad(system.dim))
+        assert _rank(system, d, face.pad(system.dim)) == r - 1
+
+
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("project", [
+    lambda system, d, group: chm_project(system, d, group=group),
+    lambda system, d, group: afi_project(system, d, AfiConfig(group=group)),
+], ids=["chm", "afi"])
+def test_wrong_group_raises_before_any_solve(monkeypatch, project, flat):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved before the group was checked")
+
+    monkeypatch.setattr(simplex, "solve_standard", refuse)
+    system = SQUARE.with_rows([Face((1, -1), 0), Face((-1, 1), 0)]) if flat else SQUARE
+    group = SymmetryGroup(generators=((1, 0, 2),), dim=3)
+    with pytest.raises(ValueError, match="symmetry group dimension does not match"):
+        project(system, 2, group)
 
 
 # ---------------------------------------------------------------- rfd

@@ -13,6 +13,7 @@ from polyproj.geometry import (
     pad_objective,
     reduce_system,
 )
+from polyproj.linalg import integer_rref
 from polyproj.lp import INFEASIBLE, UNBOUNDED, Face, lp_minimize
 from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
@@ -96,11 +97,18 @@ def test_find_vertex_infeasible():
         find_vertex(bad, 1, (1,))
 
 
+def _inside(system, point):
+    return all(dot(row.f, point) >= row.b for row in system.rows)
+
+
 def test_basis_simplex_full_dimensional():
     bs = basis_simplex(cube(3), 3)
     assert bs.rank == 3
-    assert not bs.nulls
     assert len(bs.points) == 4
+    assert all(_inside(cube(3), p) for p in bs.points)
+    # the points span R^3 affinely
+    diffs = [[a - b for a, b in zip(p, bs.base)] for p in bs.points[1:]]
+    assert len(integer_rref(diffs)[1]) == 3
 
 
 def test_basis_simplex_flat():
@@ -108,10 +116,10 @@ def test_basis_simplex_flat():
     bs = basis_simplex(flat, 2)
     assert bs.rank == 1
     assert len(bs.points) == 2
-    assert len(bs.nulls) == 1
-    # the null direction is orthogonal to the segment x + y = 1
-    direction = bs.nulls[0]
-    assert dot(direction, (1, -1)) == 0
+    # two distinct points of the segment x + y = 1
+    assert bs.points[0] != bs.points[1]
+    for p in bs.points:
+        assert _inside(flat, p) and dot((1, 1), p) == 1
 
 
 def test_basis_simplex_on_cone_uses_cap():
@@ -129,11 +137,17 @@ def test_projection_of_simplex_is_lower_simplex():
         assert len(p) == 2
 
 
+def _lift(emb, y):
+    """The ambient point base + V y of chart coordinates y."""
+    return tuple(b + sum(c * v[i] for c, v in zip(y, emb.directions))
+                 for i, b in enumerate(emb.base))
+
+
 def test_embedding_round_trip():
     emb = AffineEmbedding(base=(1, 2, 3), directions=((1, 1, 0), (0, 0, 2)))
     for y in [(0, 0), (1, 0), (2, -3)]:
-        x = emb.lift_point(y)
-        assert emb.embed_point(x) == tuple(map(lambda v: v * 1, y))
+        x = _lift(emb, y)
+        assert emb.embed_point(x) == y
 
 
 def test_embedding_face_round_trip():
@@ -148,7 +162,7 @@ def test_embedding_face_round_trip():
     # and agree on sample points
     for y in [(0, 0), (2, 2), (-1, 5)]:
         lhs = dot(face[0], y) - face[1]
-        x = emb.lift_point(y)
+        x = _lift(emb, y)
         lhs_lift = dot(lifted[0], x) - lifted[1]
         assert (lhs > 0) == (lhs_lift > 0) and (lhs == 0) == (lhs_lift == 0)
 
