@@ -377,11 +377,11 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
     under a budget the result may be partial; each member is still a facet.
     """
     if P.rank == 1:
-        # a segment's facets are its endpoints, which are not adjacent:
-        # the walk cannot connect them, so fall back to the hull projector
-        if not budget.take():
-            return set()
-        return set(chm_project(work, d, group=group).facets)
+        # a segment in R^1: its facets are its endpoints, which are not
+        # adjacent, so the walk cannot connect them; the driver's vertex
+        # probes have found both
+        (lo,), (hi,) = sorted(P.points)
+        return {normalize_face((1,), lo), normalize_face((-1,), -hi)}
     pending = {_seed_facet(work, d, P, rng)}
     done: Set[Face] = set()
     while pending and not budget.denied:

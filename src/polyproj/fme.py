@@ -7,17 +7,18 @@ positive/negative pair (p, a_p), (q, a_q) combines into the valid row
 
     p_v * (q, a_q)  +  (-q_v) * (p, a_p),
 
-whose v-coefficient cancels.  Doing this for every coordinate past the first
-d yields a description of the shadow of the polyhedron on those first d
-coordinates.  Row counts can square at each step, so ``fme_project`` first
-turns implied equalities into Gaussian substitutions, picks each next
-coordinate by Duffin's growth score and drops redundant rows after every
-step (float probes steer, exact certificates decide); its ``row_budget``
-adds a hard row cap.
+whose v-coefficient cancels (``_combine``).  Doing this for every coordinate
+past the first d yields a description of the shadow of the polyhedron on
+those first d coordinates.  Row counts can square at each step, so
+``fme_project`` first substitutes away the implicit equalities that
+``implied_equalities`` finds, through the same ``_combine``; then it picks
+each next coordinate by Duffin's growth score and drops redundant rows after
+every step (float probes steer, exact certificates decide); its
+``row_budget`` adds a hard row cap.
 
-Every row produced is a nonnegative combination of input rows, hence valid
-for the projection no matter which rows are later dropped: pruning affects
-completeness, never soundness.
+Every row produced is a nonnegative combination of input rows plus
+multiples of implied equalities, hence valid for the projection no matter
+which rows are later dropped: pruning affects completeness, never soundness.
 
 Many rows of a step are pass-through rows, and after the first step their
 redundancy is already settled.  Let P be full-dimensional and described
@@ -39,6 +40,16 @@ from typing import List, Optional, Sequence, Set, Tuple
 from .lp import (ConstraintSystem, Face, InfeasibleSystem, lp_feasible,
                  normalize_face)
 from .redundancy import implied_equalities, prune_redundant
+
+
+def _combine(p: Face, q: Face, v: int) -> Face:
+    """p_v (q, b_q) - q_v (p, b_p), normalized: its v-coefficient cancels.
+
+    For p_v > 0 > q_v this is a positive combination of the two rows.
+    """
+    pv, qv = p.f[v], q.f[v]
+    return normalize_face(tuple(pv * qf - qv * pf for pf, qf in zip(p.f, q.f)),
+                          pv * q.b - qv * p.b)
 
 
 def fme_step(system: ConstraintSystem, var: int) -> ConstraintSystem:
@@ -65,11 +76,8 @@ def fme_step(system: ConstraintSystem, var: int) -> ConstraintSystem:
             seen.add(row)
             out.append(row)
     for p in pos:
-        pv = p.f[var]
         for q in neg:
-            qv = q.f[var]
-            f = tuple(pv * qf - qv * pf for pf, qf in zip(p.f, q.f))
-            face = normalize_face(f, pv * q.b - qv * p.b)
+            face = _combine(p, q, var)
             if face not in seen:
                 seen.add(face)
                 out.append(face)
@@ -106,49 +114,31 @@ def _purge_trivial(rows: Sequence[Face]) -> List[Face]:
     return out
 
 
-def _substitute_equalities(system: ConstraintSystem, cols: List[int]
-                           ) -> Tuple[ConstraintSystem, List[int]]:
-    """Use detected equality pairs to zero out elimination columns exactly.
+def _substitute_equalities(system: ConstraintSystem, eqs: Sequence[Face],
+                           cols: List[int]) -> Tuple[ConstraintSystem, List[int]]:
+    """Clear elimination columns exactly with the implicit equalities `eqs`.
 
-    A pair f.x >= b, -f.x >= -b is the equality f.x = b; adding multiples of
-    an equality to other rows never changes the solution set, so any
-    elimination column with a nonzero coefficient in f can be cleared by
-    Gaussian substitution, after which the pair itself is discarded and the
-    column is done.
+    Adding multiples of an equality to other rows never changes the solution
+    set.  Each equality in turn, as the earlier ones left it, that has a
+    nonzero coefficient on a remaining column picks the first such column v
+    and is oriented so that its coefficient e there is positive.  Every row
+    and every later equality with coefficient c != 0 at v becomes
+    ``_combine(eq, row, v)`` = e row - c eq: a positive multiple of the row
+    plus a multiple of the equality, whatever the sign of c.  The equality's
+    own row and any explicit reverse of it become 0 >= 0, which is dropped,
+    and column v is done.
     """
-    rows = list(system.rows)
-    remaining = list(cols)
-    while True:
-        index = {}
-        pair = None
-        for i, row in enumerate(rows):
-            j = index.get(-row)
-            if j is not None:
-                pivot = next((c for c in remaining if rows[j].f[c] != 0), None)
-                if pivot is not None:
-                    pair = (j, i, pivot)
-                    break
-            index.setdefault(row, i)
-        if pair is None:
-            break
-        j, i, pivot = pair
-        eq = rows[j]
-        new_rows: List[Face] = []
-        for k, row in enumerate(rows):
-            if k in (i, j):
-                continue
-            c = row.f[pivot]
-            if c == 0:
-                new_rows.append(row)
-                continue
-            # |e|.row - sign(e).c.eq: row - (c/e).eq scaled by |e| > 0,
-            # which normalize_face removes again
-            e = eq.f[pivot]
-            a, g = (e, c) if e > 0 else (-e, -c)
-            f = tuple(a * rf - g * ef for rf, ef in zip(row.f, eq.f))
-            new_rows.append(normalize_face(f, a * row.b - g * eq.b))
-        rows = new_rows
-        remaining.remove(pivot)
+    rows, eqs, remaining = list(system.rows), list(eqs), list(cols)
+    while eqs:
+        eq = eqs.pop(0)
+        v = next((c for c in remaining if eq.f[c] != 0), None)
+        if v is None:
+            continue
+        if eq.f[v] < 0:
+            eq = -eq
+        remaining.remove(v)
+        rows = [_combine(eq, row, v) if row.f[v] else row for row in rows]
+        eqs = [_combine(eq, e, v) if e.f[v] else e for e in eqs]
     deduped: List[Face] = []
     seen: Set[Face] = set()
     for row in _purge_trivial(rows):
@@ -177,35 +167,12 @@ def _enforce_budget(rows: Sequence[Face], budget: int) -> List[Face]:
     return [rows[i] for i in keep]
 
 
-def _promote_equalities(system: ConstraintSystem) -> ConstraintSystem:
-    """Make every implicit equality explicit by adding its reverse row.
-
-    The added rows are implied, so the solution set is untouched; the
-    explicit pairs then feed the Gaussian substitution pass.
-    """
-    idx = implied_equalities(system)
-    if not idx:
-        return system
-    present = set(system.rows)
-    extra: List[Face] = []
-    for i in idx:
-        rev = normalize_face(tuple(-c for c in system.rows[i].f),
-                             -system.rows[i].b)
-        if rev not in present:
-            present.add(rev)
-            extra.append(rev)
-    if not extra:
-        return system
-    return ConstraintSystem(system.rows + tuple(extra), system.dim,
-                            system.names)
-
-
 def fme_project(system: ConstraintSystem, d: int, *,
                 row_budget: Optional[int] = None) -> ConstraintSystem:
     """Shadow of the system on its first d coordinates, irredundant.
 
-    Implied equalities are made explicit and substituted away first; then
-    each remaining coordinate is eliminated in Duffin's order (see
+    Implied equalities are substituted away first; then each remaining
+    coordinate is eliminated in Duffin's order (see
     ``choose_elimination_variable``), with a redundancy sweep after every
     step and a final one on the result.  The sweep after a step probes only
     the rows that are not pass-through rows of the previous pruned system;
@@ -225,8 +192,8 @@ def fme_project(system: ConstraintSystem, d: int, *,
         raise ValueError("row budget must be nonnegative, got %d" % row_budget)
     if not lp_feasible(system):
         raise InfeasibleSystem("input system has no solutions")
-    system = _promote_equalities(system)
-    work, cols = _substitute_equalities(system, list(range(d, system.dim)))
+    eqs = [system.rows[i] for i in implied_equalities(system)]
+    work, cols = _substitute_equalities(system, eqs, list(range(d, system.dim)))
     cols = [c for c in cols if any(row.f[c] != 0 for row in work.rows)]
     pruned: Set[Face] = set()  # rows of the last pruned system
     while cols:

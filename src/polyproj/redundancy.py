@@ -2,15 +2,17 @@
 Redundancy removal for inequality systems, with a float prefilter.
 
 A row is redundant when it is implied by the remaining rows; dropping it
-leaves the solution set unchanged.  The greedy sweep here decides each row
-with a cheap floating-point LP first and only falls back to exact arithmetic
-when needed, but *every drop is justified by an exact certificate*:
+leaves the solution set unchanged, and a row is an implicit equality when
+the system implies its reverse.  Both sweeps, `prune_redundant` and
+`implied_equalities`, decide each row with one test, `_Sweep.implies`: a
+cheap floating-point LP first, exact arithmetic only when needed, but
+*every implication is justified by an exact certificate*:
 
-  - keep decisions need no proof: keeping a redundant row never changes the
-    polyhedron, it only costs later work;
-  - a drop is made only once an exact conic multiplier vector q >= 0 with
-    q^T L = f and q^T a >= b has been reconstructed (from the float dual's
-    support, or from a full exact LP as fallback).
+  - "not implied" needs no proof: keeping a redundant row never changes the
+    polyhedron, and missing an equality only costs later work;
+  - an implication is accepted only once an exact conic multiplier vector
+    q >= 0 with q^T L = f and q^T a >= b has been reconstructed (from the
+    float dual's support, or from a full exact LP as fallback).
 
 So floating point influences speed, never results.
 
@@ -203,6 +205,49 @@ def _exact_certificate(rows: List[Face], support: Sequence[int], face: Face) -> 
     return dot(q, [rows[i].b for i in support]) >= face.b
 
 
+class _Sweep:
+    """The rows of one sweep, which of them are alive, and their float model."""
+
+    def __init__(self, system: ConstraintSystem, use_float: bool):
+        self.system = system
+        self.rows = list(system.rows)
+        self.alive = [True] * len(self.rows)
+        self.n_alive = len(self.rows)
+        filt = _FloatFilter(self.rows) if use_float else None
+        self.filt = filt if filt is not None and filt.ok else None
+
+    def drop(self, i: int) -> None:
+        self.alive[i] = False
+        self.n_alive -= 1
+        if self.filt is not None:
+            self.filt.disable(i)
+
+    def implies(self, face: Face, skip: Optional[int] = None) -> bool:
+        """Whether the alive rows other than row `skip` imply face.
+
+        The float probe decides a "keep" on its own; an implication needs
+        the exact certificate on the probe's support or, failing that, an
+        exact LP.  With no row skipped (`implied_equalities`, which drops
+        none) that LP runs on the system itself, whose warm-started tableau
+        it reuses.  Rows with no common point imply every face.
+        """
+        if self.filt is not None:
+            verdict, support = self.filt.probe(skip, face)
+            if verdict == "keep":
+                return False
+            if verdict == "try-drop" and _exact_certificate(self.rows, support, face):
+                return True
+        system = self.system
+        if skip is not None:
+            others = [r for k, r in enumerate(self.rows)
+                      if self.alive[k] and k != skip]
+            system = ConstraintSystem(tuple(others), system.dim)
+        sol = lp_minimize(system, list(face.f), want_point=False)
+        if sol.status == OPTIMAL:
+            return sol.objective >= face.b
+        return sol.status != UNBOUNDED
+
+
 def implied_equalities(system: ConstraintSystem, *,
                        use_float: bool = True) -> List[int]:
     """Indices of rows that hold with equality on the whole solution set.
@@ -215,29 +260,14 @@ def implied_equalities(system: ConstraintSystem, *,
     detection is confirmed exactly; the float LPs only route rows past the
     expensive check, and a row they wrongly routed past it would be a missed
     equality, which costs FME speed, not correctness (see the module
-    docstring).  Rows of infeasible systems are not reported — callers
-    decide feasibility.
+    docstring).  An infeasible system has no solutions, so each of its rows
+    holds with equality on all of them: every row is reported.  Callers
+    decide feasibility first.
     """
-    rows = list(system.rows)
-    filt = _FloatFilter(rows) if use_float else None
-    use_filter = bool(filt and filt.ok)
-    strict = filt.strict_rows() if use_filter else set()
-    out: List[int] = []
-    for i, face in enumerate(rows):
-        if i in strict:
-            continue  # strict at a point of the system: no equality
-        rev = Face(tuple(-c for c in face.f), -face.b)
-        if use_filter:
-            verdict, support = filt.probe(None, rev)
-            if verdict == "keep":
-                continue  # reverse clearly violated somewhere: no equality
-            if verdict == "try-drop" and _exact_certificate(rows, support, rev):
-                out.append(i)
-                continue
-        sol = lp_minimize(system, list(rev.f), want_point=False)
-        if sol.status == OPTIMAL and sol.objective >= rev.b:
-            out.append(i)
-    return out
+    sweep = _Sweep(system, use_float)
+    strict = sweep.filt.strict_rows() if sweep.filt is not None else set()
+    return [i for i, face in enumerate(sweep.rows)
+            if i not in strict and sweep.implies(-face)]
 
 
 def prune_redundant(system: ConstraintSystem, *, protect: Sequence[int] = (),
@@ -247,42 +277,11 @@ def prune_redundant(system: ConstraintSystem, *, protect: Sequence[int] = (),
     Rows listed in `protect` are never considered for removal.  The result
     depends only on the input order (deterministic).
     """
-    rows = list(system.rows)
-    alive = [True] * len(rows)
-    n_alive = len(rows)
+    sweep = _Sweep(system, use_float)
     protected = set(protect)
-    filt = _FloatFilter(rows) if use_float else None
-    use_filter = bool(filt and filt.ok)
-
-    def drop(i: int) -> None:
-        nonlocal n_alive
-        alive[i] = False
-        n_alive -= 1
-        if use_filter:
-            filt.disable(i)
-
-    for i, face in enumerate(rows):
+    for i, face in enumerate(sweep.rows):
         # Row i is still alive here: rows are only dropped when visited.
-        if i in protected or n_alive == 1:
-            continue
-        if use_filter:
-            verdict, support = filt.probe(i, face)
-            if verdict == "keep":
-                continue
-            if verdict == "try-drop" and _exact_certificate(
-                rows, [s for s in support if alive[s] and s != i], face
-            ):
-                drop(i)
-                continue
-        others = [rows[k] for k in range(len(rows)) if alive[k] and k != i]
-        sol = lp_minimize(ConstraintSystem(tuple(others), system.dim),
-                          list(face.f), want_point=False)
-        if sol.status == OPTIMAL and sol.objective >= face.b:
-            drop(i)
-        elif sol.status not in (OPTIMAL, UNBOUNDED):
-            # remaining rows infeasible: everything is vacuously implied
-            drop(i)
-        # otherwise unbounded or minimum below rhs: not implied, keep
-
-    kept = tuple(r for r, a in zip(rows, alive) if a)
+        if i not in protected and sweep.n_alive > 1 and sweep.implies(face, i):
+            sweep.drop(i)
+    kept = tuple(r for r, a in zip(sweep.rows, sweep.alive) if a)
     return ConstraintSystem(kept, system.dim, system.names)

@@ -32,7 +32,7 @@ from typing import (
     Tuple,
 )
 
-from .lp import ConstraintSystem, Face, as_face, lp_feasible, normalize_face
+from .lp import ConstraintSystem, Face, as_face, lp_feasible
 from .rationals import rational
 
 Subset = FrozenSet[int]
@@ -333,12 +333,6 @@ def _common_ancestor(n: int) -> Tuple[ConstraintSystem, MarginalScenario]:
     return scenario.reorder(system), scenario
 
 
-def cca_scenario(n: int) -> MarginalScenario:
-    """The marginal scenario of ``C_n``: all observable-only subsets."""
-
-    return _common_ancestor(n)[1]
-
-
 # ---------------------------------------------------------------------------
 # Symmetry groups
 # ---------------------------------------------------------------------------
@@ -386,19 +380,6 @@ class SymmetryGroup:
             frontier = nxt
         return tuple(sorted(seen))
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def apply(self, perm: Permutation, face) -> Face:
-        face = as_face(face)
-        if len(face.f) != self.dim:
-            raise ValueError("face dimension does not match the group")
-        coeffs = [0] * self.dim
-        for k, value in enumerate(face.f):
-            coeffs[perm[k]] = value
-        return Face(f=tuple(coeffs), b=face.b)
-
     def apply_point(self, perm: Permutation, point: Sequence) -> Tuple:
         moved = [0] * self.dim
         for k, value in enumerate(point):
@@ -406,10 +387,13 @@ class SymmetryGroup:
         return tuple(moved)
 
     def orbit(self, face) -> Tuple[Face, ...]:
-        face = normalize_face(*as_face(face))
-        images = {
-            normalize_face(*self.apply(perm, face)) for perm in self.elements
-        }
+        """The images of a face, normalized (a coordinate permutation keeps
+        a normalized face normalized), sorted and without repeats."""
+        face = as_face(face)
+        if len(face.f) != self.dim:
+            raise ValueError("face dimension does not match the group")
+        images = {Face(self.apply_point(perm, face.f), face.b)
+                  for perm in self.elements}
         return tuple(sorted(images))
 
 
@@ -456,11 +440,9 @@ def bell_symmetry_group(
     return SymmetryGroup(generators=tuple(generators), dim=scenario.d)
 
 
-def cca_symmetry_group(n: int, scenario: Optional[MarginalScenario] = None) -> SymmetryGroup:
+def cca_symmetry_group(n: int, scenario: MarginalScenario) -> SymmetryGroup:
     """The dihedral symmetry of the ring: rotation and reflection."""
 
-    if scenario is None:
-        scenario = cca_scenario(n)
     rotation = {i: (i % n) + 1 for i in range(1, n + 1)}
     reflection = {i: n + 1 - i for i in range(1, n + 1)}
     generators = (
@@ -522,7 +504,6 @@ SCENARIO_GRAMMAR = (
 
 
 class ScenarioBundle(NamedTuple):
-    label: str
     system: ConstraintSystem
     scenario: MarginalScenario
     group: SymmetryGroup
@@ -539,11 +520,11 @@ def parse_scenario(text: str) -> ScenarioBundle:
             system = elemental_inequalities(n)
             space = entropy_space(n)
             scenario = marginal_scenario(space, space.coords)
-            return ScenarioBundle(text, system, scenario, identity_group(space.dim))
+            return ScenarioBundle(system, scenario, identity_group(space.dim))
         if kind == "cca" and len(parts) == 2:
             n = int(parts[1])
             system, scenario = _common_ancestor(n)
-            return ScenarioBundle(text, system, scenario, cca_symmetry_group(n, scenario))
+            return ScenarioBundle(system, scenario, cca_symmetry_group(n, scenario))
         if kind == "bell" and len(parts) == 3:
             size, body = parts[1], parts[2]
             parties_text, _, settings_text = size.partition("x")
@@ -553,7 +534,7 @@ def parse_scenario(text: str) -> ScenarioBundle:
             sizes = [int(tok) for tok in body[len("body="):].split(",") if tok]
             system, scenario = bell_scenario(parties, settings, sizes)
             group = bell_symmetry_group(parties, settings, scenario)
-            return ScenarioBundle(text, system, scenario, group)
+            return ScenarioBundle(system, scenario, group)
     except ValueError as exc:
         raise ValueError(f"bad scenario spec {text!r} ({exc}); {SCENARIO_GRAMMAR}")
     raise ValueError(f"bad scenario spec {text!r}; {SCENARIO_GRAMMAR}")

@@ -240,6 +240,30 @@ def test_afi_computes_each_basis_simplex_once(monkeypatch, spec):
     assert len(keys) == len(set(keys))
 
 
+def test_afi_segments_reuse_the_driver_probes(monkeypatch):
+    # at depth 2 each edge of the square is a segment: the driver's vertex
+    # probes already give both endpoints, so neither the hull projector nor
+    # a second vertex-probed basis simplex runs on the segment's chart (the
+    # seed facet's rank check, with the default probe, is not counted)
+    segments, hulls = [], []
+    for module in (geometry, afi):
+        def counted(work, dd, probe=None, _inner=module.basis_simplex):
+            bs = _inner(work, dd, probe=probe)
+            if bs.rank == 1 and probe is not None:
+                segments.append(work)
+            return bs
+        monkeypatch.setattr(module, "basis_simplex", counted)
+
+    def counted_chm(*args, _inner=afi.chm_project, **kwargs):
+        hulls.append(args)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(afi, "chm_project", counted_chm)
+    facets = afi_project(SQUARE, 2, AfiConfig(depth=2))
+    assert facets == chm_project(SQUARE, 2).facets
+    assert len(segments) <= len(facets) and len(hulls) <= len(facets)
+
+
 def _hull_of(points, homogeneous):
     """x = sum_j lam_j p_j with lam >= 0 (and sum_j lam_j = 1 unless
     ``homogeneous``) as a system over (x, lam): its image in the first

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyproj import ConstraintSystem, fme, redundancy
 from polyproj.fme import choose_elimination_variable, fme_project, fme_step
@@ -476,6 +476,64 @@ def test_implied_equalities_hidden_in_a_cycle():
 def test_implied_equalities_explicit_pair():
     s = sys_of([((1, 1), 1), ((-1, -1), -1), ((1, 0), 0)], 2)
     assert implied_equalities(s) == [0, 1]
+
+
+def test_implied_equalities_of_an_infeasible_system_are_every_row():
+    # x >= 1 and x <= 0 leave no point, on which every row holds with
+    # equality; fme_project refuses such a system before asking
+    s = sys_of([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)], 2)
+    assert implied_equalities(s) == [0, 1, 2]
+    assert implied_equalities(s, use_float=False) == [0, 1, 2]
+    with pytest.raises(InfeasibleSystem):
+        fme_project(s, 1)
+
+
+@st.composite
+def system_with_hidden_equalities(draw):
+    """A box around an integer point p, with random rows valid at p and one
+    or two triples g.x >= g.p, (h - g).x >= (h - g).p, -h.x >= -h.p: they
+    sum to 0 >= 0, so all three are implicit equalities, yet no row is the
+    reverse of another.  Also returns the number of coordinates kept."""
+    dim = draw(st.integers(min_value=3, max_value=5))
+    keep = draw(st.integers(min_value=1, max_value=dim - 2))
+    point = draw(st.tuples(*[st.integers(-2, 2) for _ in range(dim)]))
+
+    def valid(f, slack=0):
+        return (f, sum(a * x for a, x in zip(f, point)) - slack)
+
+    form = st.tuples(*[coeff for _ in range(dim)])
+    rows = []
+    for k in range(dim):
+        e = tuple(int(j == k) for j in range(dim))
+        rows.append(valid(e, draw(st.integers(1, 2))))
+        rows.append(valid(tuple(-x for x in e), draw(st.integers(1, 2))))
+    for _ in range(draw(st.integers(1, 2))):
+        g, h = draw(form), draw(form)
+        rows += [valid(g), valid(tuple(b - a for a, b in zip(g, h))),
+                 valid(tuple(-b for b in h))]
+    rows += [valid(draw(form), draw(st.integers(0, 3)))
+             for _ in range(draw(st.integers(0, 3)))]
+    rows = [row for row in rows if any(row[0])]
+    order = draw(st.permutations(range(len(rows))))
+    return sys_of([rows[k] for k in order], dim), keep
+
+
+@given(system_with_hidden_equalities())
+@settings(max_examples=30, deadline=None)
+def test_hidden_equalities_project_as_if_explicit(case):
+    # the substitution needs no explicit reverse rows: adding the reverse of
+    # every implicit equality leaves fme_project's rows and their order as
+    # they were.  On a flat shadow an equality among the kept coordinates
+    # is no substitution but a row of the output, described by whichever
+    # rows FME derives, so the claim is for full-dimensional shadows: no
+    # combination of the equalities vanishes on every eliminated column
+    s, keep = case
+    eqs = [s.rows[i].f for i in implied_equalities(s)]
+    zero = (0,) * s.dim
+    assume(affine_rank([zero] + eqs)
+           == affine_rank([zero[keep:]] + [f[keep:] for f in eqs]))
+    explicit = s.with_rows([-s.rows[i] for i in implied_equalities(s)])
+    assert fme_project(s, keep).rows == fme_project(explicit, keep).rows
 
 
 def test_detection_shrinks_forced_projection():

@@ -2,6 +2,10 @@
 
 import importlib
 import re
+import shutil
+import subprocess
+import sys
+import tarfile
 import tomllib
 from pathlib import Path
 
@@ -23,3 +27,23 @@ def test_required_dependencies_import(requirement):
     # every required distribution here imports under its own name
     name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
     importlib.import_module(name.replace("-", "_"))
+
+
+def test_sdist_ships_the_bundled_listings(tmp_path):
+    # build from a copy, so the build's egg-info stays out of the tree
+    root = Path(__file__).resolve().parents[1]
+    copy = tmp_path / "copy"
+    shutil.copytree(root / "src", copy / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copy(root / "pyproject.toml", copy)
+    built = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from setuptools import build_meta; "
+         "print(build_meta.build_sdist(sys.argv[1]))", str(tmp_path / "dist")],
+        cwd=copy, capture_output=True, text=True, check=True)
+    sdist = tmp_path / "dist" / built.stdout.split()[-1]
+    with tarfile.open(sdist) as tar:
+        shipped = {Path(name).name for name in tar.getnames()
+                   if Path(name).parent.as_posix().endswith("src/polyproj/data")}
+    bundled = {p.name for p in (root / "src" / "polyproj" / "data").iterdir()}
+    assert bundled and shipped == bundled

@@ -6,10 +6,10 @@ from polyproj.geometry import is_implied
 from polyproj.lp import ConstraintSystem, Face, normalize_face
 from polyproj.scenarios import (
     ScenarioBundle,
+    SymmetryGroup,
     bell_probability_polytope,
     bell_scenario,
     bell_symmetry_group,
-    cca_scenario,
     cca_symmetry_group,
     check_membership,
     elemental_forms,
@@ -102,11 +102,11 @@ def test_bell_reorder_is_a_bijection_preserving_labels():
 
 def test_group_orders():
     _, sc32 = bell_scenario(3, 2, {2})
-    assert bell_symmetry_group(3, 2, sc32).order == 48
+    assert len(bell_symmetry_group(3, 2, sc32).elements) == 48
     _, sc22 = bell_scenario(2, 2, {1, 2})
-    assert bell_symmetry_group(2, 2, sc22).order == 8
+    assert len(bell_symmetry_group(2, 2, sc22).elements) == 8
     _, sc11 = bell_scenario(1, 1, {1})
-    assert bell_symmetry_group(1, 1, sc11).order == 1
+    assert len(bell_symmetry_group(1, 1, sc11).elements) == 1
 
 
 def test_group_action_preserves_validity():
@@ -119,15 +119,23 @@ def test_group_action_preserves_validity():
 
 
 def test_cca_model_shape():
-    system = parse_scenario("cca:3").system
-    scenario = cca_scenario(3)
+    cca3 = parse_scenario("cca:3")
+    system, scenario = cca3.system, cca3.scenario
     assert scenario.d == 7
     assert system.dim == 63
     # elemental rows plus 2*(n+1) equality rows
     assert len(system) == expected_row_count(6) + 8
     assert system.names[:7] == ("1", "2", "3", "12", "13", "23", "123")
-    assert cca_symmetry_group(3).order == 6
-    assert cca_symmetry_group(5).order == 10
+    assert len(cca_symmetry_group(3, scenario).elements) == 6
+    assert len(cca_symmetry_group(5, parse_scenario("cca:5").scenario).elements) == 10
+
+
+def test_orbit_normalizes_and_checks_the_width():
+    swap = SymmetryGroup(generators=((1, 0),), dim=2)
+    assert swap.orbit(((2, 4), 2)) == (Face((1, 2), 1), Face((2, 1), 1))
+    assert swap.orbit(Face((1, 1), 0)) == (Face((1, 1), 0),)
+    with pytest.raises(ValueError, match="face dimension"):
+        swap.orbit(Face((1, 0, 0), 0))
 
 
 def test_classify_with_identity_group_counts_distinct_faces():
@@ -137,7 +145,7 @@ def test_classify_with_identity_group_counts_distinct_faces():
 
 
 def test_classify_merges_symmetric_faces():
-    scenario = cca_scenario(3)
+    scenario = parse_scenario("cca:3").scenario
     group = cca_symmetry_group(3, scenario)
     # H(1) >= 0, H(2) >= 0, H(3) >= 0 form one orbit
     faces = []
@@ -205,7 +213,7 @@ def test_parse_scenario_strings():
     assert parse_scenario("cca:3").scenario.d == 7
     bell = parse_scenario("bell:3x2:body=1,2")
     assert bell.scenario.d == 18
-    assert bell.group.order == 48
+    assert len(bell.group.elements) == 48
     for bad in ["bell:3x2", "bell:axb:body=1", "cca", "nope:1", "bell:3x2:body=9"]:
         with pytest.raises(ValueError):
             parse_scenario(bad)
