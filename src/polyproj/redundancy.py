@@ -4,17 +4,20 @@ Redundancy removal for inequality systems, with a float prefilter.
 A row is redundant when it is implied by the remaining rows; dropping it
 leaves the solution set unchanged, and a row is an implicit equality when
 the system implies its reverse.  Both sweeps, `prune_redundant` and
-`implied_equalities`, decide each row with one test, `_Sweep.implies`: a
-cheap floating-point LP first, exact arithmetic only when needed, but
-*every implication is justified by an exact certificate*:
+`implied_equalities`, run float LPs first and exact arithmetic only when
+needed, but *every implication is justified by an exact certificate*:
 
   - "not implied" needs no proof: keeping a redundant row never changes the
     polyhedron, and missing an equality only costs later work;
   - an implication is accepted only once an exact conic multiplier vector
-    q >= 0 with q^T L = f and q^T a >= b has been reconstructed (from the
-    float dual's support, or from a full exact LP as fallback).
+    q >= 0 with q^T L = s f (s > 0) and q^T a >= s b is in hand.
 
-So floating point influences speed, never results.
+The first such q tried is the float LP's own dual, rounded to small
+fractions and checked in integers (`_certificate`).  When the rounding
+misses, the dual's support gives an exact linear solve
+(`_exact_certificate`), and last comes a full exact LP.  So floating point
+influences speed, never results (Dhiflaoui et al., "Certifying and
+repairing solutions to large LPs", 2003).
 
 The float LPs of one sweep share a single HiGHS model, driven through
 scipy's bindings: a probe changes the objective and lifts one row's bound,
@@ -23,29 +26,72 @@ the warm solve ends neither optimal nor unbounded.  Without scipy every row
 goes straight to the exact path.
 
 `implied_equalities` first solves one more float LP, for a point of the
-system at which as many rows as possible hold strictly: a row strict there
-by half its scale is no implicit equality and gets no probe of its own.  This
-too only skips work.  Skipping a row that is an equality, were float error
-ever to do it, would only leave that equality unreported, and a caller that
-is not told of an equality still has a correct system: FME then eliminates
+system at which as many rows as possible hold strictly.  Its dual, once
+checked, proves at a stroke that every row it weighs is an equality; a row
+strict at that point by half its scale is no implicit equality and gets no
+probe of its own; any other row gets its reverse probed.  Skipping a row
+only skips work.  Skipping a row that is an equality, were float error ever
+to do it, would only leave that equality unreported, and a caller that is
+not told of an equality still has a correct system: FME then eliminates
 through that row like any inequality, which is exact but makes more rows.
 """
 
+import importlib.util
+import math
+import os
+import sys
+from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .lp import OPTIMAL, UNBOUNDED, ConstraintSystem, Face, lp_minimize
 from .linalg import solve_linear
 from .rationals import dot
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS bindings, the extension module `_HIGHS_CORE`.
+
+    The plain import first runs `scipy.optimize`'s __init__, which the
+    bindings do not need and which took 0.58 s of the 0.76 s that importing
+    `polyproj.fme` took (`python -X importtime`, 2 vCPU x86-64).  So the
+    extension is loaded from its file in scipy's tree and registered in
+    sys.modules under its own name, where a later import of `scipy.optimize`
+    finds and reuses it.  If that fails in any way, the entry is removed and
+    the plain import runs, which raises whatever is really wrong.
+    """
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    try:
+        import scipy
+        folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+        path = next(p for p in (os.path.join(folder, "_core" + suffix)
+                                for suffix in EXTENSION_SUFFIXES)
+                    if os.path.isfile(p))
+        spec = importlib.util.spec_from_file_location(
+            _HIGHS_CORE, path, loader=ExtensionFileLoader(_HIGHS_CORE, path))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = module
+        spec.loader.exec_module(module)
+        return module
+    except Exception:  # any failure: fall back to the plain import below
+        sys.modules.pop(_HIGHS_CORE, None)
+    from scipy.optimize._highspy import _core
+    return _core
+
+
 try:  # scipy's vendored HiGHS bindings are an optional accelerator
     import numpy as _np
-    from scipy.optimize._highspy import _core as _hc
+    _hc = _highs_core()
 except Exception:  # pragma: no cover - exercised only without scipy
     _hc = None
 
 _SUPPORT_TOL = 1e-9
 _DECISION_TOL = 1e-7
 _FLOAT_LIMIT = 1e15
+_DENOMINATOR_LIMIT = 1000
 
 
 def _linprog(highs):
@@ -64,10 +110,15 @@ def _linprog(highs):
     return status
 
 
+def _magnitude(face: Face) -> int:
+    """The scale of a row in the float model: max |f_j|, 1 for a zero row."""
+    return max((abs(c) for c in face.f), default=0) or 1
+
+
 def _scaled(face: Face) -> Tuple[List[float], float]:
-    """face.f and face.b as floats divided by max |f_j| (1 for a zero row),
-    each clamped to +-_FLOAT_LIMIT."""
-    mag = float(max((abs(c) for c in face.f), default=0)) or 1.0
+    """face.f and face.b as floats divided by `_magnitude(face)`, each
+    clamped to +-_FLOAT_LIMIT."""
+    mag = float(_magnitude(face))
 
     def scale(v):
         return max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, float(v) / mag)) if v else 0.0
@@ -131,15 +182,22 @@ class _FloatFilter:
         self.dim = dim
         self.cols = _np.arange(dim, dtype=_np.int32)
 
-    def strict_rows(self) -> Set[int]:
-        """Rows that hold with slack >= 1/2 (scaled) at one float point.
+    def strict_rows(self) -> Tuple[Set[int], List[Tuple[int, float]]]:
+        """Rows that hold with slack >= 1/2 (scaled) at one float point, and
+        the LP's dual weights on the rows.
 
         Solves  max sum t  s.t.  Lx - t >= a,  0 <= t <= 1  (free x) over
         the scaled rows, in a model of its own.  A relative-interior point
         of the system makes every row that is no implicit equality strict,
         and on a cone scaling that point up brings each such row to t = 1;
-        on a thin polytope some rows may stay below 1/2.  Empty unless the
-        LP ends optimal.
+        on a thin polytope some rows may stay below 1/2.
+
+        By complementary slackness every row with t < 1 has dual weight
+        y >= 1, and dual feasibility in the free x reads y.L = 0.  So when
+        also y.a >= 0, y is a certificate (for the zero face) that every
+        row it weighs is an implicit equality; on a thin polytope y.a < 0
+        and it proves nothing.  Both parts are empty unless the LP ends
+        optimal.
         """
         m, dim, inf = len(self.bub), self.dim, _hc.kHighsInf
         highs = _highs(
@@ -148,9 +206,11 @@ class _FloatFilter:
             _np.concatenate([_np.full(dim, inf), _np.ones(m)]),
             self.columns + [[(i, 1.0)] for i in range(m)], self.bub)
         if highs is None or _linprog(highs) != _hc.HighsModelStatus.kOptimal:
-            return set()
-        slack = highs.getSolution().col_value[dim:]
-        return {i for i, t in enumerate(slack) if t >= 0.5}
+            return set(), []
+        solution = highs.getSolution()
+        slack = solution.col_value[dim:]
+        strict = {i for i, t in enumerate(slack) if t >= 0.5}
+        return strict, _weights(solution.row_dual)
 
     def disable(self, i: int) -> None:
         self.active[i] = False
@@ -160,8 +220,9 @@ class _FloatFilter:
         """Float-minimize face.f over active rows minus row i (i=None keeps
         every active row in place).
 
-        Returns (verdict, support): verdict in {"keep", "try-drop", None},
-        support = candidate multiplier rows for the exact certificate.
+        Returns (verdict, weights): verdict in {"keep", "try-drop", None};
+        for "try-drop", weights are the probe's dual weights on the rows
+        that may carry the certificate, else None.
         """
         if not self.ok:
             return None, None
@@ -186,11 +247,65 @@ class _FloatFilter:
             if lifted:
                 highs.changeRowBounds(i, -_hc.kHighsInf, self.bub[i])
         # The minimum looks >= b: likely redundant, ask for an exact proof.
-        support = [
-            k for k, marg in enumerate(duals)
-            if self.active[k] and k != i and marg < -_SUPPORT_TOL
-        ]
-        return "try-drop", support
+        allowed = self.active.copy()
+        if i is not None:
+            allowed[i] = False
+        return "try-drop", _weights(duals, allowed)
+
+
+def _weights(row_dual, allowed=None) -> List[Tuple[int, float]]:
+    """(k, w) for each row k (with allowed[k], if given) whose HiGHS dual
+    -w is not ~0.
+
+    The model states  -L x <= -a,  so the dual of a binding row is <= 0;
+    negated, it is the row's multiplier in  L x >= a."""
+    weights = -_np.asarray(row_dual)
+    keep = _np.abs(weights) > _SUPPORT_TOL
+    if allowed is not None:
+        keep &= allowed
+    rows = _np.flatnonzero(keep)
+    return list(zip(rows.tolist(), weights[rows].tolist()))
+
+
+def _certificate(rows: Sequence[Face], weights, face: Face) -> Optional[List[int]]:
+    """The rows whose weights prove that `rows` imply face, or None.
+
+    `weights` holds (k, w) pairs, a float multiplier w of row k as `_scaled`
+    scales it, such as a float LP's dual.  Each w is rounded to the nearest
+    fraction with denominator at most _DENOMINATOR_LIMIT; no rounded w may
+    be negative.  Divided by the row's scale, q_k = w_k / `_magnitude(rows[k])`
+    weighs the row as given.  The test is exact, in integers: q.L = s f for
+    some s > 0, and q.a >= s b.  Then every x with L x >= a has
+    f.x = (q.L x) / s >= (q.a) / s >= b.  For the zero face f = 0 any s > 0
+    serves; with b = 0 the test reads q.L = 0 and q.a >= 0, which makes
+    every row with q_k > 0 an equality.
+    """
+    used = []
+    for k, w in weights:
+        if not math.isfinite(w):
+            return None
+        r = Fraction(w).limit_denominator(_DENOMINATOR_LIMIT)
+        if r < 0:
+            return None
+        if r:
+            used.append((k, r.numerator, r.denominator * _magnitude(rows[k])))
+    den = math.lcm(*(d for _, _, d in used))
+    comb, rhs = [0] * len(face.f), 0
+    for k, num, d in used:
+        c = num * (den // d)
+        rhs += c * rows[k].b
+        for j, v in enumerate(rows[k].f):
+            if v:
+                comb[j] += c * v
+    pivot = next((j for j, v in enumerate(face.f) if v), None)
+    if pivot is None:  # 0 >= b: rhs >= s b for some s > 0
+        ok = not any(comb) and (rhs > 0 or face.b < 0 or rhs == face.b == 0)
+    else:  # s = comb[p] / f[p]; both sides of rhs >= s b times |f[p]|
+        num, fp = comb[pivot], face.f[pivot]
+        ok = (num * fp > 0
+              and all(c * fp == num * v for c, v in zip(comb, face.f))
+              and rhs * abs(fp) >= abs(num) * face.b)
+    return [k for k, _, _ in used] if ok else None
 
 
 def _exact_certificate(rows: List[Face], support: Sequence[int], face: Face) -> bool:
@@ -226,16 +341,20 @@ class _Sweep:
         """Whether the alive rows other than row `skip` imply face.
 
         The float probe decides a "keep" on its own; an implication needs
-        the exact certificate on the probe's support or, failing that, an
-        exact LP.  With no row skipped (`implied_equalities`, which drops
-        none) that LP runs on the system itself, whose warm-started tableau
-        it reuses.  Rows with no common point imply every face.
+        an exact certificate: the probe's rounded dual, or an exact solve on
+        the dual's support, or, failing both, an exact LP.  With no row
+        skipped (`implied_equalities`, which drops none) that LP runs on the
+        system itself, whose warm-started tableau it reuses.  Rows with no
+        common point imply every face.
         """
         if self.filt is not None:
-            verdict, support = self.filt.probe(skip, face)
+            verdict, weights = self.filt.probe(skip, face)
             if verdict == "keep":
                 return False
-            if verdict == "try-drop" and _exact_certificate(self.rows, support, face):
+            if verdict == "try-drop" and (
+                    _certificate(self.rows, weights, face) is not None
+                    or _exact_certificate(
+                        self.rows, [k for k, w in weights if w > 0], face)):
                 return True
         system = self.system
         if skip is not None:
@@ -255,19 +374,27 @@ def implied_equalities(system: ConstraintSystem, *,
     Row f.x >= b is an implicit equality iff the reverse -f.x >= -b is also
     implied by the system (max of f equals b).  With floats, one LP first
     looks for a point where many rows are strict (see
-    `_FloatFilter.strict_rows`); the rows it shows strict by half their
-    scale are skipped, and every other row gets its own reverse probe.  Each
-    detection is confirmed exactly; the float LPs only route rows past the
-    expensive check, and a row they wrongly routed past it would be a missed
+    `_FloatFilter.strict_rows`).  Its dual weights, rounded and checked in
+    integers as a certificate for the zero face (y >= 0, y.L = 0, y.a >= 0),
+    prove every row they weigh an equality with no further LP; on a cone
+    these are all the equalities.  Of the other rows, those strict by half
+    their scale are skipped and the rest get their own reverse probe.  When
+    the check fails (a thin polytope: y.a < 0), every row that is not
+    strict gets that probe, so the answer is the exact sweep's either way.
+    A row the float LP wrongly routed past its probe would be a missed
     equality, which costs FME speed, not correctness (see the module
     docstring).  An infeasible system has no solutions, so each of its rows
     holds with equality on all of them: every row is reported.  Callers
     decide feasibility first.
     """
     sweep = _Sweep(system, use_float)
-    strict = sweep.filt.strict_rows() if sweep.filt is not None else set()
+    strict, proven = set(), set()
+    if sweep.filt is not None:
+        strict, weights = sweep.filt.strict_rows()
+        zero = Face((0,) * system.dim, 0)
+        proven = set(_certificate(sweep.rows, weights, zero) or ())
     return [i for i, face in enumerate(sweep.rows)
-            if i not in strict and sweep.implies(-face)]
+            if i in proven or (i not in strict and sweep.implies(-face))]
 
 
 def prune_redundant(system: ConstraintSystem, *, protect: Sequence[int] = (),

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -301,14 +305,15 @@ def test_float_filter_restores_and_disables_rows():
                         ((0, 1), 0), ((0, -1), -1)], 2).rows)
     filt = redundancy._FloatFilter(rows)
     assert filt.ok
-    assert filt.probe(0, rows[0]) == ("try-drop", [1])
-    assert filt.probe(0, rows[0]) == ("try-drop", [1])
+    # each verdict carries the probe's dual weights: row 1 alone, weight 1
+    assert filt.probe(0, rows[0]) == ("try-drop", [(1, 1.0)])
+    assert filt.probe(0, rows[0]) == ("try-drop", [(1, 1.0)])
     # row 0's bound is back in place after its own probe
-    assert filt.probe(1, rows[1]) == ("try-drop", [0])
+    assert filt.probe(1, rows[1]) == ("try-drop", [(0, 1.0)])
     filt.disable(0)
     # with row 0 gone nothing else bounds x from below
     assert filt.probe(1, rows[1]) == ("keep", None)
-    assert filt.probe(None, Face((1, 0), -1)) == ("try-drop", [1])
+    assert filt.probe(None, Face((1, 0), -1)) == ("try-drop", [(1, 1.0)])
 
 
 def test_failed_warm_solve_is_retried_cold():
@@ -331,6 +336,29 @@ def test_failed_warm_solve_is_retried_cold():
     highs = Highs()
     assert redundancy._linprog(highs) == hc.HighsModelStatus.kOptimal
     assert highs.log == ["run", "clear", "run"]
+
+
+def test_highs_bindings_load_without_scipy_optimize():
+    # the bindings are loaded from their file, skipping scipy.optimize's
+    # slow __init__; a later scipy.optimize import reuses the same module
+    pytest.importorskip("scipy")
+    code = (
+        "import sys\n"
+        "import polyproj.fme\n"
+        "from polyproj import redundancy\n"
+        "assert redundancy._hc is not None\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'\n"
+        "from scipy.optimize import linprog\n"
+        "res = linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], bounds=(0, None),\n"
+        "              method='highs')\n"
+        "assert res.status == 0 and abs(res.fun - 1) < 1e-9, res\n"
+        "assert sys.modules[redundancy._HIGHS_CORE] is redundancy._hc\n"
+    )
+    src = str(Path(redundancy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_float_filter_binds_scipy_highs():
@@ -420,17 +448,79 @@ def _count_float_lps(monkeypatch):
     return calls
 
 
+def _refuse(monkeypatch, module, name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(module, name, refused)
+
+
 def test_per_step_sweeps_skip_pass_through_rows(monkeypatch):
     # probing every pass-through row and every row's reverse costs 1,397
-    # float LPs on cca:3; the skips leave 501, the interior LP included
+    # float LPs on cca:3; the skips leave 501, the interior LP included, and
+    # the interior LP's certified dual leaves 424; every drop and equality
+    # is proven by a rounded float dual, with no exact solve or LP
     cca3 = parse_scenario("cca:3")
     calls = _count_float_lps(monkeypatch)
+    _refuse(monkeypatch, redundancy, "_exact_certificate")
+    _refuse(monkeypatch, redundancy, "lp_minimize")
     out = fme_project(cca3.system, cca3.scenario.d)
     assert len(out) == 16
-    assert len(calls) <= 520
+    assert len(calls) == 424
+
+
+# ------------------------------------------------- rounded certificates
+
+
+def test_certificate_accepts_exact_combinations():
+    # 2x >= 1 and 3y >= -1 scale to x >= 1/2 and y >= -1/3 in the float
+    # model; weights 2 and 3 on those give 2x + 3y >= 0
+    rows = sys_of([((2, 0), 1), ((0, 3), -1), ((1, 1), 5)], 2).rows
+    target = Face((2, 3), 0)
+    assert redundancy._certificate(rows, [(0, 2.0), (1, 3.0)], target) == [0, 1]
+    # a float error that rounding repairs, and a weight that rounds to 0
+    assert redundancy._certificate(
+        rows, [(0, 2.0 - 1e-12), (1, 3.0 + 1e-11), (2, 1e-10)], target) == [0, 1]
+    # any positive multiple of the target will do
+    assert redundancy._certificate(rows, [(0, 4.0), (1, 6.0)], target) == [0, 1]
+    # the zero face: x - y >= 1 and y - x >= -1 sum to 0 >= 0, so both
+    # rows are equalities
+    pair = sys_of([((1, -1), 1), ((-1, 1), -1), ((1, 0), 0)], 2).rows
+    assert redundancy._certificate(
+        pair, [(0, 1.0), (1, 1.0)], Face((0, 0), 0)) == [0, 1]
+
+
+def test_certificate_rejects_what_it_cannot_prove():
+    rows = sys_of([((2, 0), 1), ((0, 3), -1)], 2).rows
+    target = Face((2, 3), 0)
+    cert = redundancy._certificate
+    # weights off by more than rounding repairs: (2, 3.01) is not along f
+    assert cert(rows, [(0, 2.0), (1, 3.01)], target) is None
+    # a negative rounded weight: x + y >= 0 and y >= 0 "give" x >= 0 with
+    # weights 1 and -1, yet (-1, 1) satisfies both rows
+    skew = sys_of([((1, 1), 0), ((0, 1), 0)], 2).rows
+    assert cert(skew, [(0, 1.0), (1, -1.0)], Face((1, 0), 0)) is None
+    # a negative multiple of f: -x >= -1 weighs to -1 times x >= -5
+    below = sys_of([((-1, 0), -1)], 2).rows
+    assert cert(below, [(0, 1.0)], Face((1, 0), -5)) is None
+    # a right-hand side that falls short: 2x + 3y >= 0, not >= 1
+    assert cert(rows, [(0, 2.0), (1, 3.0)], Face((2, 3), 1)) is None
+    # and for the zero face, a combination with y.a < 0 (the thin box)
+    box = sys_of([((1, 0), 0), ((-1000, 0), -1)], 2).rows
+    assert cert(box, [(0, 1.0), (1, 1.0)], Face((0, 0), 0)) is None
+    assert cert(rows, [(0, float("nan"))], target) is None
 
 
 # ------------------------------------------------- implicit equalities
+
+
+def test_implied_equalities_on_cca4_is_one_float_lp(monkeypatch):
+    # the interior LP's dual proves all 814 equalities of cca:4 at once
+    system = parse_scenario("cca:4").system
+    calls = _count_float_lps(monkeypatch)
+    _refuse(monkeypatch, redundancy, "lp_minimize")
+    assert len(implied_equalities(system)) == 814
+    assert len(calls) == 1
 
 
 def test_implied_equalities_forced_point():
@@ -452,24 +542,32 @@ def test_implied_equalities_none_on_square():
 
 
 def test_implied_equalities_thin_box_is_left_to_the_probes(monkeypatch):
-    # 0 <= x, y <= 1/1000: no point has a row slack of half its scale, so
-    # the interior LP settles nothing and each row gets its own probe
+    # 0 <= x, y <= 1/1000: no point has a row slack of half its scale, and
+    # the interior LP's dual weighs every row with y.a < 0, which proves no
+    # equality, so the LP settles nothing and each row gets its own probe
     s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1000, 0), -1), ((0, -1000), -1)], 2)
-    assert redundancy._FloatFilter(list(s.rows)).strict_rows() == set()
+    strict, weights = redundancy._FloatFilter(list(s.rows)).strict_rows()
+    assert strict == set() and [k for k, _ in weights] == [0, 1, 2, 3]
+    assert redundancy._certificate(s.rows, weights, Face((0, 0), 0)) is None
     calls = _count_float_lps(monkeypatch)
     assert implied_equalities(s) == [] == implied_equalities(s, use_float=False)
     assert len(calls) == 1 + 4
 
 
-def test_implied_equalities_hidden_in_a_cycle():
+def test_implied_equalities_hidden_in_a_cycle(monkeypatch):
     # x - y >= 1, y - z >= -2, z - x >= 1 sum to 0 >= 0, so all three are
     # tight: x = y + 1 = z - 1, with no row the reverse of another; the
-    # bounds 0 <= x <= 3, 0 <= w <= 5 are strict at the interior point
+    # bounds 0 <= x <= 3, 0 <= w <= 5 are strict at the interior point,
+    # and the interior LP's dual is that sum, which proves the three
     s = sys_of([((1, -1, 0, 0), 1), ((0, 1, -1, 0), -2), ((-1, 0, 1, 0), 1),
                 ((1, 0, 0, 0), 0), ((-1, 0, 0, 0), -3),
                 ((0, 0, 0, 1), 0), ((0, 0, 0, -1), -5)], 4)
-    assert redundancy._FloatFilter(list(s.rows)).strict_rows() == {3, 4, 5, 6}
+    strict, weights = redundancy._FloatFilter(list(s.rows)).strict_rows()
+    assert strict == {3, 4, 5, 6}
+    assert redundancy._certificate(s.rows, weights, Face((0,) * 4, 0)) == [0, 1, 2]
+    calls = _count_float_lps(monkeypatch)
     assert implied_equalities(s) == [0, 1, 2]
+    assert len(calls) == 1
     assert implied_equalities(s, use_float=False) == [0, 1, 2]
 
 
