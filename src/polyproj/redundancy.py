@@ -1,5 +1,5 @@
 """
-Redundancy removal for inequality systems, with a float prefilter.
+Redundancy removal for inequality systems, steered by float LPs.
 
 A row is redundant when it is implied by the remaining rows; dropping it
 leaves the solution set unchanged, and a row is an implicit equality when
@@ -18,11 +18,13 @@ misses, a full exact LP decides.  So floating point influences speed,
 never results (Dhiflaoui et al., "Certifying and
 repairing solutions to large LPs", 2003).
 
-The float LPs of one sweep share a single HiGHS model, driven through
-scipy's bindings: a probe changes the objective and lifts one row's bound,
-then solves warm from the previous basis, retrying once from scratch when
-the warm solve ends neither optimal nor unbounded.  Without scipy every row
-goes straight to the exact path.
+Each sweep is one `_Sweep`: its rows, one mask of the rows still alive,
+and one HiGHS model of the rows, built once and driven through scipy's
+bindings.  A probe changes the objective and lifts one row's bound, then
+solves warm from the previous basis, retrying once from scratch when the
+warm solve ends neither optimal nor unbounded.  A sweep with a row the
+float model cannot hold (a right-hand side or a coefficient too far from
+the row's scale, see `_held`) runs exact LPs only.
 
 `implied_equalities` first solves one more float LP, for a point of the
 system at which as many rows as possible hold strictly.  Its dual, once
@@ -42,6 +44,8 @@ import sys
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .lp import OPTIMAL, UNBOUNDED, ConstraintSystem, Face, lp_minimize
 
@@ -79,15 +83,12 @@ def _highs_core():
     return _core
 
 
-try:  # scipy's vendored HiGHS bindings are an optional accelerator
-    import numpy as _np
-    _hc = _highs_core()
-except Exception:  # pragma: no cover - exercised only without scipy
-    _hc = None
+_hc = _highs_core()
 
 _SUPPORT_TOL = 1e-9
 _DECISION_TOL = 1e-7
-_FLOAT_LIMIT = 1e15
+_FLOAT_LIMIT = 10 ** 15
+_ENTRY_LIMIT = 10 ** 8
 _DENOMINATOR_LIMIT = 1000
 
 
@@ -109,145 +110,42 @@ def _linprog(highs):
 
 def _magnitude(face: Face) -> int:
     """The scale of a row in the float model: max |f_j|, 1 for a zero row."""
-    return max((abs(c) for c in face.f), default=0) or 1
+    return max(map(abs, face.f), default=0) or 1
 
 
-def _scaled(face: Face) -> Tuple[List[float], float]:
-    """face.f and face.b as floats divided by `_magnitude(face)`, each
-    clamped to +-_FLOAT_LIMIT."""
-    mag = float(_magnitude(face))
-
-    def scale(v):
-        return max(-_FLOAT_LIMIT, min(_FLOAT_LIMIT, float(v) / mag)) if v else 0.0
-
-    return [scale(c) for c in face.f], scale(face.b)
+def _held(face: Face, scale: int) -> bool:
+    """Whether the float model holds face divided by its scale: |b| / scale
+    is at most _FLOAT_LIMIT, and no nonzero |f_j| / scale is below
+    1 / _ENTRY_LIMIT, ten times the size below which HiGHS drops a matrix
+    entry (its `small_matrix_value`, 1e-9)."""
+    return (abs(face.b) <= _FLOAT_LIMIT * scale
+            and min(filter(None, map(abs, face.f)), default=scale)
+            * _ENTRY_LIMIT >= scale)
 
 
 def _highs(cost, lower, upper, columns, row_upper):
     """A quiet HiGHS instance holding  min cost.x  s.t.  A x <= row_upper,
-    lower <= x <= upper, where columns[j] lists column j of A as
-    (row, value) pairs; None when HiGHS rejects the model."""
-    n, m = len(columns), len(row_upper)
+    lower <= x <= upper, where columns = (start, index, value) is A stored
+    column-wise; None when HiGHS rejects the model."""
+    start, index, value = columns
+    n, m = len(cost), len(row_upper)
     lp = _hc.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = m
     lp.col_cost_ = cost
     lp.col_lower_ = lower
     lp.col_upper_ = upper
-    lp.row_lower_ = _np.full(m, -_hc.kHighsInf)
+    lp.row_lower_ = np.full(m, -_hc.kHighsInf)
     lp.row_upper_ = row_upper
     lp.a_matrix_.format_ = _hc.MatrixFormat.kColwise
     lp.a_matrix_.num_col_ = n
     lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.start_ = _np.cumsum([0] + [len(e) for e in columns])
-    lp.a_matrix_.index_ = [i for e in columns for i, _ in e]
-    lp.a_matrix_.value_ = [v for e in columns for _, v in e]
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     highs = _hc._Highs()
     highs.setOptionValue("output_flag", False)
     return highs if highs.passModel(lp) != _hc.HighsStatus.kError else None
-
-
-class _FloatFilter:
-    """One persistent float LP over the rows of a sweep.
-
-    The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once,
-    with every row scaled by `_scaled`; each probe changes only the
-    objective and lifts the probed row's bound, so consecutive solves
-    warm-start from the previous basis (with one cold retry, see
-    `_linprog`).  Dropped rows are disabled by relaxing their upper bound to
-    +inf for good.
-    """
-
-    def __init__(self, rows: Sequence[Face]):
-        self.ok = _hc is not None
-        if not self.ok:
-            return
-        dim = len(rows[0].f) if rows else 0
-        self.columns = [[] for _ in range(dim)]
-        self.bub = _np.empty(len(rows))
-        for i, row in enumerate(rows):
-            f, b = _scaled(row)
-            for j, c in enumerate(f):
-                if c:
-                    self.columns[j].append((i, -c))
-            self.bub[i] = -b
-        inf = _hc.kHighsInf
-        self.highs = _highs(_np.zeros(dim), _np.full(dim, -inf),
-                            _np.full(dim, inf), self.columns, self.bub)
-        self.ok = self.highs is not None
-        self.active = _np.ones(len(rows), dtype=bool)
-        self.dim = dim
-        self.cols = _np.arange(dim, dtype=_np.int32)
-
-    def strict_rows(self) -> Tuple[Set[int], List[Tuple[int, float]]]:
-        """Rows that hold with slack >= 1/2 (scaled) at one float point, and
-        the LP's dual weights on the rows.
-
-        Solves  max sum t  s.t.  Lx - t >= a,  0 <= t <= 1  (free x) over
-        the scaled rows, in a model of its own.  A relative-interior point
-        of the system makes every row that is no implicit equality strict,
-        and on a cone scaling that point up brings each such row to t = 1;
-        on a thin polytope some rows may stay below 1/2.
-
-        By complementary slackness every row with t < 1 has dual weight
-        y >= 1, and dual feasibility in the free x reads y.L = 0.  So when
-        also y.a >= 0, y is a certificate (for the zero face) that every
-        row it weighs is an implicit equality; on a thin polytope y.a < 0
-        and it proves nothing.  Both parts are empty unless the LP ends
-        optimal.
-        """
-        m, dim, inf = len(self.bub), self.dim, _hc.kHighsInf
-        highs = _highs(
-            _np.concatenate([_np.zeros(dim), _np.full(m, -1.0)]),
-            _np.concatenate([_np.full(dim, -inf), _np.zeros(m)]),
-            _np.concatenate([_np.full(dim, inf), _np.ones(m)]),
-            self.columns + [[(i, 1.0)] for i in range(m)], self.bub)
-        if highs is None or _linprog(highs) != _hc.HighsModelStatus.kOptimal:
-            return set(), []
-        solution = highs.getSolution()
-        slack = solution.col_value[dim:]
-        strict = {i for i, t in enumerate(slack) if t >= 0.5}
-        return strict, _weights(solution.row_dual)
-
-    def disable(self, i: int) -> None:
-        self.active[i] = False
-        self.highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
-
-    def probe(self, i: Optional[int], face: Face):
-        """Float-minimize face.f over active rows minus row i (i=None keeps
-        every active row in place).
-
-        Returns (verdict, weights): verdict in {"keep", "try-drop", None};
-        for "try-drop", weights are the probe's dual weights on the rows
-        that may carry the certificate, else None.
-        """
-        if not self.ok:
-            return None, None
-        f, target = _scaled(face)
-        highs = self.highs
-        highs.changeColsCost(self.dim, self.cols, _np.array(f))
-        lifted = i is not None and self.active[i]
-        if lifted:
-            highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
-        try:
-            status = _linprog(highs)
-            if status == _hc.HighsModelStatus.kUnbounded:
-                return "keep", None  # unbounded below: certainly not implied
-            if status != _hc.HighsModelStatus.kOptimal:
-                return None, None
-            fun = highs.getInfo().objective_function_value
-            if fun < target - _DECISION_TOL * (1 + abs(target)):
-                # Confidently irredundant; keeps need no certificate.
-                return "keep", None
-            duals = highs.getSolution().row_dual
-        finally:
-            if lifted:
-                highs.changeRowBounds(i, -_hc.kHighsInf, self.bub[i])
-        # The minimum looks >= b: likely redundant, ask for an exact proof.
-        allowed = self.active.copy()
-        if i is not None:
-            allowed[i] = False
-        return "try-drop", _weights(duals, allowed)
 
 
 def _weights(row_dual, allowed=None) -> List[Tuple[int, float]]:
@@ -256,26 +154,26 @@ def _weights(row_dual, allowed=None) -> List[Tuple[int, float]]:
 
     The model states  -L x <= -a,  so the dual of a binding row is <= 0;
     negated, it is the row's multiplier in  L x >= a."""
-    weights = -_np.asarray(row_dual)
-    keep = _np.abs(weights) > _SUPPORT_TOL
+    weights = -np.asarray(row_dual)
+    keep = np.abs(weights) > _SUPPORT_TOL
     if allowed is not None:
         keep &= allowed
-    rows = _np.flatnonzero(keep)
+    rows = np.flatnonzero(keep)
     return list(zip(rows.tolist(), weights[rows].tolist()))
 
 
 def _certificate(rows: Sequence[Face], weights, face: Face) -> Optional[List[int]]:
     """The rows whose weights prove that `rows` imply face, or None.
 
-    `weights` holds (k, w) pairs, a float multiplier w of row k as `_scaled`
-    scales it, such as a float LP's dual.  Each w is rounded to the nearest
-    fraction with denominator at most _DENOMINATOR_LIMIT; no rounded w may
-    be negative.  Divided by the row's scale, q_k = w_k / `_magnitude(rows[k])`
-    weighs the row as given.  The test is exact, in integers: q.L = s f for
-    some s > 0, and q.a >= s b.  Then every x with L x >= a has
-    f.x = (q.L x) / s >= (q.a) / s >= b.  For the zero face f = 0 any s > 0
-    serves; with b = 0 the test reads q.L = 0 and q.a >= 0, which makes
-    every row with q_k > 0 an equality.
+    `weights` holds (k, w) pairs, a float multiplier w of row k as the
+    float model scales it (see `_Sweep`), such as a float LP's dual.  Each
+    w is rounded to the nearest fraction with denominator at most
+    _DENOMINATOR_LIMIT; no rounded w may be negative.  Divided by the row's
+    scale, q_k = w_k / `_magnitude(rows[k])` weighs the row as given.  The
+    test is exact, in integers: q.L = s f for some s > 0, and q.a >= s b.
+    Then every x with L x >= a has f.x = (q.L x) / s >= (q.a) / s >= b.
+    For the zero face f = 0 any s > 0 serves; with b = 0 the test reads
+    q.L = 0 and q.a >= 0, which makes every row with q_k > 0 an equality.
     """
     used = []
     for k, w in weights:
@@ -306,37 +204,92 @@ def _certificate(rows: Sequence[Face], weights, face: Face) -> Optional[List[int
 
 
 class _Sweep:
-    """The rows of one sweep, which of them are alive, and their float model."""
+    """The rows of one sweep, which of them are alive, and their float model.
+
+    The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once per
+    sweep, column-wise, from each row divided by its scale (`_magnitude`):
+    every entry is a quotient of integers rounded once to a float.  A probe
+    changes the objective and lifts the probed row's bound; `drop` relaxes
+    a row's bound for good.  `highs` is None, and every row goes to the
+    exact LP, without `use_float`, when a row is out of the model's range
+    (`_held`), or when HiGHS rejects the model.
+    """
 
     def __init__(self, system: ConstraintSystem, use_float: bool):
         self.system = system
         self.rows = list(system.rows)
-        self.alive = [True] * len(self.rows)
-        self.n_alive = len(self.rows)
-        filt = _FloatFilter(self.rows) if use_float else None
-        self.filt = filt if filt is not None and filt.ok else None
+        self.alive = np.ones(len(self.rows), dtype=bool)
+        self.highs = None
+        scale = [_magnitude(r) for r in self.rows]
+        if not use_float or not all(map(_held, self.rows, scale)):
+            return
+        m, dim, inf = len(self.rows), system.dim, _hc.kHighsInf
+        # quotients of integers, none above _FLOAT_LIMIT, so none overflows
+        pairs = list(zip(self.rows, scale))
+        a_t = np.fromiter((-(c / g) for r, g in pairs for c in r.f),
+                          float, m * dim).reshape(m, dim).T
+        self.bub = np.fromiter((-(r.b / g) for r, g in pairs), float, m)
+        cols, index = np.nonzero(a_t)
+        start = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=dim), out=start[1:])
+        self.columns = (start, index, a_t[cols, index])
+        self.highs = _highs(np.zeros(dim), np.full(dim, -inf),
+                            np.full(dim, inf), self.columns, self.bub)
 
     def drop(self, i: int) -> None:
         self.alive[i] = False
-        self.n_alive -= 1
-        if self.filt is not None:
-            self.filt.disable(i)
+        if self.highs is not None:
+            self.highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
+
+    def probe(self, face: Face, skip: Optional[int] = None):
+        """Float-minimize face.f over the alive rows other than row `skip`.
+
+        Returns False when the minimum is -inf or clearly below face.b, so
+        face is not implied; when the minimum looks >= face.b, the probe's
+        dual weights on those rows, for `_certificate`; None when the LP
+        ends otherwise.
+        """
+        highs, inf, dim = self.highs, _hc.kHighsInf, self.system.dim
+        g = _magnitude(face)
+        highs.changeColsCost(dim, np.arange(dim, dtype=np.int32),
+                             np.array([c / g for c in face.f], dtype=float))
+        target = face.b / g
+        lifted = skip is not None and self.alive[skip]
+        if lifted:
+            highs.changeRowBounds(skip, -inf, inf)
+        try:
+            status = _linprog(highs)
+            if status == _hc.HighsModelStatus.kUnbounded:
+                return False
+            if status != _hc.HighsModelStatus.kOptimal:
+                return None
+            if (highs.getInfo().objective_function_value
+                    < target - _DECISION_TOL * (1 + abs(target))):
+                return False
+            duals = highs.getSolution().row_dual
+        finally:
+            if lifted:
+                highs.changeRowBounds(skip, -inf, self.bub[skip])
+        allowed = self.alive.copy()
+        if skip is not None:
+            allowed[skip] = False
+        return _weights(duals, allowed)
 
     def implies(self, face: Face, skip: Optional[int] = None) -> bool:
         """Whether the alive rows other than row `skip` imply face.
 
-        The float probe decides a "keep" on its own; an implication needs
-        an exact certificate: the probe's rounded dual or, failing that, an
-        exact LP.  With no row
-        skipped (`implied_equalities`, which drops none) that LP runs on the
-        system itself, whose warm-started tableau it reuses.  Rows with no
-        common point imply every face.
+        Three steps, in order: the float probe, whose "not implied" is
+        final (keeping a row needs no proof); its dual weights rounded into
+        an exact certificate (`_certificate`); and the exact LP.  With no
+        row skipped (`implied_equalities`, which drops none) that LP runs on
+        the system itself, whose warm-started tableau it reuses.  Rows with
+        no common point imply every face.
         """
-        if self.filt is not None:
-            verdict, weights = self.filt.probe(skip, face)
-            if verdict == "keep":
+        if self.highs is not None:
+            weights = self.probe(face, skip)
+            if weights is False:
                 return False
-            if (verdict == "try-drop"
+            if (weights is not None
                     and _certificate(self.rows, weights, face) is not None):
                 return True
         system = self.system
@@ -349,6 +302,40 @@ class _Sweep:
             return sol.objective >= face.b
         return sol.status != UNBOUNDED
 
+    def strict_rows(self) -> Tuple[Set[int], List[Tuple[int, float]]]:
+        """Rows that hold with slack >= 1/2 (scaled) at one float point, and
+        the LP's dual weights on the rows.
+
+        Solves  max sum t  s.t.  Lx - t >= a,  0 <= t <= 1  (free x) over
+        the scaled rows, in a model of its own: the sweep's columns and one
+        identity column per row for t.  A relative-interior point of the
+        system makes every row that is no implicit equality strict, and on
+        a cone scaling that point up brings each such row to t = 1; on a
+        thin polytope some rows may stay below 1/2.
+
+        By complementary slackness every row with t < 1 has dual weight
+        y >= 1, and dual feasibility in the free x reads y.L = 0.  So when
+        also y.a >= 0, y is a certificate (for the zero face) that every
+        row it weighs is an implicit equality; on a thin polytope y.a < 0
+        and it proves nothing.  Both parts are empty unless the LP ends
+        optimal.
+        """
+        m, dim, inf = len(self.rows), self.system.dim, _hc.kHighsInf
+        start, index, value = self.columns
+        columns = (np.concatenate([start, start[-1] + np.arange(1, m + 1)]),
+                   np.concatenate([index, np.arange(m)]),
+                   np.concatenate([value, np.ones(m)]))
+        highs = _highs(np.concatenate([np.zeros(dim), np.full(m, -1.0)]),
+                       np.concatenate([np.full(dim, -inf), np.zeros(m)]),
+                       np.concatenate([np.full(dim, inf), np.ones(m)]),
+                       columns, self.bub)
+        if highs is None or _linprog(highs) != _hc.HighsModelStatus.kOptimal:
+            return set(), []
+        solution = highs.getSolution()
+        slack = solution.col_value[dim:]
+        strict = {i for i, t in enumerate(slack) if t >= 0.5}
+        return strict, _weights(solution.row_dual)
+
 
 def implied_equalities(system: ConstraintSystem, *,
                        use_float: bool = True) -> List[int]:
@@ -357,7 +344,7 @@ def implied_equalities(system: ConstraintSystem, *,
     Row f.x >= b is an implicit equality iff the reverse -f.x >= -b is also
     implied by the system (max of f equals b).  With floats, one LP first
     looks for a point where many rows are strict (see
-    `_FloatFilter.strict_rows`).  Its dual weights, rounded and checked in
+    `_Sweep.strict_rows`).  Its dual weights, rounded and checked in
     integers as a certificate for the zero face (y >= 0, y.L = 0, y.a >= 0),
     prove every row they weigh an equality with no further LP; on a cone
     these are all the equalities.  Of the other rows, those strict by half
@@ -372,8 +359,8 @@ def implied_equalities(system: ConstraintSystem, *,
     """
     sweep = _Sweep(system, use_float)
     strict, proven = set(), set()
-    if sweep.filt is not None:
-        strict, weights = sweep.filt.strict_rows()
+    if sweep.highs is not None:
+        strict, weights = sweep.strict_rows()
         zero = Face((0,) * system.dim, 0)
         proven = set(_certificate(sweep.rows, weights, zero) or ())
     return [i for i, face in enumerate(sweep.rows)
@@ -391,7 +378,8 @@ def prune_redundant(system: ConstraintSystem, *, protect: Sequence[int] = (),
     protected = set(protect)
     for i, face in enumerate(sweep.rows):
         # Row i is still alive here: rows are only dropped when visited.
-        if i not in protected and sweep.n_alive > 1 and sweep.implies(face, i):
+        if (i not in protected and np.count_nonzero(sweep.alive) > 1
+                and sweep.implies(face, i)):
             sweep.drop(i)
     kept = tuple(r for r, a in zip(sweep.rows, sweep.alive) if a)
     return ConstraintSystem(kept, system.dim, system.names)

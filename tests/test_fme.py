@@ -1,7 +1,9 @@
+import functools
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -299,21 +301,23 @@ def test_float_sweeps_equal_exact_sweeps(s):
     assert implied_equalities(s) == implied_equalities(s, use_float=False)
 
 
-def test_float_filter_restores_and_disables_rows():
+def test_sweep_probe_restores_and_drops_rows():
     # rows 0 and 1 are the same x >= 0; the box closes with x <= 1, 0 <= y <= 1
-    rows = list(sys_of([((1, 0), 0), ((1, 0), 0), ((-1, 0), -1),
-                        ((0, 1), 0), ((0, -1), -1)], 2).rows)
-    filt = redundancy._FloatFilter(rows)
-    assert filt.ok
-    # each verdict carries the probe's dual weights: row 1 alone, weight 1
-    assert filt.probe(0, rows[0]) == ("try-drop", [(1, 1.0)])
-    assert filt.probe(0, rows[0]) == ("try-drop", [(1, 1.0)])
+    s = sys_of([((1, 0), 0), ((1, 0), 0), ((-1, 0), -1),
+                ((0, 1), 0), ((0, -1), -1)], 2)
+    rows = s.rows
+    sweep = redundancy._Sweep(s, use_float=True)
+    assert sweep.highs is not None
+    # each probe returns its dual weights: row 1 alone, weight 1
+    assert sweep.probe(rows[0], 0) == [(1, 1.0)]
+    assert sweep.probe(rows[0], 0) == [(1, 1.0)]
     # row 0's bound is back in place after its own probe
-    assert filt.probe(1, rows[1]) == ("try-drop", [(0, 1.0)])
-    filt.disable(0)
-    # with row 0 gone nothing else bounds x from below
-    assert filt.probe(1, rows[1]) == ("keep", None)
-    assert filt.probe(None, Face((1, 0), -1)) == ("try-drop", [(1, 1.0)])
+    assert sweep.probe(rows[1], 1) == [(0, 1.0)]
+    sweep.drop(0)
+    # with row 0 gone nothing else bounds x from below, and it stays gone
+    assert sweep.probe(rows[1], 1) is False
+    assert sweep.probe(rows[1], 1) is False
+    assert sweep.probe(Face((1, 0), -1)) == [(1, 1.0)]
 
 
 def test_failed_warm_solve_is_retried_cold():
@@ -361,12 +365,67 @@ def test_highs_bindings_load_without_scipy_optimize():
     assert done.returncode == 0, done.stderr
 
 
-def test_float_filter_binds_scipy_highs():
-    # the filter reaches HiGHS through scipy's private `_highspy._core`
-    # bindings; should a scipy release move them, FME silently falls back to
-    # exact LPs only
-    pytest.importorskip("scipy")
-    assert redundancy._FloatFilter(list(sys_of([((1, 0), 0)], 2).rows)).ok
+def test_sweep_binds_scipy_highs():
+    # the sweep reaches HiGHS through scipy's private `_highspy._core`
+    # bindings; a scipy release that moves them fails this test
+    assert redundancy._Sweep(sys_of([((1, 0), 0)], 2), use_float=True).highs
+
+
+def test_sweep_model_is_the_scaled_rows():
+    # every row divided by its largest |f_j| (1 for a zero row), each entry
+    # the integer quotient rounded once, stored negated as -L x <= -a
+    big = 2 ** 64 + 1
+    rows = [((0, 0, 0), -1), ((3, -7, 0), 2), ((big, 2 ** 63 + 3, -5 * 2 ** 40), 7),
+            ((1, 1, 1), 0), ((0, -2, 6), -9)]
+    s = ConstraintSystem(tuple(Face(f, b) for f, b in rows), 3)
+    lp = redundancy._Sweep(s, use_float=True).highs.getLp()
+    a, entries = lp.a_matrix_, {}
+    for j in range(3):
+        for k in range(a.start_[j], a.start_[j + 1]):
+            entries[a.index_[k], j] = a.value_[k]
+    mags = [max(map(abs, f)) or 1 for f, _ in rows]
+    assert entries == {(i, j): -float(Fraction(c, mag))
+                       for i, ((f, _), mag) in enumerate(zip(rows, mags))
+                       for j, c in enumerate(f) if c}
+    assert list(lp.row_upper_) == [-float(Fraction(b, mag))
+                                   for (_, b), mag in zip(rows, mags)]
+
+
+@pytest.mark.parametrize("rows,kept", [
+    # x >= 3e15 follows from x + y >= 4e15 and y <= 5e14, but a right-hand
+    # side beyond _FLOAT_LIMIT times the row's scale was clamped to it
+    ([((1, 0), 3 * 10 ** 15), ((1, 1), 4 * 10 ** 15), ((0, -1), -5 * 10 ** 14)], 2),
+    # scaled, y >= r x reads y / r >= x, and HiGHS drops entries up to 1e-9:
+    # the float model saw 0 >= x and kept y >= 0, which the other rows imply
+    ([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1), ((-10 ** 9, 1), 0)], 3),
+    ([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1), ((-10 ** 12, 1), 0)], 3),
+], ids=["huge-rhs", "tiny-entry-1e-9", "tiny-entry-1e-12"])
+def test_rows_out_of_float_range_are_decided_exactly(rows, kept):
+    s = sys_of(rows, 2)
+    expected = prune_redundant(s, use_float=False).rows
+    assert len(expected) == kept
+    assert prune_redundant(s).rows == expected
+    assert redundancy._Sweep(s, use_float=True).highs is None
+
+
+@pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400],
+                         ids=["positive", "negative"])
+def test_sweeps_take_numbers_beyond_float_range(huge, monkeypatch):
+    # a row with a coefficient or a right-hand side of 10^400 is out of the
+    # float model's range, so the sweep is left to exact LPs: no overflow
+    wide = sys_of([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1), ((huge, 1), 0)], 2)
+    tall = sys_of([((1, 0), 0), ((0, 1), 0), ((-1, -1), -abs(huge)),
+                   ((1, 1), huge)], 2)
+    for s in (wide, tall):
+        assert (prune_redundant(s).rows
+                == prune_redundant(s, use_float=False).rows)
+        assert implied_equalities(s) == implied_equalities(s, use_float=False)
+    projected = [fme_project(s, 1) for s in (wide, tall)]
+    monkeypatch.setattr(fme, "prune_redundant",
+                        functools.partial(prune_redundant, use_float=False))
+    monkeypatch.setattr(fme, "implied_equalities",
+                        functools.partial(implied_equalities, use_float=False))
+    assert projected == [fme_project(s, 1) for s in (wide, tall)]
 
 
 @given(bounded_random_system())
@@ -545,7 +604,7 @@ def test_implied_equalities_thin_box_is_left_to_the_probes(monkeypatch):
     # the interior LP's dual weighs every row with y.a < 0, which proves no
     # equality, so the LP settles nothing and each row gets its own probe
     s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1000, 0), -1), ((0, -1000), -1)], 2)
-    strict, weights = redundancy._FloatFilter(list(s.rows)).strict_rows()
+    strict, weights = redundancy._Sweep(s, use_float=True).strict_rows()
     assert strict == set() and [k for k, _ in weights] == [0, 1, 2, 3]
     assert redundancy._certificate(s.rows, weights, Face((0, 0), 0)) is None
     calls = _count_float_lps(monkeypatch)
@@ -561,7 +620,7 @@ def test_implied_equalities_hidden_in_a_cycle(monkeypatch):
     s = sys_of([((1, -1, 0, 0), 1), ((0, 1, -1, 0), -2), ((-1, 0, 1, 0), 1),
                 ((1, 0, 0, 0), 0), ((-1, 0, 0, 0), -3),
                 ((0, 0, 0, 1), 0), ((0, 0, 0, -1), -5)], 4)
-    strict, weights = redundancy._FloatFilter(list(s.rows)).strict_rows()
+    strict, weights = redundancy._Sweep(s, use_float=True).strict_rows()
     assert strict == {3, 4, 5, 6}
     assert redundancy._certificate(s.rows, weights, Face((0,) * 4, 0)) == [0, 1, 2]
     calls = _count_float_lps(monkeypatch)
