@@ -10,9 +10,10 @@ hull-based projector (chm), depth k uses this walk again — which trades hull
 size against LP count.
 
 The same rotation primitive supports refining a valid inequality into an
-implying facet set (``to_facets``), certifying non-interior points
-(``point_to_facets``), and a budgeted randomized search (``rfd``) that
-returns a sound partial facet list.
+implying facet set (``to_facets``) and certifying non-interior points
+(``point_to_facets``).  ``afi_project`` with a ``budget`` of hull-projector
+calls is the randomized facet discovery (RFD): the walk cut off early,
+which returns a sound, possibly partial facet list.
 
 Each image reaches the walk through ``geometry.project_image``, which caps
 cones, charts flat images and drops the cap's facets; the walk traverses a
@@ -33,10 +34,10 @@ from .geometry import (
     AffineEmbedding,
     BasisSimplex,
     DegenerateInput,
-    UnboundedProjection,
     basis_simplex,
     cap_face,
     capped,
+    minimize_image,
     pad_objective,
     project_image,
     reduce_system,
@@ -47,9 +48,7 @@ from .lp import (
     UNBOUNDED,
     ConstraintSystem,
     Face,
-    InfeasibleSystem,
     as_face,
-    feasible_point,
     lp_minimize,
     lp_standard,
     normalize_face,
@@ -128,11 +127,7 @@ def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
     norm_s = dot(s.f, s.f)
     moved = False
     while True:
-        sol = lp_minimize(work, pad_objective(g.f, work.dim))
-        if sol.status == INFEASIBLE:
-            raise InfeasibleSystem("cannot rotate over an empty polyhedron")
-        if sol.status == UNBOUNDED:
-            raise UnboundedProjection("rotation needs a bounded image; cap the cone")
+        sol = minimize_image(work, g.f)
         x = sol.x[:d]
         gamma = sol.objective - g.b
         if gamma >= 0:
@@ -174,16 +169,17 @@ def _subface_axis(face: Face, pdirs: List[Tuple], fbase: Tuple,
     return None
 
 
-def _tighten(work: ConstraintSystem, d: int, face: Face, P: BasisSimplex,
-             control: Optional[Tuple] = None) -> Face:
+def _tighten(work: ConstraintSystem, d: int, face: Face, F: BasisSimplex,
+             P: BasisSimplex, control: Optional[Tuple] = None) -> Face:
     """Drive a valid, tight width-d inequality up the face lattice until it
     is a facet of the image of ``work``, whose basis simplex is ``P``: until
-    its tight set has rank P.rank - 1.
+    its tight set has rank P.rank - 1.  ``F`` is the basis simplex of the
+    face's tight set.
 
-    Each round: take the tight-set simplex F of the current face, pick a
-    pivot axis in the image's span orthogonal to F and the face, orient it
-    toward the polytope's slack side, and rotate the *negated* face around
-    it.  The landing face is valid, tight, and strictly larger in rank
+    Each round: pick a pivot axis in the image's span orthogonal to F and
+    the face, orient it toward the polytope's slack side, and rotate the
+    *negated* face around it.  The landing face is valid, tight, and its
+    tight-set simplex, the next round's F, is strictly larger in rank
     (asserted).  With a ``control`` point (which must strictly violate the
     incoming face), the rotation endpoint is chosen so the result still
     strictly separates the control point: if the first endpoint fails, the
@@ -193,22 +189,12 @@ def _tighten(work: ConstraintSystem, d: int, face: Face, P: BasisSimplex,
     if control is not None and not dot(face.f, control) < face.b:
         raise ValueError("control point must strictly violate the face")
     pdirs = [vec_sub(p, P.base) for p in P.points[1:]]
-    prev_rank = None
-    while True:
-        F = basis_simplex(work.with_rows([-face]), d)
-        if prev_rank is not None and F.rank <= prev_rank:
-            raise AssertionError("face rank did not increase during tightening")
-        prev_rank = F.rank
-        if F.rank == P.rank - 1:
-            return face
+    while F.rank != P.rank - 1:
         fdirs = [vec_sub(q, F.base) for q in F.points[1:]]
         axis = _subface_axis(face, pdirs, F.base, fdirs)
         if axis is None:
             raise DegenerateInput("face spans the whole image; nothing to tighten")
-        sol = lp_minimize(work, pad_objective(axis.f, work.dim), want_point=False)
-        if sol.status == UNBOUNDED:
-            raise UnboundedProjection("image unbounded along a pivot axis")
-        if sol.objective >= axis.b:
+        if minimize_image(work, axis.f, want_point=False).objective >= axis.b:
             axis = -axis
         cand, companion = rotate(work, -face, -axis)
         if control is not None and dot(cand.f, control) >= cand.b:
@@ -218,6 +204,11 @@ def _tighten(work: ConstraintSystem, d: int, face: Face, P: BasisSimplex,
                     "neither pencil endpoint separates the control point"
                 )
         face = cand
+        G = basis_simplex(work.with_rows([-face]), d)
+        if G.rank <= F.rank:
+            raise AssertionError("face rank did not increase during tightening")
+        F = G
+    return face
 
 
 def _support(work: ConstraintSystem, d: int, face) -> Face:
@@ -247,7 +238,8 @@ def _seed_facet(work: ConstraintSystem, d: int, P: BasisSimplex,
     for _ in range(_SAMPLE_RETRIES):
         sample = epm_sample_face(cp, [rng.randint(-(2**20), 2**20) for _ in work.rows])
         if not is_zero_vector(sample.f):
-            return _tighten(work, d, _support(work, d, sample), P)
+            face = _support(work, d, sample)
+            return _tighten(work, d, face, basis_simplex(work.with_rows([-face]), d), P)
     raise DegenerateInput("row combinations produced only trivial faces")
 
 
@@ -265,6 +257,7 @@ def to_facets(system: ConstraintSystem, d: int, face) -> List[Face]:
     work = capped(system, d)
     face = _support(work, d, face)
     P = basis_simplex(work, d)
+    F = basis_simplex(work.with_rows([-face]), d)
     out: Set[Face] = set()
     # the region is intersected with the cap for cones so control points
     # stay on the polytope side of the cap and can never select it
@@ -275,7 +268,7 @@ def to_facets(system: ConstraintSystem, d: int, face) -> List[Face]:
         if sol.status == INFEASIBLE:
             return sorted(out)
         if sol.status == UNBOUNDED:
-            base = feasible_point(region)
+            base = lp_minimize(region, [0] * d).x
             step = dot(face.f, sol.ray)
             if step >= 0:
                 raise AssertionError("unbounded certificate does not lower the face")
@@ -286,7 +279,7 @@ def to_facets(system: ConstraintSystem, d: int, face) -> List[Face]:
             return sorted(out)
         else:
             x = sol.x
-        facet = _tighten(work, d, face, P, control=x)
+        facet = _tighten(work, d, face, F, P, control=x)
         if not dot(facet.f, x) < facet.b:
             raise AssertionError("new facet does not cut its control point")
         out.add(facet)
@@ -410,29 +403,21 @@ def _project(system: ConstraintSystem, d: int, depth: int, group,
     )
 
 
-def afi_project(system: ConstraintSystem, d: int,
-                cfg: Optional[AfiConfig] = None) -> List[Face]:
-    """The complete facet list of the projection via the adjacency walk.
+def afi_project(system: ConstraintSystem, d: int, cfg: Optional[AfiConfig] = None,
+                *, budget: Optional[int] = None) -> List[Face]:
+    """The facet list of the projection via the adjacency walk.
 
     cfg.depth picks the ridge projector (0 = hull-based, k = walk of depth
     k-1); cfg.group marks whole orbits explored from one representative.
     Cones come back as genuine cone facets (cap artifacts removed).
+
+    Without a budget the list is complete.  A ``budget`` allows that many
+    hull-projector leaf calls in all (randomized facet discovery): the walk
+    stops at the first refused call and returns the sound, possibly partial,
+    facet list found by then.
     """
-    cfg = cfg or AfiConfig()
-    rng = random.Random(cfg.seed)
-    return _project(system, d, cfg.depth, cfg.group, _Budget(None), rng)
-
-
-def rfd(system: ConstraintSystem, d: int, budget: int,
-        cfg: Optional[AfiConfig] = None) -> List[Face]:
-    """Randomized facet discovery: the adjacency walk with a global budget
-    of ``budget`` hull-projector leaf calls.
-
-    Returns the sound, possibly partial, facet list discovered before the
-    budget ran out: the walk stops at the first refused leaf call.
-    """
-    if budget < 1:
-        raise ValueError("rfd requires budget >= 1")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
     cfg = cfg or AfiConfig()
     rng = random.Random(cfg.seed)
     return _project(system, d, cfg.depth, cfg.group, _Budget(budget), rng)

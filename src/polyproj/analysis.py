@@ -155,10 +155,6 @@ class StructureReport:
     k: Optional[int] = None
     m: Optional[int] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.category != VIOLATION
-
     def __str__(self) -> str:
         if self.category == CHAIN:
             return f"Chain(k={self.k}, m={self.m})"

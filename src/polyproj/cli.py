@@ -5,9 +5,10 @@ Command line entry point::
 
 projects the scenario system named by SPEC (see
 :func:`polyproj.scenarios.parse_scenario`) onto its observable coordinates
-and prints the facets as a matrix file.  ``--method rfd`` needs
-``--budget N`` and prints the facets that the randomized facet discovery
-finds within N hull-projector calls, a sound but possibly partial list.
+and prints the facets as a matrix file.  ``--method rfd`` is AFI with a
+budget: it needs ``--budget N`` and prints the facets that the adjacency
+walk finds within N hull-projector calls (randomized facet discovery), a
+sound but possibly partial list.
 ``--verify`` compares them with a bundled listing (see
 :mod:`polyproj.verify`) and prints the verdict on stderr; the exit status
 is then 1 when the listing has a class the projection lacks.
@@ -19,7 +20,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .afi import AfiConfig, afi_project, rfd
+from .afi import AfiConfig, afi_project
 from .chm import chm_project
 from .fme import fme_project
 from .lp import ConstraintSystem, Face, normalize_face
@@ -36,9 +37,7 @@ def _project(bundle: ScenarioBundle, method: str, budget: Optional[int]) -> List
         return list(fme_project(system, d).rows)
     if method == "chm":
         return chm_project(system, d, group=group).facets
-    if method == "rfd":
-        return rfd(system, d, budget, AfiConfig(group=group))
-    return afi_project(system, d, AfiConfig(group=group))
+    return afi_project(system, d, AfiConfig(group=group), budget=budget)
 
 
 def _parser() -> argparse.ArgumentParser:

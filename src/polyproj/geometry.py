@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .linalg import orthogonal_complement, solve_linear
-from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, as_face,
-                 lp_minimize, normalize_face)
+from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, InfeasibleSystem,
+                 LpSolution, as_face, lp_minimize, normalize_face)
 from .rationals import dot, is_zero_vector, vec_sub
 
 
@@ -77,6 +77,24 @@ def is_implied(system: ConstraintSystem, face) -> bool:
     return sol.objective >= face.b
 
 
+def minimize_image(system: ConstraintSystem, direction: Sequence, *,
+                   ties: Sequence[Sequence] = (), want_point: bool = True) -> LpSolution:
+    """
+    The optimal solution of min direction.x over the system, with the
+    direction and each tie objective zero-padded to the system's width.
+    Raises InfeasibleSystem for an empty system and UnboundedProjection when
+    the minimum is unbounded.
+    """
+    sol = lp_minimize(system, pad_objective(direction, system.dim),
+                      ties=[pad_objective(t, system.dim) for t in ties],
+                      want_point=want_point)
+    if sol.status == INFEASIBLE:
+        raise InfeasibleSystem("system is infeasible")
+    if sol.status == UNBOUNDED:
+        raise UnboundedProjection(f"unbounded along {tuple(direction)} or a tie objective")
+    return sol
+
+
 def find_vertex(system: ConstraintSystem, d: int, direction: Sequence) -> Tuple:
     """
     A vertex of pi(P) minimizing ``direction`` (stage 1), refined to a unique
@@ -86,19 +104,14 @@ def find_vertex(system: ConstraintSystem, d: int, direction: Sequence) -> Tuple:
     one image point.  One LP finds it: the later stages are tie-break
     objectives of ``lp_minimize``, which returns the point a chain of d LPs
     would (each pinning the previous optimum with an equality).  Raises
-    UnboundedProjection if some stage is unbounded.
+    UnboundedProjection if some stage is unbounded and InfeasibleSystem if
+    the system is empty.
     """
     if is_zero_vector(direction):
         raise ValueError("direction must be nonzero")
     skip = next(i for i, a in enumerate(direction) if a != 0)
-    ties = [pad_objective([int(j == i) for j in range(d)], system.dim)
-            for i in range(d) if i != skip]
-    sol = lp_minimize(system, pad_objective(direction, system.dim), ties=ties)
-    if sol.status == UNBOUNDED:
-        raise UnboundedProjection(f"unbounded along {direction} or a later stage")
-    if sol.status == INFEASIBLE:
-        raise DegenerateInput("system is infeasible")
-    return tuple(sol.x[:d])
+    ties = [[int(j == i) for j in range(d)] for i in range(d) if i != skip]
+    return tuple(minimize_image(system, direction, ties=ties).x[:d])
 
 
 @dataclass
@@ -135,12 +148,7 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
 
     if probe is None:
         def probe(direction):
-            sol = lp_minimize(work, pad_objective(direction, system.dim))
-            if sol.status == UNBOUNDED:
-                raise UnboundedProjection(f"projection unbounded along {direction}")
-            if sol.status == INFEASIBLE:
-                raise DegenerateInput("system is infeasible")
-            return tuple(sol.x[:d])
+            return tuple(minimize_image(work, direction).x[:d])
 
     x0 = probe(tuple(1 if i == 0 else 0 for i in range(d)))
     points = [x0]

@@ -102,18 +102,12 @@ class ConstraintSystem:
     names: Optional[Tuple[str, ...]] = None
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], rhs=None,
-                  dim: Optional[int] = None, names=None) -> "ConstraintSystem":
-        """Build a system from Face objects, (coeffs, rhs) pairs, or
-        coefficient rows with a separate rhs vector.  An int second argument
-        is taken as the dimension for convenience."""
-        if isinstance(rhs, int) and dim is None:
-            rhs, dim = None, rhs
-        rows = list(rows)
-        if rhs is not None:
-            faces = [normalize_face(r, b) for r, b in zip(rows, list(rhs))]
-        else:
-            faces = [as_face(r) for r in rows]
+    def from_rows(cls, rows: Iterable, dim: Optional[int] = None,
+                  names=None) -> "ConstraintSystem":
+        """Build a system from Face objects or (coeffs, rhs) pairs, each
+        normalized.  ``dim`` defaults to the width of the first row, so an
+        empty system needs it."""
+        faces = [as_face(r) for r in rows]
         if dim is None:
             if not faces:
                 raise ValueError("dimension required for an empty system")
@@ -267,8 +261,3 @@ def lp_feasible(system: ConstraintSystem) -> bool:
     sol = lp_minimize(system, [0] * system.dim, want_point=False)
     return sol.status == OPTIMAL
 
-
-def feasible_point(system: ConstraintSystem) -> Optional[Tuple]:
-    """A point of the system, or None when it is empty."""
-    sol = lp_minimize(system, [0] * system.dim)
-    return sol.x if sol.status == OPTIMAL else None

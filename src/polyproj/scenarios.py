@@ -397,10 +397,6 @@ class SymmetryGroup:
         return tuple(sorted(images))
 
 
-def identity_group(dim: int) -> SymmetryGroup:
-    return SymmetryGroup(generators=(), dim=dim)
-
-
 def _lift_variable_map(
     scenario: MarginalScenario, variable_map: Dict[int, int]
 ) -> Permutation:
@@ -476,16 +472,15 @@ def check_membership(h: Sequence, scenario: MarginalScenario, system: Constraint
     return lp_feasible(pinned)
 
 
-def bell_probability_polytope(settings: int = 2, outcomes: int = 2) -> List[Tuple[int, ...]]:
-    """Deterministic-strategy points in correlator coordinates.
+def bell_probability_polytope() -> List[Tuple[int, ...]]:
+    """Deterministic-strategy points of the two-party, two-setting,
+    binary-outcome scenario in correlator coordinates: 16 points.
 
     Coordinates: ``(<A1>, <A2>, <B1>, <B2>, <A1B1>, <A1B2>, <A2B1>, <A2B2>)``
     with every product correlator equal to the product of the one-body
-    values.  The bipartite binary case has exactly 16 such points.
+    values.
     """
 
-    if settings != 2 or outcomes != 2:
-        raise ValueError("only the two-setting binary-outcome case is supported")
     points = []
     for a1, a2, b1, b2 in product((1, -1), repeat=4):
         points.append((a1, a2, b1, b2, a1 * b1, a1 * b2, a2 * b1, a2 * b2))
@@ -506,7 +501,7 @@ SCENARIO_GRAMMAR = (
 class ScenarioBundle(NamedTuple):
     system: ConstraintSystem
     scenario: MarginalScenario
-    group: SymmetryGroup
+    group: Optional[SymmetryGroup]  # None: no symmetry is used
 
 
 def parse_scenario(text: str) -> ScenarioBundle:
@@ -520,7 +515,7 @@ def parse_scenario(text: str) -> ScenarioBundle:
             system = elemental_inequalities(n)
             space = entropy_space(n)
             scenario = marginal_scenario(space, space.coords)
-            return ScenarioBundle(system, scenario, identity_group(space.dim))
+            return ScenarioBundle(system, scenario, None)
         if kind == "cca" and len(parts) == 2:
             n = int(parts[1])
             system, scenario = _common_ancestor(n)

@@ -40,10 +40,6 @@ class VerifyReport:
     #: computed classes not present in the golden listing
     extra: Tuple[Face, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.relation == MATCH
-
     def summary(self) -> str:
         parts = [
             f"{self.relation}:",

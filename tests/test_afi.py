@@ -7,7 +7,6 @@ from polyproj.afi import (
     AfiConfig,
     afi_project,
     point_to_facets,
-    rfd,
     rotate,
     to_facets,
 )
@@ -22,7 +21,7 @@ from polyproj.geometry import (
     reduce_system,
 )
 from polyproj.linalg import integer_rref
-from polyproj.lp import ConstraintSystem, Face, lp_standard, normalize_face
+from polyproj.lp import ConstraintSystem, Face, InfeasibleSystem, lp_standard, normalize_face
 from polyproj.rationals import dot
 from polyproj.scenarios import SymmetryGroup, parse_scenario
 
@@ -333,17 +332,17 @@ def test_wrong_group_raises_before_any_solve(monkeypatch, project, flat):
         project(system, 2, group)
 
 
-# ---------------------------------------------------------------- rfd
+# ------------------------------------ rfd: the walk with a budget
 
 
 def test_rfd_exhausts_square():
     cfg = AfiConfig(depth=1, seed=1)
-    assert rfd(SQUARE, 2, 50, cfg) == sorted(SQUARE.rows)
+    assert afi_project(SQUARE, 2, cfg, budget=50) == sorted(SQUARE.rows)
 
 
 def test_rfd_budget_one_is_sound():
     cfg = AfiConfig(depth=1, seed=2)
-    out = rfd(CUBE, 3, 1, cfg)
+    out = afi_project(CUBE, 3, cfg, budget=1)
     assert out  # at least something discovered
     for f in out:
         assert f in set(CUBE.rows)
@@ -351,15 +350,47 @@ def test_rfd_budget_one_is_sound():
 
 def test_rfd_is_seeded():
     cfg = AfiConfig(depth=1, seed=11)
-    assert rfd(CUBE, 3, 2, cfg) == rfd(CUBE, 3, 2, cfg)
+    assert afi_project(CUBE, 3, cfg, budget=2) == afi_project(CUBE, 3, cfg, budget=2)
 
 
 def test_rfd_requires_budget():
     with pytest.raises(ValueError):
-        rfd(SQUARE, 2, 0, AfiConfig(depth=1))
+        afi_project(SQUARE, 2, AfiConfig(depth=1), budget=0)
+
+
+# ------------------------------------------------------- infeasible input
+
+
+@pytest.mark.parametrize("project", [
+    lambda system: fme_project(system, 1),
+    lambda system: chm_project(system, 1),
+    lambda system: afi_project(system, 1),
+    lambda system: afi_project(system, 1, budget=1),
+], ids=["fme", "chm", "afi", "afi-budget"])
+def test_infeasible_input_raises_infeasible_system(project):
+    # x >= 1 and -x >= 0 have no common solution
+    empty = ConstraintSystem.from_rows([((1,), 1), ((-1,), 0)], 1)
+    with pytest.raises(InfeasibleSystem):
+        project(empty)
 
 
 # ---------------------------------------------------------------- to_facets
+
+
+def test_to_facets_computes_the_input_face_simplex_once(monkeypatch):
+    # one tight-set simplex for the input face, shared by every control
+    # point, plus the image's own and one per tightening round
+    seen = []
+
+    def counted(work, dd, probe=None, _inner=afi.basis_simplex):
+        seen.append(work.rows)
+        return _inner(work, dd, probe=probe)
+
+    monkeypatch.setattr(afi, "basis_simplex", counted)
+    face = Face((1, 1, 1), 0)
+    to_facets(CUBE, 3, face)
+    assert len(seen) == 8
+    assert seen.count(CUBE.with_rows([-face]).rows) == 1
 
 
 def test_to_facet_fixed_point():

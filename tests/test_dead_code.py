@@ -4,11 +4,13 @@ Checked are top-level functions and classes, the methods of top-level
 classes, module-level constants and every imported name; dunder names are
 exempt, and so are the imports of ``__init__.py``, which re-export.  A
 definition counts as used when its name is read anywhere in ``src/polyproj``
-outside its own definition (as a name or as an attribute, annotations and
-decorators included); reads inside a method count for that method, so a
-method read only by itself or by nothing is dead even when its class is
-used.  Importing a name is not a use.  An import counts as used
-when its module reads the name.  Tests do not count, so code kept alive only
+outside its own definition (annotations and decorators included): a
+top-level definition as a name or as an attribute, a method only as an
+attribute (``x.name``), so a local variable of the same name does not keep
+it alive.  Reads inside a method count for that method, so a method read
+only by itself or by nothing is dead even when its class is used.
+Importing a name is not a use.  An import counts as used when its module
+reads the name.  Tests do not count, so code kept alive only
 by its tests fails here.  The names are matched without resolving modules,
 so the check can miss dead code whose name is also used for something else;
 code reached only through a string (an entry point, ``getattr``) needs an
@@ -71,7 +73,7 @@ def _scopes(module, stmt, names):
 def _unread():
     """Definitions and imports ("module.name") that nothing reads."""
     defined = {}
-    used_by = {}
+    used_by = {}  # (name, read as an attribute) -> owners of the reads
     dead = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -83,13 +85,13 @@ def _unread():
             for owner, scope in _scopes(module, stmt, names):
                 for node in ast.walk(scope):
                     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                        name = node.id
+                        name, attribute = node.id, False
                     elif isinstance(node, ast.Attribute):
-                        name = node.attr
+                        name, attribute = node.attr, True
                     else:
                         continue
                     read.add(name)
-                    used_by.setdefault(name, set()).add(owner)
+                    used_by.setdefault((name, attribute), set()).add(owner)
         if module == "__init__":
             continue
         for node in ast.walk(tree):
@@ -98,8 +100,13 @@ def _unread():
                 dead.update("%s.%s" % (module, bound) for bound in
                             ((a.asname or a.name).split(".")[0] for a in node.names)
                             if bound not in read)
-    dead.update(key for key, name in defined.items()
-                if not used_by.get(name, set()) - {key})
+    def readers(key, name):
+        owners = used_by.get((name, True), set())
+        if key.count(".") == 1:  # top level: a bare name read counts too
+            owners = owners | used_by.get((name, False), set())
+        return owners - {key}
+
+    dead.update(key for key, name in defined.items() if not readers(key, name))
     return dead
 
 

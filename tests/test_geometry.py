@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from polyproj import ConstraintSystem
 from polyproj.geometry import (
     AffineEmbedding,
-    DegenerateInput,
     UnboundedProjection,
     basis_simplex,
     capped,
@@ -14,7 +13,7 @@ from polyproj.geometry import (
     reduce_system,
 )
 from polyproj.linalg import integer_rref
-from polyproj.lp import INFEASIBLE, UNBOUNDED, Face, lp_minimize
+from polyproj.lp import INFEASIBLE, UNBOUNDED, Face, InfeasibleSystem, lp_minimize
 from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
 
@@ -93,7 +92,7 @@ def test_find_vertex_unbounded():
 
 def test_find_vertex_infeasible():
     bad = ConstraintSystem.from_rows([((1,), 1), ((-1,), 0)], 1)
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(InfeasibleSystem):
         find_vertex(bad, 1, (1,))
 
 
@@ -210,7 +209,7 @@ def staged_find_vertex(system, d, direction):
         if sol.status == UNBOUNDED:
             raise UnboundedProjection(f"stage {i}")
         if sol.status == INFEASIBLE:
-            raise DegenerateInput("system is infeasible")
+            raise InfeasibleSystem("system is infeasible")
         x = sol.x
         current = current.with_equality(pad_objective(q, system.dim), sol.objective)
     return tuple(x[:d])
@@ -219,7 +218,7 @@ def staged_find_vertex(system, d, direction):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (UnboundedProjection, DegenerateInput) as exc:
+    except (UnboundedProjection, InfeasibleSystem) as exc:
         return type(exc)
 
 

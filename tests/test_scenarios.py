@@ -15,7 +15,6 @@ from polyproj.scenarios import (
     elemental_forms,
     elemental_inequalities,
     entropy_space,
-    identity_group,
     marginal_scenario,
     parse_scenario,
 )
@@ -139,9 +138,8 @@ def test_orbit_normalizes_and_checks_the_width():
 
 
 def test_classify_with_identity_group_counts_distinct_faces():
-    group = identity_group(2)
     faces = [Face((1, 0), 0), Face((2, 0), 0), Face((0, 1), 0)]
-    assert len(canonical_classes(ConstraintSystem.from_rows(faces, 2), group)) == 2
+    assert len(canonical_classes(ConstraintSystem.from_rows(faces, 2), None)) == 2
 
 
 def test_classify_merges_symmetric_faces():
