@@ -13,12 +13,15 @@ The same rotation primitive supports refining a valid inequality into an
 implying facet set (``to_facets``) and certifying non-interior points
 (``point_to_facets``).  ``afi_project`` with a ``budget`` of hull-projector
 calls is the randomized facet discovery (RFD): the walk cut off early,
-which returns a sound, possibly partial facet list.
+whose ``BudgetExhausted`` error carries a sound, possibly partial facet
+list.
 
 Each image reaches the walk through ``geometry.project_image``, which caps
 cones, charts flat images and drops the cap's facets; the walk traverses a
 capped cone's truncated polytope, cap facet included, since the cap's ridges
-lead to genuine neighbors.
+lead to genuine neighbors.  A facet's polytope is a flat image, charted by
+solving the facet's equation for a unit coefficient where it has one (every
+paper facet does), so the ridge subproblems keep the input's small integers.
 """
 
 from __future__ import annotations
@@ -75,6 +78,15 @@ class AfiConfig:
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
+
+
+class BudgetExhausted(Exception):
+    """A budgeted walk was cut off at a refused hull-projector call.
+    ``facets`` is the sound, possibly partial, facet list found by then."""
+
+    def __init__(self, facets: List[Face]):
+        super().__init__(f"budget exhausted after {len(facets)} facets")
+        self.facets = facets
 
 
 class _Budget:
@@ -295,18 +307,19 @@ def point_to_facets(system: ConstraintSystem, d: int, y: Sequence) -> List[Face]
     that themselves certify y — a nonempty set, since a non-negative
     combination of the facets weakly dominates the sampled inequality.
 
-    A flat image is charted onto its affine hull first, as in ``_project``,
-    and the facets found there are lifted back.  Raises ValueError when y
-    is in the relative interior of the projection (no certificate exists;
-    on a single-point image that is the point itself) and when y is off
-    the affine hull of a flat image.
+    A flat image is charted onto its affine hull first
+    (``AffineEmbedding.chart``, as in ``project_image``), and the facets
+    found there are lifted back with 0 on the chart's pivots.  Raises
+    ValueError when y is in the relative interior of the projection (no
+    certificate exists; on a single-point image that is the point itself)
+    and when y is off the affine hull of a flat image.
     """
     y = tuple(rational(v) for v in y)
     if len(y) != d:
         raise ValueError("point width does not match the output dimension")
     bs = basis_simplex(system, d)
     if bs.rank < d:
-        emb = AffineEmbedding.chart(system, bs)
+        emb = AffineEmbedding.chart(bs)
         try:
             reduced_y = emb.embed_point(y)
         except DegenerateInput:
@@ -413,11 +426,15 @@ def afi_project(system: ConstraintSystem, d: int, cfg: Optional[AfiConfig] = Non
 
     Without a budget the list is complete.  A ``budget`` allows that many
     hull-projector leaf calls in all (randomized facet discovery): the walk
-    stops at the first refused call and returns the sound, possibly partial,
-    facet list found by then.
+    stops at the first refused call and raises ``BudgetExhausted``, which
+    carries the sound, possibly partial, facet list found by then.  A walk
+    that finishes within the budget returns its complete list.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
     cfg = cfg or AfiConfig()
-    rng = random.Random(cfg.seed)
-    return _project(system, d, cfg.depth, cfg.group, _Budget(budget), rng)
+    left = _Budget(budget)
+    facets = _project(system, d, cfg.depth, cfg.group, left, random.Random(cfg.seed))
+    if left.denied:
+        raise BudgetExhausted(facets)
+    return facets

@@ -7,9 +7,10 @@ projects the scenario system named by SPEC (see
 :func:`polyproj.scenarios.parse_scenario`) onto its observable coordinates
 and prints the facets as a matrix file.  ``--method rfd`` is AFI with a
 budget: it needs ``--budget N`` and prints the facets that the adjacency
-walk finds within N hull-projector calls (randomized facet discovery), a
-sound but possibly partial list.
-``--verify`` compares them with a bundled listing (see
+walk finds within N hull-projector calls (randomized facet discovery).
+When the budget runs out first, that sound but partial list gets a
+``partial`` header line and the exit status is 1.
+``--verify`` compares the facets with a bundled listing (see
 :mod:`polyproj.verify`) and prints the verdict on stderr; the exit status
 is then 1 when the listing has a class the projection lacks.
 """
@@ -20,7 +21,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .afi import AfiConfig, afi_project
+from .afi import AfiConfig, BudgetExhausted, afi_project
 from .chm import chm_project
 from .fme import fme_project
 from .lp import ConstraintSystem, Face, normalize_face
@@ -68,17 +69,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         golden = reorder_to(load_fixture(args.verify).system, names) if args.verify else None
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-    facets = sorted({normalize_face(f.f, f.b)
-                     for f in _project(bundle, args.method, args.budget)})
+    try:
+        found, partial = _project(bundle, args.method, args.budget), False
+    except BudgetExhausted as exc:
+        found, partial = exc.facets, True
+    facets = sorted({normalize_face(f.f, f.b) for f in found})
     result = ConstraintSystem(tuple(facets), bundle.scenario.d, names)
-    sys.stdout.write(render(result, [f"scenario: {args.spec}",
-                                     f"method: {args.method}",
-                                     f"{len(facets)} facets"]))
+    header = [f"scenario: {args.spec}", f"method: {args.method}"]
+    if partial:
+        header.append(f"partial: the budget of {args.budget} ran out before the walk finished")
+    sys.stdout.write(render(result, header + [f"{len(facets)} facets"]))
     if golden is None:
-        return 0
+        return int(partial)
     report = compare_listings(result, golden, bundle.group)
     print(f"{args.verify}: {report.summary()}", file=sys.stderr)
-    return 1 if report.missing else 0
+    return 1 if report.missing or partial else 0
 
 
 if __name__ == "__main__":

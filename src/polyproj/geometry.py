@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .linalg import orthogonal_complement, solve_linear
+from .linalg import orthogonal_complement
 from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, InfeasibleSystem,
                  LpSolution, as_face, lp_minimize, normalize_face)
 from .rationals import dot, is_zero_vector, vec_sub
@@ -169,68 +169,90 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
 @dataclass
 class AffineEmbedding:
     """
-    Exact chart for a flat polytope: x = base + V y identifies the affine
-    hull (base point plus independent direction vectors) with R^r, so that
-    full-dimensional machinery can run in the reduced coordinates y.
+    Coordinate chart for a flat polytope.  Its affine hull is E x = e, and
+    each equation is solved for its own pivot coordinate, so the remaining
+    free coordinates y = x[free] identify the hull with R^r, and
+    full-dimensional machinery can run in them.
     """
 
-    base: Tuple
-    directions: List[Tuple]  # r independent vectors in R^d
+    equations: List[Face]  # E_k x = e_k, each zero on the earlier pivots
+    pivots: List[int]      # the coordinate each equation is solved for
+    free: List[int]
 
     @classmethod
-    def chart(cls, system: ConstraintSystem, bs: BasisSimplex) -> "AffineEmbedding":
-        """Chart for the flat image of ``system`` spanned by ``bs``.  A cone's
-        affine hull is a linear subspace, so its chart is rooted at the apex:
-        the cone's facets keep b = 0 in the chart, and the reduced bare cone
-        stays homogeneous."""
-        dirs = [vec_sub(p, bs.base) for p in bs.points[1:]]
-        base = (0,) * len(bs.base) if system.homogeneous else bs.base
-        return cls(base=base, directions=dirs)
+    def chart(cls, bs: BasisSimplex) -> "AffineEmbedding":
+        """Chart for the affine hull of ``bs``.  Each hull equation in turn
+        is solved for its coordinate of smallest nonzero |coefficient| (ties
+        to the lowest index), after the earlier pivots are eliminated from
+        it, so a hull with a unit coefficient gives integer substitutions.
+        A cone's hull passes through the apex, so e = 0 there, and a cone's
+        facets keep b = 0 in the chart."""
+        x0 = bs.base
+        equations: List[Face] = []
+        pivots: List[int] = []
+        for normal in orthogonal_complement(
+                [vec_sub(p, x0) for p in bs.points[1:]], len(x0)):
+            eq = Face(normal, dot(normal, x0))
+            for done, p in zip(equations, pivots):
+                eq = _substitute(eq, done, p)
+            pivots.append(min((i for i, a in enumerate(eq.f) if a),
+                              key=lambda i: (abs(eq.f[i]), i)))
+            equations.append(eq)
+        free = [i for i in range(len(x0)) if i not in pivots]
+        return cls(equations=equations, pivots=pivots, free=free)
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.base)
+        return len(self.pivots) + len(self.free)
 
     @property
     def reduced_dim(self) -> int:
-        return len(self.directions)
+        return len(self.free)
 
     def embed_point(self, x: Sequence) -> Tuple:
-        """Coordinates y with base + V y = x; errors if x is off the hull."""
-        rhs = vec_sub(x, self.base)
-        rows = [[v[i] for v in self.directions] for i in range(self.ambient_dim)]
-        y = solve_linear(rows, rhs)
-        if y is None:
+        """The chart coordinates x[free]; errors if x is off the hull."""
+        if any(dot(eq.f, x) != eq.b for eq in self.equations):
             raise DegenerateInput("point is outside the affine hull")
-        return tuple(y)
+        return tuple(x[i] for i in self.free)
 
     def lift_face(self, face) -> Face:
-        """
-        Any ambient inequality agreeing with the reduced one on the hull
-        (the kernel component is chosen by the exact solver).
-        """
+        """The reduced inequality on the free coordinates, 0 on the pivots:
+        it agrees with the reduced one on the hull."""
         face = as_face(face)
-        rows = [list(v) for v in self.directions]
-        f = solve_linear(rows, list(face.f))
-        if f is None:
-            raise DegenerateInput("face does not lift")
-        return normalize_face(f, face.b + dot(f, self.base))
+        f = [0] * self.ambient_dim
+        for i, a in zip(self.free, face.f):
+            f[i] = a
+        return normalize_face(f, face.b)
+
+
+def _substitute(row: Face, eq: Face, p: int) -> Face:
+    """``row`` with coordinate p eliminated by the equation E x = e,
+    fraction free: |E_p| row - sign(E_p) row_p (E, e), where E covers the
+    first len(E) coordinates of the row."""
+    c = row.f[p]
+    if not c:
+        return row
+    scale, c = abs(eq.f[p]), (c if eq.f[p] > 0 else -c)
+    f = [scale * a - c * e for a, e in zip(row.f, eq.f)]
+    f += [scale * a for a in row.f[len(eq.f):]]
+    return normalize_face(f, scale * row.b - c * eq.b)
 
 
 def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> ConstraintSystem:
     """
     Rewrite a projection problem whose image is flat into reduced output
-    coordinates: substituting x[:d] = base + V y turns each row (f, b) into
-    (f[:d] V  ++  f[d:],  b - f[:d] . base) over r + (dim - d) variables.
-    A solution's first r entries y map back to x = base + V y.
+    coordinates: each row (f, b) has the chart's pivots substituted out of
+    f[:d] (``_substitute``, in the chart's order) and keeps f[free] ++ f[d:]
+    over r + (dim - d) variables.  A solution's first r entries are the
+    free coordinates of a point of the hull.
     """
     if emb.ambient_dim != d:
         raise ValueError("embedding does not chart the first d coordinates")
     rows = []
     for row in system.rows:
-        obs, hid = row.f[:d], row.f[d:]
-        coeffs = [dot(obs, v) for v in emb.directions] + list(hid)
-        rows.append(normalize_face(coeffs, row.b - dot(obs, emb.base)))
+        for eq, p in zip(emb.equations, emb.pivots):
+            row = _substitute(row, eq, p)
+        rows.append(normalize_face([row.f[i] for i in emb.free] + list(row.f[d:]), row.b))
     return ConstraintSystem(
         rows=tuple(rows), dim=emb.reduced_dim + (system.dim - d)
     )
@@ -250,11 +272,11 @@ def project_image(system: ConstraintSystem, d: int, full_dim, group=None) -> Lis
       its genuine facets;
     - the image's basis simplex is computed once; a single point has no
       facets;
-    - a flat image (rank r < d) is charted onto R^r exactly by
-      ``AffineEmbedding.chart`` (rooted at the apex for cones, so the cone's
-      own facets keep b = 0), ``full_dim`` runs on the reduced system and
-      its facets are lifted back to the ambient coordinates.  The group acts
-      on the ambient coordinates, so the chart runs without it.
+    - a flat image (rank r < d) is charted onto r free coordinates of its
+      affine hull by ``AffineEmbedding.chart`` (a cone's own facets keep
+      b = 0), ``full_dim`` runs on the reduced system and its facets are
+      lifted back with 0 on the chart's pivots.  The group acts on the
+      ambient coordinates, so the chart runs without it.
     """
     if not 1 <= d <= system.dim:
         raise ValueError(f"projection dimension {d} out of range")
@@ -265,7 +287,7 @@ def project_image(system: ConstraintSystem, d: int, full_dim, group=None) -> Lis
     if bs.rank == 0:
         return []
     if bs.rank < d:
-        emb = AffineEmbedding.chart(system, bs)
+        emb = AffineEmbedding.chart(bs)
         charted = BasisSimplex([emb.embed_point(p) for p in bs.points])
         inner = full_dim(reduce_system(work, d, emb), bs.rank, charted, None)
         faces = [emb.lift_face(f) for f in inner]

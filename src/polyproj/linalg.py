@@ -2,10 +2,10 @@
 Dense exact linear algebra over the rationals.
 
 Matrices are lists of row tuples/lists of rationals.  Elimination runs
-fraction free over the integers (``integer_rref``); ``rref``, which the
-solvers here build on, makes rationals only for its result.  These routines
-back the geometric primitives (orthogonal complements, lifting faces through
-embeddings, the initial simplex of a hull); the simplex solver has its own
+fraction free over the integers (``integer_rref``); ``rref``, which
+``nullspace`` builds on, makes rationals only for its result.  These routines
+back the geometric primitives (orthogonal complements, the hull equations of
+a chart, the initial simplex of a hull); the simplex solver has its own
 fraction-free kernel and does not use this module for pivoting.
 """
 
@@ -65,27 +65,6 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
     """
     mat, pivots, det = integer_rref(rows)
     return [[mpq(x, det) for x in row] for row in mat], pivots
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
-    """
-    One exact solution x of ``rows @ x = rhs`` (free variables set to 0),
-    or None if the system is inconsistent.
-    """
-    if not rows:
-        return None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    n = len(rows[0])
-    for row in reduced:
-        if is_zero_vector(row[:n]) and row[n] != 0:
-            return None
-    x = [0] * n
-    for row, c in zip(reduced, pivots):
-        if c == n:  # pivot in the augmented column: inconsistent
-            return None
-        x[c] = row[n]
-    return x
 
 
 def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vector]:

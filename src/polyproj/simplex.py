@@ -307,7 +307,9 @@ def _solve_cold(A: Sequence[Sequence], b: Sequence, c: Sequence,
     rows, rhs, row_scale = [], [], []
     for i in range(m):
         block = [b[i]] + [t[i] for t in ties]
-        scale = common_denominator(list(A[i]) + block)
+        # an integer row (every row of lp_minimize's dual) adds no denominator
+        integral = set(map(type, A[i])) <= {int}
+        scale = common_denominator(block if integral else list(A[i]) + block)
         if lex_sign(block) < 0:
             scale = -scale
         rows.append(scaled_ints(A[i], scale))

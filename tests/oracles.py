@@ -68,6 +68,19 @@ def reduced_row_echelon(rows):
     return m[:len(pivots)], pivots
 
 
+def solve_linear(rows, rhs):
+    """One solution of ``rows . x = rhs`` with every free variable 0, as a
+    list of Fractions, or None when the system is inconsistent."""
+    n = len(rows[0])
+    reduced, pivots = reduced_row_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(reduced, pivots):
+        x[c] = row[n]
+    return x
+
+
 def _fraction_nullspace_1d(rows, n):
     """Return a nonzero vector v with rows . v = 0, assuming rank n-1."""
     m = [[Fraction(x) for x in row] for row in rows]

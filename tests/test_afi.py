@@ -5,6 +5,7 @@ import pytest
 from polyproj import afi, geometry, simplex
 from polyproj.afi import (
     AfiConfig,
+    BudgetExhausted,
     afi_project,
     point_to_facets,
     rotate,
@@ -127,7 +128,7 @@ def test_get_facet_segment_reduced():
     # segment x = y in the unit square: the image of d=2 is flat; charted
     # onto its affine hull, the seed facet comes back in the 1D chart
     segment = SQUARE.with_rows([Face((1, -1), 0), Face((-1, 1), 0)])
-    emb = AffineEmbedding.chart(segment, basis_simplex(capped(segment, 2), 2))
+    emb = AffineEmbedding.chart(basis_simplex(capped(segment, 2), 2))
     face = _seed(reduce_system(segment, 2, emb), emb.reduced_dim, seed=0)
     assert len(face.f) == 1
     assert face.f[0] != 0
@@ -316,6 +317,30 @@ def test_flat_images_share_the_chart(case):
         assert _rank(system, d, face.pad(system.dim)) == r - 1
 
 
+def test_bell_2x2_ridge_charts_stay_small_integer(monkeypatch):
+    # the walk's facet subproblems are charted by solving each hull
+    # equation for a unit coefficient, so the reduced systems keep the
+    # input's small integers and every tableau stays int64
+    coeffs, object_pivots = [], []
+
+    def reduce(system, d, emb, _inner=geometry.reduce_system):
+        out = _inner(system, d, emb)
+        coeffs.extend(abs(a) for row in out.rows for a in row.f)
+        return out
+
+    def pivot(tab, r, s, _inner=simplex._Tableau.pivot):
+        _inner(tab, r, s)
+        if tab.N.dtype == object:
+            object_pivots.append((r, s))
+
+    monkeypatch.setattr(geometry, "reduce_system", reduce)
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    bundle = parse_scenario("bell:2x2:body=1,2")
+    afi_project(bundle.system, bundle.scenario.d, AfiConfig(group=bundle.group))
+    assert coeffs and max(coeffs) <= 2
+    assert not object_pivots
+
+
 @pytest.mark.parametrize("flat", [False, True])
 @pytest.mark.parametrize("project", [
     lambda system, d, group: chm_project(system, d, group=group),
@@ -335,6 +360,13 @@ def test_wrong_group_raises_before_any_solve(monkeypatch, project, flat):
 # ------------------------------------ rfd: the walk with a budget
 
 
+def _cut_off(system, d, cfg, budget):
+    """The partial facet list of a walk whose budget runs out."""
+    with pytest.raises(BudgetExhausted) as err:
+        afi_project(system, d, cfg, budget=budget)
+    return err.value.facets
+
+
 def test_rfd_exhausts_square():
     cfg = AfiConfig(depth=1, seed=1)
     assert afi_project(SQUARE, 2, cfg, budget=50) == sorted(SQUARE.rows)
@@ -342,7 +374,7 @@ def test_rfd_exhausts_square():
 
 def test_rfd_budget_one_is_sound():
     cfg = AfiConfig(depth=1, seed=2)
-    out = afi_project(CUBE, 3, cfg, budget=1)
+    out = _cut_off(CUBE, 3, cfg, budget=1)
     assert out  # at least something discovered
     for f in out:
         assert f in set(CUBE.rows)
@@ -350,7 +382,7 @@ def test_rfd_budget_one_is_sound():
 
 def test_rfd_is_seeded():
     cfg = AfiConfig(depth=1, seed=11)
-    assert afi_project(CUBE, 3, cfg, budget=2) == afi_project(CUBE, 3, cfg, budget=2)
+    assert _cut_off(CUBE, 3, cfg, budget=2) == _cut_off(CUBE, 3, cfg, budget=2)
 
 
 def test_rfd_requires_budget():

@@ -16,14 +16,18 @@ def test_project_elemental3(capsys, method):
 
 
 def test_rfd_prints_the_facets_it_finds(capsys):
-    assert main(["project", "elemental:3", "--method", "rfd", "--budget", "2"]) == 0
+    # a budget that runs out prints the partial list under a "partial" line
+    assert main(["project", "elemental:3", "--method", "rfd", "--budget", "2"]) == 1
     out = parse(capsys.readouterr().out)
     assert "method: rfd" in out.comments
+    assert any(line.startswith("partial:") for line in out.comments)
     want = {normalize_face(r.f, r.b) for r in elemental_inequalities(3).rows}
     assert out.system.rows and set(out.system.rows) <= want
     # a budget that covers the walk finds every facet
     assert main(["project", "elemental:3", "--method", "rfd", "--budget", "1000"]) == 0
-    assert set(parse(capsys.readouterr().out).system.rows) == want
+    out = parse(capsys.readouterr().out)
+    assert set(out.system.rows) == want
+    assert not any(line.startswith("partial:") for line in out.comments)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyproj import ConstraintSystem
 from polyproj.geometry import (
     AffineEmbedding,
+    BasisSimplex,
+    DegenerateInput,
     UnboundedProjection,
     basis_simplex,
     capped,
@@ -13,11 +15,13 @@ from polyproj.geometry import (
     reduce_system,
 )
 from polyproj.linalg import integer_rref
-from polyproj.lp import INFEASIBLE, UNBOUNDED, Face, InfeasibleSystem, lp_minimize
+from polyproj.lp import (INFEASIBLE, UNBOUNDED, Face, InfeasibleSystem, lp_minimize,
+                         normalize_face)
 from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
 
-from .oracles import brute_vertices, satisfies
+from .oracles import affine_rank, brute_vertices, satisfies, solve_linear
+from .test_afi import _hull_of
 
 
 def cube(dim, lo=0, hi=1):
@@ -137,20 +141,30 @@ def test_projection_of_simplex_is_lower_simplex():
 
 
 def _lift(emb, y):
-    """The ambient point base + V y of chart coordinates y."""
-    return tuple(b + sum(c * v[i] for c, v in zip(y, emb.directions))
-                 for i, b in enumerate(emb.base))
+    """The ambient point of chart coordinates y: the one point of the hull
+    with x[free] = y, solved by the oracle."""
+    rows = [eq.f for eq in emb.equations] + \
+        [tuple(int(j == i) for j in range(emb.ambient_dim)) for i in emb.free]
+    return tuple(solve_linear(rows, [eq.b for eq in emb.equations] + list(y)))
+
+
+# the plane through (1, 2, 3) spanned by (1, 1, 0) and (0, 0, 2): x0 - x1 = -1
+PLANE = BasisSimplex([(1, 2, 3), (2, 3, 3), (1, 2, 5)])
 
 
 def test_embedding_round_trip():
-    emb = AffineEmbedding(base=(1, 2, 3), directions=((1, 1, 0), (0, 0, 2)))
+    emb = AffineEmbedding.chart(PLANE)
+    assert emb.reduced_dim == 2
     for y in [(0, 0), (1, 0), (2, -3)]:
         x = _lift(emb, y)
+        assert x[0] - x[1] == -1
         assert emb.embed_point(x) == y
+    with pytest.raises(DegenerateInput):
+        emb.embed_point((0, 0, 0))
 
 
 def test_embedding_face_round_trip():
-    emb = AffineEmbedding(base=(1, 2, 3), directions=((1, 1, 0), (0, 0, 2)))
+    emb = AffineEmbedding.chart(PLANE)
     face = ((3, -1), 4)
     lifted = emb.lift_face(face)
     # the lifted face must reduce back to a positive multiple of the original
@@ -164,6 +178,58 @@ def test_embedding_face_round_trip():
         x = _lift(emb, y)
         lhs_lift = dot(lifted[0], x) - lifted[1]
         assert (lhs > 0) == (lhs_lift > 0) and (lhs == 0) == (lhs_lift == 0)
+
+
+@st.composite
+def flat_polytope(draw):
+    """Integer points spanning a flat polytope of rank r < d in R^d, and an
+    inequality in its chart coordinates."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    r = draw(st.integers(min_value=1, max_value=d - 1))
+    small = st.integers(min_value=-3, max_value=3)
+    base = draw(st.tuples(*[small] * d))
+    dirs = draw(st.lists(st.tuples(*[small] * d), min_size=r, max_size=r))
+    points = [base] + [tuple(b + v for b, v in zip(base, w)) for w in dirs]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        coefs = draw(st.tuples(*[small] * r))
+        points.append(tuple(b + sum(c * w[i] for c, w in zip(coefs, dirs))
+                            for i, b in enumerate(base)))
+    assume(affine_rank(points) == r)
+    face = draw(st.tuples(st.tuples(*[small] * r), small))
+    return points, face
+
+
+@settings(max_examples=60, deadline=None)
+@example(([(0, 2), (3, 0), (6, -2)], ((1,), 2)))  # 2x + 3y = 6: no unit coefficient
+@example(([(0, 2, 0), (3, 0, 0), (0, 2, 1), (3, 0, 2)], ((1, -1), 1)))
+@example(([(1, 0, 2, 0), (2, 1, 2, 2), (1, 1, 5, 1), (3, 3, 5, 5)], ((2, 1), 3)))  # codim 2
+@given(flat_polytope())
+def test_chart_round_trips_on_flat_polytopes(case):
+    points, face = case
+    d, m = len(points[0]), len(points)
+    system = _hull_of(points, homogeneous=False)
+    emb = AffineEmbedding.chart(basis_simplex(system, d))
+    assert emb.ambient_dim == d and emb.reduced_dim == affine_rank(points)
+    # each equation is solved for a coefficient of least magnitude
+    for eq, p in zip(emb.equations, emb.pivots):
+        assert abs(eq.f[p]) == min(abs(a) for a in eq.f if a)
+    reduced = reduce_system(system, d, emb)
+    lifted = emb.lift_face(face)
+    for j, p in enumerate(points):
+        y = emb.embed_point(p)
+        assert _lift(emb, y) == p
+        # the reduced system holds at the chart image of (p, e_j)
+        z = y + tuple(int(k == j) for k in range(m))
+        assert all(dot(row.f, z) >= row.b for row in reduced.rows)
+        # the lifted face agrees with the reduced one in sign on the hull
+        assert (dot(face[0], y) - face[1] > 0) == (dot(lifted.f, p) - lifted.b > 0)
+        assert (dot(face[0], y) == face[1]) == (dot(lifted.f, p) == lifted.b)
+    back = reduce_system(ConstraintSystem.from_rows([lifted], d), d, emb).rows[0]
+    assert back == normalize_face(*face)
+    off = list(points[0])
+    off[emb.pivots[0]] += 1
+    with pytest.raises(DegenerateInput):
+        emb.embed_point(off)
 
 
 @st.composite

@@ -8,9 +8,8 @@ from itertools import combinations
 import pytest
 
 from polyproj import simplex
-from polyproj.linalg import solve_linear
 
-from .oracles import basis_multipliers
+from .oracles import basis_multipliers, solve_linear
 
 
 @pytest.fixture
