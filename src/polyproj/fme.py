@@ -7,11 +7,11 @@ positive/negative pair (p, a_p), (q, a_q) combines into the valid row
 
     p_v * (q, a_q)  +  (-q_v) * (p, a_p),
 
-whose v-coefficient cancels (``_combine``).  Doing this for every coordinate
+whose v-coefficient cancels (``lp.combine``).  Doing this for every coordinate
 past the first d yields a description of the shadow of the polyhedron on
 those first d coordinates.  Row counts can square at each step, so
 ``fme_project`` first substitutes away the implicit equalities that
-``implied_equalities`` finds, through the same ``_combine``; then it picks
+``implied_equalities`` finds, with ``lp.pivot_equations``; then it picks
 each next coordinate by Duffin's growth score and drops redundant rows after
 every step (float probes steer, exact certificates decide); its
 ``row_budget`` adds a hard row cap.
@@ -35,21 +35,12 @@ protected row may be redundant: keeping a valid row is always sound, and the
 final sweep, which protects nothing, removes it.
 """
 
-from typing import List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Set
 
-from .lp import (ConstraintSystem, Face, InfeasibleSystem, lp_feasible,
-                 normalize_face)
+from .lp import (ConstraintSystem, Face, InfeasibleSystem, combine, lp_feasible,
+                 pivot_equations, substitute)
 from .redundancy import implied_equalities, prune_redundant
-
-
-def _combine(p: Face, q: Face, v: int) -> Face:
-    """p_v (q, b_q) - q_v (p, b_p), normalized: its v-coefficient cancels.
-
-    For p_v > 0 > q_v this is a positive combination of the two rows.
-    """
-    pv, qv = p.f[v], q.f[v]
-    return normalize_face(tuple(pv * qf - qv * pf for pf, qf in zip(p.f, q.f)),
-                          pv * q.b - qv * p.b)
 
 
 def fme_step(system: ConstraintSystem, var: int) -> ConstraintSystem:
@@ -69,19 +60,9 @@ def fme_step(system: ConstraintSystem, var: int) -> ConstraintSystem:
             neg.append(row)
         else:
             zero.append(row)
-    out: List[Face] = []
-    seen: Set[Face] = set()
-    for row in zero:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    for p in pos:
-        for q in neg:
-            face = _combine(p, q, var)
-            if face not in seen:
-                seen.add(face)
-                out.append(face)
-    return ConstraintSystem(tuple(out), system.dim, system.names)
+    combined = (combine(p, q, var) for p in pos for q in neg)
+    return ConstraintSystem(tuple(dict.fromkeys(chain(zero, combined))),
+                            system.dim, system.names)
 
 
 def choose_elimination_variable(system: ConstraintSystem,
@@ -112,40 +93,6 @@ def _purge_trivial(rows: Sequence[Face]) -> List[Face]:
         elif row.b > 0:
             raise InfeasibleSystem("derived the contradiction 0 >= %s" % (row.b,))
     return out
-
-
-def _substitute_equalities(system: ConstraintSystem, eqs: Sequence[Face],
-                           cols: List[int]) -> Tuple[ConstraintSystem, List[int]]:
-    """Clear elimination columns exactly with the implicit equalities `eqs`.
-
-    Adding multiples of an equality to other rows never changes the solution
-    set.  Each equality in turn, as the earlier ones left it, that has a
-    nonzero coefficient on a remaining column picks the first such column v
-    and is oriented so that its coefficient e there is positive.  Every row
-    and every later equality with coefficient c != 0 at v becomes
-    ``_combine(eq, row, v)`` = e row - c eq: a positive multiple of the row
-    plus a multiple of the equality, whatever the sign of c.  The equality's
-    own row and any explicit reverse of it become 0 >= 0, which is dropped,
-    and column v is done.
-    """
-    rows, eqs, remaining = list(system.rows), list(eqs), list(cols)
-    while eqs:
-        eq = eqs.pop(0)
-        v = next((c for c in remaining if eq.f[c] != 0), None)
-        if v is None:
-            continue
-        if eq.f[v] < 0:
-            eq = -eq
-        remaining.remove(v)
-        rows = [_combine(eq, row, v) if row.f[v] else row for row in rows]
-        eqs = [_combine(eq, e, v) if e.f[v] else e for e in eqs]
-    deduped: List[Face] = []
-    seen: Set[Face] = set()
-    for row in _purge_trivial(rows):
-        if row not in seen:
-            seen.add(row)
-            deduped.append(row)
-    return ConstraintSystem(tuple(deduped), system.dim, system.names), remaining
 
 
 def _truncate(system: ConstraintSystem, d: int) -> ConstraintSystem:
@@ -192,11 +139,13 @@ def fme_project(system: ConstraintSystem, d: int, *,
         raise ValueError("row budget must be nonnegative, got %d" % row_budget)
     if not lp_feasible(system):
         raise InfeasibleSystem("input system has no solutions")
-    eqs = [system.rows[i] for i in implied_equalities(system)]
-    work, cols = _substitute_equalities(system, eqs, list(range(d, system.dim)))
-    cols = [c for c in cols if any(row.f[c] != 0 for row in work.rows)]
+    equations, pivots = pivot_equations(
+        [system.rows[i] for i in implied_equalities(system)], range(d, system.dim))
+    rows = _purge_trivial([substitute(row, equations, pivots) for row in system.rows])
+    work = ConstraintSystem(tuple(dict.fromkeys(rows)), system.dim, system.names)
+    cols = range(d, system.dim)
     pruned: Set[Face] = set()  # rows of the last pruned system
-    while cols:
+    while cols := [c for c in cols if any(row.f[c] != 0 for row in work.rows)]:
         var = choose_elimination_variable(work, cols)
         cols.remove(var)
         work = fme_step(work, var)
@@ -208,5 +157,4 @@ def fme_project(system: ConstraintSystem, d: int, *,
             passed = [i for i, row in enumerate(rows) if row in pruned]
             work = prune_redundant(work, protect=passed)
             pruned = set(work.rows)
-        cols = [c for c in cols if any(row.f[c] != 0 for row in work.rows)]
     return prune_redundant(_truncate(work, d))

@@ -23,7 +23,8 @@ from typing import List, Sequence, Tuple
 
 from .linalg import orthogonal_complement
 from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, InfeasibleSystem,
-                 LpSolution, as_face, lp_minimize, normalize_face)
+                 LpSolution, as_face, lp_minimize, normalize_face, pivot_equations,
+                 substitute)
 from .rationals import dot, is_zero_vector, vec_sub
 
 
@@ -175,29 +176,21 @@ class AffineEmbedding:
     full-dimensional machinery can run in them.
     """
 
-    equations: List[Face]  # E_k x = e_k, each zero on the earlier pivots
-    pivots: List[int]      # the coordinate each equation is solved for
+    equations: List[Face]  # E_k x = e_k, each zero on the earlier pivots, E_k[p_k] > 0
+    pivots: List[int]      # p_k, the coordinate each equation is solved for
     free: List[int]
 
     @classmethod
     def chart(cls, bs: BasisSimplex) -> "AffineEmbedding":
-        """Chart for the affine hull of ``bs``.  Each hull equation in turn
-        is solved for its coordinate of smallest nonzero |coefficient| (ties
-        to the lowest index), after the earlier pivots are eliminated from
-        it, so a hull with a unit coefficient gives integer substitutions.
-        A cone's hull passes through the apex, so e = 0 there, and a cone's
-        facets keep b = 0 in the chart."""
+        """Chart for the affine hull of ``bs``.  ``lp.pivot_equations``
+        solves each hull equation for its coordinate of smallest nonzero
+        |coefficient|, so a hull with a unit coefficient gives integer
+        substitutions.  A cone's hull passes through the apex, so e = 0
+        there, and a cone's facets keep b = 0 in the chart."""
         x0 = bs.base
-        equations: List[Face] = []
-        pivots: List[int] = []
-        for normal in orthogonal_complement(
-                [vec_sub(p, x0) for p in bs.points[1:]], len(x0)):
-            eq = Face(normal, dot(normal, x0))
-            for done, p in zip(equations, pivots):
-                eq = _substitute(eq, done, p)
-            pivots.append(min((i for i, a in enumerate(eq.f) if a),
-                              key=lambda i: (abs(eq.f[i]), i)))
-            equations.append(eq)
+        normals = orthogonal_complement([vec_sub(p, x0) for p in bs.points[1:]], len(x0))
+        equations, pivots = pivot_equations(
+            [normalize_face(n, dot(n, x0)) for n in normals], range(len(x0)))
         free = [i for i in range(len(x0)) if i not in pivots]
         return cls(equations=equations, pivots=pivots, free=free)
 
@@ -225,33 +218,20 @@ class AffineEmbedding:
         return normalize_face(f, face.b)
 
 
-def _substitute(row: Face, eq: Face, p: int) -> Face:
-    """``row`` with coordinate p eliminated by the equation E x = e,
-    fraction free: |E_p| row - sign(E_p) row_p (E, e), where E covers the
-    first len(E) coordinates of the row."""
-    c = row.f[p]
-    if not c:
-        return row
-    scale, c = abs(eq.f[p]), (c if eq.f[p] > 0 else -c)
-    f = [scale * a - c * e for a, e in zip(row.f, eq.f)]
-    f += [scale * a for a in row.f[len(eq.f):]]
-    return normalize_face(f, scale * row.b - c * eq.b)
-
-
 def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> ConstraintSystem:
     """
     Rewrite a projection problem whose image is flat into reduced output
-    coordinates: each row (f, b) has the chart's pivots substituted out of
-    f[:d] (``_substitute``, in the chart's order) and keeps f[free] ++ f[d:]
-    over r + (dim - d) variables.  A solution's first r entries are the
-    free coordinates of a point of the hull.
+    coordinates: each row (f, b) has the chart's pivots substituted out
+    (``lp.substitute``, the equations zero-padded to the system's width) and
+    keeps f[free] ++ f[d:] over r + (dim - d) variables.  A solution's first
+    r entries are the free coordinates of a point of the hull.
     """
     if emb.ambient_dim != d:
         raise ValueError("embedding does not chart the first d coordinates")
+    eqs = [eq.pad(system.dim) for eq in emb.equations]
     rows = []
     for row in system.rows:
-        for eq, p in zip(emb.equations, emb.pivots):
-            row = _substitute(row, eq, p)
+        row = substitute(row, eqs, emb.pivots)
         rows.append(normalize_face([row.f[i] for i in emb.free] + list(row.f[d:]), row.b))
     return ConstraintSystem(
         rows=tuple(rows), dim=emb.reduced_dim + (system.dim - d)

@@ -7,6 +7,10 @@ Equalities are represented as paired rows (f, b), (-f, -b).  Rows are
 normalized on ingest to coprime integer coefficients (positive scaling only,
 so the inequality is unchanged), which makes rows hashable and deduplicable.
 
+``combine`` is the one elimination kernel, for FME's steps; through it
+``pivot_equations`` and ``substitute`` solve equations for coordinates, for
+FME's implicit equalities and for the chart of a flat image.
+
 ``lp_minimize`` solves min c.x over P exactly.  Internally it solves the dual
 
     max a.q   s.t.   L^T q = c,  q >= 0
@@ -83,6 +87,44 @@ def normalize_face(coeffs: Sequence, rhs=0) -> Face:
     """
     scaled = scale_to_coprime_ints(tuple(coeffs) + (rhs,))
     return Face(scaled[:-1], scaled[-1])
+
+
+def combine(p: Face, q: Face, v: int) -> Face:
+    """p_v (q, b_q) - q_v (p, b_p) for faces of equal width, normalized: its
+    v-coefficient cancels.  For p_v > 0 > q_v this is a positive combination
+    of the two rows; for an equation p with p_v > 0, a positive multiple of q
+    plus a multiple of p.
+    """
+    pv, qv = p.f[v], q.f[v]
+    return normalize_face(tuple(pv * qf - qv * pf for pf, qf in zip(p.f, q.f)),
+                          pv * q.b - qv * p.b)
+
+
+def substitute(row: Face, equations: Sequence[Face], pivots: Sequence[int]) -> Face:
+    """``row`` with each pivot eliminated in turn by its equation: 0 on every
+    pivot, and a positive multiple of the row on the equations' solutions."""
+    for eq, p in zip(equations, pivots):
+        if row.f[p]:
+            row = combine(eq, row, p)
+    return row
+
+
+def pivot_equations(eqs: Iterable[Face],
+                    columns: Iterable[int]) -> Tuple[List[Face], List[int]]:
+    """(equations, pivots) for ``substitute``: each equation f.x = b in turn,
+    with the earlier pivots substituted out, is solved for its column in
+    ``columns`` of least nonzero |coefficient| (ties to the lowest index) and
+    oriented so that coefficient is positive; one 0 on every column is left
+    out."""
+    columns = sorted(columns)
+    equations, pivots = [], []
+    for eq in eqs:
+        eq = substitute(eq, equations, pivots)
+        p = min((c for c in columns if eq.f[c]), key=lambda c: abs(eq.f[c]), default=None)
+        if p is not None:
+            equations.append(eq if eq.f[p] > 0 else -eq)
+            pivots.append(p)
+    return equations, pivots
 
 
 def as_face(obj) -> Face:

@@ -15,6 +15,10 @@ by its tests fails here.  The names are matched without resolving modules,
 so the check can miss dead code whose name is also used for something else;
 code reached only through a string (an entry point, ``getattr``) needs an
 entry in ``ALLOWED``.
+
+Keyword-only parameters of top-level functions are checked the same way: a
+parameter that no call in the package passes by keyword, to a function of
+that name, is reported as ``"module.function(parameter=)"``.
 """
 
 import ast
@@ -37,6 +41,11 @@ ALLOWED = {
     "scenarios.bell_probability_polytope": "public builder of the deterministic correlator points",
     "scenarios.ElementalForm.describe":
         "labels like I(A1:B1|A2); ROADMAP item 2 names Shannon classes with it",
+    "fme.fme_project(row_budget=)": "ROADMAP item 1's FME budget",
+    "redundancy.implied_equalities(use_float=)":
+        "the exact reference path that tests compare against",
+    "redundancy.prune_redundant(use_float=)":
+        "the exact reference path that tests compare against",
 }
 
 
@@ -110,8 +119,28 @@ def _unread():
     return dead
 
 
+def _unpassed_keywords():
+    """Keyword-only parameters ("module.function(parameter=)") of top-level
+    functions that no call in the package passes by keyword."""
+    params = {}
+    passed = set()  # (called name, keyword)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for arg in stmt.args.kwonlyargs:
+                    params["%s.%s(%s=)" % (path.stem, stmt.name, arg.arg)] = (
+                        stmt.name, arg.arg)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return {key for key, pair in params.items() if pair not in passed}
+
+
 def test_every_definition_has_a_caller():
-    dead = _unread()
+    dead = _unread() | _unpassed_keywords()
     assert sorted(dead - set(ALLOWED)) == []
     # an entry that gained a caller, or is gone, leaves the list
     assert sorted(set(ALLOWED) - dead) == []

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -180,6 +182,27 @@ def test_embedding_face_round_trip():
         assert (lhs > 0) == (lhs_lift > 0) and (lhs == 0) == (lhs_lift == 0)
 
 
+def test_chart_equations_are_normalized_integer_faces():
+    # the segment x0 = 1/2, x1 = 1/3 along x2: a hull with fractional e
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    emb = AffineEmbedding.chart(BasisSimplex([(half, third, 0), (half, third, 1)]))
+    assert emb.equations == [Face((2, 0, 0), 1), Face((0, 3, 0), 1)]
+    assert emb.pivots == [0, 1] and emb.free == [2]
+    for eq, p in zip(emb.equations, emb.pivots):
+        assert eq == normalize_face(eq.f, eq.b) and eq.f[p] > 0
+    for y in [(0,), (1,), (Fraction(-5, 2),)]:
+        x = _lift(emb, y)
+        assert x == (half, third, y[0])
+        assert emb.embed_point(x) == y
+    lifted = emb.lift_face(((-1,), -1))
+    assert lifted == Face((0, 0, -1), -1)
+    assert reduce_system(ConstraintSystem.from_rows([lifted], 3), 3, emb).rows == (
+        Face((-1,), -1),)
+    # x0 + x1 + x2 >= 1 is x2 >= 1/6 on the segment
+    assert reduce_system(ConstraintSystem.from_rows([((1, 1, 1), 1)], 3), 3, emb).rows == (
+        Face((6,), 1),)
+
+
 @st.composite
 def flat_polytope(draw):
     """Integer points spanning a flat polytope of rank r < d in R^d, and an
@@ -210,9 +233,11 @@ def test_chart_round_trips_on_flat_polytopes(case):
     system = _hull_of(points, homogeneous=False)
     emb = AffineEmbedding.chart(basis_simplex(system, d))
     assert emb.ambient_dim == d and emb.reduced_dim == affine_rank(points)
-    # each equation is solved for a coefficient of least magnitude
+    # each equation is a normalized face solved for a positive coefficient
+    # of least magnitude
     for eq, p in zip(emb.equations, emb.pivots):
-        assert abs(eq.f[p]) == min(abs(a) for a in eq.f if a)
+        assert eq == normalize_face(eq.f, eq.b)
+        assert eq.f[p] == min(abs(a) for a in eq.f if a)
     reduced = reduce_system(system, d, emb)
     lifted = emb.lift_face(face)
     for j, p in enumerate(points):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyproj import ConstraintSystem, lp_feasible, lp_minimize, simplex
-from polyproj.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_standard
+from polyproj.linalg import orthogonal_complement
+from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face, lp_standard,
+                         normalize_face, pivot_equations, substitute)
 from polyproj.rationals import dot, rational
 
 coeff = st.integers(min_value=-6, max_value=6)
@@ -317,3 +319,52 @@ def test_unbounded_after_bounded_goes_cold(pivot_counts):
     assert cone._tableau_cache is tableau
     assert lp_minimize(cone, [2, 1]).objective == 0
     assert pivot_counts["dual_runs"] == 2
+
+
+def test_pivot_equations_solve_inside_the_columns():
+    # columns 1..3 of R^4; column 0 is never a pivot
+    eqs = [Face((1, 2, 0, -1), 3),  # 2 on column 1, -1 on the later column 3
+           Face((5, 0, 0, 0), 1),   # 0 on every column: left out
+           Face((0, -3, 2, 1), 0)]
+    equations, pivots = pivot_equations(eqs, [1, 2, 3])
+    assert pivots == [3, 1]
+    # each oriented to a positive pivot; the third has column 3 substituted out
+    assert equations == [Face((-1, -2, 0, 1), -3), Face((-1, 1, -2, 0), -3)]
+    assert substitute(Face((0, 1, 1, 1), 2), equations, pivots) == Face((4, 0, 7, 0), 14)
+
+
+@st.composite
+def equations_through_a_point(draw):
+    """Equations through an integer point x0 of R^n, a proper subset of the
+    columns, a row, and integer points of the equations' solution set."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    small = st.integers(min_value=-3, max_value=3)
+    x0 = draw(st.tuples(*[small] * n))
+    normals = draw(st.lists(st.tuples(*[small] * n), min_size=1, max_size=n))
+    columns = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n - 1))
+    row = Face(draw(st.tuples(*[small] * n)), draw(small))
+    kernel = orthogonal_complement(normals, n)
+    points = [x0] + [tuple(x + sum(c * k[i] for c, k in zip(coefs, kernel))
+                           for i, x in enumerate(x0))
+                     for coefs in draw(st.lists(st.tuples(*[small] * len(kernel)),
+                                                max_size=4))]
+    eqs = [normalize_face(f, dot(f, x0)) for f in normals]
+    return eqs, columns, row, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(equations_through_a_point())
+def test_substitute_keeps_the_row_on_the_solution_set(case):
+    eqs, columns, row, points = case
+    equations, pivots = pivot_equations(eqs, columns)
+    assert len(set(pivots)) == len(pivots) and set(pivots) <= columns
+    for k, (eq, p) in enumerate(zip(equations, pivots)):
+        least = min(abs(eq.f[c]) for c in columns if eq.f[c])
+        assert eq.f[p] == least and all(abs(eq.f[c]) > least for c in columns if c < p and eq.f[c])
+        assert all(eq.f[q] == 0 for q in pivots[:k])
+        assert all(dot(eq.f, x) == eq.b for x in points)
+    out = substitute(row, equations, pivots)
+    assert all(out.f[p] == 0 for p in pivots)
+    for x in points:
+        before, after = dot(row.f, x) - row.b, dot(out.f, x) - out.b
+        assert (before > 0) == (after > 0) and (before == 0) == (after == 0)
