@@ -3,11 +3,14 @@
 Every ridge ((r-2)-face) of an r-dimensional polytope lies in exactly two
 facets, and the facet graph is connected.  So the complete facet list can be
 grown from a single seed facet: compute the ridges of a known facet by
-projecting the facet's own polytope (one rank lower), rotate the facet around
-each ridge to reach the neighboring facet, repeat until no facet is left
-unexplored.  The ridge projector is chosen recursively — depth 0 uses the
-hull-based projector (chm), depth k uses this walk again — which trades hull
-size against LP count.
+projecting the facet's own polytope (one rank lower), find the neighboring
+facet across each ridge, repeat until no facet is left unexplored.  A
+neighbor already found is named by an exact integer test: the facets through
+a ridge are the members of one pencil of inequalities.  Only a ridge whose
+neighbor is new is rotated around, an exact LP sweep, so a complete walk
+makes one rotation per facet orbit after the seed's.  The ridge projector is
+chosen recursively — depth 0 uses the hull-based projector (chm), depth k
+uses this walk again — which trades hull size against LP count.
 
 The same rotation primitive supports refining a valid inequality into an
 implying facet set (``to_facets``) and certifying non-interior points
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .chm import chm_project
 from .epm import (build_combination_polytope, combination_face, epm_sample_face,
@@ -373,14 +376,46 @@ def _reject_from(face: Face, axis: Face) -> Face:
     return normalize_face(coeffs, axis.b - lam * face.b)
 
 
+def _pencil(g: Face, h: Face) -> Callable[[Face], bool]:
+    """A predicate accepting exactly the faces in the pencil of g and h:
+    those whose (f, b) is a rational combination of (g.f, g.b) and
+    (h.f, h.b), which must be independent.  Cramer's rule on two entries
+    with a nonzero minor D gives the only possible coefficients alpha, beta;
+    D*Phi = alpha*G + beta*H is then checked entry by entry in integers."""
+    G = g.f + (g.b,)
+    H = h.f + (h.b,)
+    minors = ((i, j, G[i] * H[j] - G[j] * H[i])
+              for i in range(len(G)) for j in range(i + 1, len(G)))
+    i, j, D = next((m for m in minors if m[2]), (0, 0, 0))
+    if not D:
+        raise ValueError("the pencil needs two independent faces")
+
+    def contains(face: Face) -> bool:
+        phi = face.f + (face.b,)
+        alpha = phi[i] * H[j] - phi[j] * H[i]
+        beta = G[i] * phi[j] - G[j] * phi[i]
+        return all(D * p == alpha * x + beta * y for p, x, y in zip(phi, G, H))
+
+    return contains
+
+
 def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
           budget: _Budget, rng: random.Random) -> Set[Face]:
     """The adjacency walk proper, on a bounded full-dimensional image of
     ``work`` with basis simplex ``P``.
 
-    Returns the explored facets (with their orbits) and the discovered ones
-    still pending.  Once a leaf call is refused the walk stops exploring, so
-    under a budget the result may be partial; each member is still a facet.
+    ``found`` holds every facet discovered so far with its orbit, and
+    ``pending`` the representatives not yet explored, of which the walk
+    explores the least.  For a ridge R of facet F, the ridge inequality a,
+    made orthogonal to F.f, gives aff(R) = {F.x = b_F, a.x = b_a}; so a
+    found facet other than F is F's neighbor across R exactly when it lies
+    in the pencil of F and a (``_pencil``).  Only a ridge with no such facet
+    is rotated around, and the rotation must land outside ``found``
+    (asserted).
+
+    Returns ``found``.  Once a leaf call is refused the walk stops
+    exploring, so under a budget the result may be partial; each member is
+    still a facet.
     """
     if P.rank == 1:
         # a segment in R^1: its facets are its endpoints, which are not
@@ -388,19 +423,28 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
         # probes have found both
         (lo,), (hi,) = sorted(P.points)
         return {normalize_face((1,), lo), normalize_face((-1,), -hi)}
-    pending = {_seed_facet(work, d, P, rng)}
-    done: Set[Face] = set()
+
+    def orbit(facet: Face):
+        return group.orbit(facet) if group is not None else (facet,)
+
+    seed = _seed_facet(work, d, P, rng)
+    found: Set[Face] = set(orbit(seed))
+    pending = {seed}
     while pending and not budget.denied:
         facet = min(pending)
-        members = group.orbit(facet) if group is not None else (facet,)
-        done.update(members)
-        pending.difference_update(members)
+        pending.remove(facet)
         sub = work.with_rows([-facet])
         for ridge in _project(sub, d, depth - 1, None, budget, rng):
-            neighbor, _ = rotate(work, -facet, _reject_from(facet, ridge))
-            if neighbor not in done:
-                pending.add(neighbor)
-    return done | pending
+            axis = _reject_from(facet, ridge)
+            in_pencil = _pencil(facet, axis)
+            if any(g != facet and in_pencil(g) for g in found):
+                continue
+            neighbor, _ = rotate(work, -facet, axis)
+            if neighbor in found:
+                raise AssertionError("rotation reached a found facet the pencil test missed")
+            found.update(orbit(neighbor))
+            pending.add(neighbor)
+    return found
 
 
 def _project(system: ConstraintSystem, d: int, depth: int, group,
@@ -427,8 +471,10 @@ def afi_project(system: ConstraintSystem, d: int, cfg: Optional[AfiConfig] = Non
     Without a budget the list is complete.  A ``budget`` allows that many
     hull-projector leaf calls in all (randomized facet discovery): the walk
     stops at the first refused call and raises ``BudgetExhausted``, which
-    carries the sound, possibly partial, facet list found by then.  A walk
-    that finishes within the budget returns its complete list.
+    carries the sound, possibly partial, facet list found by then: the
+    explored facets and the discovered, not yet explored ones, each with
+    its whole orbit.  Every member is a facet.  A walk that finishes within
+    the budget returns its complete list.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")

@@ -137,7 +137,8 @@ def fme_project(system: ConstraintSystem, d: int, *,
                          % (system.dim, d))
     if row_budget is not None and row_budget < 0:
         raise ValueError("row budget must be nonnegative, got %d" % row_budget)
-    if not lp_feasible(system):
+    # a homogeneous system contains x = 0, so only an affine one needs the LP
+    if not system.homogeneous and not lp_feasible(system):
         raise InfeasibleSystem("input system has no solutions")
     equations, pivots = pivot_equations(
         [system.rows[i] for i in implied_equalities(system)], range(d, system.dim))

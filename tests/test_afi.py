@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyproj import afi, geometry, simplex
 from polyproj.afi import (
@@ -26,7 +27,8 @@ from polyproj.lp import ConstraintSystem, Face, InfeasibleSystem, lp_standard, n
 from polyproj.rationals import dot
 from polyproj.scenarios import SymmetryGroup, parse_scenario
 
-from .oracles import brute_hull_facets, brute_projection_facets, brute_vertices
+from .oracles import (brute_hull_facets, brute_projection_facets, brute_vertices,
+                      reduced_row_echelon)
 
 SQUARE = ConstraintSystem.from_rows(
     [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)], 2
@@ -262,6 +264,63 @@ def test_afi_segments_reuse_the_driver_probes(monkeypatch):
     facets = afi_project(SQUARE, 2, AfiConfig(depth=2))
     assert facets == chm_project(SQUARE, 2).facets
     assert len(segments) <= len(facets) and len(hulls) <= len(facets)
+
+
+@pytest.mark.parametrize("spec, rotations", [("cube", 5), ("bell:2x2:body=1,2", 3)])
+def test_walk_rotates_once_per_new_facet_orbit(monkeypatch, spec, rotations):
+    # a ridge whose neighbor is already found is named by the pencil test,
+    # so a complete walk rotates only to reach each facet orbit after the
+    # seed's (a cone's cap facet is walked like any other)
+    if spec == "cube":
+        system, d, group = CUBE, 3, None
+    else:
+        bundle = parse_scenario(spec)
+        system, d, group = bundle.system, bundle.scenario.d, bundle.group
+    expected = chm_project(system, d, group=group).facets
+    calls = []
+
+    def counted(*args, _inner=afi.rotate):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(afi, "rotate", counted)
+    assert afi_project(system, d, AfiConfig(group=group)) == expected
+    assert len(calls) == rotations
+
+
+def test_walk_asserts_on_a_found_neighbor_the_pencil_test_missed(monkeypatch):
+    # blinded, the test lets a ridge of an explored facet's neighbor rotate
+    # back onto a found facet, which the walk refuses
+    monkeypatch.setattr(afi, "_pencil", lambda g, h: lambda face: False)
+    with pytest.raises(AssertionError, match="pencil"):
+        afi_project(CUBE, 3)
+
+
+def _pencil_rank(*faces):
+    return len(reduced_row_echelon([f.f + (f.b,) for f in faces])[0])
+
+
+_small_ints = st.integers(-3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    *[st.lists(_small_ints, min_size=n + 1, max_size=n + 1) for _ in range(3)])),
+    _small_ints, _small_ints)
+def test_pencil_matches_a_rank_oracle(vectors, alpha, beta):
+    g, h, phi = (Face(tuple(v[:-1]), v[-1]) for v in vectors)
+    assume(len(reduced_row_echelon([g.f, h.f])[0]) == 2)
+    in_pencil = afi._pencil(g, h)
+    assert in_pencil(phi) == (_pencil_rank(g, h, phi) == 2)
+    if alpha or beta:
+        combined = normalize_face([alpha * x + beta * y for x, y in zip(g.f, h.f)],
+                                  alpha * g.b + beta * h.b)
+        assert in_pencil(combined)
+    # parallel to a face of the pencil but offset: a different hyperplane
+    assert not in_pencil(Face(g.f, g.b + 1))
+    assert not in_pencil(Face(h.f, h.b - 1))
+    with pytest.raises(ValueError):
+        afi._pencil(g, Face(tuple(2 * x for x in g.f), 2 * g.b))
 
 
 def _hull_of(points, homogeneous):

@@ -111,6 +111,17 @@ def test_project_infeasible_signals():
         fme_project(bad, 1)
 
 
+def test_cone_projection_runs_no_feasibility_lp(monkeypatch):
+    # a homogeneous system contains x = 0, so it needs no feasibility LP
+    def no_lp(*args, **kwargs):
+        raise AssertionError("feasibility LP solved for a cone")
+
+    monkeypatch.setattr(fme, "lp_feasible", no_lp)
+    cone = sys_of([((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 0, -1), 0),
+                   ((0, 0, 1), 0)], 3)
+    assert rowset(fme_project(cone, 2)) == {((1, 0), 0), ((0, 1), 0)}
+
+
 def test_equality_substitution_path():
     # x + y + z = 1 pins z; shadow on (x, y) is the triangle x,y >= 0, x+y <= 1
     s = sys_of(
