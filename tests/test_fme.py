@@ -241,6 +241,13 @@ def test_prune_redundant_drops_implied_rows():
          {((1, 0), 0), ((0, 1), 0)}),
         # the unit square padded with the implied rows (1,1) >= 0, (1,0) >= -5
         (square + [((1, 1), 0), ((1, 0), -5)], set(square)),
+        # a row that holds everywhere is implied by no rows at all, so it
+        # goes even when it is the last one alive; x >= 0 and 0 >= 1 stay
+        ([((0, 0), -1)], set()),
+        ([((0, 0), -1), ((0, 0), -2)], set()),
+        ([((0, 0), 0)], set()),
+        ([((1, 0), 0)], {((1, 0), 0)}),
+        ([((0, 0), 1)], {((0, 0), 1)}),
     ]
     for pairs, want in cases:
         for use_float in (False, True):
@@ -275,11 +282,9 @@ def bounded_random_system(draw):
     return rows, dim, keep
 
 
-@st.composite
-def system_with_implied_rows(draw):
-    """A bounded random system plus rows it implies: duplicates, positive
-    combinations of two rows, and reversed rows (which make equalities)."""
-    pairs, dim, _ = draw(bounded_random_system())
+def _with_implied_rows(draw, pairs, dim):
+    """pairs plus rows they imply: duplicates, positive combinations of two
+    rows, and reversed rows (which make equalities), in a drawn order."""
     pick = st.integers(min_value=0, max_value=len(pairs) - 1)
     weight = st.integers(min_value=1, max_value=3)
     extra = draw(st.lists(st.one_of(
@@ -302,8 +307,25 @@ def system_with_implied_rows(draw):
     return sys_of([rows[k] for k in order], dim)
 
 
-@given(system_with_implied_rows())
-@settings(max_examples=30)
+@st.composite
+def system_with_implied_rows(draw):
+    """A bounded random system plus rows it implies."""
+    pairs, dim, _ = draw(bounded_random_system())
+    return _with_implied_rows(draw, pairs, dim)
+
+
+@st.composite
+def cone_with_implied_rows(draw):
+    """A random homogeneous system, so a cone, plus rows it implies: a
+    probe that keeps a row ends unbounded, as on cca:3."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    face = st.tuples(st.tuples(*[coeff for _ in range(dim)]), st.just(0))
+    pairs = draw(st.lists(face, min_size=1, max_size=6))
+    return _with_implied_rows(draw, pairs, dim)
+
+
+@given(st.one_of(system_with_implied_rows(), cone_with_implied_rows()))
+@settings(max_examples=60)
 def test_float_sweeps_equal_exact_sweeps(s):
     # floats only steer: the persistent HiGHS model must reach the verdicts of
     # the exact-only sweep, so a bound left lifted after a probe shows here
@@ -374,6 +396,39 @@ def test_highs_bindings_load_without_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_probe_model_runs_primal_simplex_without_presolve(monkeypatch):
+    # the probe model runs primal simplex without presolve (see `_Sweep`);
+    # the cold interior LP of `strict_rows` keeps HiGHS's defaults, and
+    # every option set is accepted
+    hc, solve = redundancy._hc, redundancy._linprog
+    default, set_options, models = hc._Highs(), [], []
+
+    class Highs(hc._Highs):
+        def setOptionValue(self, name, value):
+            status = super().setOptionValue(name, value)
+            set_options.append((name, status))
+            return status
+
+    def option(highs, name):
+        status, value = highs.getOptionValue(name)
+        assert status == hc.HighsStatus.kOk
+        return value
+
+    monkeypatch.setattr(hc, "_Highs", Highs)
+    monkeypatch.setattr(redundancy, "_linprog",
+                        lambda highs: models.append(highs) or solve(highs))
+    s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)], 2)
+    sweep = redundancy._Sweep(s, True)
+    assert option(sweep.highs, "presolve") == "off"
+    assert option(sweep.highs, "simplex_strategy") == 4
+    sweep.strict_rows()
+    (interior,) = models
+    for name in ("presolve", "simplex_strategy"):
+        assert option(interior, name) == option(default, name)
+    assert set_options == [(name, hc.HighsStatus.kOk) for name in (
+        "output_flag", "presolve", "simplex_strategy", "output_flag")]
 
 
 def test_sweep_binds_scipy_highs():
@@ -507,11 +562,13 @@ def test_flat_working_system_projects_exactly(monkeypatch):
 
 
 def _count_float_lps(monkeypatch):
-    """A list that gains one entry per HiGHS solve of `redundancy`."""
+    """A list that gains one entry per HiGHS solve of `redundancy`: the
+    model's `presolve` and `simplex_strategy` settings."""
     solve, calls = redundancy._linprog, []
 
     def counted(highs):
-        calls.append(None)
+        calls.append(tuple(highs.getOptionValue(name)[1]
+                           for name in ("presolve", "simplex_strategy")))
         return solve(highs)
 
     monkeypatch.setattr(redundancy, "_linprog", counted)
@@ -529,13 +586,28 @@ def test_per_step_sweeps_skip_pass_through_rows(monkeypatch):
     # probing every pass-through row and every row's reverse costs 1,397
     # float LPs on cca:3; the skips leave 501, the interior LP included, and
     # the interior LP's certified dual leaves 424; every drop and equality
-    # is proven by a rounded float dual, with no exact solve or LP
+    # is proven by a rounded float dual, with no exact solve or LP.  All but
+    # the interior LP are warm probes by primal simplex without presolve,
+    # and HiGHS's default settings find the same rows
     cca3 = parse_scenario("cca:3")
     calls = _count_float_lps(monkeypatch)
     _refuse(monkeypatch, redundancy, "lp_minimize")
     out = fme_project(cca3.system, cca3.scenario.d)
     assert len(out) == 16
     assert len(calls) == 424
+    assert calls.count(("off", 4)) == 423
+    hc = redundancy._hc
+
+    class DefaultHighs(hc._Highs):
+        def setOptionValue(self, name, value):  # drops the probe settings
+            if name in ("presolve", "simplex_strategy"):
+                return hc.HighsStatus.kOk
+            return super().setOptionValue(name, value)
+
+    monkeypatch.setattr(hc, "_Highs", DefaultHighs)
+    calls.clear()
+    assert fme_project(cca3.system, cca3.scenario.d).rows == out.rows
+    assert set(calls) == {("choose", 1)}
 
 
 # ------------------------------------------------- rounded certificates
