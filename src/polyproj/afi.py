@@ -12,12 +12,9 @@ makes one rotation per facet orbit after the seed's.  The ridge projector is
 chosen recursively — depth 0 uses the hull-based projector (chm), depth k
 uses this walk again — which trades hull size against LP count.
 
-The same rotation primitive supports refining a valid inequality into an
-implying facet set (``to_facets``) and certifying non-interior points
-(``point_to_facets``).  ``afi_project`` with a ``budget`` of hull-projector
-calls is the randomized facet discovery (RFD): the walk cut off early,
-whose ``BudgetExhausted`` error carries a sound, possibly partial facet
-list.
+``afi_project`` with a ``budget`` of hull-projector calls is the randomized
+facet discovery (RFD): the walk cut off early, whose ``BudgetExhausted``
+error carries a sound, possibly partial facet list.
 
 Each image reaches the walk through ``geometry.project_image``, which caps
 cones, charts flat images and drops the cap's facets; the walk traverses a
@@ -31,35 +28,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from .chm import chm_project
-from .epm import (build_combination_polytope, combination_face, epm_sample_face,
-                  separation_objective)
+from .epm import build_combination_polytope, epm_sample_face
 from .geometry import (
-    AffineEmbedding,
     BasisSimplex,
     DegenerateInput,
     basis_simplex,
-    cap_face,
     capped,
     minimize_image,
     pad_objective,
     project_image,
-    reduce_system,
 )
 from .linalg import nullspace
-from .lp import (
-    INFEASIBLE,
-    UNBOUNDED,
-    ConstraintSystem,
-    Face,
-    as_face,
-    lp_minimize,
-    lp_standard,
-    normalize_face,
-)
-from .rationals import dot, is_zero_vector, rational, vec_add, vec_scale, vec_sub
+from .lp import UNBOUNDED, ConstraintSystem, Face, as_face, lp_minimize, normalize_face
+from .rationals import dot, is_zero_vector, rational, vec_sub
 
 _SAMPLE_RETRIES = 32
 
@@ -185,7 +169,7 @@ def _subface_axis(face: Face, pdirs: List[Tuple], fbase: Tuple,
 
 
 def _tighten(work: ConstraintSystem, d: int, face: Face, F: BasisSimplex,
-             P: BasisSimplex, control: Optional[Tuple] = None) -> Face:
+             P: BasisSimplex) -> Face:
     """Drive a valid, tight width-d inequality up the face lattice until it
     is a facet of the image of ``work``, whose basis simplex is ``P``: until
     its tight set has rank P.rank - 1.  ``F`` is the basis simplex of the
@@ -195,14 +179,8 @@ def _tighten(work: ConstraintSystem, d: int, face: Face, F: BasisSimplex,
     the face, orient it toward the polytope's slack side, and rotate the
     *negated* face around it.  The landing face is valid, tight, and its
     tight-set simplex, the next round's F, is strictly larger in rank
-    (asserted).  With a ``control`` point (which must strictly violate the
-    incoming face), the rotation endpoint is chosen so the result still
-    strictly separates the control point: if the first endpoint fails, the
-    opposite sweep lands on the other endpoint of the valid pencil arc, and
-    linearity guarantees one of the two cuts strictly.
+    (asserted).
     """
-    if control is not None and not dot(face.f, control) < face.b:
-        raise ValueError("control point must strictly violate the face")
     pdirs = [vec_sub(p, P.base) for p in P.points[1:]]
     while F.rank != P.rank - 1:
         fdirs = [vec_sub(q, F.base) for q in F.points[1:]]
@@ -211,14 +189,7 @@ def _tighten(work: ConstraintSystem, d: int, face: Face, F: BasisSimplex,
             raise DegenerateInput("face spans the whole image; nothing to tighten")
         if minimize_image(work, axis.f, want_point=False).objective >= axis.b:
             axis = -axis
-        cand, companion = rotate(work, -face, -axis)
-        if control is not None and dot(cand.f, control) >= cand.b:
-            cand, _ = rotate(work, -cand, companion)
-            if dot(cand.f, control) >= cand.b:
-                raise AssertionError(
-                    "neither pencil endpoint separates the control point"
-                )
-        face = cand
+        face, _ = rotate(work, -face, -axis)
         G = basis_simplex(work.with_rows([-face]), d)
         if G.rank <= F.rank:
             raise AssertionError("face rank did not increase during tightening")
@@ -256,113 +227,6 @@ def _seed_facet(work: ConstraintSystem, d: int, P: BasisSimplex,
             face = _support(work, d, sample)
             return _tighten(work, d, face, basis_simplex(work.with_rows([-face]), d), P)
     raise DegenerateInput("row combinations produced only trivial faces")
-
-
-def to_facets(system: ConstraintSystem, d: int, face) -> List[Face]:
-    """A set of facets that together imply the given valid inequality.
-
-    Repeatedly minimize the face over the region cut out by the facets found
-    so far; every minimizer that still violates the face is a certified
-    exterior control point, which the control-point tightener converts into
-    a facet strictly cutting it.  Terminates because each new facet removes
-    its control point from the region.  A valid face that is slack
-    everywhere has its offset raised to the supporting value first, so the
-    tightening always starts from a nonempty tight set.  Invalid faces are
-    rejected."""
-    work = capped(system, d)
-    face = _support(work, d, face)
-    P = basis_simplex(work, d)
-    F = basis_simplex(work.with_rows([-face]), d)
-    out: Set[Face] = set()
-    # the region is intersected with the cap for cones so control points
-    # stay on the polytope side of the cap and can never select it
-    region_extra = [cap_face(d, d)] if system.homogeneous else []
-    while True:
-        region = ConstraintSystem.from_rows(sorted(out) + region_extra, d)
-        sol = lp_minimize(region, list(face.f))
-        if sol.status == INFEASIBLE:
-            return sorted(out)
-        if sol.status == UNBOUNDED:
-            base = lp_minimize(region, [0] * d).x
-            step = dot(face.f, sol.ray)
-            if step >= 0:
-                raise AssertionError("unbounded certificate does not lower the face")
-            t = (face.b - dot(face.f, base)) / rational(step)
-            t = t + 1 if t + 1 > 1 else 1
-            x = tuple(vec_add(base, vec_scale(sol.ray, t)))
-        elif sol.objective >= face.b:
-            return sorted(out)
-        else:
-            x = sol.x
-        facet = _tighten(work, d, face, F, P, control=x)
-        if not dot(facet.f, x) < facet.b:
-            raise AssertionError("new facet does not cut its control point")
-        out.add(facet)
-
-
-def point_to_facets(system: ConstraintSystem, d: int, y: Sequence) -> List[Face]:
-    """Facets certifying that y is not interior to the projection: every
-    returned facet g satisfies g.y <= c.
-
-    A separating or touching valid inequality is sampled from the
-    row-combination polytope (minimizing its value at y, then its slack at
-    y), refined into implying facets, and the result filtered to the members
-    that themselves certify y — a nonempty set, since a non-negative
-    combination of the facets weakly dominates the sampled inequality.
-
-    A flat image is charted onto its affine hull first
-    (``AffineEmbedding.chart``, as in ``project_image``), and the facets
-    found there are lifted back with 0 on the chart's pivots.  Raises
-    ValueError when y is in the relative interior of the projection (no
-    certificate exists; on a single-point image that is the point itself)
-    and when y is off the affine hull of a flat image.
-    """
-    y = tuple(rational(v) for v in y)
-    if len(y) != d:
-        raise ValueError("point width does not match the output dimension")
-    bs = basis_simplex(system, d)
-    if bs.rank < d:
-        emb = AffineEmbedding.chart(bs)
-        try:
-            reduced_y = emb.embed_point(y)
-        except DegenerateInput:
-            raise ValueError("the point is off the affine hull of the projection") from None
-        if bs.rank == 0:
-            raise ValueError("the point is the whole projection, so interior to it")
-        inner = point_to_facets(reduce_system(system, d, emb), bs.rank, reduced_y)
-        return sorted(emb.lift_face(f) for f in inner)
-    cp = build_combination_polytope(system, d)
-    padded = y + (0,) * (system.dim - d)
-
-    def certifies(face: Face) -> bool:
-        return not is_zero_vector(face.f) and dot(face.f, y) <= face.b
-
-    candidate = epm_sample_face(cp, [dot(row.f, padded) for row in system.rows])
-    if not certifies(candidate):
-        # rows with offsets need the slack objective; it also decides
-        # interiority exactly.  The sample above proved cp nonempty, and it
-        # is bounded, so every LP below is optimal.
-        slack = separation_objective(system, padded)
-        sol = lp_standard(cp.A, cp.b, slack)
-        if sol.objective > 0:
-            raise ValueError("the point is strictly interior to the projection")
-        candidate = combination_face(cp, sol.x)
-        if not certifies(candidate):
-            # minimal slack 0 met only by trivial combinations so far: look
-            # for a nonzero tight inequality coordinate by coordinate
-            pinned = (cp.A + (tuple(slack),), cp.b + (sol.objective,))
-            columns = system.transpose()
-            probes = (lp_standard(*pinned, [sign * v for v in columns[j]])
-                      for j in range(d) for sign in (1, -1))
-            q = next((probe.x for probe in probes if probe.objective < 0), None)
-            if q is None:
-                raise ValueError("the point is strictly interior to the projection")
-            candidate = combination_face(cp, q)
-    facets = to_facets(system, d, candidate)
-    certifying = [g for g in facets if dot(g.f, y) <= g.b]
-    if not certifying:
-        raise AssertionError("implying facet set lost the certificate")
-    return certifying
 
 
 def _reject_from(face: Face, axis: Face) -> Face:

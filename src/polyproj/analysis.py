@@ -1,13 +1,9 @@
 """Structural analysis of marginal-cone inequalities.
 
-Two post-processing stages for inequalities produced by the projection
-algorithms:
-
-* exact proofs: an inequality valid over an elemental system is a
-  nonnegative combination of elemental rows, read off the dual of the
-  verifying LP and re-checked coordinate by coordinate,
-* a coefficient-sum classification for inequalities written over one- and
-  two-body marginal coordinates.
+Exact proofs for inequalities produced by the projection algorithms: an
+inequality valid over an elemental system is a nonnegative combination of
+elemental rows, read off the dual of the verifying LP and re-checked
+coordinate by coordinate.
 
 ``lift_to_space`` rewrites a facet over a scenario's observable coordinates
 as a face over its full entropy space, the form ``extract_proof`` takes.
@@ -16,14 +12,12 @@ as a face over its full entropy space, the form ``extract_proof`` takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Tuple
 
-from .lp import ConstraintSystem, Face, lp_minimize, normalize_face
+from .lp import ConstraintSystem, Face, lp_minimize
 from .rationals import format_rational
 from .scenarios import (ElementalForm, EntropySpace, MarginalScenario,
                         elemental_forms, entropy_space, form_row)
-
-Subset = FrozenSet[int]
 
 
 # ---------------------------------------------------------------------------
@@ -131,101 +125,3 @@ def extract_proof(system: ConstraintSystem, ineq: Face) -> ElementalProof:
     return ElementalProof(space=space, target=Face(f=tuple(ineq.f), b=ineq.b),
                           terms=tuple(terms))
 
-
-# ---------------------------------------------------------------------------
-# One/two-body structural classification
-# ---------------------------------------------------------------------------
-
-MUTUAL_INFORMATION = "mutual-information"
-CHAIN = "chain"
-VIOLATION = "violation"
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Outcome of the one/two-body coefficient-sum classification.
-
-    ``sums`` holds (Σa⁺, Σa⁻, Σb⁺, Σb⁻): the positive and negative
-    coefficient mass on one-body (a) and two-body (b) coordinates after
-    scaling to coprime integers.
-    """
-
-    category: str
-    sums: Tuple[int, int, int, int]
-    k: Optional[int] = None
-    m: Optional[int] = None
-
-    def __str__(self) -> str:
-        if self.category == CHAIN:
-            return f"Chain(k={self.k}, m={self.m})"
-        if self.category == MUTUAL_INFORMATION:
-            return "MutualInformation"
-        return "Violation"
-
-
-def structural_check(face: Face, scenario: MarginalScenario) -> StructureReport:
-    """Classify an inequality over one/two-body marginal coordinates.
-
-    Minimal inequalities of this shape come in exactly two templates:
-    a plain mutual information I(Xi:Xj), or a chain with no positive
-    one-body terms whose sums obey Σa⁻ = k, Σb⁺ = m + k, Σb⁻ = m for
-    some 0 ≤ m ≤ k.  Everything else is reported as a violation, which
-    flags a non-minimal or non-Shannon-type candidate.
-
-    On spaces without one-body coordinates the chain's k negative
-    one-body units are consumed by plain mutual informations, each
-    absorbing two of them and leaving one extra negative pair term; the
-    sums then read Σa⁻ = 0, Σb⁺ = m + k, Σb⁻ = m + k/2, from which the
-    underlying (k, m) are recovered.
-    """
-
-    if len(face.f) != scenario.d:
-        raise ValueError("face width does not match the scenario")
-    if face.b != 0:
-        raise ValueError("the one/two-body form has no constant term")
-    for coeff, subset, name in zip(face.f, scenario.observable,
-                                   scenario.observable_names):
-        if coeff != 0 and len(subset) > 2:
-            raise ValueError(
-                f"coordinate outside the one/two-body form: {name}")
-    if all(coeff == 0 for coeff in face.f):
-        raise ValueError("the zero face has no structure to classify")
-    norm = normalize_face(face.f, 0)
-
-    a_plus = a_minus = b_plus = b_minus = 0
-    plus_singletons: List[Subset] = []
-    minus_pairs: List[Subset] = []
-    unit_pattern = True
-    for coeff, subset in zip(norm.f, scenario.observable):
-        if coeff == 0:
-            continue
-        if len(subset) == 1:
-            if coeff > 0:
-                a_plus += coeff
-                plus_singletons.append(subset)
-            else:
-                a_minus -= coeff
-        else:
-            if coeff > 0:
-                b_plus += coeff
-            else:
-                b_minus -= coeff
-                minus_pairs.append(subset)
-        if coeff not in (1, -1):
-            unit_pattern = False
-    sums = (a_plus, a_minus, b_plus, b_minus)
-
-    if (unit_pattern and sums == (2, 0, 0, 1)
-            and len(plus_singletons) == 2
-            and minus_pairs[0] == plus_singletons[0] | plus_singletons[1]):
-        return StructureReport(MUTUAL_INFORMATION, sums)
-    if any(len(s) == 1 for s in scenario.observable):
-        if a_plus == 0 and a_minus >= 1 and b_plus - b_minus == a_minus \
-                and 0 <= b_minus <= a_minus:
-            return StructureReport(CHAIN, sums, k=a_minus, m=b_minus)
-    elif a_plus == a_minus == 0 and b_plus > b_minus:
-        k = 2 * (b_plus - b_minus)
-        m = b_minus - (b_plus - b_minus)
-        if 0 <= m <= k:
-            return StructureReport(CHAIN, sums, k=k, m=m)
-    return StructureReport(VIOLATION, sums)

@@ -74,7 +74,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExhausted as exc:
         found, partial = exc.facets, True
     facets = sorted({normalize_face(f.f, f.b) for f in found})
-    result = ConstraintSystem(tuple(facets), bundle.scenario.d, names)
+    result = ConstraintSystem.from_rows(facets, bundle.scenario.d, names)
     header = [f"scenario: {args.spec}", f"method: {args.method}"]
     if partial:
         header.append(f"partial: the budget of {args.budget} ran out before the walk finished")

@@ -12,13 +12,8 @@ for sum(q) = 1 and one per eliminated coordinate, so each sample is a single
 ``lp.lp_standard`` solve of dim - d + 1 rows: q >= 0 is never written out as
 rows, and nothing is dualized.
 
-The sampled face for an optimal vertex q is ((q^T L)[:d], q^T a).  Choosing
-the objective p_i = f_i . x0 - b_i for a candidate point x0 makes
-
-    p . q = (q^T L) . x0 - q^T a,
-
-i.e. the LP minimizes the slack of the sampled face at x0, so whenever x0
-lies outside the shadow the returned face separates it.
+The sampled face for an optimal vertex q is ((q^T L)[:d], q^T a).  AFI
+draws its seed facet this way, from a random objective.
 """
 
 from __future__ import annotations
@@ -82,15 +77,3 @@ def epm_sample_face(cp: CombinationPolytope, p: Sequence) -> Face:
         raise InfeasibleSystem("no normalized row combination lands in the output space")
     return combination_face(cp, sol.x)
 
-
-def separation_objective(system: ConstraintSystem, point: Sequence) -> list:
-    """Per-row slacks f_i . x0 - b_i of a candidate point, as an LP objective.
-
-    Feeding this to epm_sample_face minimizes the sampled face's slack at x0:
-    the returned face is violated by x0 whenever x0 lies strictly outside the
-    projection.  On homogeneous systems (all b = 0) this is exactly L . x0.
-    """
-    x0 = list(point)
-    if len(x0) != system.dim:
-        raise ValueError("point width does not match the system")
-    return [dot(row.f, x0) - row.b for row in system.rows]

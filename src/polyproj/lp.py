@@ -170,10 +170,6 @@ class ConstraintSystem:
         extra = [as_face(r).pad(self.dim) for r in extra]
         return ConstraintSystem(self.rows + tuple(extra), self.dim, self.names)
 
-    def with_equality(self, coeffs: Sequence, rhs=0) -> "ConstraintSystem":
-        face = normalize_face(coeffs, rhs)
-        return self.with_rows([face, -face])
-
     def transpose(self) -> List[List[int]]:
         """Columns of L as rows (cached); the constraint matrix of the dual."""
         cached = getattr(self, "_transpose_cache", None)

@@ -91,6 +91,11 @@ def parse(text: str) -> MatrixFile:
                     raise MatrixFileError(
                         f"line {lineno}: first column must be {_CONSTANT_COLUMN!r}"
                     )
+                repeated = sorted({name for name in fields if fields.count(name) > 1})
+                if repeated:
+                    raise MatrixFileError(
+                        f"line {lineno}: repeated column names {repeated}"
+                    )
                 names = tuple(fields[1:])
             else:
                 comments.append(line[1:].strip())
@@ -123,11 +128,6 @@ def parse(text: str) -> MatrixFile:
 def load(path) -> MatrixFile:
     with open(path, "r", encoding="utf-8") as handle:
         return parse(handle.read())
-
-
-def save(path, system: ConstraintSystem, comments: Iterable[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render(system, comments))
 
 
 def reorder_to(system: ConstraintSystem, names: Sequence[str]) -> ConstraintSystem:

@@ -52,16 +52,8 @@ def dot(u: Sequence, v: Sequence):
     return acc
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(u: Sequence, s) -> Vector:
-    return tuple(a * s for a in u)
 
 
 def is_zero_vector(u: Sequence) -> bool:

@@ -6,9 +6,8 @@ This module builds every concrete system the package works on:
 * the elemental (Shannon) inequality systems,
 * multipartite marginal scenarios where only some subsets are observable,
 * common-ancestor causal models (ring topology ``C_n``),
-* the deterministic correlator polytope of the bipartite binary setup,
-* symmetry groups acting on the observable coordinates, orbit
-  classification of facets, and marginal-vector membership tests.
+* symmetry groups acting on the observable coordinates, and orbit
+  classification of facets.
 
 Coordinate order is canonical and documented: subsets sorted by cardinality
 first, then by their sorted member tuple.  Scenario systems are permuted so
@@ -32,8 +31,7 @@ from typing import (
     Tuple,
 )
 
-from .lp import ConstraintSystem, Face, as_face, lp_feasible
-from .rationals import rational
+from .lp import ConstraintSystem, Face, as_face
 
 Subset = FrozenSet[int]
 
@@ -446,45 +444,6 @@ def cca_symmetry_group(n: int, scenario: MarginalScenario) -> SymmetryGroup:
         _lift_variable_map(scenario, reflection),
     )
     return SymmetryGroup(generators=generators, dim=scenario.d)
-
-
-# ---------------------------------------------------------------------------
-# Membership and the deterministic correlator polytope
-# ---------------------------------------------------------------------------
-
-
-def check_membership(h: Sequence, scenario: MarginalScenario, system: ConstraintSystem) -> bool:
-    """Is the marginal vector ``h`` consistent with some full vector?
-
-    ``system`` must be arranged in the scenario's coordinate order (its
-    first ``scenario.d`` coordinates are the observable ones).  Feasibility
-    of the system with those coordinates pinned to ``h`` is decided by LP.
-    """
-
-    values = [rational(v) for v in h]
-    if len(values) != scenario.d:
-        raise ValueError(f"expected {scenario.d} marginal values, got {len(values)}")
-    pinned = system
-    for k, value in enumerate(values):
-        coeffs = [0] * system.dim
-        coeffs[k] = 1
-        pinned = pinned.with_equality(coeffs, value)
-    return lp_feasible(pinned)
-
-
-def bell_probability_polytope() -> List[Tuple[int, ...]]:
-    """Deterministic-strategy points of the two-party, two-setting,
-    binary-outcome scenario in correlator coordinates: 16 points.
-
-    Coordinates: ``(<A1>, <A2>, <B1>, <B2>, <A1B1>, <A1B2>, <A2B1>, <A2B2>)``
-    with every product correlator equal to the product of the one-body
-    values.
-    """
-
-    points = []
-    for a1, a2, b1, b2 in product((1, -1), repeat=4):
-        points.append((a1, a2, b1, b2, a1 * b1, a1 * b2, a2 * b1, a2 * b2))
-    return points
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,12 @@ def _normalize(coeffs, rhs):
     return tuple(ints[:-1]), ints[-1]
 
 
+def equality_rows(coeffs, rhs=0):
+    """The pair of rows f . x >= b and -f . x >= -b stating f . x = b."""
+    coeffs = tuple(coeffs)
+    return [(coeffs, rhs), (tuple(-c for c in coeffs), -rhs)]
+
+
 def affine_rank(points):
     """Dimension of the affine span of a point set (-1 when empty)."""
     if not points:

@@ -8,22 +8,21 @@ from polyproj.afi import (
     AfiConfig,
     BudgetExhausted,
     afi_project,
-    point_to_facets,
     rotate,
-    to_facets,
 )
 from polyproj.chm import chm_project
 from polyproj.fme import fme_project
 from polyproj.geometry import (
     AffineEmbedding,
     DegenerateInput,
+    UnboundedProjection,
     basis_simplex,
     capped,
     is_implied,
     reduce_system,
 )
 from polyproj.linalg import integer_rref
-from polyproj.lp import ConstraintSystem, Face, InfeasibleSystem, lp_standard, normalize_face
+from polyproj.lp import ConstraintSystem, Face, InfeasibleSystem, normalize_face
 from polyproj.rationals import dot
 from polyproj.scenarios import SymmetryGroup, parse_scenario
 
@@ -465,256 +464,14 @@ def test_infeasible_input_raises_infeasible_system(project):
         project(empty)
 
 
-# ---------------------------------------------------------------- to_facets
+# ------------------------------------------------------- cap domain
 
 
-def test_to_facets_computes_the_input_face_simplex_once(monkeypatch):
-    # one tight-set simplex for the input face, shared by every control
-    # point, plus the image's own and one per tightening round
-    seen = []
-
-    def counted(work, dd, probe=None, _inner=afi.basis_simplex):
-        seen.append(work.rows)
-        return _inner(work, dd, probe=probe)
-
-    monkeypatch.setattr(afi, "basis_simplex", counted)
-    face = Face((1, 1, 1), 0)
-    to_facets(CUBE, 3, face)
-    assert len(seen) == 8
-    assert seen.count(CUBE.with_rows([-face]).rows) == 1
-
-
-def test_to_facet_fixed_point():
-    for f in [Face((1, 0), 0), Face((0, -1), -1)]:
-        assert to_facets(SQUARE, 2, f) == [normalize_face(f.f, f.b)]
-
-
-def test_to_facet_edge_of_cube():
-    out = to_facets(CUBE, 3, Face((1, 1, 0), 0))
-    assert out == [Face((0, 1, 0), 0), Face((1, 0, 0), 0)]
-
-
-def test_to_facet_rejects_invalid():
-    with pytest.raises(ValueError):
-        to_facets(SQUARE, 2, Face((1, 0), 1))  # x >= 1 does not hold
-    with pytest.raises(ValueError):
-        to_facets(SQUARE, 2, Face((1, 0, 0), 0))  # wider than the output space
-    # the trivial face needs no facet to imply it
-    assert to_facets(SQUARE, 2, Face((0, 0), 0)) == []
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_to_facet_random_valid_faces(seed):
-    rng = random.Random(2000 + seed)
-    dim = rng.choice([3, 4])
-    system, facets = random_polytope(rng, dim)
-    if system is None:
-        pytest.skip("degenerate sample")
-    verts = brute_vertices([f for f, _ in facets], [b for _, b in facets], dim)
-    norm = [normalize_face(*f) for f in facets]
-    # a valid face: positive combination of two facets
-    f1, f2 = rng.sample(norm, 2)
-    face = normalize_face(
-        [a + b for a, b in zip(f1.f, f2.f)], f1.b + f2.b
-    )
-    if is_zero_vector_like(face.f):
-        pytest.skip("combination collapsed")
-    out = to_facets(system, dim, face)
-    assert is_implied(ConstraintSystem.from_rows(out, dim), face)
-    tight_in = {v for v in verts if dot(face.f, v) == face.b}
-    for g in out:
-        assert g in norm  # genuine facet, by its tight set's rank too
-        assert _rank(system, dim, g) == dim - 1
-        # containment: vertices tight on the input face stay tight on g
-        assert tight_in <= {v for v in verts if dot(g.f, v) == g.b}
-
-
-def is_zero_vector_like(v):
-    return all(x == 0 for x in v)
-
-
-def test_to_facets_facet_input():
-    assert to_facets(SQUARE, 2, Face((1, 0), 0)) == [Face((1, 0), 0)]
-
-
-def test_to_facets_square_corner():
-    out = to_facets(SQUARE, 2, Face((1, 1), 0))
-    assert out == [Face((0, 1), 0), Face((1, 0), 0)]
-
-
-def test_to_facets_implication_on_randoms():
-    rng = random.Random(77)
-    done = 0
-    for _ in range(20):
-        system, facets = random_polytope(rng, 4)
-        if system is None:
-            continue
-        norm = [normalize_face(*f) for f in facets]
-        f1, f2 = rng.sample(norm, 2)
-        face = normalize_face([a + 2 * b for a, b in zip(f1.f, f2.f)], f1.b + 2 * f2.b)
-        if is_zero_vector_like(face.f):
-            continue
-        out = to_facets(system, 4, face)
-        for g in out:
-            assert g in norm  # every member a true facet
-        region = ConstraintSystem.from_rows(out, 4)
-        assert is_implied(region, face)  # the set implies the input
-        done += 1
-        if done >= 6:
-            break
-    assert done >= 3
-
-
-def test_to_facets_homogeneous_face():
-    # wedge 0 <= y <= x; the valid ray x >= 0 needs both facets
-    wedge = ConstraintSystem.from_rows(
-        [((1, -1), 0), ((0, 1), 0)], 2
-    )
-    out = to_facets(wedge, 2, Face((1, 0), 0))
-    assert out == sorted([Face((1, -1), 0), Face((0, 1), 0)])
-
-
-def test_cap_domain_violation_surfaces():
+@pytest.mark.parametrize("project", [chm_project, afi_project], ids=["chm", "afi"])
+def test_cap_domain_violation_surfaces(project):
     # a cone with a ray parallel to the coordinate-sum cap is outside the
     # cap's domain; the failure must surface as an exception, not a wrong
     # answer
-    from polyproj.geometry import UnboundedProjection
-
     cone = ConstraintSystem.from_rows([((1, 1), 0), ((1, -1), 0)], 2)
     with pytest.raises(UnboundedProjection):
-        to_facets(cone, 2, Face((1, 0), 0))
-
-
-# ------------------------------------------------------- point_to_facets
-
-
-def test_point_to_facets_exterior_square():
-    out = point_to_facets(SQUARE, 2, (2, 0.5))
-    assert normalize_face((-1, 0), -1) in out
-    for g in out:
-        assert dot(g.f, (2, 0.5)) <= g.b
-
-
-def test_point_to_facets_vertex_of_square():
-    out = point_to_facets(SQUARE, 2, (1, 1))
-    assert out
-    for g in out:
-        assert g in set(SQUARE.rows)
-        assert dot(g.f, (1, 1)) == g.b  # tight at the vertex
-
-
-def test_point_to_facets_interior_errors():
-    with pytest.raises(ValueError):
-        point_to_facets(SQUARE, 2, (0.5, 0.5))
-
-
-def test_point_to_facets_cube_shadow_exterior():
-    out = point_to_facets(CUBE, 2, (-1, 2))
-    for g in out:
-        assert dot(g.f, (-1, 2)) <= g.b
-        assert _rank(CUBE, 2, g) == 1
-
-
-def test_to_facets_lifts_a_face_that_misses_the_polytope():
-    # x >= -1 holds on the square but touches it nowhere
-    face = Face((1, 0), -1)
-    assert to_facets(SQUARE, 2, face) == [Face((1, 0), 0)]
-
-
-def _certifies_with_fme_facets(system, d, y, out):
-    facets = set(fme_project(system, d).rows)
-    assert out
-    for g in out:
-        assert g in facets
-        assert dot(g.f, y) <= g.b
-
-
-@pytest.mark.parametrize("rows, dim, probes", [
-    # minimizing the value at y = 0 alone gives a trivial face: the slack
-    # LP finds a tight one
-    ([((1,), -1), ((1,), 0), ((1,), 0), ((1,), -3), ((-1,), -3)], 1, 1),
-    # z = 0 is an implicit equality, so the slack minimum 0 is first met by
-    # the trivial combination of its two rows: the pinned coordinate probes
-    # find x >= 0
-    ([((0, 1), 0), ((0, -1), 0), ((1, 0), 0), ((-1, 0), -3)], 2, 3),
-])
-def test_point_to_facets_slack_and_pinned_probes(monkeypatch, rows, dim, probes):
-    # count the standard-form LPs point_to_facets makes itself: the slack LP
-    # and then the pinned probes, up to the first one that finds a face
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return lp_standard(*args)
-
-    monkeypatch.setattr(afi, "lp_standard", counted)
-    system = ConstraintSystem.from_rows(rows, dim)
-    out = point_to_facets(system, 1, (0,))
-    assert len(calls) == probes
-    assert out == [Face((1,), 0)]
-    _certifies_with_fme_facets(system, 1, (0,), out)
-
-
-def test_point_to_facets_on_a_hidden_implicit_equality():
-    # x + 2z = 0 inside the box -3 <= x, z <= 3
-    box = [((1, 0), -3), ((-1, 0), -3), ((0, 1), -3), ((0, -1), -3)]
-    system = ConstraintSystem.from_rows(
-        [((-1, -2), 0), ((-1, -2), 0), ((1, 0), -2), ((1, 2), 0), ((1, 2), 0)] + box, 2)
-    out = point_to_facets(system, 1, (-2,))
-    assert out == [Face((1,), -2)]
-    _certifies_with_fme_facets(system, 1, (-2,), out)
-
-
-def test_point_to_facets_off_a_flat_image():
-    # x >= -3, -x >= -3, x >= -2 and the equality x = 0: the image is {0}
-    system = ConstraintSystem.from_rows(
-        [((1,), -3), ((-1,), -3), ((1,), -2), ((1,), 0), ((-1,), 0)], 1)
-    for y in [(2,), (0,)]:
-        with pytest.raises(ValueError):
-            point_to_facets(system, 1, y)
-    # the segment 0 <= x <= 2 on the line y = x
-    segment = ConstraintSystem.from_rows(
-        [((1, 0), 0), ((-1, 0), -2), ((1, -1), 0), ((-1, 1), 0)], 2)
-    with pytest.raises(ValueError, match="affine hull"):
-        point_to_facets(segment, 2, (1, 0))
-    with pytest.raises(ValueError, match="interior"):
-        point_to_facets(segment, 2, (1, 1))
-
-
-@pytest.mark.parametrize("y, tight", [((2, 2), (2, 2)), ((3, 3), (2, 2)), ((0, 0), (0, 0))])
-def test_point_to_facets_on_a_flat_image(y, tight):
-    # the segment 0 <= x <= 2 on the line y = x, with a hidden coordinate
-    system = ConstraintSystem.from_rows(
-        [((1, 0, 0), 0), ((-1, 0, 1), -2), ((1, -1, 0), 0), ((-1, 1, 0), 0),
-         ((0, 0, 1), 0), ((0, 0, -1), 0)], 3)
-    out = point_to_facets(system, 2, y)
-    assert len(out) == 1
-    g = out[0]
-    assert dot(g.f, y) <= g.b
-    assert dot(g.f, tight) == g.b
-    # valid on the whole segment, strict at its other end
-    other = (2, 2) if tight == (0, 0) else (0, 0)
-    assert is_implied(system, g.pad(3)) and dot(g.f, other) > g.b
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_point_to_facets_certifies_exactly_the_non_interior_points(seed):
-    rng = random.Random(seed)
-    for _ in range(12):
-        d = rng.randint(1, 2)
-        dim = d + rng.randint(0, 2)
-        # a box and random rows with the origin strictly inside: bounded and
-        # full-dimensional
-        rows = [(tuple(s * int(i == k) for i in range(dim)), -3)
-                for k in range(dim) for s in (1, -1)]
-        rows += [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-4, -1))
-                 for _ in range(rng.randint(1, 4))]
-        system = ConstraintSystem.from_rows(rows, dim)
-        facets = fme_project(system, d).rows
-        for _ in range(4):
-            y = tuple(rng.randint(-4, 4) for _ in range(d))
-            if all(dot(g.f, y) > g.b for g in facets):
-                with pytest.raises(ValueError):
-                    point_to_facets(system, d, y)
-            else:
-                _certifies_with_fme_facets(system, d, y, point_to_facets(system, d, y))
+        project(cone, 2)

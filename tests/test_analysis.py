@@ -1,14 +1,9 @@
-"""Tests for dual proofs and the structural classification of marginal
-inequalities."""
-
-from collections import Counter
+"""Tests for dual proofs of marginal inequalities."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polyproj.analysis import (CHAIN, MUTUAL_INFORMATION, VIOLATION,
-                               ElementalProof, extract_proof, lift_to_space,
-                               structural_check)
+from polyproj.analysis import ElementalProof, extract_proof, lift_to_space
 from polyproj.chm import chm_project
 from polyproj.lp import Face, normalize_face
 from polyproj.matrixfile import reorder_to
@@ -30,12 +25,6 @@ def bipartite():
     """2-party, 2-setting scenario with one- and two-body observables."""
 
     system, scenario = bell_scenario(2, 2, (1, 2))
-    return system, scenario
-
-
-@pytest.fixture(scope="module")
-def tripartite_18d():
-    system, scenario = bell_scenario(3, 2, (1, 2))
     return system, scenario
 
 
@@ -173,116 +162,22 @@ def test_i17_printed_expansion_and_own_proof():
 
 
 # ---------------------------------------------------------------------------
-# structural_check
-# ---------------------------------------------------------------------------
-
-
-def test_mutual_information_category(bipartite):
-    _, scenario = bipartite
-    mi = scenario_face(scenario, [({1}, 1), ({3}, 1), ({1, 3}, -1)])
-    report = structural_check(mi, scenario)
-    assert report.category == MUTUAL_INFORMATION
-    assert str(report) == "MutualInformation"
-
-
-def test_chshe_chain_category(bipartite):
-    _, scenario = bipartite
-    report = structural_check(chshe_face(scenario), scenario)
-    assert report.category == CHAIN
-    assert (report.k, report.m) == (2, 1)
-    assert report.sums == (0, 2, 3, 1)
-
-
-def test_fabricated_violation(bipartite):
-    _, scenario = bipartite
-    bad = scenario_face(scenario, [({1}, 1), ({2}, 1),
-                                   ({1, 3}, -1), ({2, 4}, -1)])
-    report = structural_check(bad, scenario)
-    assert report.category == VIOLATION
-    assert str(report) == "Violation"
-
-
-def test_scale_invariance(bipartite):
-    _, scenario = bipartite
-    face = chshe_face(scenario)
-    doubled = Face(f=tuple(2 * c for c in face.f), b=0)
-    assert structural_check(doubled, scenario) == \
-        structural_check(face, scenario)
-
-
-def test_rejects_zero_nonhomogeneous_and_wide_faces(bipartite):
-    _, scenario = bipartite
-    with pytest.raises(ValueError):
-        structural_check(Face(f=(0,) * scenario.d, b=0), scenario)
-    with pytest.raises(ValueError):
-        structural_check(Face(f=(1,) + (0,) * (scenario.d - 1), b=1),
-                         scenario)
-    with pytest.raises(ValueError):
-        structural_check(Face(f=(1, 0), b=0), scenario)
-
-
-def test_rejects_three_body_coordinates():
-    _, scenario = bell_scenario(3, 2, (1, 2, 3))
-    index = {s: pos for pos, s in enumerate(scenario.observable)}
-    coeffs = [0] * scenario.d
-    coeffs[index[F({1, 3, 5})]] = 1
-    with pytest.raises(ValueError, match="outside the one/two-body form"):
-        structural_check(Face(f=tuple(coeffs), b=0), scenario)
-
-
-def test_18d_listing_classifies_cleanly(tripartite_18d):
-    _, scenario = tripartite_18d
-    golden = reorder_to(load_fixture("bell-18d").system,
-                        scenario.observable_names)
-    reports = [structural_check(row, scenario) for row in golden.rows]
-    assert all(report.category != VIOLATION for report in reports)
-    assert reports[0].category == MUTUAL_INFORMATION
-    assert reports[9].category == CHAIN
-    assert (reports[9].k, reports[9].m) == (4, 2)
-    assert reports[9].sums == (0, 4, 6, 2)
-
-
-def test_12d_listing_classifies_cleanly():
-    _, scenario = bell_scenario(3, 2, (2,))
-    golden = reorder_to(load_fixture("bell-12d").system,
-                        scenario.observable_names)
-    reports = [structural_check(row, scenario) for row in golden.rows]
-    assert all(report.category != VIOLATION for report in reports)
-    # no one-body coordinates: every class is a completed chain
-    assert all(report.category == CHAIN for report in reports)
-    assert all(report.k % 2 == 0 and 0 <= report.m <= report.k
-               for report in reports)
-    assert (reports[0].k, reports[0].m) == (2, 0)
-
-
-# ---------------------------------------------------------------------------
-# structural_check on complete facet lists
+# Complete facet lists
 # ---------------------------------------------------------------------------
 
 
 def test_bipartite_enumeration_sound_and_complete(bipartite):
     system, scenario = bipartite
-    true_facets = set(chm_project(system, scenario.d).facets)
-    assert normalize_face(chshe_face(scenario).f, 0) in true_facets
+    facets = set(chm_project(system, scenario.d).facets)
+    assert len(facets) == 16
+    assert normalize_face(chshe_face(scenario).f, 0) in facets
     mi = scenario_face(scenario, [({1}, 1), ({3}, 1), ({1, 3}, -1)])
-    assert normalize_face(mi.f, 0) in true_facets
-    # every facet of this cone is a mutual information or a chain with k <= 2
-    reports = [structural_check(facet, scenario) for facet in true_facets]
-    assert Counter((r.category, r.k, r.m) for r in reports) == {
-        (MUTUAL_INFORMATION, None, None): 4,
-        (CHAIN, 1, 0): 8,
-        (CHAIN, 2, 1): 4,
-    }
+    assert normalize_face(mi.f, 0) in facets
 
 
 def test_pure_two_body_enumeration():
     system, scenario = bell_scenario(2, 2, (2,))
     facets = chm_project(system, scenario.d).facets
-    # the four submodularity-style chains plus the four nonnegativity rows
+    # four submodularity-style chains plus the four nonnegativity rows
     assert len(facets) == 8
-    reports = [structural_check(face, scenario) for face in facets]
-    chains = [r for r in reports if r.category == CHAIN]
-    assert len(chains) == 4
-    assert all((r.k, r.m) == (2, 0) for r in chains)
-    # plain nonnegativity rows sit outside the chain template
-    assert sum(r.category == VIOLATION for r in reports) == 4
+    assert sum(sorted(face.f) == [0] * (scenario.d - 1) + [1] for face in facets) == 4

@@ -16,9 +16,12 @@ so the check can miss dead code whose name is also used for something else;
 code reached only through a string (an entry point, ``getattr``) needs an
 entry in ``ALLOWED``.
 
-Keyword-only parameters of top-level functions are checked the same way: a
-parameter that no call in the package passes by keyword, to a function of
-that name, is reported as ``"module.function(parameter=)"``.
+Defaulted parameters of top-level functions and of methods are checked the
+same way: a parameter that no call in the package reaches, to a function of
+that name, is reported as ``"module.function(parameter=)"``.  A call reaches
+it by passing it by keyword, or by passing enough positional arguments (a
+method call binds ``self``/``cls`` first, so its positions shift by one).
+Dunder methods are exempt.
 """
 
 import ast
@@ -27,20 +30,16 @@ from pathlib import Path
 import polyproj
 
 PACKAGE = Path(polyproj.__file__).parent
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: definitions allowed to have no caller in the package, each with its reason
 ALLOWED = {
-    "afi.point_to_facets": "AFI's certificate for non-interior points; public API",
     "analysis.extract_proof": "proof extraction; ROADMAP item 2 uses it to tell Shannon classes",
     "analysis.lift_to_space": "analysis entry point; ROADMAP item 2 gives analysis a caller",
-    "analysis.structural_check":
-        "analysis entry point; ROADMAP item 2 gives analysis a caller",
-    "matrixfile.load": "public file I/O for matrix files",
-    "matrixfile.save": "public file I/O for matrix files",
-    "scenarios.check_membership": "public marginal membership test",
-    "scenarios.bell_probability_polytope": "public builder of the deterministic correlator points",
+    "matrixfile.load": "perfbench/workloads.py reads each workload's expected facets with it",
     "scenarios.ElementalForm.describe":
         "labels like I(A1:B1|A2); ROADMAP item 2 names Shannon classes with it",
+    "cli.main(argv=)": "the test seam of the console-script entry point",
     "fme.fme_project(row_budget=)": "ROADMAP item 1's FME budget",
     "redundancy.implied_equalities(use_float=)":
         "the exact reference path that tests compare against",
@@ -52,12 +51,12 @@ ALLOWED = {
 def _definitions(module, stmt):
     """("module.name", name) for each checked name a top-level statement defines."""
     out = []
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(stmt, _FUNCTIONS + (ast.ClassDef,)):
         key = "%s.%s" % (module, stmt.name)
         out.append((key, stmt.name))
         if isinstance(stmt, ast.ClassDef):
             out += [("%s.%s" % (key, item.name), item.name) for item in stmt.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                    if isinstance(item, _FUNCTIONS)]
     elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         out += [("%s.%s" % (module, target.id), target.id) for target in targets
@@ -74,7 +73,7 @@ def _scopes(module, stmt, names):
     key = "%s.%s" % (module, stmt.name)
     out = [(key, node) for node in stmt.bases + stmt.keywords + stmt.decorator_list]
     for item in stmt.body:
-        method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        method = isinstance(item, _FUNCTIONS)
         out.append(("%s.%s" % (key, item.name) if method else key, item))
     return out
 
@@ -119,28 +118,89 @@ def _unread():
     return dead
 
 
-def _unpassed_keywords():
-    """Keyword-only parameters ("module.function(parameter=)") of top-level
-    functions that no call in the package passes by keyword."""
-    params = {}
-    passed = set()  # (called name, keyword)
+def _is_static(func):
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod"
+               for d in func.decorator_list)
+
+
+def _parameters(module, stmt):
+    """(key, function name, parameter, position) for each defaulted parameter
+    of a top-level function or of a method of a top-level class.  ``position``
+    is the parameter's index among a call's positional arguments, past the
+    ``self``/``cls`` a method call binds, or None for a keyword-only one."""
+    if isinstance(stmt, ast.ClassDef):
+        functions = [("%s.%s.%s" % (module, stmt.name, item.name), item,
+                      0 if _is_static(item) else 1)
+                     for item in stmt.body if isinstance(item, _FUNCTIONS)]
+    elif isinstance(stmt, _FUNCTIONS):
+        functions = [("%s.%s" % (module, stmt.name), stmt, 0)]
+    else:
+        return []
+    out = []
+    for key, func, bound in functions:
+        if func.name.startswith("__") and func.name.endswith("__"):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [("%s(%s=)" % (key, arg.arg), func.name, arg.arg, i - bound)
+                for i, arg in enumerate(positional) if i >= first]
+        out += [("%s(%s=)" % (key, arg.arg), func.name, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _unreached_parameters():
+    """Defaulted parameters ("module.function(parameter=)") that no call in
+    the package reaches, by keyword or by position, to a function of that
+    name."""
+    params = []
+    calls = []  # (called name, positional argument count, keywords)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for arg in stmt.args.kwonlyargs:
-                    params["%s.%s(%s=)" % (path.stem, stmt.name, arg.arg)] = (
-                        stmt.name, arg.arg)
+            params += _parameters(path.stem, stmt)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
-    return {key for key, pair in params.items() if pair not in passed}
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = float("inf") if starred else len(node.args)
+                calls.append((name, count, {kw.arg for kw in node.keywords}))
+
+    def reached(name, param, position):
+        return any(called == name and (
+            param in keywords or None in keywords
+            or (position is not None and count > position))
+            for called, count, keywords in calls)
+
+    return {key for key, name, param, position in params
+            if not reached(name, param, position)}
 
 
 def test_every_definition_has_a_caller():
-    dead = _unread() | _unpassed_keywords()
+    dead = _unread() | _unreached_parameters()
     assert sorted(dead - set(ALLOWED)) == []
     # an entry that gained a caller, or is gone, leaves the list
     assert sorted(set(ALLOWED) - dead) == []
+
+
+def test_parameters_count_positions_past_self_and_cls():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "class K:\n"
+        "    def m(self, a, b=1): pass\n"
+        "    @classmethod\n"
+        "    def n(cls, a=1): pass\n"
+        "    @staticmethod\n"
+        "    def s(a, b=1): pass\n"
+        "    def __init__(self, a=1): pass\n")
+    found = [p for stmt in tree.body for p in _parameters("mod", stmt)]
+    assert found == [
+        ("mod.f(b=)", "f", "b", 1),
+        ("mod.f(c=)", "f", "c", None),
+        ("mod.K.m(b=)", "m", "b", 1),
+        ("mod.K.n(a=)", "n", "a", 0),
+        ("mod.K.s(b=)", "s", "b", 1),
+    ]

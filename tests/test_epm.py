@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polyproj.epm import build_combination_polytope, epm_sample_face, separation_objective
+from polyproj.epm import build_combination_polytope, epm_sample_face
 from polyproj.geometry import is_implied
 from polyproj.lp import INFEASIBLE, ConstraintSystem, Face, InfeasibleSystem, lp_standard
 from polyproj.rationals import dot, rational
@@ -89,6 +89,9 @@ def test_separation_of_exterior_points(seed):
         if all(dot(f, x0) >= b for f, b in shadow):
             continue  # inside or on the shadow
         hits += 1
-        face = epm_sample_face(cp, separation_objective(system, x0 + (0,) * (dim - d)))
+        # the slack f_i . x - b_i of each row at x = (x0, 0): minimizing it
+        # picks the sampled face of least slack at x0, which separates x0
+        x = x0 + (0,) * (dim - d)
+        face = epm_sample_face(cp, [dot(row.f, x) - row.b for row in system.rows])
         assert dot(face.f, x0) < face.b, (x0, face)
     assert hits > 0

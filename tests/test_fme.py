@@ -17,7 +17,7 @@ from polyproj.redundancy import implied_equalities, prune_redundant
 from polyproj.scenarios import parse_scenario
 
 from .oracles import (affine_rank, brute_hull_facets,
-                      brute_projection_facets, brute_vertices)
+                      brute_projection_facets, brute_vertices, equality_rows)
 
 
 def sys_of(pairs, dim):
@@ -126,7 +126,7 @@ def test_equality_substitution_path():
     # x + y + z = 1 pins z; shadow on (x, y) is the triangle x,y >= 0, x+y <= 1
     s = sys_of(
         [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)], 3
-    ).with_equality((1, 1, 1), 1)
+    ).with_rows(equality_rows((1, 1, 1), 1))
     out = fme_project(s, 2)
     assert rowset(out) == {((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)}
 

@@ -22,7 +22,7 @@ from polyproj.lp import (INFEASIBLE, UNBOUNDED, Face, InfeasibleSystem, lp_minim
 from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
 
-from .oracles import affine_rank, brute_vertices, satisfies, solve_linear
+from .oracles import affine_rank, brute_vertices, equality_rows, satisfies, solve_linear
 from .test_afi import _hull_of
 
 
@@ -117,7 +117,7 @@ def test_basis_simplex_full_dimensional():
 
 
 def test_basis_simplex_flat():
-    flat = cube(2).with_equality((1, 1), 1)
+    flat = cube(2).with_rows(equality_rows((1, 1), 1))
     bs = basis_simplex(flat, 2)
     assert bs.rank == 1
     assert len(bs.points) == 2
@@ -302,7 +302,7 @@ def staged_find_vertex(system, d, direction):
         if sol.status == INFEASIBLE:
             raise InfeasibleSystem("system is infeasible")
         x = sol.x
-        current = current.with_equality(pad_objective(q, system.dim), sol.objective)
+        current = current.with_rows(equality_rows(pad_objective(q, system.dim), sol.objective))
     return tuple(x[:d])
 
 

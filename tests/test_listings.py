@@ -8,7 +8,7 @@ from polyproj.fme import fme_project
 from polyproj.lp import ConstraintSystem, normalize_face
 from polyproj.matrixfile import reorder_to
 from polyproj.scenarios import parse_scenario
-from polyproj.verify import MATCH, compare_listings, load_fixture
+from polyproj.verify import MATCH, compare_listings, fixture_names, load_fixture
 
 #: Shannon classes of the observed variables that cca-3.txt leaves out:
 #: I(2:3|1), H(3|12) and I(2:3), as coefficient maps over column names.
@@ -17,6 +17,16 @@ CCA3_SHANNON_EXTRA = (
     {"123": 1, "12": -1},
     {"2": 1, "3": 1, "23": -1},
 )
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_each_listing_reads_onto_its_scenario(name):
+    # the columns of every bundled listing are its scenario's observables
+    listing = load_fixture(name)
+    spec = next(c.split(":", 1)[1].strip() for c in listing.comments
+                if c.startswith("scenario:"))
+    names = parse_scenario(spec).scenario.observable_names
+    assert reorder_to(listing.system, names).rows
 
 
 @pytest.fixture(scope="module")

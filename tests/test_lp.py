@@ -10,6 +10,8 @@ from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face, lp_standard,
                          normalize_face, pivot_equations, substitute)
 from polyproj.rationals import dot, rational
 
+from .oracles import equality_rows
+
 coeff = st.integers(min_value=-6, max_value=6)
 
 
@@ -65,7 +67,7 @@ def test_infeasible():
 def test_equality_rows():
     sys_ = ConstraintSystem.from_rows(
         [((1, 0), 0), ((0, 1), 0)], 2
-    ).with_equality((1, 1), 4)
+    ).with_rows(equality_rows((1, 1), 4))
     sol = lp_minimize(sys_, [0, 1])
     assert sol.status == "optimal"
     assert sol.objective == 0
@@ -164,7 +166,7 @@ def _explicit_rows(A, b):
     system = ConstraintSystem.from_rows(
         [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)], n)
     for row, rhs in zip(A, b):
-        system = system.with_equality(row, rhs)
+        system = system.with_rows(equality_rows(row, rhs))
     return system
 
 
@@ -235,7 +237,7 @@ def _random_polyhedron(rng, dim, boxed):
                  for i in range(dim) for s in (1, -1)]
     system = ConstraintSystem.from_rows(rows, dim)
     if rng.random() < 0.3:
-        system = system.with_equality([rng.randint(-2, 2) for _ in range(dim)], 0)
+        system = system.with_rows(equality_rows([rng.randint(-2, 2) for _ in range(dim)]))
     return system
 
 

@@ -7,7 +7,6 @@ from polyproj.matrixfile import (
     parse,
     render,
     reorder_to,
-    save,
 )
 from polyproj.rationals import rational
 from polyproj.verify import canonical_classes
@@ -47,7 +46,7 @@ def test_constant_column_semantics():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "system.txt"
     system = sample_system()
-    save(path, system, comments=["a", "b"])
+    path.write_text(render(system, comments=["a", "b"]), encoding="utf-8")
     assert load(path).system == system
 
 
@@ -65,6 +64,14 @@ def test_parse_errors():
         parse("# columns: _1 x\n1 oops\n")
     with pytest.raises(MatrixFileError):
         parse("")
+
+
+def test_parse_rejects_repeated_column_names():
+    # with two columns named x, reorder_to would read both from the last one
+    with pytest.raises(MatrixFileError, match="repeated"):
+        parse("# columns: _1 x x\n0 1 2\n")
+    with pytest.raises(MatrixFileError, match="repeated"):
+        parse("# columns: _1 x _1\n0 1 2\n")
 
 
 def test_reorder_to_matches_by_name():

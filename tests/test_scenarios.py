@@ -3,15 +3,13 @@ import math
 import pytest
 
 from polyproj.geometry import is_implied
-from polyproj.lp import ConstraintSystem, Face, normalize_face
+from polyproj.lp import ConstraintSystem, Face
 from polyproj.scenarios import (
     ScenarioBundle,
     SymmetryGroup,
-    bell_probability_polytope,
     bell_scenario,
     bell_symmetry_group,
     cca_symmetry_group,
-    check_membership,
     elemental_forms,
     elemental_inequalities,
     entropy_space,
@@ -19,8 +17,6 @@ from polyproj.scenarios import (
     parse_scenario,
 )
 from polyproj.verify import canonical_classes
-
-from .oracles import affine_rank
 
 
 def expected_row_count(n: int) -> int:
@@ -152,56 +148,6 @@ def test_classify_merges_symmetric_faces():
         coeffs[k] = 1
         faces.append(Face(tuple(coeffs), 0))
     assert len(canonical_classes(ConstraintSystem.from_rows(faces, scenario.d), group)) == 1
-
-
-def test_membership_zero_vector_and_feasible_projection():
-    n = 3
-    space = entropy_space(n)
-    scenario = marginal_scenario(space, [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}])
-    system = scenario.reorder(elemental_inequalities(n))
-    assert check_membership([0] * scenario.d, scenario, system)
-    # the uniform-independent analog H(S) = |S| is Shannon-feasible
-    feasible = [len(s) for s in scenario.observable]
-    assert check_membership(feasible, scenario, system)
-
-
-def test_membership_rejects_contradictory_correlations():
-    # perfect correlation between (1,2) and (1,3), anticorrelation analog on
-    # (2,3): pairwise entropies cannot come from one joint distribution
-    n = 3
-    space = entropy_space(n)
-    scenario = marginal_scenario(space, [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}])
-    system = scenario.reorder(elemental_inequalities(n))
-    h = [1, 1, 1, 1, 1, 2]
-    assert not check_membership(h, scenario, system)
-
-
-def test_bell_probability_polytope_points():
-    points = bell_probability_polytope()
-    assert len(points) == 16
-    assert (1,) * 8 in points
-    for p in points:
-        a1, a2, b1, b2, ab11, ab12, ab21, ab22 = p
-        assert (ab11, ab12, ab21, ab22) == (a1 * b1, a1 * b2, a2 * b1, a2 * b2)
-
-
-def test_chsh_facets_of_the_correlator_polytope():
-    points = bell_probability_polytope()
-    assert affine_rank(points) == 8
-
-    def is_facet(face):
-        # valid on every point, and tight on points spanning a hyperplane
-        values = [sum(c * x for c, x in zip(face.f, p)) for p in points]
-        tight = [p for p, v in zip(points, values) if v == face.b]
-        return min(values) >= face.b and affine_rank(tight) == 7
-
-    for signs in [
-        (1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1), (-1, 1, 1, 1),
-        (-1, -1, -1, 1), (-1, -1, 1, -1), (-1, 1, -1, -1), (1, -1, -1, -1),
-    ]:
-        assert is_facet(normalize_face((0, 0, 0, 0) + tuple(-s for s in signs), -2))
-    # A1B1 >= -1 is valid and tight on 8 points, but they span only 6 dimensions
-    assert not is_facet(Face((0, 0, 0, 0, 1, 0, 0, 0), -1))
 
 
 def test_parse_scenario_strings():
