@@ -464,14 +464,145 @@ def test_infeasible_input_raises_infeasible_system(project):
         project(empty)
 
 
+# ---------------------------------------------------------------- to facet
+
+
+def _to_facet(system, d, face):
+    """Tighten a valid face into one facet of the image, as the seed step
+    does: raise its offset to the supporting value, then climb the face
+    lattice."""
+    work = capped(system, d)
+    face = afi._support(work, d, face)
+    F = basis_simplex(work.with_rows([-face]), d)
+    return afi._tighten(work, d, face, F, basis_simplex(work, d))
+
+
+def test_to_facets_computes_the_input_face_simplex_once(monkeypatch):
+    # the input face's tight-set simplex and the image's are passed in; each
+    # tightening round adds one for the face it lands on
+    seen = []
+
+    def counted(work, dd, probe=None, _inner=afi.basis_simplex):
+        seen.append(work.rows)
+        return _inner(work, dd, probe=probe)
+
+    monkeypatch.setattr(afi, "basis_simplex", counted)
+    face = Face((1, 1, 1), 0)  # tight at the vertex 0 only
+    work = capped(CUBE, 3)
+    F = basis_simplex(work.with_rows([-face]), 3)
+    afi._tighten(work, 3, face, F, basis_simplex(work, 3))
+    assert len(seen) == 2  # vertex -> edge -> facet
+    assert CUBE.with_rows([-face]).rows not in seen
+
+
+def test_to_facet_fixed_point():
+    for f in [Face((1, 0), 0), Face((0, -1), -1)]:
+        assert _to_facet(SQUARE, 2, f) == normalize_face(f.f, f.b)
+
+
+def test_to_facet_edge_of_cube():
+    # x + y >= 0 is tight on the edge x = y = 0; either facet through it
+    out = _to_facet(CUBE, 3, Face((1, 1, 0), 0))
+    assert out in {Face((1, 0, 0), 0), Face((0, 1, 0), 0)}
+
+
+def test_to_facet_rejects_invalid():
+    with pytest.raises(ValueError):
+        _to_facet(SQUARE, 2, Face((1, 0), 1))  # x >= 1 does not hold
+    with pytest.raises(ValueError):
+        _to_facet(SQUARE, 2, Face((1, 0, 0), 0))  # wider than the output space
+    # the trivial face is tight on the whole image: no facet contains it
+    with pytest.raises(DegenerateInput):
+        _to_facet(SQUARE, 2, Face((0, 0), 0))
+
+
+def is_zero_vector_like(v):
+    return all(x == 0 for x in v)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_to_facet_random_valid_faces(seed):
+    rng = random.Random(2000 + seed)
+    dim = rng.choice([3, 4])
+    system, facets = random_polytope(rng, dim)
+    if system is None:
+        pytest.skip("degenerate sample")
+    verts = brute_vertices([f for f, _ in facets], [b for _, b in facets], dim)
+    norm = [normalize_face(*f) for f in facets]
+    # a valid face: positive combination of two facets
+    f1, f2 = rng.sample(norm, 2)
+    face = normalize_face(
+        [a + b for a, b in zip(f1.f, f2.f)], f1.b + f2.b
+    )
+    if is_zero_vector_like(face.f):
+        pytest.skip("combination collapsed")
+    g = _to_facet(system, dim, face)
+    assert g in norm  # genuine facet, by its tight set's rank too
+    assert _rank(system, dim, g) == dim - 1
+    # containment: vertices tight on the supported input face stay tight on g
+    low = min(dot(face.f, v) for v in verts)
+    assert _tight_vertices(Face(face.f, low), verts) <= _tight_vertices(g, verts)
+
+
+def test_to_facets_facet_input():
+    # a facet of the cube's shadow on (x, y) comes back unchanged
+    assert _to_facet(CUBE, 2, Face((1, 0), 0)) == Face((1, 0), 0)
+
+
+def test_to_facets_square_corner():
+    out = _to_facet(SQUARE, 2, Face((1, 1), 0))
+    assert out in {Face((0, 1), 0), Face((1, 0), 0)}
+
+
+def test_to_facets_implication_on_randoms():
+    rng = random.Random(77)
+    done = 0
+    for _ in range(20):
+        system, facets = random_polytope(rng, 4)
+        if system is None:
+            continue
+        norm = [normalize_face(*f) for f in facets]
+        f1, f2 = rng.sample(norm, 2)
+        face = normalize_face([a + 2 * b for a, b in zip(f1.f, f2.f)], f1.b + 2 * f2.b)
+        if is_zero_vector_like(face.f):
+            continue
+        g = _to_facet(system, 4, face)
+        assert g in norm  # a true facet
+        # tight wherever the supported face is, so the face's tight set
+        # lies in g's facet
+        verts = brute_vertices([f for f, _ in facets], [b for _, b in facets], 4)
+        low = min(dot(face.f, v) for v in verts)
+        assert _tight_vertices(Face(face.f, low), verts) <= _tight_vertices(g, verts)
+        done += 1
+        if done >= 6:
+            break
+    assert done >= 3
+
+
+def test_to_facets_homogeneous_face():
+    # wedge 0 <= y <= x, capped: the valid ray x >= 0 tightens onto a facet
+    # of the wedge, not the cap
+    wedge = ConstraintSystem.from_rows(
+        [((1, -1), 0), ((0, 1), 0)], 2
+    )
+    assert _to_facet(wedge, 2, Face((1, 0), 0)) in {Face((1, -1), 0), Face((0, 1), 0)}
+
+
+def test_to_facets_lifts_a_face_that_misses_the_polytope():
+    # x >= -1 holds on the square but touches it nowhere
+    face = Face((1, 0), -1)
+    assert afi._support(SQUARE, 2, face) == Face((1, 0), 0)
+    assert _to_facet(SQUARE, 2, face) == Face((1, 0), 0)
+
+
 # ------------------------------------------------------- cap domain
 
 
-@pytest.mark.parametrize("project", [chm_project, afi_project], ids=["chm", "afi"])
-def test_cap_domain_violation_surfaces(project):
+def test_cap_domain_violation_surfaces():
     # a cone with a ray parallel to the coordinate-sum cap is outside the
     # cap's domain; the failure must surface as an exception, not a wrong
     # answer
     cone = ConstraintSystem.from_rows([((1, 1), 0), ((1, -1), 0)], 2)
-    with pytest.raises(UnboundedProjection):
-        project(cone, 2)
+    for project in (chm_project, afi_project):
+        with pytest.raises(UnboundedProjection):
+            project(cone, 2)
