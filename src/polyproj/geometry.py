@@ -136,29 +136,29 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
     systems are capped first; the affine hull and ranks of cone faces are
     unaffected.
 
-    Directions are probed in a deterministic order: at each step the first
-    basis vector of the exact orthogonal complement of everything recorded so
-    far (both spanning directions and those along which pi(P) is flat).  The
-    default probe is a single LP — the points only need to be affinely
-    independent members of pi(P), not vertices, so the lexicographic
-    refinement of find_vertex is skipped.  ``project_image`` needs genuine
-    vertices, which seed the hull, and passes
-    ``probe=lambda c: find_vertex(system, d, c)``.
+    x0 is probed along e_0; then g, the first basis vector of the exact
+    orthogonal complement of everything recorded so far (spanning directions
+    and those along which pi(P) is flat), and -g are tried in turn.  Each is
+    decided by one LP without ties: it fails when min cand.x = cand.x0, and
+    +e_0, which x0 minimizes, is not solved.  A kept candidate's point is
+    that LP's by default (the points only need to be affinely independent
+    members of pi(P)), else ``probe(cand)``: ``project_image`` needs
+    vertices to seed the hull and probes with ``find_vertex``, whose tie
+    stages then warm-start from the stage-1 optimum.
     """
     work = capped(system, d)
-
-    if probe is None:
-        def probe(direction):
-            return tuple(minimize_image(work, direction).x[:d])
-
-    x0 = probe(tuple(1 if i == 0 else 0 for i in range(d)))
+    e0 = tuple(int(i == 0) for i in range(d))
+    x0 = minimize_image(work, e0).x[:d] if probe is None else probe(e0)
     points = [x0]
     recorded: List[Tuple] = []
     while len(recorded) < d:
         g = orthogonal_complement(recorded, d)[0]
         for cand in (g, tuple(-a for a in g)):
-            x = probe(cand)
-            if dot(cand, x) != dot(cand, x0):
+            if cand == e0:
+                continue
+            sol = minimize_image(work, cand, want_point=probe is None)
+            if sol.objective != dot(cand, x0):
+                x = sol.x[:d] if probe is None else probe(cand)
                 points.append(x)
                 recorded.append(vec_sub(x, x0))
                 break

@@ -28,7 +28,7 @@ occur for an extreme ray (such a ray would be interior).
 from typing import List, Sequence, Tuple
 
 from .geometry import DegenerateInput
-from .linalg import integer_rref
+from .linalg import rref
 from .lp import Face, normalize_face
 from .rationals import dot, rational, scale_to_coprime_ints
 
@@ -38,7 +38,7 @@ def _affinely_independent_subset(points: List[Tuple], k: int) -> List[int]:
     each point whose difference from it is independent of the earlier ones
     (the pivot columns of the differences, taken as columns)."""
     diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    pivots = integer_rref(list(zip(*diffs)))[1]
+    pivots = rref(list(zip(*diffs)))[1]
     if len(pivots) != k:
         raise DegenerateInput(
             "points span an affine subspace of dimension %d < %d" % (len(pivots), k)
@@ -50,8 +50,8 @@ def _solve_inverse_columns(mat: List[List]) -> List[List[int]]:
     """Columns of mat^-1 for a square exact matrix, all scaled by one
     positive integer (raises if singular)."""
     n = len(mat)
-    reduced, pivots, _ = integer_rref([list(row) + [int(i == j) for j in range(n)]
-                                       for i, row in enumerate(mat)])
+    reduced, pivots, _ = rref([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(mat)])
     if pivots != list(range(n)):
         raise DegenerateInput("singular initial simplex")
     return [[row[n + j] for row in reduced] for j in range(n)]

@@ -1,22 +1,23 @@
 """
 Dense exact linear algebra over the rationals.
 
-Matrices are lists of row tuples/lists of rationals.  Elimination runs
-fraction free over the integers (``integer_rref``); ``rref``, which
-``nullspace`` builds on, makes rationals only for its result.  These routines
-back the geometric primitives (orthogonal complements, the hull equations of
-a chart, the initial simplex of a hull); the simplex solver has its own
-fraction-free kernel and does not use this module for pivoting.
+Matrices are lists of row tuples/lists of rationals.  One echelon routine,
+``rref``, runs fraction free over the integers and returns integer rows with
+one denominator; ``nullspace`` reads its basis off that integer form, so no
+rational is built.  These routines back the geometric primitives (orthogonal
+complements, the hull equations of a chart, the initial simplex of a hull);
+the simplex solver has its own fraction-free kernel and does not use this
+module for pivoting.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .rationals import Vector, is_zero_vector, mpq, scale_to_coprime_ints
+from .rationals import Vector, is_zero_vector, scale_to_coprime_ints
 
 
-def integer_rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
+def rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
     """
     Reduced row echelon form, fraction free: returns (integer rows, pivot
     columns, det) with det > 0, where the reduced nonzero rows are the
@@ -57,16 +58,6 @@ def integer_rref(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], 
     return mat[:r], pivots, det
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
-    """
-    Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
-    The reduced form is unique; it is computed by ``integer_rref``, and
-    rationals are built only for the returned rows.
-    """
-    mat, pivots, det = integer_rref(rows)
-    return [[mpq(x, det) for x in row] for row in mat], pivots
-
-
 def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vector]:
     """Basis of {x : rows @ x = 0}, entries scaled to coprime integers."""
     if not rows:
@@ -74,14 +65,14 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec
             raise ValueError("need ncols for empty matrix")
         return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
     n = len(rows[0])
-    reduced, pivots = rref(rows)
+    reduced, pivots, det = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
         if free in pivot_set:
             continue
-        vec = [mpq(0)] * n
-        vec[free] = mpq(1)
+        vec = [0] * n
+        vec[free] = det
         for row, c in zip(reduced, pivots):
             vec[c] = -row[free]
         basis.append(scale_to_coprime_ints(vec))

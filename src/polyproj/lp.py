@@ -18,8 +18,10 @@ FME's implicit equalities and for the chart of a flat image.
 with the fraction-free simplex from :mod:`polyproj.simplex`.  For the systems
 this package cares about (many rows, comparatively few coordinates) the dual
 tableau is far smaller than a primal encoding with split free variables.  The
-primal point is x = -pi, where pi are the simplex multipliers read off the
-terminal cost row (feasible by the termination condition); the dual vector
+primal point is x = -pi for the simplex multipliers pi, read off the
+terminal cost row as integers X and D > 0 with x = X / D (feasible by the
+termination condition); every row and objective is checked in integers,
+f.X >= b D and c.X = value D, before x's rationals are built.  The dual vector
 is the simplex solution itself, and unboundedness/infeasibility are separated
 by an auxiliary Farkas system, so no primal-form tableau is ever built.
 
@@ -192,14 +194,9 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def _verify_point(system: ConstraintSystem, x, values, objectives) -> None:
-    D = common_denominator(x)
-    X = scaled_ints(x, D)
-    if any(dot(c, X) != v * D for c, v in zip(objectives, values)):
-        raise AssertionError("recovered point does not attain the LP objective")
-    for row in system.rows:
-        if dot(row.f, X) < row.b * D:
-            raise AssertionError("recovered LP point violates the system")
+def _attains(rows: Sequence[Sequence], values: Sequence, X: Sequence, D: int) -> bool:
+    """rows . (X / D) = values, checked as rows . X = values * D."""
+    return all(dot(row, X) == v * D for row, v in zip(rows, values))
 
 
 def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
@@ -243,9 +240,12 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
         values = [-res.objective] + [-v for v in res.ties]
         sol = LpSolution(OPTIMAL, objective=values[0], duals=res.z)
         if want_point:
-            x = tuple(-p for p in res.multipliers())
-            _verify_point(system, x, values, objectives)
-            sol.x = x
+            X, D = res.multipliers()
+            if not _attains(objectives, values, X, D):
+                raise AssertionError("recovered point does not attain the LP objective")
+            if any(dot(row.f, X) < row.b * D for row in system.rows):
+                raise AssertionError("recovered LP point violates the system")
+            sol.x = tuple(mpq(v, D) for v in X)
         return sol
 
     if res.status == simplex.UNBOUNDED:
@@ -287,9 +287,9 @@ def lp_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LpSolution:
         return LpSolution(UNBOUNDED, ray=ray)
     D = common_denominator(res.z)
     Q = scaled_ints(res.z, D)
-    if any(v < 0 for v in Q) or any(dot(row, Q) != v * D for row, v in zip(A, b)):
+    if any(v < 0 for v in Q) or not _attains(A, b, Q, D):
         raise AssertionError("standard-form point violates the program")
-    if dot(c, Q) != res.objective * D:
+    if not _attains([c], [res.objective], Q, D):
         raise AssertionError("standard-form point does not attain the objective")
     return LpSolution(OPTIMAL, x=res.z, objective=res.objective)
 

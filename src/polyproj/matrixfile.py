@@ -57,6 +57,8 @@ def render(system: ConstraintSystem, comments: Iterable[str] = ()) -> str:
         raise MatrixFileError(
             f"have {len(names)} column names for dimension {system.dim}"
         )
+    if len({_CONSTANT_COLUMN, *names}) <= system.dim or any(n.split() != [n] for n in names):
+        raise MatrixFileError(f"column names {names} are not distinct words other than _1")
     lines: List[str] = []
     for comment in comments:
         text = str(comment)

@@ -99,13 +99,14 @@ class StandardResult:
     # right-hand side (see ``solve_standard``), else None.
     _tableau: Optional["_Tableau"] = field(default=None, repr=False)
 
-    def multipliers(self) -> Tuple:
+    def multipliers(self) -> Tuple[Tuple[int, ...], int]:
         """Exact multipliers pi with pi.A <= c (componentwise on reduced costs)
-        and pi.b = objective; defined for optimal results."""
+        and pi.b = objective, as integers (X, D) with D > 0 and pi = -X / D;
+        defined for optimal results."""
         if self.status != OPTIMAL:
             raise ValueError("multipliers are defined for optimal results only")
-        den = self._det * self._cost_scale
-        return tuple(mpq(-d * s, den) for d, s in zip(self._art_costs, self._row_scale))
+        return (tuple(d * s for d, s in zip(self._art_costs, self._row_scale)),
+                self._det * self._cost_scale)
 
     def farkas(self) -> Tuple:
         """Exact certificate y of infeasibility: y.A <= 0 and y.b > 0."""
@@ -210,8 +211,11 @@ class _Tableau:
         with rhs_scale the smallest positive integer making it integral."""
         m, n, k = self.m, self.n, self.k
         scaled = [[d * v for v in row] for d, row in zip(self.row_scale, block)]
-        lam = common_denominator(chain(*scaled))
-        scaled = np.array([scaled_ints(row, lam) for row in scaled], dtype=object)
+        lam = 1
+        if not set(map(type, chain(*block))) <= {int}:
+            lam = common_denominator(chain(*scaled))
+            scaled = [scaled_ints(row, lam) for row in scaled]
+        scaled = np.array(scaled, dtype=object)
         art = self.N[:, k + n:]
         if art.dtype != object:
             bound = int(max(art.max(), -art.min())) * max(map(abs, scaled.flat)) * m

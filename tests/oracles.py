@@ -229,3 +229,35 @@ def basis_multipliers(A, c, basis, zero_rows=()):
     for i, v in zip(keep, sol):
         pi[i] = v
     return tuple(pi)
+
+
+def staged_basis_simplex(probe, d):
+    """Points of an image's basis simplex, by the loop that probes every
+    candidate direction: x0 = probe(e_0), then at each step g, the first
+    basis vector of the orthogonal complement of the directions recorded so
+    far (1 on the first free column of their reduced row echelon form,
+    scaled to coprime integers), and then -g.  The first candidate whose
+    probed point moves cand.x off cand.x0 is kept and its difference from
+    x0 recorded; when neither moves, g itself is recorded.
+
+    ``probe(direction)`` returns a point of the image minimizing the
+    direction.  Returns the list of points.
+    """
+    x0 = probe(tuple(int(i == 0) for i in range(d)))
+    points, recorded = [x0], []
+    while len(recorded) < d:
+        reduced, pivots = reduced_row_echelon([r for r in recorded if any(r)])
+        free = next(j for j in range(d) if j not in pivots)
+        g = [Fraction(int(j == free)) for j in range(d)]
+        for row, c in zip(reduced, pivots):
+            g[c] = -row[free]
+        g = _normalize(g, 0)[0]
+        for cand in (g, tuple(-a for a in g)):
+            x = probe(cand)
+            if sum(a * b for a, b in zip(cand, x)) != sum(a * b for a, b in zip(cand, x0)):
+                points.append(x)
+                recorded.append(tuple(a - b for a, b in zip(x, x0)))
+                break
+        else:
+            recorded.append(g)
+    return points

@@ -21,7 +21,7 @@ from polyproj.geometry import (
     is_implied,
     reduce_system,
 )
-from polyproj.linalg import integer_rref
+from polyproj.linalg import rref
 from polyproj.lp import ConstraintSystem, Face, InfeasibleSystem, normalize_face
 from polyproj.rationals import dot
 from polyproj.scenarios import SymmetryGroup, parse_scenario
@@ -348,7 +348,7 @@ def _flat_cone(seed):
         gens = [tuple(sum(c * b[i] for c, b in zip(coefs, basis)) for i in range(n))
                 for coefs in ([rng.randint(0, 2) for _ in range(r)]
                               for _ in range(r + rng.randint(1, 2)))]
-        if all(any(g) for g in gens) and len(integer_rref(gens)[1]) == r:
+        if all(any(g) for g in gens) and len(rref(gens)[1]) == r:
             return _hull_of(gens, homogeneous=True), n
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polyproj import ConstraintSystem
+from polyproj import ConstraintSystem, geometry
 from polyproj.geometry import (
     AffineEmbedding,
     BasisSimplex,
@@ -13,17 +13,20 @@ from polyproj.geometry import (
     capped,
     find_vertex,
     is_implied,
+    minimize_image,
     pad_objective,
     reduce_system,
 )
-from polyproj.linalg import integer_rref
+from polyproj.linalg import rref
 from polyproj.lp import (INFEASIBLE, UNBOUNDED, Face, InfeasibleSystem, lp_minimize,
                          normalize_face)
 from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
+from polyproj.scenarios import parse_scenario
 
-from .oracles import affine_rank, brute_vertices, equality_rows, satisfies, solve_linear
-from .test_afi import _hull_of
+from .oracles import (affine_rank, brute_vertices, equality_rows, satisfies, solve_linear,
+                      staged_basis_simplex)
+from .test_afi import CUBE, _hull_of
 
 
 def cube(dim, lo=0, hi=1):
@@ -113,7 +116,7 @@ def test_basis_simplex_full_dimensional():
     assert all(_inside(cube(3), p) for p in bs.points)
     # the points span R^3 affinely
     diffs = [[a - b for a, b in zip(p, bs.base)] for p in bs.points[1:]]
-    assert len(integer_rref(diffs)[1]) == 3
+    assert len(rref(diffs)[1]) == 3
 
 
 def test_basis_simplex_flat():
@@ -140,6 +143,60 @@ def test_projection_of_simplex_is_lower_simplex():
     assert bs.rank == 2
     for p in bs.points:
         assert len(p) == 2
+
+
+def _basis_simplex_case(name):
+    """(system, d) for the basis-simplex cases above, plus a Bell scenario."""
+    if name == "bell":
+        bundle = parse_scenario("bell:2x2:body=1,2")
+        return bundle.system, bundle.scenario.d
+    orthant = ConstraintSystem.from_rows(
+        [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)], 3)
+    return {"cube": (cube(3), 3), "flat": (cube(2).with_rows(equality_rows((1, 1), 1)), 2),
+            "cone": (orthant, 3), "simplex": (simplex3(), 2)}[name]
+
+
+def _fresh(system):
+    """The same system without its cached transpose and tableau."""
+    return ConstraintSystem(system.rows, system.dim, system.names)
+
+
+@pytest.mark.parametrize("vertices", [False, True])
+@pytest.mark.parametrize("name", ["cube", "flat", "cone", "simplex", "bell"])
+def test_basis_simplex_equals_the_probe_every_candidate_loop(name, vertices):
+    # deciding each candidate by its stage-1 value, and skipping +e_0, keeps
+    # the points of the loop that probes every candidate, with either probe
+    system, d = _basis_simplex_case(name)
+
+    def probe_on(work):
+        if vertices:
+            return lambda c: find_vertex(work, d, c)
+        return lambda c: minimize_image(work, c).x[:d]
+
+    work = capped(_fresh(system), d)  # each side solves on its own caches
+    got = basis_simplex(work, d, probe=probe_on(work) if vertices else None).points
+    assert got == staged_basis_simplex(probe_on(capped(_fresh(system), d)), d)
+
+
+@pytest.mark.parametrize("system, d", [
+    (CUBE, 3),
+    pytest.param(*_basis_simplex_case("bell"), id="bell:2x2:body=1,2"),
+])
+def test_vertex_probes_run_tie_stages_only_for_kept_points(monkeypatch, system, d):
+    # one tie-stage LP for x0 and one for each kept point; a failing
+    # candidate costs one value-only LP, and +e_0 is solved once, for x0
+    calls = []
+
+    def counted(system, objective, *, ties=(), want_point=True):
+        calls.append((tuple(objective), bool(ties)))
+        return lp_minimize(system, objective, ties=ties, want_point=want_point)
+
+    monkeypatch.setattr(geometry, "lp_minimize", counted)
+    work = capped(_fresh(system), d)
+    bs = basis_simplex(work, d, probe=lambda c: find_vertex(work, d, c))
+    assert sum(tied for _, tied in calls) == bs.rank + 1
+    e0 = tuple(pad_objective((1,), work.dim))
+    assert [c for c, _ in calls].count(e0) == 1
 
 
 def _lift(emb, y):

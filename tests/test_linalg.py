@@ -1,9 +1,12 @@
-"""The fraction-free ``rref`` against a Gauss-Jordan reference on Fractions."""
+"""The fraction-free ``rref`` and ``nullspace`` against a Gauss-Jordan
+reference on Fractions."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from polyproj.linalg import integer_rref, rref
-from polyproj.rationals import mpq
+from polyproj.linalg import nullspace, rref
+from polyproj.rationals import scale_to_coprime_ints
 
 from .oracles import reduced_row_echelon
 
@@ -29,11 +32,25 @@ def matrices(draw):
 @settings(max_examples=300)
 @given(matrices())
 def test_rref_matches_fraction_gauss_jordan(rows):
-    reduced, pivots = rref(rows)
+    reduced, pivots, det = rref(rows)
     want, want_pivots = reduced_row_echelon(rows)
     assert pivots == want_pivots
-    assert reduced == want
-    assert all(isinstance(x, mpq) for row in reduced for x in row)
-    det = integer_rref(rows)[2]
+    assert all(type(x) is int for row in reduced for x in row)
     assert det > 0  # so the integer rows have the orientation of the reduced ones
+    assert [[Fraction(x, det) for x in row] for row in reduced] == want
 
+
+@settings(max_examples=200)
+@given(matrices())
+def test_nullspace_matches_the_fraction_basis(rows):
+    # the basis read off the reduced rows on Fractions: 1 on each free
+    # column, minus that column of the reduced rows on the pivots
+    n = len(rows[0]) if rows else 3
+    want_rows, pivots = reduced_row_echelon(rows)
+    want = []
+    for free in (j for j in range(n) if j not in pivots):
+        vec = [Fraction(int(j == free)) for j in range(n)]
+        for row, c in zip(want_rows, pivots):
+            vec[c] = -row[free]
+        want.append(scale_to_coprime_ints(vec))
+    assert nullspace(rows, n) == want

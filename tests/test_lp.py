@@ -33,6 +33,31 @@ def test_bounded_optimum_with_duals():
     assert sum(q * row.b for q, row in zip(sol.duals, sys_.rows)) == -5
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda X, D: (X, 2 * D), "attain"),                 # halves the point
+    (lambda X, D: (X[:1] + (X[1] + 9 * D,), D), "violates"),  # y + 9, off the box
+])
+def test_corrupted_point_readout_is_caught(monkeypatch, corrupt, message):
+    # min x over the box [1, 2] x [1, 3]: the point is checked in integers
+    # against the objective and every row before it is returned
+    sys_ = build([(1, 0, 1), (0, 1, 1), (-1, 0, -2), (0, -1, -3)], 2)
+    read = simplex.StandardResult.multipliers
+    monkeypatch.setattr(simplex.StandardResult, "multipliers",
+                        lambda res: corrupt(*read(res)))
+    assert lp_minimize(sys_, [1, 0], want_point=False).objective == 1
+    with pytest.raises(AssertionError, match=message):
+        lp_minimize(sys_, [1, 0])
+
+
+def test_point_is_built_from_the_integer_readout():
+    sys_ = build([(2, 0, 1), (0, 3, 1), (-1, 0, -2), (0, -1, -3)], 2)
+    sol = lp_minimize(sys_, [1, 1], ties=[[1, 0]])
+    assert sol.x == (Fraction(1, 2), Fraction(1, 3))
+    X, D = simplex.solve_standard(sys_.transpose(), [1, 1],
+                                  [-row.b for row in sys_.rows]).multipliers()
+    assert tuple(Fraction(x, D) for x in X) == sol.x
+
+
 def test_unbounded_gives_ray():
     sys_ = build([(1, 0, 0), (0, 1, 0)], 2)
     sol = lp_minimize(sys_, [-1, 0])

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from polyproj.lp import ConstraintSystem, Face
 from polyproj.matrixfile import (
@@ -72,6 +75,36 @@ def test_parse_rejects_repeated_column_names():
         parse("# columns: _1 x x\n0 1 2\n")
     with pytest.raises(MatrixFileError, match="repeated"):
         parse("# columns: _1 x _1\n0 1 2\n")
+
+
+@pytest.mark.parametrize("names", [("x", "x"), ("_1", "y"), ("x y", "z"), ("", "z")])
+def test_render_rejects_names_parse_would_not_read_back(names):
+    system = ConstraintSystem.from_rows([((1, 2), 0)], 2, names)
+    with pytest.raises(MatrixFileError, match="not distinct words"):
+        render(system)
+
+
+_VALUES = st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                    st.fractions(max_denominator=50).filter(lambda q: q.denominator > 1))
+
+
+@st.composite
+def named_systems(draw):
+    dim = draw(st.integers(1, 4))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_()]{0,5}", fullmatch=True)
+                          .filter(lambda name: name != "_1"),
+                          min_size=dim, max_size=dim, unique=True))
+    rows = draw(st.lists(st.tuples(st.tuples(*[_VALUES] * dim), _VALUES), max_size=5))
+    return ConstraintSystem(tuple(Face(f, b) for f, b in rows), dim, tuple(names))
+
+
+@given(named_systems())
+def test_render_then_parse_is_the_identity(system):
+    # the module docstring's promise: the same rows, unnormalized, and the
+    # same column names
+    parsed = parse(render(system)).system
+    assert parsed == system
+    assert all(type(v) in (int, Fraction) for row in parsed.rows for v in row.f + (row.b,))
 
 
 def test_reorder_to_matches_by_name():

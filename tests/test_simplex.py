@@ -42,10 +42,28 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _oracle(A, c, basis, pi):
-    """The oracle's multipliers for the basis, with the dropped rows taken
-    among the rows where pi vanishes; None when no choice fits."""
-    zeros = [i for i, p in enumerate(pi) if p == 0]
+def _readout(res):
+    """The integer readout (X, D) of the multipliers pi = -X / D, with its
+    form checked: integer numerators, one positive integer denominator."""
+    X, D = res.multipliers()
+    assert type(D) is int and D > 0
+    assert all(type(x) is int for x in X)
+    return X, D
+
+
+def _check_multipliers(A, rhs, c, X, D, values):
+    """pi.A <= c on every column and pi.b = value for each right-hand side
+    b, in integers: -X.A_j <= c_j D and -X.b = value D."""
+    for j in range(len(c)):
+        assert -_dot(X, _column(A, j)) <= c[j] * D
+    assert [-_dot(X, b) for b in rhs] == [v * D for v in values]
+
+
+def _oracle(A, c, basis, X):
+    """The oracle's multipliers pi for the basis, with the dropped rows
+    taken among the rows where the readout X vanishes; None when no choice
+    fits."""
+    zeros = [i for i, x in enumerate(X) if x == 0]
     for dropped in combinations(zeros, len(A) - len(basis)):
         want = basis_multipliers(A, c, basis, dropped)
         if want is not None:
@@ -59,18 +77,16 @@ def test_certificates_on_random_programs(check_pivots):
         m, n = len(A), len(c)
         res = simplex.solve_standard(A, b, c)
         if res.status == simplex.OPTIMAL:
-            pi = res.multipliers()
-            assert len(pi) == m
-            for j in range(n):
-                assert _dot(pi, _column(A, j)) <= c[j]
-            assert _dot(pi, b) == res.objective
-            want, dropped = _oracle(A, c, res.basis, pi)
-            assert want == pi
+            X, D = _readout(res)
+            assert len(X) == m
+            _check_multipliers(A, [b], c, X, D, [res.objective])
+            want, dropped = _oracle(A, c, res.basis, X)
+            assert tuple(-w * D for w in want) == X
             if res.basis:
                 keep = [i for i in range(m) if i not in dropped]
                 basic_rows = [[A[i][j] for i in keep] for j in res.basis]
                 assert solve_linear(basic_rows, [c[j] for j in res.basis]) == \
-                    [pi[i] for i in keep]
+                    [Fraction(-X[i], D) for i in keep]
             seen["optimal, dependent rows" if dropped else "optimal"] += 1
         elif res.status == simplex.INFEASIBLE:
             y = res.farkas()
@@ -92,7 +108,7 @@ def test_certificates_on_random_programs(check_pivots):
 def test_certificates_need_the_matching_status():
     res = simplex.solve_standard([[1, 1]], [1], [1, 2])
     assert res.status == simplex.OPTIMAL
-    assert res.multipliers() == (1,)
+    assert res.multipliers() == ((-1,), 1)
     with pytest.raises(ValueError):
         res.farkas()
     res = simplex.solve_standard([[1, 1]], [-1], [1, 2])
@@ -105,7 +121,7 @@ def test_certificates_need_the_matching_status():
 def test_no_rows():
     res = simplex.solve_standard([], [], [1, 0])
     assert res.status == simplex.OPTIMAL
-    assert res.multipliers() == ()
+    assert res.multipliers() == ((), 1)
 
 
 def _lex_programs(seed, count):
@@ -167,10 +183,8 @@ def test_rhs_block_matches_staged_solves(check_pivots):
             assert res.objective == simplex.solve_standard(A, block[0], c).objective
             assert all(x >= 0 for x in res.z)
             assert all(_dot(row, res.z) == b for row, b in zip(A, block[0]))
-            pi = res.multipliers()
-            for j in range(n):
-                assert _dot(pi, _column(A, j)) <= c[j]
-            assert tuple(_dot(pi, b) for b in block) == tuple(want_values)
+            X, D = _readout(res)
+            _check_multipliers(A, block, c, X, D, want_values)
             dependent = len(res.basis) < m
             seen["optimal, dependent rows" if dependent else "optimal"] += 1
         elif res.status == simplex.INFEASIBLE:
@@ -250,12 +264,11 @@ def test_int64_tableaux_match_object_ones(check_pivots, monkeypatch):
         if res.status == simplex.OPTIMAL:
             assert res.objective * S == ref.objective
             assert tuple(t * S for t in res.ties) == ref.ties
-            pi = res.multipliers()
-            assert tuple(p * S for p in pi) == ref.multipliers()
-            for j in range(len(c)):
-                assert _dot(pi, _column(A, j)) <= c[j]
-            assert _dot(pi, block[0]) == res.objective
-            assert _oracle(A, c, res.basis, pi)[0] == pi
+            X, D = _readout(res)
+            ref_X, ref_D = _readout(ref)
+            assert [x * D for x in ref_X] == [S * x * ref_D for x in X]  # pi scales by S
+            _check_multipliers(A, block[:1], c, X, D, [res.objective])
+            assert tuple(-w * D for w in _oracle(A, c, res.basis, X)[0]) == X
         elif res.status == simplex.INFEASIBLE:
             assert res.farkas() == ref.farkas()
         if not run:
