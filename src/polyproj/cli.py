@@ -75,7 +75,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         found, partial = exc.facets, True
     facets = sorted({normalize_face(f.f, f.b) for f in found})
     result = ConstraintSystem.from_rows(facets, bundle.scenario.d, names)
-    header = [f"scenario: {args.spec}", f"method: {args.method}"]
+    # one comment line each: the spec's whitespace, line breaks included, is folded
+    header = [f"scenario: {' '.join(args.spec.split())}", f"method: {args.method}"]
     if partial:
         header.append(f"partial: the budget of {args.budget} ran out before the walk finished")
     sys.stdout.write(render(result, header + [f"{len(facets)} facets"]))

@@ -20,10 +20,14 @@ this package cares about (many rows, comparatively few coordinates) the dual
 tableau is far smaller than a primal encoding with split free variables.  The
 primal point is x = -pi for the simplex multipliers pi, read off the
 terminal cost row as integers X and D > 0 with x = X / D (feasible by the
-termination condition); every row and objective is checked in integers,
-f.X >= b D and c.X = value D, before x's rationals are built.  The dual vector
-is the simplex solution itself, and unboundedness/infeasibility are separated
-by an auxiliary Farkas system, so no primal-form tableau is ever built.
+termination condition).  The simplex returns the optimal values as integers
+too, (objective, tie values) = -V / den, so every check is in integers:
+c.X den = -V_0 D for the objective and each tie, and f.X >= b D for every
+row, before x's rationals are built.  The dual vector is the simplex
+solution itself, kept as integers until ``LpSolution.duals`` is read, so a
+value-only solve builds one rational, its objective.  Unboundedness and
+infeasibility are separated by an auxiliary Farkas system, so no
+primal-form tableau is ever built.
 
 Tie-break objectives t_1, t_2, ... make the minimum lexicographic: min c.x,
 then min t_1.x among those minimizers, and so on.  That is min
@@ -34,8 +38,8 @@ point the chain of staged LPs (each pinning the previous optimum) would.
 
 The dual of every ``lp_minimize`` on one system has the same matrix and
 costs; only its right-hand side, the objective, changes.  So each system
-caches the last optimal dual tableau (beside its cached transpose), and the
-next ``lp_minimize`` on it starts from that tableau with a dual simplex
+caches that matrix and those costs, and the last optimal dual tableau, and
+the next ``lp_minimize`` on it starts from that tableau with a dual simplex
 instead of a phase 1 (see :mod:`polyproj.simplex`); when the dual simplex
 finds the dual infeasible, the solve goes cold.  Status, objective, tie
 values and, with ties that span R^d, the point do not depend on the cache.
@@ -49,11 +53,11 @@ are, with no dualization, and checks the returned q exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import simplex
-from .rationals import common_denominator, dot, lex_sign, mpq, scale_to_coprime_ints, scaled_ints
+from .rationals import dot, lex_sign, mpq, scale_to_coprime_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -174,10 +178,15 @@ class ConstraintSystem:
 
     def transpose(self) -> List[List[int]]:
         """Columns of L as rows (cached); the constraint matrix of the dual."""
-        cached = getattr(self, "_transpose_cache", None)
+        return self._dual()[0]
+
+    def _dual(self) -> Tuple[List[List[int]], List[int]]:
+        """(L^T, -a), cached: the dual's constraint matrix and costs."""
+        cached = getattr(self, "_dual_cache", None)
         if cached is None:
-            cached = [[row.f[k] for row in self.rows] for k in range(self.dim)]
-            object.__setattr__(self, "_transpose_cache", cached)
+            cached = ([[row.f[k] for row in self.rows] for k in range(self.dim)],
+                      [-row.b for row in self.rows])
+            object.__setattr__(self, "_dual_cache", cached)
         return cached
 
 
@@ -186,17 +195,21 @@ class LpSolution:
     status: str
     x: Optional[Tuple] = None
     objective: Optional[object] = None
-    duals: Optional[Tuple] = None   # q >= 0 with q.L = c and q.a = objective
     ray: Optional[Tuple] = None     # recession direction, (c, t_1, ...).ray lex < 0
+    # the duals as integers (Q, D) with D > 0, q = Q / D
+    _duals: Optional[Tuple[Tuple[int, ...], int]] = field(default=None, repr=False)
 
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
-
-def _attains(rows: Sequence[Sequence], values: Sequence, X: Sequence, D: int) -> bool:
-    """rows . (X / D) = values, checked as rows . X = values * D."""
-    return all(dot(row, X) == v * D for row, v in zip(rows, values))
+    @property
+    def duals(self) -> Optional[Tuple]:
+        """q >= 0 with q.L = c and q.a = objective; lp_minimize's optima only."""
+        if self._duals is None:
+            return None
+        Q, D = self._duals
+        return tuple(mpq(v, D) for v in Q)
 
 
 def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
@@ -225,7 +238,7 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
         first = next((v for v in objectives if any(v)), None)
         if first is None:
             return LpSolution(OPTIMAL, x=tuple([0] * system.dim), objective=mpq(0),
-                              duals=())
+                              _duals=((), 1))
         ray = tuple(-x for x in first)
         return LpSolution(UNBOUNDED, ray=ray)
 
@@ -233,15 +246,16 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
     # place, so a solve that fails part-way leaves no tableau behind.
     warm = getattr(system, "_tableau_cache", None)
     object.__setattr__(system, "_tableau_cache", None)
-    res = simplex.solve_standard(system.transpose(), c, [-row.b for row in system.rows],
-                                 ties=objectives[1:], warm=warm)
+    A, costs = system._dual()
+    res = simplex.solve_standard(A, c, costs, ties=objectives[1:], warm=warm)
     object.__setattr__(system, "_tableau_cache", res._tableau)
     if res.status == simplex.OPTIMAL:
-        values = [-res.objective] + [-v for v in res.ties]
-        sol = LpSolution(OPTIMAL, objective=values[0], duals=res.z)
+        # the primal values are minus the dual's: -value_ints / den
+        V, den = res.value_ints, res.den
+        sol = LpSolution(OPTIMAL, objective=mpq(-V[0], den), _duals=(res.z_ints, den))
         if want_point:
             X, D = res.multipliers()
-            if not _attains(objectives, values, X, D):
+            if any(dot(v, X) * den != -num * D for v, num in zip(objectives, V)):
                 raise AssertionError("recovered point does not attain the LP objective")
             if any(dot(row.f, X) < row.b * D for row in system.rows):
                 raise AssertionError("recovered LP point violates the system")
@@ -285,11 +299,10 @@ def lp_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LpSolution:
                 or any(dot(row, ray) != 0 for row in A)):
             raise AssertionError("invalid unboundedness certificate")
         return LpSolution(UNBOUNDED, ray=ray)
-    D = common_denominator(res.z)
-    Q = scaled_ints(res.z, D)
-    if any(v < 0 for v in Q) or not _attains(A, b, Q, D):
+    Q, D = res.z_ints, res.den
+    if any(v < 0 for v in Q) or any(dot(row, Q) != v * D for row, v in zip(A, b)):
         raise AssertionError("standard-form point violates the program")
-    if not _attains([c], [res.objective], Q, D):
+    if dot(c, Q) != res.value_ints[0]:  # c.z and the objective share den
         raise AssertionError("standard-form point does not attain the objective")
     return LpSolution(OPTIMAL, x=res.z, objective=res.objective)
 

@@ -50,7 +50,13 @@ def default_names(dim: int) -> Tuple[str, ...]:
 
 
 def render(system: ConstraintSystem, comments: Iterable[str] = ()) -> str:
-    """Serialize ``system`` (first column: constant, i.e. ``-b``)."""
+    """Serialize ``system`` (first column: constant, i.e. ``-b``).
+
+    Each comment becomes one ``#`` line.  A comment that ``parse`` would not
+    read back as written (one holding a line break, one with leading or
+    trailing whitespace, or one read as the ``# columns:`` header) raises
+    :class:`MatrixFileError`.
+    """
 
     names = system.names if system.names is not None else default_names(system.dim)
     if len(names) != system.dim:
@@ -62,7 +68,12 @@ def render(system: ConstraintSystem, comments: Iterable[str] = ()) -> str:
     lines: List[str] = []
     for comment in comments:
         text = str(comment)
-        lines.append(f"# {text}" if text else "#")
+        line = f"# {text}" if text else "#"
+        # parse reads one stripped line per comment, and a header as a header
+        if (len(text.splitlines()) > 1 or text != text.strip()
+                or line.startswith(_COLUMNS_PREFIX)):
+            raise MatrixFileError(f"comment {text!r} would not read back as written")
+        lines.append(line)
     lines.append(f"{_COLUMNS_PREFIX} {_CONSTANT_COLUMN} " + " ".join(names))
     cells = [
         [format_rational(-row.b)] + [format_rational(v) for v in row.f]

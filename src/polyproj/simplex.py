@@ -30,12 +30,21 @@ positive integer denominator ``det`` represents the rational dictionary
 
 where the division is exact (tableau entries are subdeterminants of the input
 scaled by the current basis determinant).  ``N`` is a numpy ``int64`` array
-while a bound proves the update exact in machine integers: before each pivot
-B = max|N|, and when B < 2^31 every intermediate ``N*piv - outer(col, row)``
-is below 2 B^2 < 2^63.  Once B reaches 2^31 the tableau is promoted, for good,
-to an ``object`` array of Python ints, where the same update is exact at any
-size.  One pivot routine serves both; only the dtype differs.  Everything
-read out of the tableau (ratio test, certificates) goes through Python ints.
+while a bound proves the update exact in machine integers.  The bound is
+checked in two places.  ``pivot`` reads B = max|N| before it multiplies, and
+when B < 2^31 every intermediate ``N*piv - col*row`` is below 2 B^2 < 2^63.
+Once B reaches 2^31 the tableau is promoted, for good, to an ``object`` array
+of Python ints, where the same update is exact at any size.  ``set_rhs``
+multiplies a new block in int64 only under its own bound (see there); its
+result may exceed 2^31 while staying int64, and the next pivot's check then
+promotes.  One pivot routine serves both dtypes; only the dtype differs.
+Everything read out of the tableau (ratio test, certificates) goes through
+Python ints.
+
+An optimal ``StandardResult`` holds integers: the solution as ``z_ints``
+and the objective and tie values as ``value_ints``, both over one positive
+denominator ``den``, and the multipliers' numerators (``multipliers()``).
+The rationals ``z`` and ``objective`` are built only when read.
 
 The m artificial (identity) columns are carried in the tableau after the
 variables; they never enter the basis, and column ``k+n+i`` always belongs to
@@ -49,11 +58,12 @@ Warm starts.  A new right-hand side leaves the cost row of an optimal
 tableau as it was, so its basis stays dual feasible.  ``solve_standard``
 accepts such a tableau (``warm``, an earlier result's ``_tableau`` for the
 same A and c), puts the new block under its basis in one integer product
-with the artificial columns (``_Tableau.set_rhs``) and runs the dual
-simplex ``_Tableau.dual_run`` (Lemke, 1954) with Bland's rule on the dual,
-sharing ``pivot`` with the primal ``run``.  Only tableaux where phase 1
-dropped no row are offered for reuse: a dropped row would go unchecked
-under a new block.  When ``dual_run`` meets a row with no entering column
+with the artificial columns (``_Tableau.set_rhs``; an all-int block within
+the bound takes an int64 product, any other one an ``object`` product) and
+runs the dual simplex ``_Tableau.dual_run`` (Lemke, 1954) with Bland's rule
+on the dual, sharing ``pivot`` with the primal ``run``.  Only tableaux
+where phase 1 dropped no row are offered for reuse: a dropped row would go
+unchecked under a new block.  When ``dual_run`` meets a row with no entering column
 the standard form is infeasible, and the solve goes cold, so every
 certificate of infeasibility still comes from phase 1.  A warm solve ends
 on the lexicographic optimum, like a cold one, so status, objective and
@@ -83,11 +93,15 @@ CHECK_PIVOTS = False
 @dataclass
 class StandardResult:
     status: str
-    z: Optional[Tuple] = None            # primal solution, length n
-    objective: Optional[object] = None   # exact rational
-    ties: Tuple = ()                     # values of the tie columns, optimal only
     ray: Optional[Tuple] = None          # improving ray when unbounded
     basis: Optional[Tuple[int, ...]] = None
+    # Optimal only, as Python ints over one positive denominator ``den``: the
+    # solution z = z_ints / den (length n) and the values of b and of each
+    # tie column, (objective, t_1, ...) = value_ints / den.  The rationals
+    # ``z`` and ``objective`` are built from them when read.
+    z_ints: Tuple[int, ...] = field(default=(), repr=False)
+    value_ints: Tuple[int, ...] = field(default=(), repr=False)
+    den: int = 1
     # Terminal cost-row entries under the artificial columns (phase 2 when
     # optimal, phase 1 when infeasible), their denominator and the scalings
     # applied to the input rows and costs.
@@ -98,6 +112,18 @@ class StandardResult:
     # The terminal tableau when it can warm-start a solve with a new
     # right-hand side (see ``solve_standard``), else None.
     _tableau: Optional["_Tableau"] = field(default=None, repr=False)
+
+    @property
+    def z(self) -> Optional[Tuple]:
+        """The primal solution, length n; optimal results only."""
+        if self.status != OPTIMAL:
+            return None
+        return tuple(mpq(v, self.den) for v in self.z_ints)
+
+    @property
+    def objective(self):
+        """The exact optimal value of c.z; None unless optimal."""
+        return mpq(self.value_ints[0], self.den) if self.status == OPTIMAL else None
 
     def multipliers(self) -> Tuple[Tuple[int, ...], int]:
         """Exact multipliers pi with pi.A <= c (componentwise on reduced costs)
@@ -129,6 +155,10 @@ class _Tableau:
         # Row i of the input is scaled by row_scale[i], the costs by
         # cost_scale and the right-hand-side block by rhs_scale.
         self.row_scale, self.cost_scale, self.rhs_scale = row_scale, cost_scale, 1
+        # row_scale as int64 for set_rhs, when it fits, and its bound
+        self._scale_top = max(map(abs, row_scale))
+        self._scale64 = (np.array(row_scale, dtype=np.int64)
+                         if self._scale_top < 2 ** 63 else None)
         # Layout: columns 0..k-1 = RHS block, columns k..k+n-1 = variables,
         # columns k+n..k+n+m-1 = artificials.  Rows 0..m-1 = constraints,
         # row m = phase-2 cost, row m+1 = phase-1 cost (dropped once phase 1
@@ -147,19 +177,19 @@ class _Tableau:
 
     def pivot(self, r: int, s: int) -> None:
         N, det = self.N, self.det
-        if N.dtype != object and max(N.max(), -N.min()) >= _INT64_BOUND:
+        if N.dtype != object and np.abs(N).max() >= _INT64_BOUND:
             N = self.N = N.astype(object)
         piv = N[r, s]
         if piv == 0:
             raise RuntimeError("zero pivot")
         rowr = N[r].copy()
-        col = N[:, s].copy()
+        outer = N[:, s, None] * rowr
         if CHECK_PIVOTS:
-            R = N * piv - np.outer(col, rowr)
+            R = N * piv - outer
             if det != 1 and (R % det).any():
                 raise AssertionError("integer pivoting divisibility violated")
         N *= piv
-        N -= np.outer(col, rowr)
+        N -= outer
         if det != 1:
             N //= det
         N[r] = rowr
@@ -203,32 +233,44 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(leave, enter)
 
-    def set_rhs(self, block: List[List]) -> None:
-        """Replace the right-hand-side block by ``block`` (one list per input
-        row, rationals allowed) under the current basis.  The artificial
-        columns hold det B^-1 in the scaled frame, so the new block is the
-        one integer product  N[:, art] . (rhs_scale * row_scale * block),
-        with rhs_scale the smallest positive integer making it integral."""
+    def set_rhs(self, columns: Sequence[Sequence]) -> None:
+        """Replace the right-hand-side block by ``columns`` (the columns b,
+        t_1, ..., each one entry per input row, rationals allowed) under the
+        current basis.  The artificial columns hold det B^-1 in the scaled
+        frame, so the new block is the one integer product
+        N[:, art] . (rhs_scale * row_scale * block), with rhs_scale the
+        smallest positive integer making it integral.
+
+        An all-int block on an int64 tableau is multiplied in int64 when
+        max|N[:, art]| * max|block| * max|row_scale| * m < 2^63 bounds every
+        partial sum.  Fractions and larger ints take the object product,
+        which goes back to int64 when below 2^31 and promotes the tableau
+        otherwise."""
         m, n, k = self.m, self.n, self.k
-        scaled = [[d * v for v in row] for d, row in zip(self.row_scale, block)]
-        lam = 1
-        if not set(map(type, chain(*block))) <= {int}:
-            lam = common_denominator(chain(*scaled))
-            scaled = [scaled_ints(row, lam) for row in scaled]
-        scaled = np.array(scaled, dtype=object)
-        art = self.N[:, k + n:]
-        if art.dtype != object:
-            bound = int(max(art.max(), -art.min())) * max(map(abs, scaled.flat)) * m
-            if bound < 2 ** 63:
-                scaled = scaled.astype(np.int64)
-            else:
-                art = art.astype(object)
-        new = art @ scaled
         N = self.N
-        if N.dtype != object and max(new.max(), -new.min()) >= _INT64_BOUND:
-            N = N.astype(object)
-        self.N = np.concatenate([new.astype(N.dtype), N[:, k:]], axis=1)
-        self.k, self.rhs_scale = len(block[0]), lam
+        art = N[:, k + n:]
+        lam = 1
+        integral = set(map(type, chain(*columns))) <= {int}
+        if (integral and art.dtype != object and self._scale64 is not None
+                and int(np.abs(art).max()) * max(map(abs, chain(*columns)))
+                * self._scale_top * m < 2 ** 63):
+            new = art @ (np.array(columns, dtype=np.int64) * self._scale64).T
+        else:
+            scaled = [[d * v for d, v in zip(self.row_scale, col)] for col in columns]
+            if not integral:
+                lam = common_denominator(chain(*scaled))
+                scaled = [scaled_ints(col, lam) for col in scaled]
+            new = art.astype(object) @ np.array(scaled, dtype=object).T
+            if N.dtype != object:
+                if np.abs(new).max() < _INT64_BOUND:
+                    new = new.astype(np.int64)
+                else:
+                    N = N.astype(object)
+        if new.shape[1] == k:
+            N[:, :k] = new
+        else:
+            N = np.concatenate([new, N[:, k:]], axis=1)
+        self.N, self.k, self.rhs_scale = N, len(columns), lam
 
     def dual_run(self) -> str:
         """Dual simplex iterations from a basis whose phase-2 cost row is
@@ -240,16 +282,18 @@ class _Tableau:
         column minimises N[m, j] / -N[r, j] over N[r, j] < 0, ties going to
         the smallest j."""
         m, n, k = self.m, self.n, self.k
-        rows = np.arange(m)
         while True:
-            block = self.N[:m, :k]
-            first = block[rows, (block != 0).argmax(axis=1)]
-            negative = np.flatnonzero(first < 0)
-            if not negative.size:
+            N = self.N
+            if k == 1:
+                first = N[:m, 0].tolist()
+            else:  # each block row's first nonzero entry
+                block = N[:m, :k]
+                first = block[np.arange(m), (block != 0).argmax(axis=1)].tolist()
+            negative = [i for i, v in enumerate(first) if v < 0]
+            if not negative:
                 return OPTIMAL
-            r = min(negative.tolist(), key=self.basis.__getitem__)
-            row = self.N[r, k:k + n].tolist()
-            cost = self.N[m, k:k + n].tolist()
+            r = min(negative, key=self.basis.__getitem__)
+            row, cost = N[r, k:k + n].tolist(), N[m, k:k + n].tolist()
             enter = None
             for j, a in enumerate(row):
                 if a < 0 and (enter is None or cost[j] * row[enter] > cost[enter] * a):
@@ -277,7 +321,7 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
     ``ties`` are further right-hand sides t_1, t_2, ...: the program solved
     is then A z = b + eps t_1 + eps^2 t_2 + ... for all small eps > 0 (see
     the module docstring).  ``z`` and ``objective`` belong to b; an optimal
-    result also carries ``ties``, the optimal value for each t_j in turn.
+    result's ``value_ints`` also hold the optimal value for each t_j in turn.
 
     ``warm`` is the ``_tableau`` of an earlier result for the same A and c;
     the solve updates it in place (see "Warm starts" in the module
@@ -286,14 +330,14 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
     m, n = len(A), len(c)
     if m == 0:
         if all(x >= 0 for x in c):
-            return StandardResult(OPTIMAL, z=tuple([0] * n), objective=mpq(0),
-                                  ties=(mpq(0),) * len(ties), basis=())
+            return StandardResult(OPTIMAL, basis=(), z_ints=(0,) * n,
+                                  value_ints=(0,) * (1 + len(ties)))
         j = next(j for j, x in enumerate(c) if x < 0)
         ray = tuple(1 if k == j else 0 for k in range(n))
         return StandardResult(UNBOUNDED, ray=ray)
 
     if warm is not None:
-        warm.set_rhs([[b[i]] + [t[i] for t in ties] for i in range(m)])
+        warm.set_rhs([b, *ties])
         if warm.dual_run() == OPTIMAL:
             return _optimal(warm)
         res = _solve_cold(A, b, c, ties)
@@ -360,21 +404,19 @@ def _solve_cold(A: Sequence[Sequence], b: Sequence, c: Sequence,
 
 
 def _optimal(tab: _Tableau, reusable: bool = True) -> StandardResult:
-    """The result read off an optimal phase-2 tableau; it carries the
-    tableau for warm starts when ``reusable``."""
-    m, n, k, det = tab.m, tab.n, tab.k, tab.det
-    z = [mpq(0)] * n
-    for i in range(m):
-        if tab.basis[i] < n:
-            z[tab.basis[i]] = mpq(int(tab.N[i, 0]), det * tab.rhs_scale)
-    den = det * tab.cost_scale * tab.rhs_scale
-    values = [mpq(-v, den) for v in tab.N[m, :k].tolist()]
+    """The result read off an optimal phase-2 tableau, in integers; it
+    carries the tableau for warm starts when ``reusable``."""
+    m, n, k = tab.m, tab.n, tab.k
+    rhs, cost = tab.N[:m, 0].tolist(), tab.N[m].tolist()
+    z = [0] * n
+    for i, j in enumerate(tab.basis):
+        if j < n:
+            z[j] = rhs[i] * tab.cost_scale
     return StandardResult(
         OPTIMAL,
-        z=tuple(z),
-        objective=values[0],
-        ties=tuple(values[1:]),
         basis=tuple(tab.basis),
-        _art_costs=tab.N[m, k + n:].tolist(), _det=det, _row_scale=tab.row_scale,
+        z_ints=tuple(z), value_ints=tuple(-v for v in cost[:k]),
+        den=tab.det * tab.cost_scale * tab.rhs_scale,
+        _art_costs=cost[k + n:], _det=tab.det, _row_scale=tab.row_scale,
         _cost_scale=tab.cost_scale, _tableau=tab if reusable else None,
     )

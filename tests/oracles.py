@@ -261,3 +261,32 @@ def staged_basis_simplex(probe, d):
         else:
             recorded.append(g)
     return points
+
+
+def dual_bland_choice(block, rows, cost, basis):
+    """Bland's rule on the dual for a dictionary with a right-hand-side block.
+
+    Row i of the dictionary has the block row ``block[i]``, the variable
+    entries ``rows[i]`` and the basic variable ``basis[i]``; ``cost`` holds
+    the reduced costs of the variables.  The leaving row is the row whose
+    block row is lexicographically negative with the smallest basic
+    variable; the entering variable j has rows[r][j] < 0 and the least ratio
+    cost[j] / -rows[r][j], ties going to the smallest j.  Any common positive
+    scale of the entries leaves the choice alone.
+
+    Returns None when no block row is lexicographically negative (the basis
+    is optimal), (r, None) when row r has no entering variable (the program
+    is infeasible), else (r, j).
+    """
+    def lex_negative(row):
+        first = next((x for x in row if x != 0), 0)
+        return first < 0
+
+    leaving = [i for i in range(len(block)) if lex_negative(block[i])]
+    if not leaving:
+        return None
+    r = min(leaving, key=lambda i: basis[i])
+    entering = [j for j, a in enumerate(rows[r]) if a < 0]
+    if not entering:
+        return r, None
+    return r, min(entering, key=lambda j: (Fraction(cost[j], -rows[r][j]), j))

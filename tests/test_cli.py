@@ -15,6 +15,11 @@ def test_project_elemental3(capsys, method):
     assert set(out.system.rows) == want
 
 
+def test_spec_with_surrounding_whitespace_prints_a_readable_header(capsys):
+    assert main(["project", " elemental:3\n", "--method", "fme"]) == 0
+    assert "scenario: elemental:3" in parse(capsys.readouterr().out).comments
+
+
 def test_rfd_prints_the_facets_it_finds(capsys):
     # a budget that runs out prints the partial list under a "partial" line
     assert main(["project", "elemental:3", "--method", "rfd", "--budget", "2"]) == 1

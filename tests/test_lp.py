@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyproj import ConstraintSystem, lp_feasible, lp_minimize, simplex
+from polyproj import lp as lp_module
 from polyproj.linalg import orthogonal_complement
 from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face, lp_standard,
                          normalize_face, pivot_equations, substitute)
@@ -346,6 +347,28 @@ def test_unbounded_after_bounded_goes_cold(pivot_counts):
     assert cone._tableau_cache is tableau
     assert lp_minimize(cone, [2, 1]).objective == 0
     assert pivot_counts["dual_runs"] == 2
+
+
+def test_value_only_warm_solve_builds_one_rational(pivot_counts, monkeypatch):
+    # min over the box [0, 2] x [0, 3]; the second objective moves the optimum
+    box = build([(1, 0, 0), (0, 1, 0), (-1, 0, -2), (0, -1, -3)], 2)
+    assert lp_minimize(box, [1, 1]).objective == 0
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(simplex, "mpq", counted)
+    monkeypatch.setattr(lp_module, "mpq", counted)
+    cold_pivots = pivot_counts["pivots"]
+    sol = lp_minimize(box, [-1, 2], want_point=False)
+    assert pivot_counts["dual_runs"] == 1 and pivot_counts["pivots"] > cold_pivots
+    assert sol.objective == -2 and sol.x is None
+    assert len(built) == 1
+    # the duals are built when read: q = (0, 2, 1, 0)
+    assert sol.duals == (0, 2, 1, 0)
+    assert len(built) == 1 + len(box.rows)
 
 
 def test_pivot_equations_solve_inside_the_columns():

@@ -84,6 +84,23 @@ def test_render_rejects_names_parse_would_not_read_back(names):
         render(system)
 
 
+@pytest.mark.parametrize("comment", [
+    "two\nlines", "ends in a break\r\n", "a\u2028b",   # line breaks
+    " leading", "trailing\t",                       # whitespace parse strips
+    "columns: _1 x y z", "columns:",                # read back as the header
+])
+def test_render_rejects_comments_parse_would_not_read_back(comment):
+    with pytest.raises(MatrixFileError, match="comment"):
+        render(sample_system(), comments=["fine", comment])
+
+
+def _reads_back(comment):
+    """Independent statement of the comments a file can carry: one line,
+    nothing for parse to strip, and not the column header."""
+    return ("\n" not in comment and "\r" not in comment and comment == comment.strip()
+            and not comment.startswith("columns:") and comment.isprintable())
+
+
 _VALUES = st.one_of(st.integers(-10 ** 12, 10 ** 12),
                     st.fractions(max_denominator=50).filter(lambda q: q.denominator > 1))
 
@@ -98,13 +115,15 @@ def named_systems(draw):
     return ConstraintSystem(tuple(Face(f, b) for f, b in rows), dim, tuple(names))
 
 
-@given(named_systems())
-def test_render_then_parse_is_the_identity(system):
-    # the module docstring's promise: the same rows, unnormalized, and the
-    # same column names
-    parsed = parse(render(system)).system
-    assert parsed == system
-    assert all(type(v) in (int, Fraction) for row in parsed.rows for v in row.f + (row.b,))
+@given(named_systems(), st.lists(st.text(max_size=8).filter(_reads_back), max_size=3))
+def test_render_then_parse_is_the_identity(system, comments):
+    # the module docstring's promise: the same rows, unnormalized, the same
+    # column names and the same comments
+    parsed = parse(render(system, comments))
+    assert parsed.system == system
+    assert parsed.comments == tuple(comments)
+    assert all(type(v) in (int, Fraction)
+               for row in parsed.system.rows for v in row.f + (row.b,))
 
 
 def test_reorder_to_matches_by_name():

@@ -9,7 +9,7 @@ import pytest
 
 from polyproj import simplex
 
-from .oracles import basis_multipliers, solve_linear
+from .oracles import basis_multipliers, dual_bland_choice, solve_linear
 
 
 @pytest.fixture
@@ -32,6 +32,11 @@ def _programs(seed, count):
             b = [x + rng.randint(-2, 2) for x in b]
         c = [Fraction(rng.randint(-2, 4), rng.choice((1, 2))) for _ in range(n)]
         yield A, b, c
+
+
+def _values(res):
+    """The objective and tie values of an optimal result."""
+    return tuple(Fraction(v, res.den) for v in res.value_ints)
 
 
 def _column(A, j):
@@ -179,7 +184,7 @@ def test_rhs_block_matches_staged_solves(check_pivots):
         want_status, want_values = _staged(A, block, c)
         assert res.status == want_status
         if res.status == simplex.OPTIMAL:
-            assert (res.objective,) + res.ties == tuple(want_values)
+            assert _values(res) == tuple(want_values)
             assert res.objective == simplex.solve_standard(A, block[0], c).objective
             assert all(x >= 0 for x in res.z)
             assert all(_dot(row, res.z) == b for row, b in zip(A, block[0]))
@@ -205,11 +210,21 @@ def test_rhs_block_matches_staged_solves(check_pivots):
                          "infeasible at a later stage", "unbounded"}
 
 
+def _scaled_block(rng, block):
+    """The block times one positive factor, chosen so that its entries stay
+    small, come just below 2^31, go above it, or turn fractional."""
+    top = max(abs(x) for col in block for x in col) or 1
+    factor = rng.choice((1, (2 ** 31 - 1) // top or 1, 2 ** 32 // top + 1, Fraction(1, 3)))
+    return [[factor * x for x in col] for col in block]
+
+
 def _wide_programs(seed, count):
     """Random integer programs whose entries are small, moderate, just below
     2^31 or above it, so that some tableaux stay int64, some start as
-    object and some are promoted in the middle of a solve."""
-    rng = random.Random(seed)
+    object and some are promoted in the middle of a solve; each with a
+    second block for a warm solve (see ``_scaled_block``), drawn from its own
+    generator."""
+    rng, warm_rng = random.Random(seed), random.Random(seed + 1)
     for _ in range(count):
         top = rng.choice((4, 2 ** 12, 2 ** 20, 2 ** 31, 2 ** 32, 2 ** 40))
 
@@ -232,26 +247,66 @@ def _wide_programs(seed, count):
             block.append(rhs)
         c = [entry() for _ in range(n)]
         c[rng.randrange(n)] = nonzero()
-        yield A, block, c
+        warm = []
+        for _ in range(warm_rng.choice((1, 1, 2))):
+            rhs = [_dot(row, [warm_rng.randint(0, 2) for _ in range(n)]) for row in A]
+            if warm_rng.random() < 0.3:
+                rhs = [x + warm_rng.randint(-3, 3) for x in rhs]
+            warm.append(rhs)
+        yield A, block, _scaled_block(warm_rng, warm), c
+
+
+def _rhs_path(before, after, columns, N):
+    """Which dtype path ``set_rhs`` took, as far as its effect shows."""
+    if before == object:
+        return "object tableau"
+    if after == object:
+        return "promoted"
+    if not all(type(v) is int for col in columns for v in col):
+        return "fractional block, int64 kept"
+    if max(abs(int(v)) for v in N.flat) >= simplex._INT64_BOUND:
+        return "int block, int64 above 2^31"
+    return "int block, int64"
+
+
+def _assert_scaled_alike(res, ref, S):
+    """ref solved the program of res with its costs scaled by S."""
+    assert (res.status, res.z, res.ray, res.basis) == \
+        (ref.status, ref.z, ref.ray, ref.basis)
+    if res.status == simplex.OPTIMAL:
+        assert tuple(v * S for v in _values(res)) == _values(ref)
+        X, D = _readout(res)
+        ref_X, ref_D = _readout(ref)
+        assert [x * D for x in ref_X] == [S * x * ref_D for x in X]  # pi scales by S
+    elif res.status == simplex.INFEASIBLE:
+        assert res.farkas() == ref.farkas()
 
 
 def test_int64_tableaux_match_object_ones(check_pivots, monkeypatch):
     """Each program is solved as given and with its costs scaled by 2^40,
     which leaves every pivot choice alone but makes the tableau an object
     array from the start: both runs must pivot alike and give the same
-    results, the costs' scale aside."""
-    pivots = []
-    pivot = simplex._Tableau.pivot
+    results, the costs' scale aside.  Then each run solves a second block
+    warm, from its own tableau, and again both must pivot alike; the second
+    blocks take every dtype path through ``set_rhs``."""
+    pivots, rhs_paths = [], Counter()
+    pivot, set_rhs = simplex._Tableau.pivot, simplex._Tableau.set_rhs
 
     def spy(self, r, s):
         before = self.N.dtype
         pivot(self, r, s)
         pivots.append((r, s, before, self.N.dtype))
 
+    def spy_rhs(self, columns):
+        before = self.N.dtype
+        set_rhs(self, columns)
+        rhs_paths[_rhs_path(before, self.N.dtype, columns, self.N)] += 1
+
     monkeypatch.setattr(simplex._Tableau, "pivot", spy)
+    monkeypatch.setattr(simplex._Tableau, "set_rhs", spy_rhs)
     S = 2 ** 40
     seen = Counter()
-    for A, block, c in _wide_programs(seed=11, count=300):
+    for A, block, warm, c in _wide_programs(seed=11, count=300):
         pivots.clear()
         res = simplex.solve_standard(A, block[0], c, ties=block[1:])
         run = list(pivots)
@@ -259,18 +314,22 @@ def test_int64_tableaux_match_object_ones(check_pivots, monkeypatch):
         ref = simplex.solve_standard(A, block[0], [S * x for x in c], ties=block[1:])
         assert [p[:2] for p in run] == [p[:2] for p in pivots]
         assert all(p[2] == object for p in pivots)
-        assert (res.status, res.z, res.ray, res.basis) == \
-            (ref.status, ref.z, ref.ray, ref.basis)
+        _assert_scaled_alike(res, ref, S)
         if res.status == simplex.OPTIMAL:
-            assert res.objective * S == ref.objective
-            assert tuple(t * S for t in res.ties) == ref.ties
             X, D = _readout(res)
-            ref_X, ref_D = _readout(ref)
-            assert [x * D for x in ref_X] == [S * x * ref_D for x in X]  # pi scales by S
             _check_multipliers(A, block[:1], c, X, D, [res.objective])
             assert tuple(-w * D for w in _oracle(A, c, res.basis, X)[0]) == X
-        elif res.status == simplex.INFEASIBLE:
-            assert res.farkas() == ref.farkas()
+        if res._tableau is not None:
+            assert ref._tableau is not None
+            pivots.clear()
+            warm_res = simplex.solve_standard(A, warm[0], c, ties=warm[1:], warm=res._tableau)
+            warm_run = list(pivots)
+            pivots.clear()
+            warm_ref = simplex.solve_standard(A, warm[0], [S * x for x in c], ties=warm[1:],
+                                              warm=ref._tableau)
+            assert [p[:2] for p in warm_run] == [p[:2] for p in pivots]
+            _assert_scaled_alike(warm_res, warm_ref, S)
+            seen["warm, " + warm_res.status] += 1
         if not run:
             continue
         dtypes = [run[0][2]] + [p[3] for p in run]
@@ -281,4 +340,68 @@ def test_int64_tableaux_match_object_ones(check_pivots, monkeypatch):
         elif dtypes[1] != object:
             seen["promoted in the middle"] += 1
     assert set(seen) == {"int64 throughout", "object from the start",
-                         "promoted in the middle"}
+                         "promoted in the middle", "warm, optimal", "warm, infeasible"}
+    assert set(rhs_paths) == {"int block, int64", "int block, int64 above 2^31",
+                              "fractional block, int64 kept", "promoted", "object tableau"}
+
+
+def _warm_blocks(rng, A, count):
+    """Right-hand-side blocks of 1-3 columns for warm solves on A: mostly
+    A z for some z >= 0, now and then shifted off it or fractional."""
+    n = len(A[0])
+    for _ in range(count):
+        block = []
+        for _ in range(rng.randint(1, 3)):
+            rhs = [_dot(row, [rng.randint(0, 2) for _ in range(n)]) for row in A]
+            if rng.random() < 0.2:
+                rhs = [x + rng.randint(-2, 2) for x in rhs]
+            block.append(rhs)
+        if rng.random() < 0.2:
+            block = [[Fraction(x, 2) for x in col] for col in block]
+        yield block
+
+
+def test_dual_run_follows_blands_rule_on_the_dual(check_pivots, monkeypatch):
+    """Every pivot of a warm solve, and how it ends, is what the plain
+    dual-rule oracle picks on the tableau as it stands."""
+    in_dual, seen = [False], Counter()
+    pivot, dual_run = simplex._Tableau.pivot, simplex._Tableau.dual_run
+
+    def oracle(tab):
+        m, n, k = tab.m, tab.n, tab.k
+        N = tab.N.tolist()
+        return dual_bland_choice([row[:k] for row in N[:m]], [row[k:k + n] for row in N[:m]],
+                                 N[m][k:k + n], tab.basis)
+
+    def spy_pivot(self, r, s):
+        if in_dual[0]:
+            assert oracle(self) == (r, s - self.k)
+            seen["pivot"] += 1
+        pivot(self, r, s)
+
+    def spy_dual_run(self):
+        in_dual[0] = True
+        try:
+            status = dual_run(self)
+        finally:
+            in_dual[0] = False
+        end = oracle(self)
+        assert end is None if status == simplex.OPTIMAL else end[1] is None
+        seen[status] += 1
+        return status
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", spy_pivot)
+    monkeypatch.setattr(simplex._Tableau, "dual_run", spy_dual_run)
+    rng = random.Random(5)
+    for A, block, c in _lex_programs(seed=9, count=150):
+        res = simplex.solve_standard(A, block[0], c, ties=block[1:])
+        for new in _warm_blocks(rng, A, 4):
+            if res._tableau is None:
+                break
+            warm = simplex.solve_standard(A, new[0], c, ties=new[1:], warm=res._tableau)
+            cold = simplex.solve_standard(A, new[0], c, ties=new[1:])
+            assert warm.status == cold.status
+            if cold.status == simplex.OPTIMAL:
+                assert _values(warm) == _values(cold)
+            res = warm
+    assert seen[simplex.OPTIMAL] and seen[simplex.INFEASIBLE] and seen["pivot"] > 100
