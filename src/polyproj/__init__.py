@@ -5,11 +5,11 @@ The package computes facet descriptions of coordinate projections
 
     pi_d(P) = {x in R^d : exists y, (x, y) in P},   P = {z : L z >= a},
 
-entirely in rational arithmetic, via four interchangeable methods (iterated
-variable elimination, convex-hull expansion, extreme-point sampling and
-adjacent-facet traversal), plus the marginal-cone machinery built on top of
-them: entropy spaces, correlation scenarios, causal models with hidden common
-ancestors, symmetry reduction and exact proofs of marginal inequalities.
+entirely in rational arithmetic, via three interchangeable methods (iterated
+variable elimination, convex-hull expansion and adjacent-facet traversal,
+seeded by extreme-point sampling of single faces), plus the marginal-cone
+machinery built on top: entropy spaces, correlation scenarios, causal models
+with hidden common ancestors, symmetry reduction and exact marginal proofs.
 """
 
 from .lp import ConstraintSystem, Face, LpSolution, lp_feasible, lp_minimize, normalize_face

@@ -38,11 +38,10 @@ from .geometry import (
     basis_simplex,
     capped,
     minimize_image,
-    pad_objective,
     project_image,
 )
 from .linalg import nullspace
-from .lp import UNBOUNDED, ConstraintSystem, Face, as_face, lp_minimize, normalize_face
+from .lp import ConstraintSystem, Face, as_face, normalize_face
 from .rationals import dot, is_zero_vector, rational, vec_sub
 
 _SAMPLE_RETRIES = 32
@@ -200,17 +199,18 @@ def _tighten(work: ConstraintSystem, d: int, face: Face, F: BasisSimplex,
 def _support(work: ConstraintSystem, d: int, face) -> Face:
     """The face padded to width d with its offset raised to the supporting
     value on the image of ``work``.  One exact LP both rejects invalid faces
-    and lifts the offset, so a valid face that is slack everywhere becomes
-    tight before any tightening."""
+    (ValueError, or UnboundedProjection when the face's minimum is
+    unbounded) and lifts the offset, so a valid face that is slack
+    everywhere becomes tight before any tightening."""
     face = as_face(face)
     if len(face.f) > d:
         raise ValueError("face is wider than the output space")
     face = face.pad(d)
-    support = lp_minimize(work, pad_objective(face.f, work.dim), want_point=False)
-    if support.status == UNBOUNDED or (support.optimal and support.objective < face.b):
+    support = minimize_image(work, face.f, want_point=False).objective
+    if support < face.b:
         raise ValueError("input face is not valid on the projection")
-    if support.optimal and support.objective > face.b:
-        face = normalize_face(face.f, support.objective)
+    if support > face.b:
+        face = normalize_face(face.f, support)
     return face
 
 

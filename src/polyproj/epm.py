@@ -7,10 +7,10 @@ eliminated coordinates.  Normalizing by sum(q) = 1 makes the feasible q a
 polytope, and optimizing a linear objective over it yields faces of the
 shadow directly -- one exact LP per sample, no vertex structure needed.
 
-That polytope is already in standard form, {q >= 0 : A q = b} with one row
-for sum(q) = 1 and one per eliminated coordinate, so each sample is a single
-``lp.lp_standard`` solve of dim - d + 1 rows: q >= 0 is never written out as
-rows, and nothing is dualized.
+Minimizing p.q over that polytope is the dual ``lp.lp_minimize`` solves
+for the rows (1, L_i[d:]) . y >= -p_i and the objective e_0, so a sample is
+one simplex solve of dim - d + 1 rows, whose duals are q, checked exactly:
+q >= 0, sum(q) = 1, (q^T L)[d:] = 0 and p.q = -objective.
 
 The sampled face for an optimal vertex q is ((q^T L)[:d], q^T a).  AFI
 draws its seed facet this way, from a random objective.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .lp import ConstraintSystem, Face, InfeasibleSystem, lp_standard, normalize_face
+from .lp import ConstraintSystem, Face, InfeasibleSystem, lp_minimize, normalize_face
 from .rationals import dot
 
 
@@ -29,15 +29,14 @@ from .rationals import dot
 class CombinationPolytope:
     """Normalized non-negative row combinations landing in the output space.
 
-    The combination vectors are {q >= 0 : A q = b}: the first row of ``A``
-    is sum(q) = 1, each further row sets (q^T L)_j = 0 for one coordinate j
-    past ``d``.  ``link`` is the system the combinations are drawn from, so
-    any feasible q maps to the inequality (q^T L)[:d] . x >= q^T a, valid on
-    the projection by construction (see ``combination_face``).
+    The combination vectors are {q >= 0 : sum(q) = 1, (q^T L)[d:] = 0}:
+    ``rows`` holds (1, L_i[d:]) for each row of ``link``, the system the
+    combinations are drawn from, so any feasible q maps to the inequality
+    (q^T L)[:d] . x >= q^T a, valid on the projection by construction (see
+    ``combination_face``).
     """
 
-    A: Tuple[Tuple[int, ...], ...]
-    b: Tuple[int, ...]
+    rows: Tuple[Tuple[int, ...], ...]
     link: ConstraintSystem
     d: int
 
@@ -46,10 +45,8 @@ def build_combination_polytope(system: ConstraintSystem, d: int) -> CombinationP
     """Set up the combination polytope for projecting onto the first d coords."""
     if not 0 <= d <= system.dim:
         raise ValueError("output dimension out of range")
-    columns = system.transpose()
-    A = ((1,) * len(system.rows),) + tuple(tuple(columns[j]) for j in range(d, system.dim))
-    b = (1,) + (0,) * (system.dim - d)
-    return CombinationPolytope(A=A, b=b, link=system, d=d)
+    rows = tuple((1,) + row.f[d:] for row in system.rows)
+    return CombinationPolytope(rows=rows, link=system, d=d)
 
 
 def combination_face(cp: CombinationPolytope, q: Sequence) -> Face:
@@ -70,10 +67,17 @@ def epm_sample_face(cp: CombinationPolytope, p: Sequence) -> Face:
     and has no nontrivial valid inequalities).
     """
     p = list(p)
-    if len(p) != len(cp.link.rows):
+    if len(p) != len(cp.rows):
         raise ValueError("objective width does not match the row count")
-    sol = lp_standard(cp.A, cp.b, p)
+    # not from_rows: normalizing a row would rescale its entry of q
+    width = cp.link.dim - cp.d + 1
+    dual = ConstraintSystem(tuple(Face(f, -v) for f, v in zip(cp.rows, p)), width)
+    sol = lp_minimize(dual, (1,) + (0,) * (width - 1), want_point=False)
     if not sol.optimal:
         raise InfeasibleSystem("no normalized row combination lands in the output space")
-    return combination_face(cp, sol.x)
-
+    q = sol.duals
+    support = [(v, f) for v, f in zip(q, cp.rows) if v]
+    if (any(v < 0 for v in q) or dot(p, q) != -sol.objective
+            or any(sum(v * f[j] for v, f in support) != (j == 0) for j in range(width))):
+        raise AssertionError("sampled combination is not an optimal point of the polytope")
+    return combination_face(cp, q)

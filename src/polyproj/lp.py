@@ -27,7 +27,11 @@ row, before x's rationals are built.  The dual vector is the simplex
 solution itself, kept as integers until ``LpSolution.duals`` is read, so a
 value-only solve builds one rational, its objective.  Unboundedness and
 infeasibility are separated by an auxiliary Farkas system, so no
-primal-form tableau is ever built.
+primal-form tableau is ever built.  Each infeasible verdict is checked
+against its Farkas certificate r >= 0, r.L = 0, r.a > 0: an unbounded
+dual's ray, or the auxiliary system's solution.  A standard-form program
+min p.q, A q = b, q >= 0 is the dual of the rows (A^T)_i . x >= -p_i with
+the objective b, so it needs no entry of its own (see ``epm``).
 
 Tie-break objectives t_1, t_2, ... make the minimum lexicographic: min c.x,
 then min t_1.x among those minimizers, and so on.  That is min
@@ -45,10 +49,6 @@ finds the dual infeasible, the solve goes cold.  Status, objective, tie
 values and, with ties that span R^d, the point do not depend on the cache.
 With several optimal points, the point returned (and the duals) may depend
 on which solves came before on the same system.
-
-``lp_standard`` is the entry for programs already in standard form,
-min c.q subject to A q = b, q >= 0: it hands them to the simplex as they
-are, with no dualization, and checks the returned q exactly.
 """
 
 from __future__ import annotations
@@ -264,14 +264,14 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
 
     if res.status == simplex.UNBOUNDED:
         # The dual is unbounded, so the primal is infeasible.
-        return LpSolution(INFEASIBLE)
+        return _infeasible(system, res.ray)
 
     # Dual infeasible: primal is unbounded if feasible, else infeasible.
     # Farkas: L x >= a has no solution iff some q >= 0 has q.L = 0, q.a = 1.
-    aug = system.transpose() + [[row.b for row in system.rows]]
+    aug = A + [[row.b for row in system.rows]]
     feas = simplex.solve_standard(aug, [0] * system.dim + [1], [0] * m)
     if feas.status == simplex.OPTIMAL:
-        return LpSolution(INFEASIBLE)
+        return _infeasible(system, feas.z_ints)  # q = z_ints / den, den > 0
     ray = tuple(-y for y in res.farkas())
     if lex_sign(dot(v, ray) for v in objectives) >= 0:
         raise AssertionError("invalid unboundedness certificate")
@@ -281,30 +281,12 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
     return LpSolution(UNBOUNDED, ray=ray)
 
 
-def lp_standard(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LpSolution:
-    """
-    Exact min c.q subject to A q = b, q >= 0.  Optimal solutions carry q as
-    ``x`` and the exact objective, checked exactly: q >= 0, A q = b and
-    c.q = objective.  Unbounded ones carry a ray r >= 0 with A r = 0 and
-    c.r < 0, checked the same way.
-    """
-    if len(b) != len(A) or any(len(row) != len(c) for row in A):
-        raise ValueError("program shape does not match")
-    res = simplex.solve_standard(A, b, c)
-    if res.status == simplex.INFEASIBLE:
-        return LpSolution(INFEASIBLE)
-    if res.status == simplex.UNBOUNDED:
-        ray = res.ray
-        if (any(v < 0 for v in ray) or dot(c, ray) >= 0
-                or any(dot(row, ray) != 0 for row in A)):
-            raise AssertionError("invalid unboundedness certificate")
-        return LpSolution(UNBOUNDED, ray=ray)
-    Q, D = res.z_ints, res.den
-    if any(v < 0 for v in Q) or any(dot(row, Q) != v * D for row, v in zip(A, b)):
-        raise AssertionError("standard-form point violates the program")
-    if dot(c, Q) != res.value_ints[0]:  # c.z and the objective share den
-        raise AssertionError("standard-form point does not attain the objective")
-    return LpSolution(OPTIMAL, x=res.z, objective=res.objective)
+def _infeasible(system: ConstraintSystem, r: Sequence) -> LpSolution:
+    """INFEASIBLE, once r is checked as its certificate: r >= 0, r.L = 0, r.a > 0."""
+    A, costs = system._dual()  # L^T and -a
+    if any(v < 0 for v in r) or any(dot(col, r) for col in A) or dot(costs, r) >= 0:
+        raise AssertionError("invalid infeasibility certificate")
+    return LpSolution(INFEASIBLE)
 
 
 def lp_feasible(system: ConstraintSystem) -> bool:

@@ -41,10 +41,11 @@ promotes.  One pivot routine serves both dtypes; only the dtype differs.
 Everything read out of the tableau (ratio test, certificates) goes through
 Python ints.
 
-An optimal ``StandardResult`` holds integers: the solution as ``z_ints``
-and the objective and tie values as ``value_ints``, both over one positive
-denominator ``den``, and the multipliers' numerators (``multipliers()``).
-The rationals ``z`` and ``objective`` are built only when read.
+An optimal ``StandardResult`` holds integers only: the solution as
+``z_ints`` and the objective and tie values as ``value_ints``, both over one
+positive denominator ``den``, and the multipliers' numerators
+(``multipliers()``).  Its one caller, ``lp.lp_minimize``, checks them and
+builds the rationals it returns.
 
 The m artificial (identity) columns are carried in the tableau after the
 variables; they never enter the basis, and column ``k+n+i`` always belongs to
@@ -68,7 +69,7 @@ the standard form is infeasible, and the solve goes cold, so every
 certificate of infeasibility still comes from phase 1.  A warm solve ends
 on the lexicographic optimum, like a cold one, so status, objective and
 tie values agree; when that optimum has several optimal bases, the two may
-end on different ones, and then ``z`` and the multipliers may differ.
+end on different ones, and then the solution and the multipliers may differ.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ class StandardResult:
     basis: Optional[Tuple[int, ...]] = None
     # Optimal only, as Python ints over one positive denominator ``den``: the
     # solution z = z_ints / den (length n) and the values of b and of each
-    # tie column, (objective, t_1, ...) = value_ints / den.  The rationals
-    # ``z`` and ``objective`` are built from them when read.
+    # tie column, (objective, t_1, ...) = value_ints / den.
     z_ints: Tuple[int, ...] = field(default=(), repr=False)
     value_ints: Tuple[int, ...] = field(default=(), repr=False)
     den: int = 1
@@ -112,18 +112,6 @@ class StandardResult:
     # The terminal tableau when it can warm-start a solve with a new
     # right-hand side (see ``solve_standard``), else None.
     _tableau: Optional["_Tableau"] = field(default=None, repr=False)
-
-    @property
-    def z(self) -> Optional[Tuple]:
-        """The primal solution, length n; optimal results only."""
-        if self.status != OPTIMAL:
-            return None
-        return tuple(mpq(v, self.den) for v in self.z_ints)
-
-    @property
-    def objective(self):
-        """The exact optimal value of c.z; None unless optimal."""
-        return mpq(self.value_ints[0], self.den) if self.status == OPTIMAL else None
 
     def multipliers(self) -> Tuple[Tuple[int, ...], int]:
         """Exact multipliers pi with pi.A <= c (componentwise on reduced costs)
@@ -320,8 +308,8 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
 
     ``ties`` are further right-hand sides t_1, t_2, ...: the program solved
     is then A z = b + eps t_1 + eps^2 t_2 + ... for all small eps > 0 (see
-    the module docstring).  ``z`` and ``objective`` belong to b; an optimal
-    result's ``value_ints`` also hold the optimal value for each t_j in turn.
+    the module docstring).  An optimal result's ``z_ints`` belong to b, and
+    its ``value_ints`` hold the optimal value for b and then for each t_j.
 
     ``warm`` is the ``_tableau`` of an earlier result for the same A and c;
     the solve updates it in place (see "Warm starts" in the module

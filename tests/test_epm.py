@@ -4,19 +4,29 @@ import pytest
 
 from polyproj.epm import build_combination_polytope, epm_sample_face
 from polyproj.geometry import is_implied
-from polyproj.lp import INFEASIBLE, ConstraintSystem, Face, InfeasibleSystem, lp_standard
+from polyproj.lp import (UNBOUNDED, ConstraintSystem, Face, InfeasibleSystem, LpSolution,
+                         lp_minimize)
 from polyproj.rationals import dot, rational
 from polyproj.scenarios import elemental_inequalities
 
 from .oracles import brute_hull_facets, brute_vertices
 
 
+def _minimize(rows, p):
+    """min p.q over {q >= 0 : sum_i q_i rows_i = e_0}, as lp_minimize's dual:
+    rows_i . y >= -p_i minimizing e_0 . y, the system epm_sample_face solves."""
+    width = len(rows[0])
+    system = ConstraintSystem(tuple(Face(f, -v) for f, v in zip(rows, p)), width)
+    return lp_minimize(system, (1,) + (0,) * (width - 1), want_point=False)
+
+
 def test_unique_combination_interval():
     # {y >= 0, -y >= -1}, eliminate everything: only q = (1/2, 1/2) survives
     system = ConstraintSystem.from_rows([((1,), 0), ((-1,), -1)], 1)
     cp = build_combination_polytope(system, 0)
-    # two combination weights; rows sum(q) = 1 and the cancelled coordinate
-    assert cp.A == ((1, 1), (1, -1)) and cp.b == (1, 0)
+    # two combination weights; per row, its weight in sum(q) = 1 and in the
+    # cancelled coordinate
+    assert cp.rows == ((1, 1), (1, -1))
     for p in ([0, 0], [1, 0], [-3, 7]):
         face = epm_sample_face(cp, p)
         assert face.f == ()
@@ -24,12 +34,15 @@ def test_unique_combination_interval():
     # the combination polytope itself is the single point (1/2, 1/2): each
     # weight has minimum and maximum 1/2, so q_1 >= 2/3 is infeasible
     for c in ([1, 0], [-1, 0], [0, 1], [0, -1]):
-        sol = lp_standard(cp.A, cp.b, c)
-        assert sol.x == (rational(1, 2), rational(1, 2))
-    # q_1 - s = 2/3 with a slack s >= 0
-    rows = [row + (0,) for row in cp.A] + [(1, 0, -1)]
-    above = lp_standard(rows, cp.b + (rational(2, 3),), [0, 0, 0])
-    assert above.status == INFEASIBLE
+        assert _minimize(cp.rows, c).duals == (rational(1, 2), rational(1, 2))
+    # q_1 - s = 2/3 with a slack s >= 0 has no solution: in lp_minimize's
+    # form, one row per weight q_1, q_2, s, each a column of that program,
+    # the minimum of (1, 0, 2/3).y is unbounded
+    rows = [(1, 1, 1), (1, -1, 0), (0, 0, -1)]
+    system = ConstraintSystem(tuple(Face(f, 0) for f in rows), 3)
+    assert lp_minimize(system, [1, 0, rational(2, 3)]).status == UNBOUNDED
+    with pytest.raises(ValueError):
+        epm_sample_face(cp, [0, 0, 0])
 
 
 def test_untouched_variables_full_simplex():
@@ -43,7 +56,7 @@ def test_untouched_variables_full_simplex():
 def test_elemental_one_body_feasible():
     system = elemental_inequalities(3)
     cp = build_combination_polytope(system, 3)
-    assert lp_standard(cp.A, cp.b, [0] * len(system.rows)).optimal
+    assert _minimize(cp.rows, [0] * len(system.rows)).optimal
     face = epm_sample_face(cp, [1] * len(system.rows))
     assert is_implied(system, face.pad(system.dim))
 
@@ -95,3 +108,23 @@ def test_separation_of_exterior_points(seed):
         face = epm_sample_face(cp, [dot(row.f, x) - row.b for row in system.rows])
         assert dot(face.f, x0) < face.b, (x0, face)
     assert hits > 0
+
+
+INTERVAL = ConstraintSystem.from_rows([((1,), 0), ((-1,), -1)])
+QUADRANT = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), -2)])
+
+
+@pytest.mark.parametrize("system, d, p, corrupt", [
+    (INTERVAL, 0, [0, 0], lambda q: tuple(2 * v for v in q)),  # sum(q) = 2
+    (INTERVAL, 0, [0, 0], lambda q: (1, 0)),  # y is not cancelled
+    (QUADRANT, 2, [0, 1], lambda q: (q[1], q[0])),  # not the minimum
+    (QUADRANT, 2, [0, 0], lambda q: (q[0] - 2, q[1] + 2)),  # q_1 < 0
+], ids=["sum", "cancel", "minimum", "sign"])
+def test_corrupted_combination_is_caught(monkeypatch, system, d, p, corrupt):
+    # the q read from lp_minimize's duals is checked before its face is built
+    cp = build_combination_polytope(system, d)
+    epm_sample_face(cp, p)
+    read = LpSolution.duals
+    monkeypatch.setattr(LpSolution, "duals", property(lambda sol: corrupt(read.fget(sol))))
+    with pytest.raises(AssertionError, match="combination"):
+        epm_sample_face(cp, p)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyproj import ConstraintSystem, lp_feasible, lp_minimize, simplex
-from polyproj import lp as lp_module
+from polyproj import epm, lp as lp_module
+from polyproj.epm import build_combination_polytope, combination_face, epm_sample_face
+from polyproj.geometry import capped
 from polyproj.linalg import orthogonal_complement
-from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face, lp_standard,
+from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face,
                          normalize_face, pivot_equations, substitute)
 from polyproj.rationals import dot, rational
+from polyproj.scenarios import parse_scenario
 
 from .oracles import equality_rows
 
@@ -185,47 +188,55 @@ def test_deterministic(case):
     assert (a.status, a.x, a.objective) == (b.status, b.x, b.objective)
 
 
-def _explicit_rows(A, b):
-    """min c.q, A q = b, q >= 0 as an inequality system: unit rows q >= 0
-    and each equality as a paired row."""
-    n = len(A[0])
-    system = ConstraintSystem.from_rows(
-        [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)], n)
-    for row, rhs in zip(A, b):
-        system = system.with_rows(equality_rows(row, rhs))
-    return system
+@pytest.mark.parametrize("spec", ["bell:2x2:body=1,2", "cca:3"])
+def test_epm_sample_matches_the_explicit_standard_form(monkeypatch, spec):
+    # min p.q over the combination polytope {q >= 0 : sum(q) = 1,
+    # (q^T L)[d:] = 0} is the dual lp_minimize solves for EPM's system: its
+    # duals are the q of the simplex on the standard form written out
+    bundle = parse_scenario(spec)
+    d = bundle.scenario.d
+    work = capped(bundle.system, d)
+    cp = build_combination_polytope(work, d)
+    A = [[1] * len(work.rows)] + [[row.f[j] for row in work.rows] for j in range(d, work.dim)]
+    b = [1] + [0] * (work.dim - d)
+    solutions = []
+
+    def spy(*args, **kwargs):
+        solutions.append(lp_minimize(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(epm, "lp_minimize", spy)
+    rng = random.Random(0)
+    for _ in range(3):
+        p = [rng.randint(-(2**20), 2**20) for _ in work.rows]
+        face = epm_sample_face(cp, p)
+        res = simplex.solve_standard(A, b, p)
+        assert res.status == simplex.OPTIMAL
+        q = tuple(Fraction(v, res.den) for v in res.z_ints)
+        sol = solutions.pop()
+        assert sol.duals == q and -sol.objective == Fraction(res.value_ints[0], res.den)
+        assert face == combination_face(cp, q)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_standard_form_matches_the_explicit_encoding(seed):
-    rng = random.Random(seed)
-    seen = set()
-    for _ in range(60):
-        m, n = rng.randint(1, 3), rng.randint(1, 5)
-        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-        b = [rational(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(m)]
-        c = [rng.randint(-3, 3) for _ in range(n)]
-        got = lp_standard(A, b, c)
-        want = lp_minimize(_explicit_rows(A, b), c, want_point=False)
-        assert got.status == want.status
-        seen.add(got.status)
-        if got.optimal:
-            assert got.objective == want.objective
-            q = got.x
-            assert all(v >= 0 for v in q)
-            assert all(dot(row, q) == v for row, v in zip(A, b))
-            assert dot(c, q) == got.objective
-        elif got.status == UNBOUNDED:
-            assert all(v >= 0 for v in got.ray) and dot(c, got.ray) < 0
-            assert all(dot(row, got.ray) == 0 for row in A)
-    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+@pytest.mark.parametrize("objective, certificate", [([0, 0], "ray"), ([0, 1], "z_ints")])
+def test_corrupted_infeasibility_certificate_is_caught(monkeypatch, objective, certificate):
+    # x >= 1 and -x >= 0 have no solution.  Minimizing 0 the dual is
+    # unbounded, and its ray is the Farkas certificate; minimizing y the
+    # dual is infeasible, and the auxiliary system's solution is
+    rows = [(1, 0, 1), (-1, 0, 0)]
+    assert lp_minimize(build(rows, 2), objective).status == INFEASIBLE
+    solve = simplex.solve_standard
 
+    def corrupted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        cert = getattr(res, certificate)
+        if cert:
+            setattr(res, certificate, (cert[0], cert[1] + 1))
+        return res
 
-def test_standard_form_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        lp_standard([[1, 2]], [1], [1])
-    with pytest.raises(ValueError):
-        lp_standard([[1, 2]], [1, 0], [1, 1])
+    monkeypatch.setattr(simplex, "solve_standard", corrupted)
+    with pytest.raises(AssertionError, match="infeasibility certificate"):
+        lp_minimize(build(rows, 2), objective)
 
 
 @pytest.fixture
