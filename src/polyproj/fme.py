@@ -13,8 +13,9 @@ those first d coordinates.  Row counts can square at each step, so
 ``fme_project`` first substitutes away the implicit equalities that
 ``implied_equalities`` finds, with ``lp.pivot_equations``; then it picks
 each next coordinate by Duffin's growth score and drops redundant rows after
-every step (float probes steer, exact certificates decide); its
-``row_budget`` adds a hard row cap.
+every step: a row that is another row loosened or the sum of two goes with
+no LP, and for the rest float probes steer and exact certificates decide.
+Its ``row_budget`` adds a hard row cap.
 
 Every row produced is a nonnegative combination of input rows plus
 multiples of implied equalities, hence valid for the projection no matter

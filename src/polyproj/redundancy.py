@@ -12,21 +12,25 @@ needed, but *every implication is justified by an exact certificate*:
   - an implication is accepted only once an exact conic multiplier vector
     q >= 0 with q^T L = s f (s > 0) and q^T a >= s b is in hand.
 
-The first such q tried is the float LP's own dual, rounded to small
-fractions and checked in integers (`_certificate`).  When the rounding
-misses, a full exact LP decides.  So floating point influences speed,
-never results (Dhiflaoui et al., "Certifying and
-repairing solutions to large LPs", 2003).
+The first such q tried needs no LP: a row that is another alive row
+loosened, or the plain sum of two, f = f_p + f_q with b <= b_p + b_q, as
+chain rules make in entropy cones (`_Sweep.sums_to`).  Hashes of the rows
+propose p and q and a check in integers decides.  Next comes the float
+LP's own dual, rounded to small fractions and checked in integers
+(`_certificate`).  When the rounding misses, a full exact LP decides.  So
+floating point influences speed, never results (Dhiflaoui et al.,
+"Certifying and repairing solutions to large LPs", 2003).
 
 Each sweep is one `_Sweep`: its rows, one mask of the rows still alive,
-and one HiGHS model of the rows, built once and driven through scipy's
-bindings.  A probe changes the objective and lifts one row's bound, then
-solves warm from the previous basis, retrying once from scratch when the
-warm solve ends neither optimal nor unbounded.  That model runs HiGHS's
-primal simplex with presolve off (see `_Sweep` for why); the one cold LP
-of `implied_equalities` keeps HiGHS's defaults.  A sweep with a row the
-float model cannot hold (a right-hand side or a coefficient too far from
-the row's scale, see `_held`) runs exact LPs only.
+the hashes of the alive rows, and one HiGHS model of the rows, built once
+and driven through scipy's bindings.  A probe changes the objective and
+lifts one row's bound, then solves warm from the previous basis, retrying
+once from scratch when the warm solve ends neither optimal nor unbounded.
+That model runs HiGHS's primal simplex with presolve off (see `_Sweep` for
+why); the one cold LP of `implied_equalities` keeps HiGHS's defaults.  A
+sweep with a row the float model cannot hold (a right-hand side or a
+coefficient too far from the row's scale, see `_held`) runs exact LPs only,
+after the sums.
 
 `implied_equalities` first solves one more float LP, for a point of the
 system at which as many rows as possible hold strictly.  Its dual, once
@@ -41,10 +45,13 @@ through that row like any inequality, which is exact but makes more rows.
 
 import importlib.util
 import math
+import operator
 import os
+import random
 import sys
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from itertools import chain
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -92,6 +99,14 @@ _DECISION_TOL = 1e-7
 _FLOAT_LIMIT = 10 ** 15
 _ENTRY_LIMIT = 10 ** 8
 _DENOMINATOR_LIMIT = 1000
+
+
+def _hash_weights(dim: int) -> List[int]:
+    """dim 64-bit weights for the row hashes of `_Sweep`, the same in every
+    run.  Random, not structured: with weights j * c, every row with the
+    same sum of j * f_j has the same hash, and small integer rows often do."""
+    rng = random.Random(0)
+    return [rng.getrandbits(64) for _ in range(dim)]
 
 
 def _linprog(highs):
@@ -206,7 +221,13 @@ def _certificate(rows: Sequence[Face], weights, face: Face) -> Optional[List[int
 
 
 class _Sweep:
-    """The rows of one sweep, which of them are alive, and their float model.
+    """The rows of one sweep, which of them are alive, their hashes and
+    their float model.
+
+    Row k hashes to H_k = f_k.w mod 2^64, for the fixed random weights w of
+    `_hash_weights`; `keys` holds the hashes of the alive rows, sorted, and
+    `keyed` their indices, for `sums_to`.  Both are None when a coefficient
+    does not fit in an int64, and then `sums_to` proposes nothing.
 
     The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once per
     sweep, column-wise, from each row divided by its scale (`_magnitude`):
@@ -234,11 +255,21 @@ class _Sweep:
         self.system = system
         self.rows = list(system.rows)
         self.alive = np.ones(len(self.rows), dtype=bool)
-        self.highs = None
+        self.highs = self.keys = None
+        m, dim, inf = len(self.rows), system.dim, _hc.kHighsInf
         scale = [_magnitude(r) for r in self.rows]
+        if max(scale, default=0) < 2 ** 63:  # every f_j fits in an int64
+            # H_k = f_k.w mod 2^64: int64 read as uint64 is f_k mod 2^64,
+            # and uint64 products and sums wrap modulo 2^64
+            self.hash_weights = _hash_weights(dim)
+            f = np.fromiter(chain.from_iterable(r.f for r in self.rows),
+                            np.int64, m * dim).reshape(m, dim)
+            hashes = (f.view(np.uint64) * np.array(self.hash_weights, np.uint64)
+                      ).sum(axis=1, dtype=np.uint64)
+            self.keyed = np.argsort(hashes, kind="stable")
+            self.keys = hashes[self.keyed]
         if not use_float or not all(map(_held, self.rows, scale)):
             return
-        m, dim, inf = len(self.rows), system.dim, _hc.kHighsInf
         # quotients of integers, none above _FLOAT_LIMIT, so none overflows
         pairs = list(zip(self.rows, scale))
         a_t = np.fromiter((-(c / g) for r, g in pairs for c in r.f),
@@ -248,6 +279,7 @@ class _Sweep:
         start = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=dim), out=start[1:])
         self.columns = (start, index, a_t[cols, index])
+        self.cost_index = np.arange(dim, dtype=np.int32)
         self.highs = _highs(np.zeros(dim), np.full(dim, -inf),
                             np.full(dim, inf), self.columns, self.bub)
         if self.highs is not None:
@@ -256,6 +288,9 @@ class _Sweep:
 
     def drop(self, i: int) -> None:
         self.alive[i] = False
+        if self.keys is not None:
+            keep = self.keyed != i
+            self.keyed, self.keys = self.keyed[keep], self.keys[keep]
         if self.highs is not None:
             self.highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
 
@@ -269,7 +304,7 @@ class _Sweep:
         """
         highs, inf, dim = self.highs, _hc.kHighsInf, self.system.dim
         g = _magnitude(face)
-        highs.changeColsCost(dim, np.arange(dim, dtype=np.int32),
+        highs.changeColsCost(dim, self.cost_index,
                              np.array([c / g for c in face.f], dtype=float))
         target = face.b / g
         lifted = skip is not None and self.alive[skip]
@@ -281,7 +316,7 @@ class _Sweep:
                 return False
             if status != _hc.HighsModelStatus.kOptimal:
                 return None
-            if (highs.getInfo().objective_function_value
+            if (highs.getObjectiveValue()
                     < target - _DECISION_TOL * (1 + abs(target))):
                 return False
             duals = highs.getSolution().row_dual
@@ -293,16 +328,54 @@ class _Sweep:
             allowed[skip] = False
         return _weights(duals, allowed)
 
+    def sums_to(self, face: Face, skip: Optional[int] = None) -> bool:
+        """Whether face is an alive row p other than row `skip` loosened,
+        f = f_p and b <= b_p, or the sum of two, f = f_p + f_q and
+        b <= b_p + b_q (p = q allowed); False when the sweep has no hashes.
+
+        The hashes propose: the rows p with H_p = h(face) and, for each
+        alive p, the first alive q other than `skip` with
+        H_q = h(face) - H_p (mod 2^64), found by binary search in `keys`.
+        The check in integers decides, so a collision costs only its check,
+        and a sum missed behind one only leaves face to the later steps.
+        """
+        if self.keys is None:
+            return False
+        keys, keyed, rows = self.keys, self.keyed, self.rows
+        h = np.uint64(sum(map(operator.mul, face.f, self.hash_weights)) % 2 ** 64)
+        lo, hi = keys.searchsorted(h), keys.searchsorted(h, "right")
+        if any(p != skip and rows[p].f == face.f and rows[p].b >= face.b
+               for p in keyed[lo:hi].tolist()):
+            return True
+        wanted = h - keys  # wraps modulo 2^64
+        lo, hi = keys.searchsorted(wanted), keys.searchsorted(wanted, "right")
+        for j in np.flatnonzero(lo < hi).tolist():
+            p, k = int(keyed[j]), int(lo[j])
+            q = int(keyed[k])
+            if q == skip and k + 1 < hi[j]:
+                q = int(keyed[k + 1])
+            if skip in (p, q):
+                continue
+            fp, fq = rows[p], rows[q]
+            if (fp.b + fq.b >= face.b
+                    and all(c == x + y for c, x, y in zip(face.f, fp.f, fq.f))):
+                return True
+        return False
+
     def implies(self, face: Face, skip: Optional[int] = None) -> bool:
         """Whether the alive rows other than row `skip` imply face.
 
-        Three steps, in order: the float probe, whose "not implied" is
-        final (keeping a row needs no proof); its dual weights rounded into
-        an exact certificate (`_certificate`); and the exact LP.  With no
-        row skipped (`implied_equalities`, which drops none) that LP runs on
+        Four steps, in order: face as one alive row loosened or as the sum
+        of two (`sums_to`), checked in integers and found through hashes,
+        which needs no LP; the float probe, whose "not implied" is final
+        (keeping a row needs no proof); its dual weights rounded into an
+        exact certificate (`_certificate`); and the exact LP.  With no row
+        skipped (`implied_equalities`, which drops none) that LP runs on
         the system itself, whose warm-started tableau it reuses.  Rows with
         no common point imply every face.
         """
+        if self.sums_to(face, skip):
+            return True
         if self.highs is not None:
             weights = self.probe(face, skip)
             if weights is False:

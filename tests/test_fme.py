@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import os
 import random
@@ -248,6 +249,10 @@ def test_prune_redundant_drops_implied_rows():
         ([((0, 0), 0)], set()),
         ([((1, 0), 0)], {((1, 0), 0)}),
         ([((0, 0), 1)], {((0, 0), 1)}),
+        # x + y >= 0 is the sum of y >= 0 and x >= 0 and goes first; y >= 0
+        # is then no sum of x + y and -x, since x + y is gone
+        ([((1, 1), 0), ((0, 1), 0), ((1, 0), 0), ((-1, 0), 0)],
+         {((0, 1), 0), ((1, 0), 0), ((-1, 0), 0)}),
     ]
     for pairs, want in cases:
         for use_float in (False, True):
@@ -324,14 +329,30 @@ def cone_with_implied_rows(draw):
     return _with_implied_rows(draw, pairs, dim)
 
 
+@contextlib.contextmanager
+def _lp_alone():
+    """Sweeps decided by exact LPs alone: `_Sweep.sums_to` proves nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(redundancy._Sweep, "sums_to", lambda self, face, skip=None: False)
+        yield
+
+
 @given(st.one_of(system_with_implied_rows(), cone_with_implied_rows()))
 @settings(max_examples=60)
 def test_float_sweeps_equal_exact_sweeps(s):
-    # floats only steer: the persistent HiGHS model must reach the verdicts of
-    # the exact-only sweep, so a bound left lifted after a probe shows here
-    assert (prune_redundant(s, use_float=True).rows
-            == prune_redundant(s, use_float=False).rows)
-    assert implied_equalities(s) == implied_equalities(s, use_float=False)
+    # floats and hashes only steer: the persistent HiGHS model must reach the
+    # verdicts of exact LPs, so a bound left lifted after a probe shows here,
+    # and so does a sum accepted on its hash alone when all weights are 0
+    # and every hash collides
+    with _lp_alone():
+        expected = (prune_redundant(s, use_float=False).rows,
+                    implied_equalities(s, use_float=False))
+    for weights in (redundancy._hash_weights, lambda dim: [0] * dim):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(redundancy, "_hash_weights", weights)
+            for use_float in (True, False):
+                assert (prune_redundant(s, use_float=use_float).rows,
+                        implied_equalities(s, use_float=use_float)) == expected
 
 
 def test_sweep_probe_restores_and_drops_rows():
@@ -584,18 +605,20 @@ def _refuse(monkeypatch, module, name):
 
 def test_per_step_sweeps_skip_pass_through_rows(monkeypatch):
     # probing every pass-through row and every row's reverse costs 1,397
-    # float LPs on cca:3; the skips leave 501, the interior LP included, and
-    # the interior LP's certified dual leaves 424; every drop and equality
-    # is proven by a rounded float dual, with no exact solve or LP.  All but
-    # the interior LP are warm probes by primal simplex without presolve,
-    # and HiGHS's default settings find the same rows
+    # float LPs on cca:3; the skips leave 501, the interior LP included, the
+    # interior LP's certified dual leaves 424, and the rows that are another
+    # row loosened or the sum of two, dropped by `_Sweep.sums_to` with no
+    # LP, leave 246; every other drop and equality is proven by a rounded
+    # float dual, with no exact solve or LP.  All but the interior LP are
+    # warm probes by primal simplex without presolve, and HiGHS's default
+    # settings find the same rows
     cca3 = parse_scenario("cca:3")
     calls = _count_float_lps(monkeypatch)
     _refuse(monkeypatch, redundancy, "lp_minimize")
     out = fme_project(cca3.system, cca3.scenario.d)
     assert len(out) == 16
-    assert len(calls) == 424
-    assert calls.count(("off", 4)) == 423
+    assert len(calls) == 246
+    assert calls.count(("off", 4)) == 245
     hc = redundancy._hc
 
     class DefaultHighs(hc._Highs):
@@ -608,6 +631,37 @@ def test_per_step_sweeps_skip_pass_through_rows(monkeypatch):
     calls.clear()
     assert fme_project(cca3.system, cca3.scenario.d).rows == out.rows
     assert set(calls) == {("choose", 1)}
+
+
+def test_sums_of_rows_are_dropped_without_a_probe(monkeypatch):
+    # x + y >= 0 is the sum of x >= 0 and y >= 0, and x + 2y >= 1 is
+    # x + 2y >= 2 loosened: both go with no float LP, and each row kept
+    # costs one probe
+    s = sys_of([((1, 1), 0), ((1, 0), 0), ((0, 1), 0),
+                ((1, 2), 1), ((1, 2), 2)], 2)
+    calls = _count_float_lps(monkeypatch)
+    _refuse(monkeypatch, redundancy, "lp_minimize")
+    assert rowset(prune_redundant(s)) == {((1, 0), 0), ((0, 1), 0), ((1, 2), 2)}
+    assert len(calls) == 3
+
+
+def test_colliding_hashes_keep_the_sweeps_of_cca3_exact(monkeypatch):
+    # with every weight 0 every pair of rows is proposed, and only the
+    # integer check decides: each sweep of FME on cca:3 keeps the rows an
+    # exact LP keeps
+    monkeypatch.setattr(redundancy, "_hash_weights", lambda dim: [0] * dim)
+    cca3, sweep, checked = parse_scenario("cca:3"), fme.prune_redundant, []
+
+    def checked_sweep(system, protect=()):
+        out = sweep(system, protect=protect)
+        with _lp_alone():
+            assert out == sweep(system, protect=protect, use_float=False)
+        checked.append(len(system) - len(out))
+        return out
+
+    monkeypatch.setattr(fme, "prune_redundant", checked_sweep)
+    assert len(fme_project(cca3.system, cca3.scenario.d)) == 16
+    assert len(checked) == 24 and sum(checked) == 1143 - 920
 
 
 # ------------------------------------------------- rounded certificates
