@@ -51,7 +51,6 @@ import random
 import sys
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from itertools import chain
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -226,8 +225,7 @@ class _Sweep:
 
     Row k hashes to H_k = f_k.w mod 2^64, for the fixed random weights w of
     `_hash_weights`; `keys` holds the hashes of the alive rows, sorted, and
-    `keyed` their indices, for `sums_to`.  Both are None when a coefficient
-    does not fit in an int64, and then `sums_to` proposes nothing.
+    `keyed` their indices, for `sums_to`.
 
     The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once per
     sweep, column-wise, from each row divided by its scale (`_magnitude`):
@@ -255,19 +253,17 @@ class _Sweep:
         self.system = system
         self.rows = list(system.rows)
         self.alive = np.ones(len(self.rows), dtype=bool)
-        self.highs = self.keys = None
+        self.highs = None
         m, dim, inf = len(self.rows), system.dim, _hc.kHighsInf
+        # H_k = f_k.w mod 2^64: uint64 products and sums wrap modulo 2^64
+        self.hash_weights = _hash_weights(dim)
+        f = np.fromiter((c % 2 ** 64 for r in self.rows for c in r.f),
+                        np.uint64, m * dim).reshape(m, dim)
+        hashes = (f * np.array(self.hash_weights, np.uint64)
+                  ).sum(axis=1, dtype=np.uint64)
+        self.keyed = np.argsort(hashes, kind="stable")
+        self.keys = hashes[self.keyed]
         scale = [_magnitude(r) for r in self.rows]
-        if max(scale, default=0) < 2 ** 63:  # every f_j fits in an int64
-            # H_k = f_k.w mod 2^64: int64 read as uint64 is f_k mod 2^64,
-            # and uint64 products and sums wrap modulo 2^64
-            self.hash_weights = _hash_weights(dim)
-            f = np.fromiter(chain.from_iterable(r.f for r in self.rows),
-                            np.int64, m * dim).reshape(m, dim)
-            hashes = (f.view(np.uint64) * np.array(self.hash_weights, np.uint64)
-                      ).sum(axis=1, dtype=np.uint64)
-            self.keyed = np.argsort(hashes, kind="stable")
-            self.keys = hashes[self.keyed]
         if not use_float or not all(map(_held, self.rows, scale)):
             return
         # quotients of integers, none above _FLOAT_LIMIT, so none overflows
@@ -288,9 +284,8 @@ class _Sweep:
 
     def drop(self, i: int) -> None:
         self.alive[i] = False
-        if self.keys is not None:
-            keep = self.keyed != i
-            self.keyed, self.keys = self.keyed[keep], self.keys[keep]
+        keep = self.keyed != i
+        self.keyed, self.keys = self.keyed[keep], self.keys[keep]
         if self.highs is not None:
             self.highs.changeRowBounds(i, -_hc.kHighsInf, _hc.kHighsInf)
 
@@ -331,7 +326,7 @@ class _Sweep:
     def sums_to(self, face: Face, skip: Optional[int] = None) -> bool:
         """Whether face is an alive row p other than row `skip` loosened,
         f = f_p and b <= b_p, or the sum of two, f = f_p + f_q and
-        b <= b_p + b_q (p = q allowed); False when the sweep has no hashes.
+        b <= b_p + b_q (p = q allowed).
 
         The hashes propose: the rows p with H_p = h(face) and, for each
         alive p, the first alive q other than `skip` with
@@ -339,8 +334,6 @@ class _Sweep:
         The check in integers decides, so a collision costs only its check,
         and a sum missed behind one only leaves face to the later steps.
         """
-        if self.keys is None:
-            return False
         keys, keyed, rows = self.keys, self.keyed, self.rows
         h = np.uint64(sum(map(operator.mul, face.f, self.hash_weights)) % 2 ** 64)
         lo, hi = keys.searchsorted(h), keys.searchsorted(h, "right")

@@ -343,16 +343,16 @@ def test_float_sweeps_equal_exact_sweeps(s):
     # floats and hashes only steer: the persistent HiGHS model must reach the
     # verdicts of exact LPs, so a bound left lifted after a probe shows here,
     # and so does a sum accepted on its hash alone when all weights are 0
-    # and every hash collides
+    # and every hash collides (the sums act alike with and without floats)
     with _lp_alone():
         expected = (prune_redundant(s, use_float=False).rows,
                     implied_equalities(s, use_float=False))
-    for weights in (redundancy._hash_weights, lambda dim: [0] * dim):
+    for weights, use_float in ((redundancy._hash_weights, True),
+                               (lambda dim: [0] * dim, False)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(redundancy, "_hash_weights", weights)
-            for use_float in (True, False):
-                assert (prune_redundant(s, use_float=use_float).rows,
-                        implied_equalities(s, use_float=use_float)) == expected
+            assert (prune_redundant(s, use_float=use_float).rows,
+                    implied_equalities(s, use_float=use_float)) == expected
 
 
 def test_sweep_probe_restores_and_drops_rows():
@@ -645,23 +645,52 @@ def test_sums_of_rows_are_dropped_without_a_probe(monkeypatch):
     assert len(calls) == 3
 
 
+def test_sums_of_rows_beyond_int64_are_dropped_without_an_lp(monkeypatch):
+    # hashes reduce each coefficient modulo 2^64, so a sum or a loosened
+    # row with entries of either sign beyond 2^63 still goes with no LP:
+    # only the 2 rows kept cost an exact LP each
+    big = 2 * 3 ** 44
+    s = sys_of([((big + 1, 1 - big), -1), ((big, 1), -5),
+                ((big, 1), 0), ((1, -big), -1)], 2)
+    solve, calls = redundancy.lp_minimize, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(redundancy, "lp_minimize", counted)
+    assert rowset(prune_redundant(s, use_float=False)) == {((big, 1), 0),
+                                                           ((1, -big), -1)}
+    assert len(calls) == 2
+
+
 def test_colliding_hashes_keep_the_sweeps_of_cca3_exact(monkeypatch):
-    # with every weight 0 every pair of rows is proposed, and only the
-    # integer check decides: each sweep of FME on cca:3 keeps the rows an
-    # exact LP keeps
-    monkeypatch.setattr(redundancy, "_hash_weights", lambda dim: [0] * dim)
-    cca3, sweep, checked = parse_scenario("cca:3"), fme.prune_redundant, []
+    # with every weight 0 every hash collides, and with every weight 1 the
+    # rows with equal coefficient sums do, so lookups propose rows that do
+    # not sum to the face and only the integer check decides: an exact LP
+    # confirms every face the sums prove in FME's sweeps of cca:3, and FME
+    # ends with the facets it finds when the sums prove nothing
+    cca3 = parse_scenario("cca:3")
+    with _lp_alone():
+        expected = fme_project(cca3.system, cca3.scenario.d).rows
+    sums_to, proven = redundancy._Sweep.sums_to, []
 
-    def checked_sweep(system, protect=()):
-        out = sweep(system, protect=protect)
-        with _lp_alone():
-            assert out == sweep(system, protect=protect, use_float=False)
-        checked.append(len(system) - len(out))
-        return out
+    def checked(self, face, skip=None):
+        if not sums_to(self, face, skip):
+            return False
+        others = tuple(r for k, r in enumerate(self.rows)
+                       if self.alive[k] and k != skip)
+        assert is_implied(ConstraintSystem(others, self.system.dim), face)
+        proven[-1] += 1
+        return True
 
-    monkeypatch.setattr(fme, "prune_redundant", checked_sweep)
-    assert len(fme_project(cca3.system, cca3.scenario.d)) == 16
-    assert len(checked) == 24 and sum(checked) == 1143 - 920
+    monkeypatch.setattr(redundancy._Sweep, "sums_to", checked)
+    for weight in (0, 1):
+        monkeypatch.setattr(redundancy, "_hash_weights",
+                            lambda dim: [weight] * dim)
+        proven.append(0)
+        assert fme_project(cca3.system, cca3.scenario.d).rows == expected
+    assert proven == [0, 38]
 
 
 # ------------------------------------------------- rounded certificates
