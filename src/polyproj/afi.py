@@ -163,7 +163,7 @@ def _subface_axis(face: Face, pdirs: List[Tuple], fbase: Tuple,
             if coef:
                 vec = [a + coef * b for a, b in zip(vec, p)]
         if not is_zero_vector(vec):
-            return Face(tuple(vec), dot(vec, fbase))
+            return normalize_face(vec, dot(vec, fbase))
     return None
 
 

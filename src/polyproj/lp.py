@@ -15,23 +15,28 @@ FME's implicit equalities and for the chart of a flat image.
 
     max a.q   s.t.   L^T q = c,  q >= 0
 
-with the fraction-free simplex from :mod:`polyproj.simplex`.  For the systems
-this package cares about (many rows, comparatively few coordinates) the dual
-tableau is far smaller than a primal encoding with split free variables.  The
-primal point is x = -pi for the simplex multipliers pi, read off the
+with the fraction-free simplex from :mod:`polyproj.simplex`, which takes and
+returns integers only.  For the systems this package cares about (many rows,
+comparatively few coordinates) the dual tableau is far smaller than a primal
+encoding with split free variables.  Rows are integers (``Face``); each
+objective is multiplied by the lcm of its denominators, which moves no
+minimizer and no pivot, and divided back out of the value and the duals.
+The primal point is x = -pi for the simplex multipliers pi, read off the
 terminal cost row as integers X and D > 0 with x = X / D (feasible by the
 termination condition).  The simplex returns the optimal values as integers
 too, (objective, tie values) = -V / den, so every check is in integers:
 c.X den = -V_0 D for the objective and each tie, and f.X >= b D for every
 row, before x's rationals are built.  The dual vector is the simplex
 solution itself, kept as integers until ``LpSolution.duals`` is read, so a
-value-only solve builds one rational, its objective.  Unboundedness and
-infeasibility are separated by an auxiliary Farkas system, so no
-primal-form tableau is ever built.  Each infeasible verdict is checked
-against its Farkas certificate r >= 0, r.L = 0, r.a > 0: an unbounded
-dual's ray, or the auxiliary system's solution.  A standard-form program
-min p.q, A q = b, q >= 0 is the dual of the rows (A^T)_i . x >= -p_i with
-the objective b, so it needs no entry of its own (see ``epm``).
+value-only solve builds one rational, its objective.  No primal-form tableau
+is ever built.  An unbounded dual's ray is checked as the Farkas certificate
+r >= 0, r.L = 0, r.a > 0 of an infeasible system.  An infeasible dual means
+an unbounded minimum if the system has a point, which the zero objective
+decides: its dual, with right-hand side 0, is feasible, so that solve ends
+with a point checked against every row or a checked Farkas certificate.  A
+standard-form program min p.q, A q = b, q >= 0 is the dual of the rows
+(A^T)_i . x >= -p_i with the objective b, so it needs no entry of its own
+(see ``epm``).
 
 Tie-break objectives t_1, t_2, ... make the minimum lexicographic: min c.x,
 then min t_1.x among those minimizers, and so on.  That is min
@@ -54,10 +59,12 @@ on which solves came before on the same system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import simplex
-from .rationals import dot, lex_sign, mpq, scale_to_coprime_ints
+from .rationals import (common_denominator, dot, lex_sign, mpq, scale_to_coprime_ints,
+                        scaled_ints)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -69,7 +76,7 @@ class InfeasibleSystem(ValueError):
 
 
 class Face(NamedTuple):
-    """One inequality f.x >= b with integer coefficients."""
+    """One inequality f.x >= b with Python int coefficients, as exact LPs need."""
 
     f: Tuple[int, ...]
     b: int
@@ -181,11 +188,14 @@ class ConstraintSystem:
         return self._dual()[0]
 
     def _dual(self) -> Tuple[List[List[int]], List[int]]:
-        """(L^T, -a), cached: the dual's constraint matrix and costs."""
+        """(L^T, -a), cached: the dual's constraint matrix and costs.  Raises
+        ValueError when a row has a non-int entry."""
         cached = getattr(self, "_dual_cache", None)
         if cached is None:
             cached = ([[row.f[k] for row in self.rows] for k in range(self.dim)],
                       [-row.b for row in self.rows])
+            if not set(map(type, chain(cached[1], *cached[0]))) <= {int}:
+                raise ValueError("exact LPs need integer rows; normalize_face makes them")
             object.__setattr__(self, "_dual_cache", cached)
         return cached
 
@@ -195,7 +205,7 @@ class LpSolution:
     status: str
     x: Optional[Tuple] = None
     objective: Optional[object] = None
-    ray: Optional[Tuple] = None     # recession direction, (c, t_1, ...).ray lex < 0
+    ray: Optional[Tuple[int, ...]] = None  # recession direction, (c, t_1, ...).ray lex < 0
     # the duals as integers (Q, D) with D > 0, q = Q / D
     _duals: Optional[Tuple[Tuple[int, ...], int]] = field(default=None, repr=False)
 
@@ -218,7 +228,7 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
     """
     Exact min of objective.x over the system.  Status is one of optimal /
     unbounded / infeasible; optimal solutions carry the attaining point, the
-    exact objective and dual multipliers, unbounded ones a ray witness.
+    exact objective and dual multipliers, unbounded ones an integer ray.
 
     ``ties`` are tie-break objectives, in order: the minimum is then
     lexicographic (see the module docstring), the point is checked against
@@ -232,15 +242,13 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
     objectives = [list(objective)] + [list(t) for t in ties]
     if any(len(v) != system.dim for v in objectives):
         raise ValueError("objective width does not match the system")
+    # each objective as ints, times the lcm of its denominators
+    scales = [1] * len(objectives)
+    for i, v in enumerate(objectives):
+        if not set(map(type, v)) <= {int}:
+            scales[i] = common_denominator(v)
+            objectives[i] = scaled_ints(v, scales[i])
     c = objectives[0]
-    m = len(system.rows)
-    if m == 0:
-        first = next((v for v in objectives if any(v)), None)
-        if first is None:
-            return LpSolution(OPTIMAL, x=tuple([0] * system.dim), objective=mpq(0),
-                              _duals=((), 1))
-        ray = tuple(-x for x in first)
-        return LpSolution(UNBOUNDED, ray=ray)
 
     # The cache is emptied during the solve, which pivots the tableau in
     # place, so a solve that fails part-way leaves no tableau behind.
@@ -250,9 +258,10 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
     res = simplex.solve_standard(A, c, costs, ties=objectives[1:], warm=warm)
     object.__setattr__(system, "_tableau_cache", res._tableau)
     if res.status == simplex.OPTIMAL:
-        # the primal values are minus the dual's: -value_ints / den
+        # the primal values are minus the dual's: -value_ints / den / scales[0]
         V, den = res.value_ints, res.den
-        sol = LpSolution(OPTIMAL, objective=mpq(-V[0], den), _duals=(res.z_ints, den))
+        sol = LpSolution(OPTIMAL, objective=mpq(-V[0], den * scales[0]),
+                         _duals=(res.z_ints, den * scales[0]))
         if want_point:
             X, D = res.multipliers()
             if any(dot(v, X) * den != -num * D for v, num in zip(objectives, V)):
@@ -266,12 +275,11 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
         # The dual is unbounded, so the primal is infeasible.
         return _infeasible(system, res.ray)
 
-    # Dual infeasible: primal is unbounded if feasible, else infeasible.
-    # Farkas: L x >= a has no solution iff some q >= 0 has q.L = 0, q.a = 1.
-    aug = A + [[row.b for row in system.rows]]
-    feas = simplex.solve_standard(aug, [0] * system.dim + [1], [0] * m)
-    if feas.status == simplex.OPTIMAL:
-        return _infeasible(system, feas.z_ints)  # q = z_ints / den, den > 0
+    # Dual infeasible: the primal is unbounded if it has a point, which the
+    # zero objective decides (its dual, with right-hand side 0, is feasible).
+    feasible = lp_minimize(system, [0] * system.dim)
+    if feasible.status != OPTIMAL:
+        return feasible
     ray = tuple(-y for y in res.farkas())
     if lex_sign(dot(v, ray) for v in objectives) >= 0:
         raise AssertionError("invalid unboundedness certificate")

@@ -39,11 +39,6 @@ class MatrixFile:
     system: ConstraintSystem
     comments: Tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def names(self) -> Tuple[str, ...]:
-        assert self.system.names is not None
-        return self.system.names
-
 
 def default_names(dim: int) -> Tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, dim + 1))

@@ -4,7 +4,8 @@ Exact two-phase simplex for standard-form programs
     min c.z   subject to   A z = b,  z >= 0
 
 with Bland's smallest-index pivoting rule (no cycling, fully deterministic
-given the row/column order).
+given the row/column order).  Integers in, integers out: A, b, c and the
+ties below are Python ints, and so is every readout.
 
 The right-hand side may be a block  [b | t_1 | ... | t_{k-1}]  of k columns,
 read as the perturbed program  A z = b + eps t_1 + ... + eps^(k-1) t_{k-1}
@@ -13,13 +14,14 @@ Wolfe, 1955).  Only the ratio test sees the block: a basis is feasible when
 each row of its block is lexicographically nonnegative, and the leaving row
 is the lexicographically smallest ratio row, ties going to the smallest
 basis index as Bland's rule does.  That is Bland's rule on the scalar
-program at one fixed small eps, so it cannot cycle either.  Phase 1 reports
-infeasibility when its block row is lexicographically negative; after a
-feasible phase 1 every basic artificial has an all-zero block row, and only
-such rows are driven out or dropped.  The terminal basis is optimal for all
-small eps at once, and the phase-2 cost row under block column j holds
-``-c_B B^-1 t_j``: column 0 gives the objective, the others the tie values.
-With k = 1 every comparison is the scalar one, pivot for pivot.
+program at one fixed small eps, so it cannot cycle either.  Phase 1 negates
+each row whose block is lexicographically negative (the row's sign), and
+reports infeasibility when its block row is lexicographically negative;
+after a feasible phase 1 every basic artificial has an all-zero block row,
+and only such rows are driven out or dropped.  The terminal basis is optimal
+for all small eps at once, and the phase-2 cost row under block column j
+holds ``-c_B B^-1 t_j``: column 0 gives the objective, the others the tie
+values.  With k = 1 every comparison is the scalar one, pivot for pivot.
 
 The tableau is kept *fraction free*: an integer matrix ``N`` together with a
 positive integer denominator ``det`` represents the rational dictionary
@@ -41,30 +43,26 @@ promotes.  One pivot routine serves both dtypes; only the dtype differs.
 Everything read out of the tableau (ratio test, certificates) goes through
 Python ints.
 
-An optimal ``StandardResult`` holds integers only: the solution as
-``z_ints`` and the objective and tie values as ``value_ints``, both over one
-positive denominator ``den``, and the multipliers' numerators
-(``multipliers()``).  Its one caller, ``lp.lp_minimize``, checks them and
-builds the rationals it returns.
+A ``StandardResult`` holds integers only (see there).  Its one caller,
+``lp.lp_minimize``, checks them and builds the rationals it returns.
 
 The m artificial (identity) columns are carried in the tableau after the
 variables; they never enter the basis, and column ``k+n+i`` always belongs to
 input row i.  Under them the cost rows hold ``-c_B B^-1`` (phase 2) and
 ``1 - c1_B B^-1`` (phase 1), so the certificates (optimal multipliers, Farkas
 vectors for infeasibility) are read off the terminal cost rows without a
-second factorisation.  A row dropped as linearly dependent keeps its
-artificial basic, so its certificate entry is 0.
+second factorisation, times each row's sign.  A row dropped as linearly
+dependent keeps its artificial basic, so its certificate entry is 0.
 
 Warm starts.  A new right-hand side leaves the cost row of an optimal
 tableau as it was, so its basis stays dual feasible.  ``solve_standard``
 accepts such a tableau (``warm``, an earlier result's ``_tableau`` for the
 same A and c), puts the new block under its basis in one integer product
-with the artificial columns (``_Tableau.set_rhs``; an all-int block within
-the bound takes an int64 product, any other one an ``object`` product) and
-runs the dual simplex ``_Tableau.dual_run`` (Lemke, 1954) with Bland's rule
-on the dual, sharing ``pivot`` with the primal ``run``.  Only tableaux
-where phase 1 dropped no row are offered for reuse: a dropped row would go
-unchecked under a new block.  When ``dual_run`` meets a row with no entering column
+with the artificial columns (``_Tableau.set_rhs``) and runs the dual
+simplex ``_Tableau.dual_run`` (Lemke, 1954) with Bland's rule on the dual,
+sharing ``pivot`` with the primal ``run``.  Only tableaux where phase 1
+dropped no row are offered for reuse: a dropped row would go unchecked
+under a new block.  When ``dual_run`` meets a row with no entering column
 the standard form is infeasible, and the solve goes cold, so every
 certificate of infeasibility still comes from phase 1.  A warm solve ends
 on the lexicographic optimum, like a cold one, so status, objective and
@@ -80,7 +78,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rationals import common_denominator, lex_sign, mpq, scaled_ints
+from .rationals import lex_sign
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -93,22 +91,21 @@ CHECK_PIVOTS = False
 
 @dataclass
 class StandardResult:
+    """A status and its certificate in Python ints, over ``den`` (the final
+    det): when optimal, the solution z = z_ints / den and the values of b
+    and each tie column, (objective, t_1, ...) = value_ints / den.  An
+    unbounded ``ray`` and ``farkas()`` are det times the rational ones."""
+
     status: str
-    ray: Optional[Tuple] = None          # improving ray when unbounded
+    ray: Optional[Tuple[int, ...]] = None  # improving ray when unbounded
     basis: Optional[Tuple[int, ...]] = None
-    # Optimal only, as Python ints over one positive denominator ``den``: the
-    # solution z = z_ints / den (length n) and the values of b and of each
-    # tie column, (objective, t_1, ...) = value_ints / den.
     z_ints: Tuple[int, ...] = field(default=(), repr=False)
     value_ints: Tuple[int, ...] = field(default=(), repr=False)
     den: int = 1
     # Terminal cost-row entries under the artificial columns (phase 2 when
-    # optimal, phase 1 when infeasible), their denominator and the scalings
-    # applied to the input rows and costs.
+    # optimal, phase 1 when infeasible) and the signs of the input rows.
     _art_costs: Sequence[int] = field(default=(), repr=False)
-    _det: int = 1
-    _row_scale: Sequence[int] = field(default=(), repr=False)
-    _cost_scale: int = 1
+    _signs: Sequence[int] = field(default=(), repr=False)
     # The terminal tableau when it can warm-start a solve with a new
     # right-hand side (see ``solve_standard``), else None.
     _tableau: Optional["_Tableau"] = field(default=None, repr=False)
@@ -119,16 +116,14 @@ class StandardResult:
         defined for optimal results."""
         if self.status != OPTIMAL:
             raise ValueError("multipliers are defined for optimal results only")
-        return (tuple(d * s for d, s in zip(self._art_costs, self._row_scale)),
-                self._det * self._cost_scale)
+        return tuple(d * s for d, s in zip(self._art_costs, self._signs)), self.den
 
-    def farkas(self) -> Tuple:
-        """Exact certificate y of infeasibility: y.A <= 0 and y.b > 0."""
+    def farkas(self) -> Tuple[int, ...]:
+        """Exact certificate y of infeasibility, in ints: y.A <= 0 and y.b > 0."""
         if self.status != INFEASIBLE:
             raise ValueError("farkas certificate exists for infeasible results only")
-        det = self._det
-        return tuple(mpq((det - d) * s, det)
-                     for d, s in zip(self._art_costs, self._row_scale))
+        det = self.den
+        return tuple((det - d) * s for d, s in zip(self._art_costs, self._signs))
 
 
 #: Tableau entries below this bound keep the Bareiss update inside int64.
@@ -136,17 +131,12 @@ _INT64_BOUND = 2 ** 31
 
 
 class _Tableau:
-    def __init__(self, rows: List[List[int]], rhs: List[List[int]], cost: List[int],
-                 row_scale: List[int], cost_scale: int):
+    def __init__(self, rows: Sequence[Sequence[int]], rhs: List[List[int]],
+                 cost: Sequence[int], signs: List[int]):
         m, n, k = len(rows), len(cost), len(rhs[0])
         self.m, self.n, self.k = m, n, k
-        # Row i of the input is scaled by row_scale[i], the costs by
-        # cost_scale and the right-hand-side block by rhs_scale.
-        self.row_scale, self.cost_scale, self.rhs_scale = row_scale, cost_scale, 1
-        # row_scale as int64 for set_rhs, when it fits, and its bound
-        self._scale_top = max(map(abs, row_scale))
-        self._scale64 = (np.array(row_scale, dtype=np.int64)
-                         if self._scale_top < 2 ** 63 else None)
+        # Row i of the input, with its block, is multiplied by signs[i] = +-1.
+        self.signs = np.array(signs, dtype=np.int64)
         # Layout: columns 0..k-1 = RHS block, columns k..k+n-1 = variables,
         # columns k+n..k+n+m-1 = artificials.  Rows 0..m-1 = constraints,
         # row m = phase-2 cost, row m+1 = phase-1 cost (dropped once phase 1
@@ -156,6 +146,7 @@ class _Tableau:
         N = np.zeros((m + 2, k + n + m), dtype=np.int64 if big < _INT64_BOUND else object)
         N[:m, :k] = rhs
         N[:m, k:k + n] = rows
+        N[:m, :k + n] *= self.signs[:, None]
         N[range(m), range(k + n, k + n + m)] = 1
         N[m, k:k + n] = cost
         N[m + 1, :k + n] = -N[:m, :k + n].sum(axis=0)
@@ -221,34 +212,25 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(leave, enter)
 
-    def set_rhs(self, columns: Sequence[Sequence]) -> None:
-        """Replace the right-hand-side block by ``columns`` (the columns b,
-        t_1, ..., each one entry per input row, rationals allowed) under the
-        current basis.  The artificial columns hold det B^-1 in the scaled
-        frame, so the new block is the one integer product
-        N[:, art] . (rhs_scale * row_scale * block), with rhs_scale the
-        smallest positive integer making it integral.
+    def set_rhs(self, columns: Sequence[Sequence[int]]) -> None:
+        """Replace the right-hand-side block by ``columns`` (the integer
+        columns b, t_1, ..., each one entry per input row) under the current
+        basis.  The artificial columns hold det B^-1 of the rows times their
+        signs, so the new block is the one integer product
+        N[:, art] . (signs * block).
 
-        An all-int block on an int64 tableau is multiplied in int64 when
-        max|N[:, art]| * max|block| * max|row_scale| * m < 2^63 bounds every
-        partial sum.  Fractions and larger ints take the object product,
-        which goes back to int64 when below 2^31 and promotes the tableau
-        otherwise."""
+        On an int64 tableau the product is taken in int64 when
+        max|N[:, art]| * max|block| * m < 2^63 bounds every partial sum.
+        Larger ints take the object product, which goes back to int64 when
+        below 2^31 and promotes the tableau otherwise."""
         m, n, k = self.m, self.n, self.k
         N = self.N
         art = N[:, k + n:]
-        lam = 1
-        integral = set(map(type, chain(*columns))) <= {int}
-        if (integral and art.dtype != object and self._scale64 is not None
-                and int(np.abs(art).max()) * max(map(abs, chain(*columns)))
-                * self._scale_top * m < 2 ** 63):
-            new = art @ (np.array(columns, dtype=np.int64) * self._scale64).T
+        if (art.dtype != object
+                and int(np.abs(art).max()) * max(map(abs, chain(*columns))) * m < 2 ** 63):
+            new = art @ (np.array(columns, dtype=np.int64) * self.signs).T
         else:
-            scaled = [[d * v for d, v in zip(self.row_scale, col)] for col in columns]
-            if not integral:
-                lam = common_denominator(chain(*scaled))
-                scaled = [scaled_ints(col, lam) for col in scaled]
-            new = art.astype(object) @ np.array(scaled, dtype=object).T
+            new = art.astype(object) @ (np.array(columns, dtype=object) * self.signs).T
             if N.dtype != object:
                 if np.abs(new).max() < _INT64_BOUND:
                     new = new.astype(np.int64)
@@ -258,7 +240,7 @@ class _Tableau:
             N[:, :k] = new
         else:
             N = np.concatenate([new, N[:, k:]], axis=1)
-        self.N, self.k, self.rhs_scale = N, len(columns), lam
+        self.N, self.k = N, len(columns)
 
     def dual_run(self) -> str:
         """Dual simplex iterations from a basis whose phase-2 cost row is
@@ -303,8 +285,9 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
                    ties: Sequence[Sequence] = (),
                    warm: Optional[_Tableau] = None) -> StandardResult:
     """
-    Solve min c.z s.t. A z = b, z >= 0 exactly.  Deterministic: Bland's rule,
-    ties by smallest variable index, row order as given.
+    Solve min c.z s.t. A z = b, z >= 0 exactly, for A, b, c and ``ties`` of
+    Python ints.  Deterministic: Bland's rule, ties by smallest variable
+    index, row order as given.
 
     ``ties`` are further right-hand sides t_1, t_2, ...: the program solved
     is then A z = b + eps t_1 + eps^2 t_2 + ... for all small eps > 0 (see
@@ -338,22 +321,10 @@ def solve_standard(A: Sequence[Sequence], b: Sequence, c: Sequence,
 def _solve_cold(A: Sequence[Sequence], b: Sequence, c: Sequence,
                 ties: Sequence[Sequence]) -> StandardResult:
     """Two-phase solve from the artificial basis (m > 0)."""
-    m, n = len(A), len(c)
-    k = 1 + len(ties)
-    rows, rhs, row_scale = [], [], []
-    for i in range(m):
-        block = [b[i]] + [t[i] for t in ties]
-        # an integer row (every row of lp_minimize's dual) adds no denominator
-        integral = set(map(type, A[i])) <= {int}
-        scale = common_denominator(block if integral else list(A[i]) + block)
-        if lex_sign(block) < 0:
-            scale = -scale
-        rows.append(scaled_ints(A[i], scale))
-        rhs.append(scaled_ints(block, scale))
-        row_scale.append(scale)
-
-    cost_scale = common_denominator(c)
-    tab = _Tableau(rows, rhs, scaled_ints(c, cost_scale), row_scale, cost_scale)
+    n, k = len(c), 1 + len(ties)
+    blocks = [[b[i]] + [t[i] for t in ties] for i in range(len(A))]
+    signs = [lex_sign(block) or 1 for block in blocks]
+    tab = _Tableau(A, blocks, c, signs)
     p1 = tab.m + 1
 
     tab.run(p1)
@@ -361,7 +332,7 @@ def _solve_cold(A: Sequence[Sequence], b: Sequence, c: Sequence,
         return StandardResult(
             INFEASIBLE,
             basis=tuple(tab.basis),
-            _art_costs=tab.N[p1, k + n:].tolist(), _det=tab.det, _row_scale=row_scale,
+            _art_costs=tab.N[p1, k + n:].tolist(), den=tab.det, _signs=signs,
         )
 
     # Drive zero-level artificials out of the basis; drop dependent rows
@@ -380,11 +351,11 @@ def _solve_cold(A: Sequence[Sequence], b: Sequence, c: Sequence,
 
     if status == UNBOUNDED:
         s = tab._unbounded_col
-        ray = [mpq(0)] * n
-        ray[s - k] = mpq(1)
+        ray = [0] * n
+        ray[s - k] = tab.det
         for i in range(tab.m):
             if tab.basis[i] < n:
-                ray[tab.basis[i]] = mpq(-int(tab.N[i, s]), tab.det)
+                ray[tab.basis[i]] = -int(tab.N[i, s])
         return StandardResult(UNBOUNDED, ray=tuple(ray))
 
     # a dropped row's constraint would go unchecked under a new block
@@ -399,12 +370,11 @@ def _optimal(tab: _Tableau, reusable: bool = True) -> StandardResult:
     z = [0] * n
     for i, j in enumerate(tab.basis):
         if j < n:
-            z[j] = rhs[i] * tab.cost_scale
+            z[j] = rhs[i]
     return StandardResult(
         OPTIMAL,
         basis=tuple(tab.basis),
         z_ints=tuple(z), value_ints=tuple(-v for v in cost[:k]),
-        den=tab.det * tab.cost_scale * tab.rhs_scale,
-        _art_costs=cost[k + n:], _det=tab.det, _row_scale=tab.row_scale,
-        _cost_scale=tab.cost_scale, _tableau=tab if reusable else None,
+        den=tab.det, _art_costs=cost[k + n:], _signs=tab.signs.tolist(),
+        _tableau=tab if reusable else None,
     )

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyproj import afi, geometry, simplex
+from polyproj import afi, analysis, epm, geometry, lp, redundancy, simplex
 from polyproj.afi import (
     AfiConfig,
     BudgetExhausted,
@@ -397,6 +397,26 @@ def test_bell_2x2_ridge_charts_stay_small_integer(monkeypatch):
     afi_project(bundle.system, bundle.scenario.d, AfiConfig(group=bundle.group))
     assert coeffs and max(coeffs) <= 2
     assert not object_pivots
+
+
+@pytest.mark.parametrize("spec", ["bell:2x2:body=1,2", "cca:3"])
+def test_afi_gives_the_exact_lps_integer_objectives(monkeypatch, spec):
+    # every objective and tie of the walk's exact LPs is all-int, so
+    # lp_minimize scales none of them; on cca:3 the walk tightens its seed
+    # along subface axes, which are normalized faces
+    bundle = parse_scenario(spec)
+    seen, inner = [], lp.lp_minimize
+
+    def spy(system, objective, *, ties=(), **kwargs):
+        seen.append([objective, *ties])
+        return inner(system, objective, ties=ties, **kwargs)
+
+    for module in (lp, geometry, epm, redundancy, analysis):
+        if getattr(module, "lp_minimize", None) is inner:
+            monkeypatch.setattr(module, "lp_minimize", spy)
+    assert afi_project(bundle.system, bundle.scenario.d, AfiConfig(group=bundle.group))
+    assert len(seen) > 100
+    assert all(type(x) is int for objectives in seen for v in objectives for x in v)
 
 
 @pytest.mark.parametrize("flat", [False, True])

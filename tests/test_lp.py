@@ -110,6 +110,20 @@ def test_zero_objective_reports_feasible_point():
     assert sol.objective == 0
 
 
+@pytest.mark.parametrize("objective, ties", [([0, 0], []), ([1, -2], []), ([0, 0], [[0, 1]])])
+def test_system_without_rows(objective, ties):
+    # R^2 itself: the general path solves a dual with no columns
+    sol = lp_minimize(ConstraintSystem((), 2), objective, ties=ties)
+    if any(objective + sum(ties, [])):
+        assert sol.status == UNBOUNDED
+        signs = [dot(v, sol.ray) for v in [objective] + ties]
+        assert next(s for s in signs if s) < 0
+    else:
+        assert (sol.status, sol.x, sol.objective, sol.duals) == (OPTIMAL, (0, 0), 0, ())
+    zero = lp_minimize(ConstraintSystem((), 0), [])
+    assert (zero.status, zero.x, zero.objective, zero.duals) == (OPTIMAL, (), 0, ())
+
+
 def test_rational_data():
     half = rational(1, 2)
     sys_ = ConstraintSystem.from_rows(
@@ -218,20 +232,19 @@ def test_epm_sample_matches_the_explicit_standard_form(monkeypatch, spec):
         assert face == combination_face(cp, q)
 
 
-@pytest.mark.parametrize("objective, certificate", [([0, 0], "ray"), ([0, 1], "z_ints")])
-def test_corrupted_infeasibility_certificate_is_caught(monkeypatch, objective, certificate):
+@pytest.mark.parametrize("objective", [[0, 0], [0, 1]])
+def test_corrupted_infeasibility_certificate_is_caught(monkeypatch, objective):
     # x >= 1 and -x >= 0 have no solution.  Minimizing 0 the dual is
     # unbounded, and its ray is the Farkas certificate; minimizing y the
-    # dual is infeasible, and the auxiliary system's solution is
+    # dual is infeasible, and the ray of the zero objective's solve is
     rows = [(1, 0, 1), (-1, 0, 0)]
     assert lp_minimize(build(rows, 2), objective).status == INFEASIBLE
     solve = simplex.solve_standard
 
     def corrupted(*args, **kwargs):
         res = solve(*args, **kwargs)
-        cert = getattr(res, certificate)
-        if cert:
-            setattr(res, certificate, (cert[0], cert[1] + 1))
+        if res.ray:
+            res.ray = (res.ray[0], res.ray[1] + 1)
         return res
 
     monkeypatch.setattr(simplex, "solve_standard", corrupted)
@@ -335,12 +348,52 @@ def test_warm_solves_match_cold_solves(pivot_counts, kind):
     assert warm_pivots < cold_pivots
 
 
-def test_warm_solve_scales_a_fractional_block():
-    system = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)], 2)
-    assert lp_minimize(system, [1, 2]).x == (0, 0)
-    sol = lp_minimize(system, [Fraction(-1, 3), Fraction(-1, 2)])
-    assert system._tableau_cache.rhs_scale == 6
-    assert sol.objective == Fraction(-3, 2) and sol.x == (0, 3)
+def test_warm_solve_scales_a_fractional_block(monkeypatch):
+    # a Fraction objective is solved as its integer multiple, 6 times it
+    # here: the same point and pivots, with the objective and duals scaled back
+    pivots = []
+    pivot = simplex._Tableau.pivot
+
+    def spy(self, r, s):
+        pivots.append((r, s))
+        pivot(self, r, s)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", spy)
+    runs = []
+    for objective in ([Fraction(-1, 3), Fraction(-1, 2)], [-2, -3]):
+        system = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), 0), ((-1, -1), -3)], 2)
+        assert lp_minimize(system, [1, 2]).x == (0, 0)
+        pivots.clear()
+        runs.append((lp_minimize(system, objective), list(pivots)))
+    (sol, run), (multiple, multiple_run) = runs
+    assert run == multiple_run and run
+    assert sol.objective == Fraction(-3, 2) and sol.x == (0, 3) == multiple.x
+    assert multiple.objective == 6 * sol.objective
+    assert tuple(6 * q for q in sol.duals) == multiple.duals
+
+
+def test_rows_with_fractions_are_refused():
+    # Face documents integer coefficients; a row built around from_rows
+    # with a Fraction would be truncated in an int64 tableau
+    system = ConstraintSystem((Face((Fraction(1, 2), 0), 1), Face((0, 1), 0)), 2)
+    with pytest.raises(ValueError, match="integer rows"):
+        lp_minimize(system, [1, 1])
+
+
+def test_corrupted_feasibility_point_is_caught(monkeypatch):
+    # min -y over the cone x >= 0, y >= 0 is unbounded once the zero
+    # objective's solve finds a point, which is checked against every row
+    cone = build([(1, 0, 0), (0, 1, 0)], 2)
+    assert lp_minimize(cone, [0, -1]).status == UNBOUNDED
+    read = simplex.StandardResult.multipliers
+
+    def shifted(res):  # the point minus (1, 1), off the cone
+        X, D = read(res)
+        return tuple(x - D for x in X), D
+
+    monkeypatch.setattr(simplex.StandardResult, "multipliers", shifted)
+    with pytest.raises(AssertionError, match="recovered LP point violates the system"):
+        lp_minimize(_fresh(cone), [0, -1])
 
 
 def test_unbounded_after_bounded_goes_cold(pivot_counts):
@@ -353,11 +406,13 @@ def test_unbounded_after_bounded_goes_cold(pivot_counts):
     assert sol.status == UNBOUNDED
     assert dot((1, -1), sol.ray) < 0
     assert all(dot(row.f, sol.ray) >= 0 for row in cone.rows)
-    assert pivot_counts["dual_runs"] == 1
+    # two dual runs: the objective's, which finds the dual infeasible, and
+    # the zero objective's, which finds the point at once
+    assert pivot_counts["dual_runs"] == 2
     # the dual-feasible tableau stays cached for the next bounded objective
     assert cone._tableau_cache is tableau
     assert lp_minimize(cone, [2, 1]).objective == 0
-    assert pivot_counts["dual_runs"] == 2
+    assert pivot_counts["dual_runs"] == 3
 
 
 def test_value_only_warm_solve_builds_one_rational(pivot_counts, monkeypatch):
@@ -370,7 +425,6 @@ def test_value_only_warm_solve_builds_one_rational(pivot_counts, monkeypatch):
         built.append(args)
         return Fraction(*args)
 
-    monkeypatch.setattr(simplex, "mpq", counted)
     monkeypatch.setattr(lp_module, "mpq", counted)
     cold_pivots = pivot_counts["pivots"]
     sol = lp_minimize(box, [-1, 2], want_point=False)

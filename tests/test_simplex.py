@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -22,15 +23,14 @@ def _programs(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         m, n = rng.randint(1, 4), rng.randint(2, 6)
-        A = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
-             for _ in range(m)]
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         if m > 1 and rng.random() < 0.4:
             A[-1] = [rng.randint(-2, 2) * a for a in A[0]]
         z0 = [rng.randint(0, 2) for _ in range(n)]
         b = [sum(a * z for a, z in zip(row, z0)) for row in A]
         if rng.random() < 0.3:
             b = [x + rng.randint(-2, 2) for x in b]
-        c = [Fraction(rng.randint(-2, 4), rng.choice((1, 2))) for _ in range(n)]
+        c = [rng.randint(-2, 4) for _ in range(n)]
         yield A, b, c
 
 
@@ -100,14 +100,14 @@ def test_certificates_on_random_programs(check_pivots):
             seen["optimal, dependent rows" if dropped else "optimal"] += 1
         elif res.status == simplex.INFEASIBLE:
             y = res.farkas()
-            assert len(y) == m
+            assert len(y) == m and all(type(v) is int for v in y)
             for j in range(n):
                 assert _dot(y, _column(A, j)) <= 0
             assert _dot(y, b) > 0
             seen["infeasible"] += 1
         else:
             ray = res.ray
-            assert all(r >= 0 for r in ray)
+            assert all(type(r) is int and r >= 0 for r in ray)
             assert all(_dot(row, ray) == 0 for row in A)
             assert _dot(c, ray) < 0
             seen["unbounded"] += 1
@@ -140,8 +140,7 @@ def _lex_programs(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         m, n, k = rng.randint(1, 4), rng.randint(2, 6), rng.randint(2, 3)
-        A = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
-             for _ in range(m)]
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         if m > 1 and rng.random() < 0.4:
             A[-1] = [rng.randint(-2, 2) * a for a in A[0]]
         block = []
@@ -153,7 +152,7 @@ def _lex_programs(seed, count):
             block.append(rhs)
         if rng.random() < 0.2:  # a repeated or zero tie column
             block[-1] = list(block[0]) if rng.random() < 0.5 else [0] * m
-        c = [Fraction(rng.randint(-2, 4), rng.choice((1, 2))) for _ in range(n)]
+        c = [rng.randint(-2, 4) for _ in range(n)]
         yield A, block, c
 
 
@@ -164,20 +163,24 @@ def _staged(A, block, c):
     optima pinned as rows b_l.y = v_l.  In standard form such a pin is a
     free column b_l of cost v_l, split into two nonnegative ones; it is kept
     (at cost 0) when stage 1 is unbounded, so later stages still decide
-    feasibility.  Returns (status, values)."""
+    feasibility.  The simplex takes integer costs, so each stage's costs are
+    multiplied by the lcm L of the pins' denominators, and its value divided
+    by L.  Returns (status, values)."""
     status, values = simplex.OPTIMAL, []
     for j, b in enumerate(block):
         rows = [list(row) + [p[i] for p in block[:j]] + [-p[i] for p in block[:j]]
                 for i, row in enumerate(A)]
         pins = values if status == simplex.OPTIMAL else [0] * j
-        res = simplex.solve_standard(rows, b, list(c) + pins + [-v for v in pins])
+        L = lcm(*(Fraction(v).denominator for v in pins))
+        costs = [int(L * x) for x in list(c) + pins + [-v for v in pins]]
+        res = simplex.solve_standard(rows, b, costs)
         if res.status == simplex.INFEASIBLE:
             return simplex.INFEASIBLE, None
         if res.status == simplex.UNBOUNDED:
             assert j == 0 or status == simplex.UNBOUNDED
             status = simplex.UNBOUNDED
         else:
-            values.append(_values(res)[0])
+            values.append(_values(res)[0] / L)
     return status, (values if status == simplex.OPTIMAL else None)
 
 
@@ -217,10 +220,10 @@ def test_rhs_block_matches_staged_solves(check_pivots):
 
 
 def _scaled_block(rng, block):
-    """The block times one positive factor, chosen so that its entries stay
-    small, come just below 2^31, go above it, or turn fractional."""
+    """The block times one positive integer factor, chosen so that its
+    entries stay small, come just below 2^31, or go above it."""
     top = max(abs(x) for col in block for x in col) or 1
-    factor = rng.choice((1, (2 ** 31 - 1) // top or 1, 2 ** 32 // top + 1, Fraction(1, 3)))
+    factor = rng.choice((1, (2 ** 31 - 1) // top or 1, 2 ** 32 // top + 1))
     return [[factor * x for x in col] for col in block]
 
 
@@ -262,14 +265,12 @@ def _wide_programs(seed, count):
         yield A, block, _scaled_block(warm_rng, warm), c
 
 
-def _rhs_path(before, after, columns, N):
+def _rhs_path(before, after, N):
     """Which dtype path ``set_rhs`` took, as far as its effect shows."""
     if before == object:
         return "object tableau"
     if after == object:
         return "promoted"
-    if not all(type(v) is int for col in columns for v in col):
-        return "fractional block, int64 kept"
     if max(abs(int(v)) for v in N.flat) >= simplex._INT64_BOUND:
         return "int block, int64 above 2^31"
     return "int block, int64"
@@ -306,7 +307,7 @@ def test_int64_tableaux_match_object_ones(check_pivots, monkeypatch):
     def spy_rhs(self, columns):
         before = self.N.dtype
         set_rhs(self, columns)
-        rhs_paths[_rhs_path(before, self.N.dtype, columns, self.N)] += 1
+        rhs_paths[_rhs_path(before, self.N.dtype, self.N)] += 1
 
     monkeypatch.setattr(simplex._Tableau, "pivot", spy)
     monkeypatch.setattr(simplex._Tableau, "set_rhs", spy_rhs)
@@ -348,12 +349,12 @@ def test_int64_tableaux_match_object_ones(check_pivots, monkeypatch):
     assert set(seen) == {"int64 throughout", "object from the start",
                          "promoted in the middle", "warm, optimal", "warm, infeasible"}
     assert set(rhs_paths) == {"int block, int64", "int block, int64 above 2^31",
-                              "fractional block, int64 kept", "promoted", "object tableau"}
+                              "promoted", "object tableau"}
 
 
 def _warm_blocks(rng, A, count):
     """Right-hand-side blocks of 1-3 columns for warm solves on A: mostly
-    A z for some z >= 0, now and then shifted off it or fractional."""
+    A z for some z >= 0, now and then shifted off it."""
     n = len(A[0])
     for _ in range(count):
         block = []
@@ -362,8 +363,6 @@ def _warm_blocks(rng, A, count):
             if rng.random() < 0.2:
                 rhs = [x + rng.randint(-2, 2) for x in rhs]
             block.append(rhs)
-        if rng.random() < 0.2:
-            block = [[Fraction(x, 2) for x in col] for col in block]
         yield block
 
 
