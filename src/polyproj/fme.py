@@ -34,6 +34,17 @@ working system is flat, through an equality among the kept coordinates or
 one the float search missed, or a float verdict kept a redundant row), a
 protected row may be redundant: keeping a valid row is always sound, and the
 final sweep, which protects nothing, removes it.
+
+One float point serves every sweep: the point z of the interior LP that
+``implied_equalities`` solves anyway, where as many input rows as possible
+are strict.  Every row FME makes is a positive combination of input rows
+after substitution, so it is strict wherever they all are, and its value
+at z does not depend on the coordinates it no longer has: each step's sweep
+takes z as it is, and the final sweep its first d coordinates.  A sweep
+keeps a row with no probe when the ray from z to the row's plane meets it
+strictly inside every other row (``redundancy._Sweep.keeps``).  That test is
+its own proof, so z needs no guarantee: a poor z, or a flat system such as
+cca:4's, only gives fewer such verdicts.
 """
 
 from itertools import chain
@@ -122,10 +133,11 @@ def fme_project(system: ConstraintSystem, d: int, *,
     Implied equalities are substituted away first; then each remaining
     coordinate is eliminated in Duffin's order (see
     ``choose_elimination_variable``), with a redundancy sweep after every
-    step and a final one on the result.  The sweep after a step probes only
+    step and a final one on the result.  The sweep after a step tests only
     the rows that are not pass-through rows of the previous pruned system;
     the first step's sweep, whose input was never pruned, and the final
-    sweep probe every row (see the module docstring for why).  Setting
+    sweep test every row, and every sweep first tries the keep verdict from
+    the interior LP's point (see the module docstring for both).  Setting
     ``row_budget`` makes this the budgeted outer approximation: after every
     elimination step the row count is capped at the budget, keeping the
     sparsest rows (ties by position).  Every surviving row is still implied
@@ -141,8 +153,9 @@ def fme_project(system: ConstraintSystem, d: int, *,
     # a homogeneous system contains x = 0, so only an affine one needs the LP
     if not system.homogeneous and not lp_feasible(system):
         raise InfeasibleSystem("input system has no solutions")
+    equalities, inside = implied_equalities(system)
     equations, pivots = pivot_equations(
-        [system.rows[i] for i in implied_equalities(system)], range(d, system.dim))
+        [system.rows[i] for i in equalities], range(d, system.dim))
     rows = _purge_trivial([substitute(row, equations, pivots) for row in system.rows])
     work = ConstraintSystem(tuple(dict.fromkeys(rows)), system.dim, system.names)
     cols = range(d, system.dim)
@@ -157,6 +170,7 @@ def fme_project(system: ConstraintSystem, d: int, *,
         work = ConstraintSystem(tuple(rows), work.dim, work.names)
         if cols:
             passed = [i for i, row in enumerate(rows) if row in pruned]
-            work = prune_redundant(work, protect=passed)
+            work = prune_redundant(work, protect=passed, inside=inside)
             pruned = set(work.rows)
-    return prune_redundant(_truncate(work, d))
+    return prune_redundant(_truncate(work, d),
+                           inside=None if inside is None else inside[:d])

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from math import gcd
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import simplex
@@ -103,14 +104,17 @@ def normalize_face(coeffs: Sequence, rhs=0) -> Face:
 
 
 def combine(p: Face, q: Face, v: int) -> Face:
-    """p_v (q, b_q) - q_v (p, b_p) for faces of equal width, normalized: its
-    v-coefficient cancels.  For p_v > 0 > q_v this is a positive combination
-    of the two rows; for an equation p with p_v > 0, a positive multiple of q
-    plus a multiple of p.
+    """p_v (q, b_q) - q_v (p, b_p) for faces of equal width, divided by the
+    gcd of its entries (``normalize_face`` of it, since faces are integers):
+    its v-coefficient cancels.  For p_v > 0 > q_v this is a positive
+    combination of the two rows; for an equation p with p_v > 0, a positive
+    multiple of q plus a multiple of p.
     """
     pv, qv = p.f[v], q.f[v]
-    return normalize_face(tuple(pv * qf - qv * pf for pf, qf in zip(p.f, q.f)),
-                          pv * q.b - qv * p.b)
+    f = [pv * qf - qv * pf for pf, qf in zip(p.f, q.f)]
+    b = pv * q.b - qv * p.b
+    g = gcd(*f, b)  # 0 only for the zero row, which stays as it is
+    return Face(tuple(c // g for c in f), b // g) if g > 1 else Face(tuple(f), b)
 
 
 def substitute(row: Face, equations: Sequence[Face], pivots: Sequence[int]) -> Face:

@@ -12,8 +12,10 @@ files remain self-describing::
     0   1   0
     0   0   1
 
-Entries are integers or rationals written ``p/q``.  Rendering then parsing
-returns the identical system, including column names.
+Entries are integers or rationals written ``p/q``.  A row with a ``p/q``
+entry is read times the lcm of its denominators, so every row is an integer
+``Face``; integer rows are read as written.  Rendering a system of integer
+rows then parsing returns the identical system, including column names.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ConstraintSystem, Face
-from .rationals import format_rational, rational
+from .rationals import common_denominator, format_rational, rational, scaled_ints
 
 _COLUMNS_PREFIX = "# columns:"
 _CONSTANT_COLUMN = "_1"
@@ -120,6 +122,9 @@ def parse(text: str) -> MatrixFile:
             ]
         except (ValueError, ZeroDivisionError) as exc:
             raise MatrixFileError(f"line {lineno}: {exc}") from exc
+        if not all(isinstance(v, int) for v in values):
+            # a positive scale, so the same inequality, with integer entries
+            values = scaled_ints(values, common_denominator(values))
         rows.append(Face(f=tuple(values[1:]), b=-values[0]))
     if names is None:
         if not rows:

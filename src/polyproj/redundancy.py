@@ -12,21 +12,34 @@ needed, but *every implication is justified by an exact certificate*:
   - an implication is accepted only once an exact conic multiplier vector
     q >= 0 with q^T L = s f (s > 0) and q^T a >= s b is in hand.
 
-The first such q tried needs no LP: a row that is another alive row
-loosened, or the plain sum of two, f = f_p + f_q with b <= b_p + b_q, as
-chain rules make in entropy cones (`_Sweep.sums_to`).  Hashes of the rows
-propose p and q and a check in integers decides.  Next comes the float
-LP's own dual, rounded to small fractions and checked in integers
-(`_certificate`).  When the rounding misses, a full exact LP decides.  So
-floating point influences speed, never results (Dhiflaoui et al.,
-"Certifying and repairing solutions to large LPs", 2003).
+`_Sweep.implies` decides each row in five steps, in order:
 
-Each sweep is one `_Sweep`: its rows, one mask of the rows still alive,
-the hashes of the alive rows, and one HiGHS model of the rows, built once
-and driven through scipy's bindings.  A probe changes the objective and
-lifts one row's bound, then solves warm from the previous basis, retrying
-once from scratch when the warm solve ends neither optimal nor unbounded.
-That model runs HiGHS's primal simplex with presolve off (see `_Sweep` for
+  1. keep verdict: when `prune_redundant` is given a point, a row is kept
+     with no LP when the ray from that point to the row's plane meets it
+     strictly inside every other alive row: a row first hit by such a ray
+     is a facet (`_Sweep.keeps`; Berbee et al., "Hit-and-run algorithms for
+     the identification of nonredundant linear inequalities", 1987);
+  2. sums: a row that is another alive row loosened, or the plain sum of
+     two, f = f_p + f_q with b <= b_p + b_q, as chain rules make in entropy
+     cones, is dropped with no LP (`_Sweep.sums_to`); hashes of the rows
+     propose p and q and a check in integers decides;
+  3. float probe: the float LP over the other alive rows, whose "not
+     implied" keeps the row;
+  4. rounded dual: the probe's dual, rounded to small fractions and checked
+     in integers as q (`_certificate`);
+  5. exact LP: when the rounding misses, a full exact LP decides.
+
+The keep verdict and the probe's "not implied" are decided in floats; every
+drop rests on a q checked in integers.  So floating point influences speed,
+never results (Dhiflaoui et al., "Certifying and repairing solutions to
+large LPs", 2003).
+
+Each sweep is one `_Sweep`: its rows, read once into one integer matrix,
+one mask of the rows still alive, the hashes of the alive rows, and one
+HiGHS model of the rows, built once and driven through scipy's bindings.
+A probe changes the objective and lifts one row's bound, then solves warm
+from the previous basis, retrying once from scratch when the warm solve
+ends neither optimal nor unbounded.  That model runs HiGHS's primal simplex with presolve off (see `_Sweep` for
 why); the one cold LP of `implied_equalities` keeps HiGHS's defaults.  A
 sweep with a row the float model cannot hold (a right-hand side or a
 coefficient too far from the row's scale, see `_held`) runs exact LPs only,
@@ -41,6 +54,7 @@ only skips work.  Skipping a row that is an equality, were float error ever
 to do it, would only leave that equality unreported, and a caller that is
 not told of an equality still has a correct system: FME then eliminates
 through that row like any inequality, which is exact but makes more rows.
+The LP's point is also returned, for `prune_redundant(inside=)`.
 """
 
 import importlib.util
@@ -98,6 +112,7 @@ _DECISION_TOL = 1e-7
 _FLOAT_LIMIT = 10 ** 15
 _ENTRY_LIMIT = 10 ** 8
 _DENOMINATOR_LIMIT = 1000
+_FLOAT_EXACT = 2 ** 53  # integers below it convert to floats exactly
 
 
 def _hash_weights(dim: int) -> List[int]:
@@ -129,14 +144,31 @@ def _magnitude(face: Face) -> int:
     return max(map(abs, face.f), default=0) or 1
 
 
-def _held(face: Face, scale: int) -> bool:
-    """Whether the float model holds face divided by its scale: |b| / scale
-    is at most _FLOAT_LIMIT, and no nonzero |f_j| / scale is below
-    1 / _ENTRY_LIMIT, ten times the size below which HiGHS drops a matrix
-    entry (its `small_matrix_value`, 1e-9)."""
-    return (abs(face.b) <= _FLOAT_LIMIT * scale
-            and min(filter(None, map(abs, face.f)), default=scale)
-            * _ENTRY_LIMIT >= scale)
+def _matrix(rows: Sequence[Face], dim: int) -> np.ndarray:
+    """The rows as one integer matrix [f | b]: int64 when every |entry| is
+    below _FLOAT_EXACT, `object` (Python ints) otherwise."""
+    entries = [r.f + (r.b,) for r in rows]
+    try:
+        matrix = np.array(entries, dtype=np.int64).reshape(len(rows), dim + 1)
+        if not matrix.size or (-_FLOAT_EXACT < matrix.min()
+                               and matrix.max() < _FLOAT_EXACT):
+            return matrix
+    except OverflowError:  # an entry beyond int64
+        pass
+    return np.array(entries, dtype=object).reshape(len(rows), dim + 1)
+
+
+def _held(size: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Whether the float model holds each row divided by its scale, for
+    size = |f| and the right-hand sides b: |b| / scale is at most
+    _FLOAT_LIMIT, and no nonzero |f_j| / scale is below 1 / _ENTRY_LIMIT,
+    ten times the size below which HiGHS drops a matrix entry (its
+    `small_matrix_value`, 1e-9).  For integers x, y > 0 and z, x <= y z
+    iff ceil(x / y) <= z, which is how both are tested, so no product can
+    overflow an int64 matrix."""
+    least = -(-scale // _ENTRY_LIMIT)
+    return ((-(-np.abs(b) // scale) <= _FLOAT_LIMIT)
+            & ((size == 0) | (size >= least[:, None])).all(axis=1))
 
 
 def _highs(cost, lower, upper, columns, row_upper):
@@ -223,13 +255,20 @@ class _Sweep:
     """The rows of one sweep, which of them are alive, their hashes and
     their float model.
 
+    Everything is derived from one integer matrix [f | b] of the rows
+    (`_matrix`): int64 while every |entry| is below 2^53, where an entry
+    converts to a float exactly, and `object` (Python ints) otherwise; one
+    code path, and only the dtype differs.
+
     Row k hashes to H_k = f_k.w mod 2^64, for the fixed random weights w of
     `_hash_weights`; `keys` holds the hashes of the alive rows, sorted, and
     `keyed` their indices, for `sums_to`.
 
     The HiGHS model  min c.x  s.t.  -L x <= -a  (free x)  is built once per
-    sweep, column-wise, from each row divided by its scale (`_magnitude`):
-    every entry is a quotient of integers rounded once to a float.  A probe
+    sweep, column-wise, from each row divided by its scale, max |f_j| (1
+    for a zero row): every entry is a quotient of integers rounded once to
+    a float.  Given a point `inside`, the sweep keeps these scaled rows and
+    their slacks there for the keep verdicts of `keeps`.  A probe
     changes the objective and lifts the probed row's bound; `drop` relaxes
     a row's bound for good.  `highs` is None, and every row goes to the
     exact LP, without `use_float`, when a row is out of the model's range
@@ -249,28 +288,38 @@ class _Sweep:
     HiGHS's defaults: by primal simplex, cca:4's took 0.46 s, not 0.27 s.
     """
 
-    def __init__(self, system: ConstraintSystem, use_float: bool):
+    def __init__(self, system: ConstraintSystem, use_float: bool,
+                 inside: Optional[Sequence[float]] = None):
         self.system = system
         self.rows = list(system.rows)
         self.alive = np.ones(len(self.rows), dtype=bool)
-        self.highs = None
-        m, dim, inf = len(self.rows), system.dim, _hc.kHighsInf
-        # H_k = f_k.w mod 2^64: uint64 products and sums wrap modulo 2^64
+        self.highs = self.slack = None
+        dim, inf = system.dim, _hc.kHighsInf
+        matrix = _matrix(self.rows, dim)
+        f, b = matrix[:, :dim], matrix[:, dim]
+        # H_k = f_k.w mod 2^64: the cast wraps an int64 modulo 2^64, and
+        # uint64 products and sums wrap too
         self.hash_weights = _hash_weights(dim)
-        f = np.fromiter((c % 2 ** 64 for r in self.rows for c in r.f),
-                        np.uint64, m * dim).reshape(m, dim)
-        hashes = (f * np.array(self.hash_weights, np.uint64)
+        hashes = ((f % 2 ** 64 if f.dtype == object else f).astype(np.uint64)
+                  * np.array(self.hash_weights, np.uint64)
                   ).sum(axis=1, dtype=np.uint64)
         self.keyed = np.argsort(hashes, kind="stable")
         self.keys = hashes[self.keyed]
-        scale = [_magnitude(r) for r in self.rows]
-        if not use_float or not all(map(_held, self.rows, scale)):
+        size = np.abs(f)
+        scale = size.max(axis=1, initial=0)
+        scale[scale == 0] = 1
+        if not use_float or not _held(size, b, scale).all():
             return
-        # quotients of integers, none above _FLOAT_LIMIT, so none overflows
-        pairs = list(zip(self.rows, scale))
-        a_t = np.fromiter((-(c / g) for r, g in pairs for c in r.f),
-                          float, m * dim).reshape(m, dim).T
-        self.bub = np.fromiter((-(r.b / g) for r, g in pairs), float, m)
+        # quotients of integers, each rounded once (exact int64 to float
+        # below _FLOAT_EXACT), none above _FLOAT_LIMIT, so none overflows
+        scaled = (f / scale[:, None]).astype(float)
+        a_t = -scaled.T
+        self.bub = -(b / scale).astype(float)
+        if inside is not None:
+            self.scaled = scaled
+            z = np.asarray(inside, float)
+            self.slack = np.einsum("ij,j->i", scaled, z) + self.bub  # A z - a
+            self.tol = _DECISION_TOL * self.slack.max(initial=1.0)
         cols, index = np.nonzero(a_t)
         start = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=dim), out=start[1:])
@@ -323,6 +372,28 @@ class _Sweep:
             allowed[skip] = False
         return _weights(duals, allowed)
 
+    def keeps(self, i: int) -> bool:
+        """Whether a ray from `inside` proves that the other alive rows do
+        not imply row i, decided in floats.
+
+        For the scaled rows A, a and the slacks s = A z - a at z = `inside`,
+        the point z - t A_i with t = s_i / |A_i|^2 lies on row i, and row j
+        has slack M_j = s_j - t A_i.A_j there.  When every alive j other
+        than i has M_j above `tol`, that point is strictly inside them all,
+        so a step past row i keeps to them and leaves row i: the rows do
+        not imply it.  Rows are only dropped, so the verdict holds for the
+        rest of the sweep.  A zero row gets none.
+        """
+        scaled, slack = self.scaled, self.slack
+        # einsum, not @: numpy's BLAS may spread a matrix product over threads
+        products = np.einsum("jk,k->j", scaled, scaled[i])
+        if not products[i]:
+            return False
+        margin = slack - (slack[i] / products[i]) * products
+        margin[~self.alive] = np.inf
+        margin[i] = np.inf
+        return margin.min() > self.tol
+
     def sums_to(self, face: Face, skip: Optional[int] = None) -> bool:
         """Whether face is an alive row p other than row `skip` loosened,
         f = f_p and b <= b_p, or the sum of two, f = f_p + f_q and
@@ -356,17 +427,22 @@ class _Sweep:
         return False
 
     def implies(self, face: Face, skip: Optional[int] = None) -> bool:
-        """Whether the alive rows other than row `skip` imply face.
+        """Whether the alive rows other than row `skip` imply face, which is
+        row `skip` itself when one is skipped (`prune_redundant`).
 
-        Four steps, in order: face as one alive row loosened or as the sum
-        of two (`sums_to`), checked in integers and found through hashes,
-        which needs no LP; the float probe, whose "not implied" is final
-        (keeping a row needs no proof); its dual weights rounded into an
-        exact certificate (`_certificate`); and the exact LP.  With no row
-        skipped (`implied_equalities`, which drops none) that LP runs on
-        the system itself, whose warm-started tableau it reuses.  Rows with
-        no common point imply every face.
+        Five steps, in order: the keep verdict of a ray from the sweep's
+        inside point, for a skipped row (`keeps`); face as one alive row
+        loosened or as the sum of two (`sums_to`), checked in integers and
+        found through hashes, which needs no LP; the float probe; its dual
+        weights rounded into an exact certificate (`_certificate`); and the
+        exact LP.  The keep verdict and the probe's "not implied" are
+        decided in floats and final, since keeping a row needs no proof.
+        With no row skipped (`implied_equalities`, which drops none) the LP
+        runs on the system itself, whose warm-started tableau it reuses.
+        Rows with no common point imply every face.
         """
+        if self.slack is not None and skip is not None and self.keeps(skip):
+            return False
         if self.sums_to(face, skip):
             return True
         if self.highs is not None:
@@ -386,9 +462,10 @@ class _Sweep:
             return sol.objective >= face.b
         return sol.status != UNBOUNDED
 
-    def strict_rows(self) -> Tuple[Set[int], List[Tuple[int, float]]]:
-        """Rows that hold with slack >= 1/2 (scaled) at one float point, and
-        the LP's dual weights on the rows.
+    def strict_rows(self) -> Tuple[Set[int], List[Tuple[int, float]],
+                                   Optional[np.ndarray]]:
+        """Rows that hold with slack >= 1/2 (scaled) at one float point, the
+        LP's dual weights on the rows, and that point.
 
         Solves  max sum t  s.t.  Lx - t >= a,  0 <= t <= 1  (free x) over
         the scaled rows, in a model of its own: the sweep's columns and one
@@ -401,8 +478,8 @@ class _Sweep:
         y >= 1, and dual feasibility in the free x reads y.L = 0.  So when
         also y.a >= 0, y is a certificate (for the zero face) that every
         row it weighs is an implicit equality; on a thin polytope y.a < 0
-        and it proves nothing.  Both parts are empty unless the LP ends
-        optimal.
+        and it proves nothing.  Both parts are empty, and the point None,
+        unless the LP ends optimal.
         """
         m, dim, inf = len(self.rows), self.system.dim, _hc.kHighsInf
         start, index, value = self.columns
@@ -414,16 +491,18 @@ class _Sweep:
                        np.concatenate([np.full(dim, inf), np.ones(m)]),
                        columns, self.bub)
         if highs is None or _linprog(highs) != _hc.HighsModelStatus.kOptimal:
-            return set(), []
+            return set(), [], None
         solution = highs.getSolution()
         slack = solution.col_value[dim:]
         strict = {i for i, t in enumerate(slack) if t >= 0.5}
-        return strict, _weights(solution.row_dual)
+        point = np.array(solution.col_value[:dim])
+        return strict, _weights(solution.row_dual), point
 
 
-def implied_equalities(system: ConstraintSystem, *,
-                       use_float: bool = True) -> List[int]:
-    """Indices of rows that hold with equality on the whole solution set.
+def implied_equalities(system: ConstraintSystem, *, use_float: bool = True
+                       ) -> Tuple[List[int], Optional[np.ndarray]]:
+    """Indices of rows that hold with equality on the whole solution set,
+    and the float point of the interior LP (None without one).
 
     Row f.x >= b is an implicit equality iff the reverse -f.x >= -b is also
     implied by the system (max of f equals b).  With floats, one LP first
@@ -439,27 +518,32 @@ def implied_equalities(system: ConstraintSystem, *,
     equality, which costs FME speed, not correctness (see the module
     docstring).  An infeasible system has no solutions, so each of its rows
     holds with equality on all of them: every row is reported.  Callers
-    decide feasibility first.
+    decide feasibility first.  The point is where the most rows are
+    strict, for `prune_redundant(inside=)`.
     """
     sweep = _Sweep(system, use_float)
-    strict, proven = set(), set()
+    strict, proven, point = set(), set(), None
     if sweep.highs is not None:
-        strict, weights = sweep.strict_rows()
+        strict, weights, point = sweep.strict_rows()
         zero = Face((0,) * system.dim, 0)
         proven = set(_certificate(sweep.rows, weights, zero) or ())
     return [i for i, face in enumerate(sweep.rows)
-            if i in proven or (i not in strict and sweep.implies(-face))]
+            if i in proven or (i not in strict and sweep.implies(-face))], point
 
 
 def prune_redundant(system: ConstraintSystem, *, protect: Sequence[int] = (),
-                    use_float: bool = True) -> ConstraintSystem:
+                    use_float: bool = True,
+                    inside: Optional[Sequence[float]] = None) -> ConstraintSystem:
     """Greedy irredundant subsystem with the same solution set.
 
     Rows listed in `protect` are never considered for removal.  A row that
     holds everywhere (0 >= b with b <= 0) is dropped, the last one too.  The
-    result depends only on the input order (deterministic).
+    result depends only on the input order (deterministic).  With floats, a
+    float point `inside` (of length system.dim) lets a ray from it keep
+    rows with no probe (`_Sweep.keeps`); any point is sound, and one where
+    the rows are strict proves the most.
     """
-    sweep = _Sweep(system, use_float)
+    sweep = _Sweep(system, use_float, inside)
     protected = set(protect)
     for i, face in enumerate(sweep.rows):
         # Row i is still alive here: rows are only dropped when visited.

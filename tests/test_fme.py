@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from polyproj import ConstraintSystem, fme, redundancy
 from polyproj.fme import choose_elimination_variable, fme_project, fme_step
 from polyproj.geometry import is_implied
-from polyproj.lp import Face, InfeasibleSystem
+from polyproj.lp import OPTIMAL, Face, InfeasibleSystem, lp_minimize
 from polyproj.redundancy import implied_equalities, prune_redundant
 from polyproj.scenarios import parse_scenario
 
@@ -190,8 +190,8 @@ def test_budget_cutting_pass_through_rows_keeps_protection_exact(monkeypatch):
         eliminated.append(var)
         return step(system, var)
 
-    def logged_sweep(system, protect=()):
-        out = sweep(system, protect=protect)
+    def logged_sweep(system, protect=(), inside=None):
+        out = sweep(system, protect=protect, inside=inside)
         sweeps.append((system.rows, protect, out.rows))
         return out
 
@@ -207,9 +207,10 @@ def test_budget_cutting_pass_through_rows_keeps_protection_exact(monkeypatch):
     assert cut
     for row in capped.rows:
         assert is_implied(s, (tuple(row.f) + (0, 0, 0), row.b))
-    # protecting only skips probes: the sweeps without it keep the same rows
+    # protecting and the rays from the interior point only skip probes: the
+    # sweeps without them keep the same rows
     monkeypatch.setattr(fme, "prune_redundant",
-                        lambda system, protect=(): sweep(system))
+                        lambda system, protect=(), inside=None: sweep(system))
     assert fme_project(s, 4, row_budget=23).rows == capped.rows
 
 
@@ -346,13 +347,13 @@ def test_float_sweeps_equal_exact_sweeps(s):
     # and every hash collides (the sums act alike with and without floats)
     with _lp_alone():
         expected = (prune_redundant(s, use_float=False).rows,
-                    implied_equalities(s, use_float=False))
+                    implied_equalities(s, use_float=False)[0])
     for weights, use_float in ((redundancy._hash_weights, True),
                                (lambda dim: [0] * dim, False)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(redundancy, "_hash_weights", weights)
             assert (prune_redundant(s, use_float=use_float).rows,
-                    implied_equalities(s, use_float=use_float)) == expected
+                    implied_equalities(s, use_float=use_float)[0]) == expected
 
 
 def test_sweep_probe_restores_and_drops_rows():
@@ -506,7 +507,7 @@ def test_sweeps_take_numbers_beyond_float_range(huge, monkeypatch):
     for s in (wide, tall):
         assert (prune_redundant(s).rows
                 == prune_redundant(s, use_float=False).rows)
-        assert implied_equalities(s) == implied_equalities(s, use_float=False)
+        assert implied_equalities(s)[0] == implied_equalities(s, use_float=False)[0]
     projected = [fme_project(s, 1) for s in (wide, tall)]
     monkeypatch.setattr(fme, "prune_redundant",
                         functools.partial(prune_redundant, use_float=False))
@@ -565,9 +566,9 @@ def test_flat_working_system_projects_exactly(monkeypatch):
     s = sys_of(rows, 6)
     sweep, protected = fme.prune_redundant, []
 
-    def logged_sweep(system, protect=()):
+    def logged_sweep(system, protect=(), inside=None):
         protected.append(len(protect))
-        return sweep(system, protect=protect)
+        return sweep(system, protect=protect, inside=inside)
 
     monkeypatch.setattr(fme, "prune_redundant", logged_sweep)
     out = fme_project(s, 3)
@@ -606,19 +607,20 @@ def _refuse(monkeypatch, module, name):
 def test_per_step_sweeps_skip_pass_through_rows(monkeypatch):
     # probing every pass-through row and every row's reverse costs 1,397
     # float LPs on cca:3; the skips leave 501, the interior LP included, the
-    # interior LP's certified dual leaves 424, and the rows that are another
+    # interior LP's certified dual leaves 424, the rows that are another
     # row loosened or the sum of two, dropped by `_Sweep.sums_to` with no
-    # LP, leave 246; every other drop and equality is proven by a rounded
-    # float dual, with no exact solve or LP.  All but the interior LP are
-    # warm probes by primal simplex without presolve, and HiGHS's default
-    # settings find the same rows
+    # LP, leave 246, and the rows kept by a ray from the interior LP's
+    # point (`_Sweep.keeps`) leave 193; every other drop and equality is
+    # proven by a rounded float dual, with no exact solve or LP.  All but
+    # the interior LP are warm probes by primal simplex without presolve,
+    # and HiGHS's default settings find the same rows
     cca3 = parse_scenario("cca:3")
     calls = _count_float_lps(monkeypatch)
     _refuse(monkeypatch, redundancy, "lp_minimize")
     out = fme_project(cca3.system, cca3.scenario.d)
     assert len(out) == 16
-    assert len(calls) == 246
-    assert calls.count(("off", 4)) == 245
+    assert len(calls) == 193
+    assert calls.count(("off", 4)) == 192
     hc = redundancy._hc
 
     class DefaultHighs(hc._Highs):
@@ -693,6 +695,74 @@ def test_colliding_hashes_keep_the_sweeps_of_cca3_exact(monkeypatch):
     assert proven == [0, 38]
 
 
+# ------------------------------------------------- keep verdicts
+
+
+def _three_points(s):
+    """The interior LP's point of s, a point outside it and one on its
+    boundary: a vertex that minimizes its first nonzero row, or, when that
+    is unbounded (a cone), the apex, which lies on every row.  A system with
+    no solutions has no interior LP's point, and the origin stands in."""
+    x0 = implied_equalities(s)[1]
+    x0 = [0.0] * s.dim if x0 is None else list(x0)
+    face = next(r for r in s.rows if any(r.f))
+    over = (sum(c * x for c, x in zip(face.f, x0)) - face.b + 1) / sum(c * c for c in face.f)
+    outside = [x - over * c for x, c in zip(x0, face.f)]  # face.x = b - 1
+    sol = lp_minimize(s, face.f)
+    boundary = [float(x) for x in sol.x] if sol.status == OPTIMAL else [0.0] * s.dim
+    return x0, outside, boundary
+
+
+@given(st.one_of(system_with_implied_rows(), cone_with_implied_rows()))
+@settings(max_examples=60, deadline=None)
+def test_rays_from_any_point_keep_what_the_exact_sweep_keeps(s):
+    # a keep verdict needs no good point: from the interior LP's point, from
+    # outside the polyhedron or from its boundary, a ray only keeps rows
+    # that no other alive row implies
+    assume(any(any(r.f) for r in s.rows))
+    expected = prune_redundant(s, use_float=False).rows
+    for point in _three_points(s):
+        assert prune_redundant(s, inside=point).rows == expected
+
+
+def test_weakly_redundant_row_at_a_tie_is_dropped(monkeypatch):
+    # x + 2y >= 0 touches the unit cube along the edge x = y = 0, where the
+    # facets x >= 0 and y >= 0 meet; the ray from (0.2, 0.4, 0.5) meets its
+    # plane on that edge, a tie with both facets, so it gets no verdict and
+    # its probe drops it, while every facet is kept by its ray
+    cube = [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0),
+            ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), -1)]
+    s = sys_of([((1, 2, 0), 0)] + cube, 3)
+    point = (0.2, 0.4, 0.5)
+    sweep = redundancy._Sweep(s, True, point)
+    assert [sweep.keeps(i) for i in range(7)] == [False] + [True] * 6
+    assert redundancy._Sweep(s, False, point).slack is None  # no floats, no rays
+    calls = _count_float_lps(monkeypatch)
+    _refuse(monkeypatch, redundancy, "lp_minimize")
+    assert rowset(prune_redundant(s, inside=point)) == set(cube)
+    assert len(calls) == 1
+
+
+def test_zero_row_given_a_point_is_still_dropped():
+    # 0 >= -1 holds everywhere; its ray is undefined (t = 0/0), so it gets
+    # no verdict and goes as before, the last row too
+    s = sys_of([((0, 0), -1), ((1, 0), 0), ((0, 1), 0)], 2)
+    assert not redundancy._Sweep(s, True, (1.0, 1.0)).keeps(0)
+    assert rowset(prune_redundant(s, inside=(1.0, 1.0))) == {((1, 0), 0), ((0, 1), 0)}
+    assert prune_redundant(sys_of([((0, 0), -1)], 2), inside=(0.0, 0.0)).rows == ()
+
+
+def test_rays_keep_the_facets_of_elemental_3_without_probes(monkeypatch):
+    # FME on elemental:3 eliminates nothing and only sweeps once: the
+    # interior LP's point keeps each of the 9 facets by a ray, so that LP
+    # is the one float LP; without the rays each row costs a probe, 10 LPs
+    scenario = parse_scenario("elemental:3")
+    calls = _count_float_lps(monkeypatch)
+    _refuse(monkeypatch, redundancy, "lp_minimize")
+    assert len(fme_project(scenario.system, scenario.scenario.d)) == 9
+    assert len(calls) == 1
+
+
 # ------------------------------------------------- rounded certificates
 
 
@@ -743,26 +813,26 @@ def test_implied_equalities_on_cca4_is_one_float_lp(monkeypatch):
     system = parse_scenario("cca:4").system
     calls = _count_float_lps(monkeypatch)
     _refuse(monkeypatch, redundancy, "lp_minimize")
-    assert len(implied_equalities(system)) == 814
+    assert len(implied_equalities(system)[0]) == 814
     assert len(calls) == 1
 
 
 def test_implied_equalities_forced_point():
     # x >= 0, y >= 0, x + y <= 0 pin the origin: every row is an equality
     s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1, -1), 0)], 2)
-    assert implied_equalities(s) == [0, 1, 2]
-    assert implied_equalities(s, use_float=False) == [0, 1, 2]
+    assert implied_equalities(s)[0] == [0, 1, 2]
+    assert implied_equalities(s, use_float=False)[0] == [0, 1, 2]
 
 
 def test_implied_equalities_pinched_segment():
     # x <= 1/2, y <= 1/2 and x + y >= 1 meet only at (1/2, 1/2)
     s = sys_of([((-2, 0), -1), ((0, -2), -1), ((1, 1), 1)], 2)
-    assert implied_equalities(s) == [0, 1, 2]
+    assert implied_equalities(s)[0] == [0, 1, 2]
 
 
 def test_implied_equalities_none_on_square():
     s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)], 2)
-    assert implied_equalities(s) == []
+    assert implied_equalities(s)[0] == []
 
 
 def test_implied_equalities_thin_box_is_left_to_the_probes(monkeypatch):
@@ -770,11 +840,11 @@ def test_implied_equalities_thin_box_is_left_to_the_probes(monkeypatch):
     # the interior LP's dual weighs every row with y.a < 0, which proves no
     # equality, so the LP settles nothing and each row gets its own probe
     s = sys_of([((1, 0), 0), ((0, 1), 0), ((-1000, 0), -1), ((0, -1000), -1)], 2)
-    strict, weights = redundancy._Sweep(s, use_float=True).strict_rows()
+    strict, weights, _ = redundancy._Sweep(s, use_float=True).strict_rows()
     assert strict == set() and [k for k, _ in weights] == [0, 1, 2, 3]
     assert redundancy._certificate(s.rows, weights, Face((0, 0), 0)) is None
     calls = _count_float_lps(monkeypatch)
-    assert implied_equalities(s) == [] == implied_equalities(s, use_float=False)
+    assert implied_equalities(s)[0] == [] == implied_equalities(s, use_float=False)[0]
     assert len(calls) == 1 + 4
 
 
@@ -786,26 +856,29 @@ def test_implied_equalities_hidden_in_a_cycle(monkeypatch):
     s = sys_of([((1, -1, 0, 0), 1), ((0, 1, -1, 0), -2), ((-1, 0, 1, 0), 1),
                 ((1, 0, 0, 0), 0), ((-1, 0, 0, 0), -3),
                 ((0, 0, 0, 1), 0), ((0, 0, 0, -1), -5)], 4)
-    strict, weights = redundancy._Sweep(s, use_float=True).strict_rows()
+    strict, weights, point = redundancy._Sweep(s, use_float=True).strict_rows()
     assert strict == {3, 4, 5, 6}
+    # the LP's point, which FME's sweeps take as `inside`, meets the cycle
+    x, y, z, w = point
+    assert abs(x - y - 1) < 1e-9 and abs(z - x - 1) < 1e-9 and 0 < x < 3 and 0 < w < 5
     assert redundancy._certificate(s.rows, weights, Face((0,) * 4, 0)) == [0, 1, 2]
     calls = _count_float_lps(monkeypatch)
-    assert implied_equalities(s) == [0, 1, 2]
+    assert implied_equalities(s)[0] == [0, 1, 2]
     assert len(calls) == 1
-    assert implied_equalities(s, use_float=False) == [0, 1, 2]
+    assert implied_equalities(s, use_float=False)[0] == [0, 1, 2]
 
 
 def test_implied_equalities_explicit_pair():
     s = sys_of([((1, 1), 1), ((-1, -1), -1), ((1, 0), 0)], 2)
-    assert implied_equalities(s) == [0, 1]
+    assert implied_equalities(s)[0] == [0, 1]
 
 
 def test_implied_equalities_of_an_infeasible_system_are_every_row():
     # x >= 1 and x <= 0 leave no point, on which every row holds with
     # equality; fme_project refuses such a system before asking
     s = sys_of([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)], 2)
-    assert implied_equalities(s) == [0, 1, 2]
-    assert implied_equalities(s, use_float=False) == [0, 1, 2]
+    assert implied_equalities(s)[0] == [0, 1, 2]
+    assert implied_equalities(s, use_float=False)[0] == [0, 1, 2]
     with pytest.raises(InfeasibleSystem):
         fme_project(s, 1)
 
@@ -850,11 +923,11 @@ def test_hidden_equalities_project_as_if_explicit(case):
     # rows FME derives, so the claim is for full-dimensional shadows: no
     # combination of the equalities vanishes on every eliminated column
     s, keep = case
-    eqs = [s.rows[i].f for i in implied_equalities(s)]
+    eqs = [s.rows[i].f for i in implied_equalities(s)[0]]
     zero = (0,) * s.dim
     assume(affine_rank([zero] + eqs)
            == affine_rank([zero[keep:]] + [f[keep:] for f in eqs]))
-    explicit = s.with_rows([-s.rows[i] for i in implied_equalities(s)])
+    explicit = s.with_rows([-s.rows[i] for i in implied_equalities(s)[0]])
     assert fme_project(s, keep).rows == fme_project(explicit, keep).rows
 
 

@@ -9,7 +9,7 @@ from polyproj import epm, lp as lp_module
 from polyproj.epm import build_combination_polytope, combination_face, epm_sample_face
 from polyproj.geometry import capped
 from polyproj.linalg import orthogonal_complement
-from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face,
+from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face, combine,
                          normalize_face, pivot_equations, substitute)
 from polyproj.rationals import dot, rational
 from polyproj.scenarios import parse_scenario
@@ -483,3 +483,24 @@ def test_substitute_keeps_the_row_on_the_solution_set(case):
     for x in points:
         before, after = dot(row.f, x) - row.b, dot(out.f, x) - out.b
         assert (before > 0) == (after > 0) and (before == 0) == (after == 0)
+
+
+_ENTRY = st.one_of(st.integers(min_value=-6, max_value=6),
+                   st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_combine_is_the_normalized_combination(data):
+    # one gcd does what normalize_face's rational path did, on small rows
+    # with common factors and on entries beyond 2^64 alike
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    p, q = (Face(tuple(k * c for c in data.draw(st.tuples(*[_ENTRY] * n))),
+                 k * data.draw(_ENTRY)) for _ in range(2))
+    v = data.draw(st.integers(min_value=0, max_value=n - 1))
+    pv, qv = p.f[v], q.f[v]
+    raw = [pv * b - qv * a for a, b in zip(p.f, q.f)], pv * q.b - qv * p.b
+    out = combine(p, q, v)
+    assert out == normalize_face(*raw)
+    assert out.f[v] == 0 and all(type(c) is int for c in out.f + (out.b,))

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polyproj.lp import ConstraintSystem, Face
+from polyproj.lp import OPTIMAL, ConstraintSystem, Face, lp_minimize
 from polyproj.matrixfile import (
     MatrixFileError,
     load,
@@ -20,7 +21,7 @@ def sample_system():
         rows=(
             Face((1, 0, 0), 0),
             Face((-1, -2, 3), -5),
-            Face((rational(1, 2), 0, rational(-7, 3)), rational(2, 9)),
+            Face((9, 0, -42), 4),
         ),
         dim=3,
         names=("x", "y", "z"),
@@ -38,6 +39,20 @@ def test_round_trip_exact():
         rows=(Face((2, 0, 0), 0),), dim=3, names=("x", "y", "z")
     )
     assert parse(render(doubled)).system.rows[0] == Face((2, 0, 0), 0)
+    # a row with p/q entries is read times the lcm of its denominators, 18
+    fractional = ConstraintSystem(
+        rows=(Face((rational(1, 2), 0, rational(-7, 3)), rational(2, 9)),),
+        dim=3, names=("x", "y", "z"),
+    )
+    assert parse(render(fractional)).system.rows == (Face((9, 0, -42), 4),)
+
+
+def test_rows_with_fractions_are_read_as_integer_faces():
+    # 1/2 + x >= 0 reads as 1 + 2x >= 0, so exact LPs take the system
+    system = parse("# columns: _1 x\n1/2 1\n1 -1\n").system
+    assert system.rows == (Face((2,), -1), Face((-1,), -1))
+    solution = lp_minimize(system, [1])
+    assert solution.status == OPTIMAL and solution.objective == Fraction(-1, 2)
 
 
 def test_constant_column_semantics():
@@ -118,12 +133,16 @@ def named_systems(draw):
 @given(named_systems(), st.lists(st.text(max_size=8).filter(_reads_back), max_size=3))
 def test_render_then_parse_is_the_identity(system, comments):
     # the module docstring's promise: the same rows, unnormalized, the same
-    # column names and the same comments
+    # column names and the same comments; a row with p/q entries comes back
+    # times the lcm of its denominators, so every entry is an int
     parsed = parse(render(system, comments))
-    assert parsed.system == system
+    scales = [math.lcm(*(Fraction(v).denominator for v in row.f + (row.b,)))
+              for row in system.rows]
+    assert parsed.system == ConstraintSystem(
+        tuple(Face(tuple(v * k for v in row.f), row.b * k)
+              for row, k in zip(system.rows, scales)), system.dim, system.names)
     assert parsed.comments == tuple(comments)
-    assert all(type(v) in (int, Fraction)
-               for row in parsed.system.rows for v in row.f + (row.b,))
+    assert all(type(v) is int for row in parsed.system.rows for v in row.f + (row.b,))
 
 
 def test_reorder_to_matches_by_name():
