@@ -12,6 +12,14 @@ makes one rotation per facet orbit after the seed's.  The ridge projector is
 chosen recursively — depth 0 uses the hull-based projector (chm), depth k
 uses this walk again — which trades hull size against LP count.
 
+The walk keeps a pool of the exact vertices of its image: its own basis
+simplex's, then those of each ridge subproblem.  A facet's subproblem starts
+from the pool's vertices on that facet and from the facet's normal, along
+which it is flat, so its basis simplex runs LPs only for the directions they
+leave open; what is known about a facet is reused across its subproblem, as
+in the adjacency decomposition of Bremner, Dutour Sikirić & Schürmann
+(2009).  Only the subproblem's hull seeds change, not its facets.
+
 ``afi_project`` with a ``budget`` of hull-projector calls is the randomized
 facet discovery (RFD): the walk cut off early, whose ``BudgetExhausted``
 error carries a sound, possibly partial facet list.
@@ -35,6 +43,7 @@ from .epm import build_combination_polytope, epm_sample_face
 from .geometry import (
     BasisSimplex,
     DegenerateInput,
+    Known,
     basis_simplex,
     capped,
     minimize_image,
@@ -277,6 +286,13 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
     is rotated around, and the rotation must land outside ``found``
     (asserted).
 
+    ``pool`` holds the exact vertices of the image known so far, in the
+    order they were found: P's points, then the basis-simplex points that
+    each ridge subproblem reports back.  The subproblem of F is handed the
+    pool's vertices on F (F.f.p = F.b, exactly) and F's normal, along which
+    F's polytope is flat, so its basis simplex solves only the directions
+    they leave open (``geometry.basis_simplex``).
+
     Returns ``found``.  Once a leaf call is refused the walk stops
     exploring, so under a budget the result may be partial; each member is
     still a facet.
@@ -294,11 +310,15 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
     seed = _seed_facet(work, d, P, rng)
     found: Set[Face] = set(orbit(seed))
     pending = {seed}
+    pool = dict.fromkeys(P.points)  # an ordered set
     while pending and not budget.denied:
         facet = min(pending)
         pending.remove(facet)
         sub = work.with_rows([-facet])
-        for ridge in _project(sub, d, depth - 1, None, budget, rng):
+        known = Known(tuple(p for p in pool if dot(facet.f, p) == facet.b), (facet.f,))
+        ridges, vertices = _project(sub, d, depth - 1, None, budget, rng, known)
+        pool.update(dict.fromkeys(vertices))
+        for ridge in ridges:
             axis = _reject_from(facet, ridge)
             in_pencil = _pencil(facet, axis)
             if any(g != facet and in_pencil(g) for g in found):
@@ -312,16 +332,21 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
 
 
 def _project(system: ConstraintSystem, d: int, depth: int, group,
-             budget: _Budget, rng: random.Random) -> List[Face]:
+             budget: _Budget, rng: random.Random,
+             known: Known = Known()) -> Tuple[List[Face], List[Tuple]]:
     """Recursive facet-list driver shared by the complete and budgeted
-    modes: the hull projector at depth 0, else the walk."""
+    modes: the hull projector at depth 0, else the walk.  Returns the
+    facets and the vertices of the image's basis simplex, which ``known``
+    seeds."""
     if depth == 0:
         if not budget.take():
-            return []
-        return chm_project(system, d, group=group).facets
-    return project_image(
-        system, d, lambda work, r, P, g: _walk(work, r, P, g, depth, budget, rng), group
+            return [], []
+        result = chm_project(system, d, group=group, known=known)
+        return result.facets, result.vertices
+    facets, bs = project_image(
+        system, d, lambda work, r, P, g: _walk(work, r, P, g, depth, budget, rng), group, known
     )
+    return facets, bs.points
 
 
 def afi_project(system: ConstraintSystem, d: int, cfg: Optional[AfiConfig] = None,
@@ -344,7 +369,7 @@ def afi_project(system: ConstraintSystem, d: int, cfg: Optional[AfiConfig] = Non
         raise ValueError("budget must be at least 1")
     cfg = cfg or AfiConfig()
     left = _Budget(budget)
-    facets = _project(system, d, cfg.depth, cfg.group, left, random.Random(cfg.seed))
+    facets, _ = _project(system, d, cfg.depth, cfg.group, left, random.Random(cfg.seed))
     if left.denied:
         raise BudgetExhausted(facets)
     return facets

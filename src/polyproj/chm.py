@@ -21,10 +21,10 @@ roughly by the orbit size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .geometry import find_vertex, is_implied, project_image
+from .geometry import Known, find_vertex, is_implied, project_image
 from .hull import IncrementalHull
 from .lp import ConstraintSystem, Face
 
@@ -32,11 +32,13 @@ from .lp import ConstraintSystem, Face
 @dataclass
 class HullResult:
     """Outcome of ``chm_project``: the facets of pi(P), normalized and sorted
-    (for cones: the genuine cone facets), and the rounds of hull
-    validation it took."""
+    (for cones: the genuine cone facets), the rounds of hull validation it
+    took, and the points of the image's basis simplex, which are vertices
+    (of the capped image, for a cone)."""
 
     facets: List[Face]
     lp_rounds: int = 0
+    vertices: List[Tuple] = field(default_factory=list)
 
 
 def _orbit_points(group, point: Tuple) -> List[Tuple]:
@@ -72,7 +74,8 @@ def _full_dim_chm(
             )
 
 
-def chm_project(system: ConstraintSystem, d: int, *, group=None) -> HullResult:
+def chm_project(system: ConstraintSystem, d: int, *, group=None,
+                known: Known = Known()) -> HullResult:
     """Facets of the projection of ``system`` onto its first ``d``
     coordinates.
 
@@ -81,7 +84,8 @@ def chm_project(system: ConstraintSystem, d: int, *, group=None) -> HullResult:
     Unbounded non-homogeneous projections raise
     :class:`geometry.UnboundedProjection`; bound the system first.  Cones
     whose image has a ray outside the cap's domain raise it too (see
-    ``geometry.cap_face``).
+    ``geometry.cap_face``).  ``known`` seeds the basis simplex
+    (``geometry.basis_simplex``); the facets do not depend on it.
     """
     result = HullResult(facets=[])
 
@@ -89,5 +93,6 @@ def chm_project(system: ConstraintSystem, d: int, *, group=None) -> HullResult:
         facets, result.lp_rounds = _full_dim_chm(work, r, bs.points, g)
         return facets
 
-    result.facets = project_image(system, d, full_dim, group)
+    result.facets, bs = project_image(system, d, full_dim, group, known)
+    result.vertices = bs.points
     return result

@@ -130,7 +130,24 @@ class BasisSimplex:
         return self.points[0]
 
 
-def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
+@dataclass(frozen=True)
+class Known:
+    """What a caller already knows of an image pi(P): some of its vertices,
+    and normals n along which it is flat (n.x is constant on pi(P)).  The
+    default knows nothing."""
+
+    vertices: Tuple[Tuple, ...] = ()
+    flat: Tuple[Tuple, ...] = ()
+
+
+def _parallel(u: Sequence, v: Sequence) -> bool:
+    """True iff u is a nonzero multiple of the nonzero vector v."""
+    k = next(i for i, a in enumerate(v) if a)
+    return u[k] != 0 and all(a * v[k] == b * u[k] for a, b in zip(u, v))
+
+
+def basis_simplex(system: ConstraintSystem, d: int, probe=None,
+                  known: Known = Known()) -> BasisSimplex:
     """
     r+1 affinely independent points of pi(P) (r = dim pi(P)).  Homogeneous
     systems are capped first; the affine hull and ranks of cone faces are
@@ -138,13 +155,24 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
 
     x0 is probed along e_0; then g, the first basis vector of the exact
     orthogonal complement of everything recorded so far (spanning directions
-    and those along which pi(P) is flat), and -g are tried in turn.  Each is
-    decided by one LP without ties: it fails when min cand.x = cand.x0, and
-    +e_0, which x0 minimizes, is not solved.  A kept candidate's point is
-    that LP's by default (the points only need to be affinely independent
-    members of pi(P)), else ``probe(cand)``: ``project_image`` needs
-    vertices to seed the hull and probes with ``find_vertex``, whose tie
-    stages then warm-start from the stage-1 optimum.
+    and those along which pi(P) is flat), is decided in turn:
+
+    - g parallel to a normal in ``known.flat`` is recorded as flat;
+    - else, if a vertex p in ``known.vertices`` has g.p != g.x0, the one
+      farthest from x0 along +-g (the first such in order on a tie) is kept;
+    - else g and -g are tried, each by one LP without ties: a candidate
+      fails when min cand.x = cand.x0, and +e_0, which x0 minimizes, is not
+      solved.  A kept candidate's point is that LP's by default (the points
+      only need to be affinely independent members of pi(P)), else
+      ``probe(cand)``: ``project_image`` needs vertices to seed the hull and
+      probes with ``find_vertex``, whose tie stages then warm-start from the
+      stage-1 optimum.
+
+    Every test is exact, and each kept point is off the span recorded before
+    it.  ``known`` saves LPs, not correctness: its vertices must be vertices
+    of the (capped) image whenever the points must be, and its normals flat
+    on it.  The result spans the same affine hull whatever is known, so
+    ``AffineEmbedding.chart`` gives the same chart.
     """
     work = capped(system, d)
     e0 = tuple(int(i == 0) for i in range(d))
@@ -153,6 +181,15 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None) -> BasisSimplex:
     recorded: List[Tuple] = []
     while len(recorded) < d:
         g = orthogonal_complement(recorded, d)[0]
+        if any(_parallel(g, n) for n in known.flat):
+            recorded.append(g)
+            continue
+        base = dot(g, x0)
+        far = max(known.vertices, key=lambda p: abs(dot(g, p) - base), default=None)
+        if far is not None and dot(g, far) != base:
+            points.append(far)
+            recorded.append(vec_sub(far, x0))
+            continue
         for cand in (g, tuple(-a for a in g)):
             if cand == e0:
                 continue
@@ -238,19 +275,23 @@ def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> Con
     )
 
 
-def project_image(system: ConstraintSystem, d: int, full_dim, group=None) -> List[Face]:
+def project_image(system: ConstraintSystem, d: int, full_dim, group=None,
+                  known: Known = Known()) -> Tuple[List[Face], BasisSimplex]:
     """The facets of pi(P), sorted, with ``full_dim`` listing the facets of
-    a bounded, full-dimensional image.
+    a bounded, full-dimensional image, and the basis simplex of pi(P),
+    whose points are vertices, in the input's coordinates.
 
     ``full_dim(work, r, bs, group)`` returns the facets of the image of
     ``work`` in its first r coordinates; ``bs`` is that image's basis
-    simplex, whose points are vertices.  Around it:
+    simplex.  Around it:
 
     - a cone is bounded by the canonical cap on the output coordinates
       (``capped``), and the facets with a nonzero right-hand side, which are
       tight only at the cap, are dropped on output; so a cone comes back as
       its genuine facets;
-    - the image's basis simplex is computed once; a single point has no
+    - the image's basis simplex is computed once, by ``basis_simplex`` with
+      ``find_vertex`` probes and ``known``, what the caller knows of the
+      capped image, which saves the LPs it answers; a single point has no
       facets;
     - a flat image (rank r < d) is charted onto r free coordinates of its
       affine hull by ``AffineEmbedding.chart`` (a cone's own facets keep
@@ -263,9 +304,9 @@ def project_image(system: ConstraintSystem, d: int, full_dim, group=None) -> Lis
     if group is not None and group.dim != d:
         raise ValueError("symmetry group dimension does not match the output space")
     work = capped(system, d)
-    bs = basis_simplex(work, d, probe=lambda c: find_vertex(work, d, c))
+    bs = basis_simplex(work, d, probe=lambda c: find_vertex(work, d, c), known=known)
     if bs.rank == 0:
-        return []
+        return [], bs
     if bs.rank < d:
         emb = AffineEmbedding.chart(bs)
         charted = BasisSimplex([emb.embed_point(p) for p in bs.points])
@@ -275,4 +316,4 @@ def project_image(system: ConstraintSystem, d: int, full_dim, group=None) -> Lis
         faces = full_dim(work, d, bs, group)
     if system.homogeneous:
         faces = [f for f in faces if f.b == 0]
-    return sorted(faces)
+    return sorted(faces), bs

@@ -15,6 +15,7 @@ from polyproj.fme import fme_project
 from polyproj.geometry import (
     AffineEmbedding,
     DegenerateInput,
+    Known,
     UnboundedProjection,
     basis_simplex,
     capped,
@@ -231,9 +232,9 @@ def test_afi_computes_each_basis_simplex_once(monkeypatch, spec):
         system, d, group = bundle.system, bundle.scenario.d, bundle.group
     seen = []  # keeps every probed system alive, so ids stay unique
     for module in (geometry, afi):
-        def counted(work, dd, probe=None, _inner=module.basis_simplex):
+        def counted(work, dd, probe=None, known=Known(), _inner=module.basis_simplex):
             seen.append((work, dd))
-            return _inner(work, dd, probe=probe)
+            return _inner(work, dd, probe=probe, known=known)
         monkeypatch.setattr(module, "basis_simplex", counted)
     facets = afi_project(system, d, AfiConfig(group=group))
     assert facets
@@ -248,8 +249,8 @@ def test_afi_segments_reuse_the_driver_probes(monkeypatch):
     # seed facet's rank check, with the default probe, is not counted)
     segments, hulls = [], []
     for module in (geometry, afi):
-        def counted(work, dd, probe=None, _inner=module.basis_simplex):
-            bs = _inner(work, dd, probe=probe)
+        def counted(work, dd, probe=None, known=Known(), _inner=module.basis_simplex):
+            bs = _inner(work, dd, probe=probe, known=known)
             if bs.rank == 1 and probe is not None:
                 segments.append(work)
             return bs
@@ -417,6 +418,29 @@ def test_afi_gives_the_exact_lps_integer_objectives(monkeypatch, spec):
     assert afi_project(bundle.system, bundle.scenario.d, AfiConfig(group=bundle.group))
     assert len(seen) > 100
     assert all(type(x) is int for objectives in seen for v in objectives for x in v)
+
+
+@pytest.mark.parametrize("spec, lps", [("bell:2x2:body=1,2", 131), ("cca:3", 168)])
+def test_afi_ridge_subproblems_start_from_the_walks_vertices(monkeypatch, spec, lps):
+    # each ridge subproblem is handed the walk's vertices on its facet and
+    # the facet's normal, so its basis simplex solves few LPs: at seed 0,
+    # 131 and 168 exact LPs against 200 and 276 when every subproblem starts
+    # from nothing; on cca:3 the vertices the subproblems report back save
+    # 10 more
+    bundle = parse_scenario(spec)
+    seen, inner = [], lp.lp_minimize
+
+    def spy(system, objective, **kwargs):
+        seen.append(objective)
+        return inner(system, objective, **kwargs)
+
+    for module in (lp, geometry, epm, redundancy, analysis):
+        if getattr(module, "lp_minimize", None) is inner:
+            monkeypatch.setattr(module, "lp_minimize", spy)
+    d, group = bundle.scenario.d, bundle.group
+    facets = afi_project(bundle.system, d, AfiConfig(group=group, seed=0))
+    assert len(seen) == lps
+    assert facets == chm_project(bundle.system, d, group=group).facets
 
 
 @pytest.mark.parametrize("flat", [False, True])

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polyproj import ConstraintSystem, geometry
+from polyproj.chm import chm_project
 from polyproj.geometry import (
     AffineEmbedding,
     BasisSimplex,
     DegenerateInput,
+    Known,
     UnboundedProjection,
     basis_simplex,
     capped,
@@ -197,6 +200,84 @@ def test_vertex_probes_run_tie_stages_only_for_kept_points(monkeypatch, system, 
     assert sum(tied for _, tied in calls) == bs.rank + 1
     e0 = tuple(pad_objective((1,), work.dim))
     assert [c for c, _ in calls].count(e0) == 1
+
+
+def _spy_objectives(monkeypatch):
+    """The objectives of every exact LP the geometry module solves."""
+    seen = []
+
+    def counted(system, objective, **kwargs):
+        seen.append(tuple(objective))
+        return lp_minimize(system, objective, **kwargs)
+
+    monkeypatch.setattr(geometry, "lp_minimize", counted)
+    return seen
+
+
+@pytest.mark.parametrize("probed", [False, True])
+def test_known_vertices_and_flat_normal_spare_the_facets_lps(monkeypatch, probed):
+    # each facet of the cube, with the cube's vertices on it known: the flat
+    # normal is recorded and the vertices span the rest, so only x0's LP runs
+    seen = _spy_objectives(monkeypatch)
+    corners = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    for facet in CUBE.rows:
+        sub = _fresh(CUBE).with_rows([-facet])
+        probe = (lambda c, sub=sub: find_vertex(sub, 3, c)) if probed else None
+        on = tuple(p for p in corners if dot(facet.f, p) == facet.b)
+        del seen[:]
+        bs = basis_simplex(sub, 3, probe=probe, known=Known(on, (facet.f,)))
+        assert bs.rank == 2
+        assert seen == [(1, 0, 0)]
+
+
+def test_a_known_flat_normal_is_never_solved(monkeypatch):
+    # knowing only the normal still spares both of its LPs
+    seen = _spy_objectives(monkeypatch)
+    for facet in CUBE.rows:
+        del seen[:]
+        sub = _fresh(CUBE).with_rows([-facet])
+        assert basis_simplex(sub, 3, known=Known(flat=(facet.f,))).rank == 2
+        assert not any(geometry._parallel(c, facet.f) for c in seen[1:])
+
+
+def _facets_with_vertices(name, rng):
+    """(capped system, d, a few random facets, vertices of the image found
+    by probes along random directions, on and off those facets)."""
+    if name == "cube":
+        system, d, facets = CUBE, 3, list(CUBE.rows)
+    else:
+        bundle = parse_scenario(name)
+        system, d = bundle.system, bundle.scenario.d
+        facets = chm_project(system, d).facets
+    work = capped(system, d)
+    facets = rng.sample(facets, min(4, len(facets)))
+
+    def direction():
+        return tuple(rng.randint(-3, 3) or 1 for _ in range(d))
+
+    vertices = [find_vertex(work, d, direction()) for _ in range(4)]
+    for facet in facets:
+        sub = work.with_rows([-facet])
+        vertices += [find_vertex(sub, d, direction()) for _ in range(3)]
+    return work, d, facets, vertices
+
+
+@pytest.mark.parametrize("name", ["cube", "elemental:3", "bell:2x2:body=1,2"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_seeded_basis_simplex_spans_the_facet_like_the_unseeded(name, seed):
+    # known vertices and the flat normal change the points, not the hull:
+    # the same rank, the same chart, and every point on the facet
+    work, d, facets, vertices = _facets_with_vertices(name, random.Random(seed))
+    for facet in facets:
+        sub = work.with_rows([-facet])
+        known = Known(tuple(p for p in vertices if dot(facet.f, p) == facet.b), (facet.f,))
+        assert known.vertices
+        probe = lambda c, sub=sub: find_vertex(sub, d, c)  # noqa: E731
+        seeded = basis_simplex(sub, d, probe=probe, known=known)
+        plain = basis_simplex(sub, d, probe=probe)
+        assert seeded.rank == plain.rank == d - 1
+        assert AffineEmbedding.chart(seeded) == AffineEmbedding.chart(plain)
+        assert all(dot(facet.f, p) == facet.b for p in seeded.points)
 
 
 def _lift(emb, y):

@@ -67,20 +67,27 @@ def bell08d_chm(bell08d):
     return chm_project(bell08d.system, bell08d.scenario.d, group=bell08d.group).facets
 
 
-def _assert_matches_bell_08d(bell, facets):
+def _assert_matches(bell, facets, fixture):
     names = bell.scenario.observable_names
     computed = ConstraintSystem(tuple(facets), bell.scenario.d, names)
-    golden = reorder_to(load_fixture("bell-08d").system, names)
+    golden = reorder_to(load_fixture(fixture).system, names)
     assert compare_listings(computed, golden, bell.group).relation == MATCH
 
 
 def test_chm_reproduces_bell_08d_listing(bell08d, bell08d_chm):
-    _assert_matches_bell_08d(bell08d, bell08d_chm)
+    _assert_matches(bell08d, bell08d_chm, "bell-08d")
 
 
 @pytest.mark.slow
 def test_afi_reproduces_bell_08d_listing(bell08d, bell08d_chm):
     cfg = AfiConfig(depth=1, group=bell08d.group)
     facets = afi_project(bell08d.system, bell08d.scenario.d, cfg)
-    _assert_matches_bell_08d(bell08d, facets)
+    _assert_matches(bell08d, facets, "bell-08d")
     assert set(facets) == set(bell08d_chm)
+
+
+@pytest.mark.slow
+def test_afi_reproduces_bell_12d_listing():
+    bell = parse_scenario("bell:3x2:body=2")
+    facets = afi_project(bell.system, bell.scenario.d, AfiConfig(depth=1, group=bell.group))
+    _assert_matches(bell, facets, "bell-12d")
