@@ -7,7 +7,8 @@ The package computes facet descriptions of coordinate projections
 
 entirely in rational arithmetic, via three interchangeable methods (iterated
 variable elimination, convex-hull expansion and adjacent-facet traversal,
-seeded by extreme-point sampling of single faces), plus the marginal-cone
+whose seed facet is a face sampled from the polytope of row combinations and
+tightened), plus the marginal-cone
 machinery built on top: entropy spaces, correlation scenarios, causal models
 with hidden common ancestors, symmetry reduction and exact marginal proofs.
 """

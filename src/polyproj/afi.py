@@ -12,6 +12,14 @@ makes one rotation per facet orbit after the seed's.  The ridge projector is
 chosen recursively — depth 0 uses the hull-based projector (chm), depth k
 uses this walk again — which trades hull size against LP count.
 
+The seed facet comes from EPM: a random objective over the polytope of row
+combinations samples a valid inequality (``epm.epm_sample_face``), one
+exact LP raises its offset to the supporting value, and ``_tighten``
+rotates it up the face lattice until its tight set has rank d - 1.  Each
+rotation's axis is the first vector of the orthogonal complement of the
+tight set's directions and the face's normal; the image is
+full-dimensional, so that complement is never empty.
+
 The walk keeps a pool of the exact vertices of its image: its own basis
 simplex's, then those of each ridge subproblem.  A facet's subproblem starts
 from the pool's vertices on that facet and from the facet's normal, along
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
 
 from .chm import chm_project
-from .epm import build_combination_polytope, epm_sample_face
+from .epm import epm_sample_face
 from .geometry import (
     BasisSimplex,
     DegenerateInput,
@@ -49,9 +57,9 @@ from .geometry import (
     minimize_image,
     project_image,
 )
-from .linalg import nullspace
-from .lp import ConstraintSystem, Face, as_face, normalize_face
-from .rationals import dot, is_zero_vector, rational, vec_sub
+from .linalg import orthogonal_complement
+from .lp import ConstraintSystem, Face, normalize_face
+from .rationals import dot, is_zero_vector, vec_sub
 
 _SAMPLE_RETRIES = 32
 
@@ -118,8 +126,8 @@ def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
     return g is valid and tight (min g.x = b, asserted) and s is the rotated
     companion axis, still exactly orthogonal.
     """
-    g = as_face(g)
-    s = as_face(s)
+    g = normalize_face(*g)
+    s = normalize_face(*s)
     if len(g.f) != len(s.f):
         raise ValueError("face and axis must have equal width")
     if is_zero_vector(g.f) or is_zero_vector(s.f):
@@ -158,43 +166,23 @@ def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
         moved = True
 
 
-def _subface_axis(face: Face, pdirs: List[Tuple], fbase: Tuple,
-                  fdirs: List[Tuple]) -> Optional[Face]:
-    """A nonzero direction in span(pdirs) orthogonal to fdirs and to face.f,
-    paired with its offset at the face's base point; None if no such
-    direction exists (the face spans the whole image)."""
-    targets = fdirs + [tuple(face.f)]
-    rows = [[dot(t, p) for p in pdirs] for t in targets]
-    kernel = nullspace(rows, ncols=len(pdirs))
-    for lam in kernel:
-        vec = [0] * len(fbase)
-        for coef, p in zip(lam, pdirs):
-            if coef:
-                vec = [a + coef * b for a, b in zip(vec, p)]
-        if not is_zero_vector(vec):
-            return normalize_face(vec, dot(vec, fbase))
-    return None
+def _tighten(work: ConstraintSystem, d: int, face: Face) -> Face:
+    """Drive a nonzero, valid and tight width-d inequality up the face
+    lattice until it is a facet of the full-dimensional image of ``work``:
+    until its tight set, whose basis simplex F each round computes, has
+    rank d - 1.
 
-
-def _tighten(work: ConstraintSystem, d: int, face: Face, F: BasisSimplex,
-             P: BasisSimplex) -> Face:
-    """Drive a valid, tight width-d inequality up the face lattice until it
-    is a facet of the image of ``work``, whose basis simplex is ``P``: until
-    its tight set has rank P.rank - 1.  ``F`` is the basis simplex of the
-    face's tight set.
-
-    Each round: pick a pivot axis in the image's span orthogonal to F and
-    the face, orient it toward the polytope's slack side, and rotate the
-    *negated* face around it.  The landing face is valid, tight, and its
-    tight-set simplex, the next round's F, is strictly larger in rank
-    (asserted).
+    Each round: take as pivot axis the first vector of the orthogonal
+    complement of F's directions and the face's normal, orient it toward
+    the polytope's slack side, and rotate the *negated* face around it.  The
+    landing face is valid, tight, and its tight set is strictly larger in
+    rank (asserted).
     """
-    pdirs = [vec_sub(p, P.base) for p in P.points[1:]]
-    while F.rank != P.rank - 1:
+    F = basis_simplex(work.with_rows([-face]), d)
+    while F.rank != d - 1:
         fdirs = [vec_sub(q, F.base) for q in F.points[1:]]
-        axis = _subface_axis(face, pdirs, F.base, fdirs)
-        if axis is None:
-            raise DegenerateInput("face spans the whole image; nothing to tighten")
+        g = orthogonal_complement(fdirs + [face.f], d)[0]
+        axis = normalize_face(g, dot(g, F.base))
         if minimize_image(work, axis.f, want_point=False).objective >= axis.b:
             axis = -axis
         face, _ = rotate(work, -face, -axis)
@@ -205,48 +193,30 @@ def _tighten(work: ConstraintSystem, d: int, face: Face, F: BasisSimplex,
     return face
 
 
-def _support(work: ConstraintSystem, d: int, face) -> Face:
-    """The face padded to width d with its offset raised to the supporting
-    value on the image of ``work``.  One exact LP both rejects invalid faces
-    (ValueError, or UnboundedProjection when the face's minimum is
-    unbounded) and lifts the offset, so a valid face that is slack
-    everywhere becomes tight before any tightening."""
-    face = as_face(face)
-    if len(face.f) > d:
-        raise ValueError("face is wider than the output space")
-    face = face.pad(d)
-    support = minimize_image(work, face.f, want_point=False).objective
-    if support < face.b:
-        raise ValueError("input face is not valid on the projection")
-    if support > face.b:
-        face = normalize_face(face.f, support)
-    return face
-
-
-def _seed_facet(work: ConstraintSystem, d: int, P: BasisSimplex,
-                rng: random.Random) -> Face:
-    """A facet of the full-dimensional image of ``work`` (basis simplex
-    ``P``): sample a valid inequality from the row-combination polytope with
-    a random objective, then tighten it.  Trivial samples are redrawn a
-    bounded number of times."""
-    cp = build_combination_polytope(work, d)
+def _seed_facet(work: ConstraintSystem, d: int, rng: random.Random) -> Face:
+    """A facet of the full-dimensional image of ``work``: sample a valid
+    inequality from the row-combination polytope with a random objective,
+    raise its offset to the supporting value (one exact LP, so a sample
+    slack everywhere becomes tight), then tighten it.  Trivial samples are
+    redrawn a bounded number of times."""
     for _ in range(_SAMPLE_RETRIES):
-        sample = epm_sample_face(cp, [rng.randint(-(2**20), 2**20) for _ in work.rows])
+        sample = epm_sample_face(work, d, [rng.randint(-(2**20), 2**20) for _ in work.rows])
         if not is_zero_vector(sample.f):
-            face = _support(work, d, sample)
-            return _tighten(work, d, face, basis_simplex(work.with_rows([-face]), d), P)
+            support = minimize_image(work, sample.f, want_point=False).objective
+            return _tighten(work, d, normalize_face(sample.f, support))
     raise DegenerateInput("row combinations produced only trivial faces")
 
 
 def _reject_from(face: Face, axis: Face) -> Face:
     """Component of ``axis`` orthogonal to ``face.f`` (offset adjusted the
-    same way), preserving the axis' orientation on the face's hyperplane."""
+    same way), preserving the axis' orientation on the face's hyperplane:
+    norm * axis - (axis.f . face.f) * face, in integers, norm = |face.f|^2."""
     norm = dot(face.f, face.f)
-    lam = rational(dot(axis.f, face.f), norm)
-    coeffs = [a - lam * b for a, b in zip(axis.f, face.f)]
+    lam = dot(axis.f, face.f)
+    coeffs = [norm * a - lam * b for a, b in zip(axis.f, face.f)]
     if is_zero_vector(coeffs):
         raise AssertionError("ridge inequality is parallel to its facet")
-    return normalize_face(coeffs, axis.b - lam * face.b)
+    return normalize_face(coeffs, norm * axis.b - lam * face.b)
 
 
 def _pencil(g: Face, h: Face) -> Callable[[Face], bool]:
@@ -307,7 +277,7 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
     def orbit(facet: Face):
         return group.orbit(facet) if group is not None else (facet,)
 
-    seed = _seed_facet(work, d, P, rng)
+    seed = _seed_facet(work, d, rng)
     found: Set[Face] = set(orbit(seed))
     pending = {seed}
     pool = dict.fromkeys(P.points)  # an ordered set

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 from .linalg import orthogonal_complement
 from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, InfeasibleSystem,
-                 LpSolution, as_face, lp_minimize, normalize_face, pivot_equations,
+                 LpSolution, lp_minimize, normalize_face, pivot_equations,
                  substitute)
 from .rationals import dot, is_zero_vector, vec_sub
 
@@ -69,7 +69,7 @@ def is_implied(system: ConstraintSystem, face) -> bool:
     minimum of f over the system is >= b.  Unbounded below means not implied;
     an infeasible system implies everything (vacuously true).
     """
-    face = as_face(face)
+    face = normalize_face(*face)
     sol = lp_minimize(system, pad_objective(face.f, system.dim), want_point=False)
     if sol.status == UNBOUNDED:
         return False
@@ -248,7 +248,7 @@ class AffineEmbedding:
     def lift_face(self, face) -> Face:
         """The reduced inequality on the free coordinates, 0 on the pivots:
         it agrees with the reduced one on the hull."""
-        face = as_face(face)
+        face = normalize_face(*face)
         f = [0] * self.ambient_dim
         for i, a in zip(self.free, face.f):
             f[i] = a

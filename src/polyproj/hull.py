@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 
 from .geometry import DegenerateInput
 from .linalg import rref
-from .lp import Face, normalize_face
+from .lp import Face
 from .rationals import dot, rational, scale_to_coprime_ints
 
 
@@ -150,8 +150,8 @@ class IncrementalHull:
         """Current facet list, normalized and sorted."""
         out = []
         for r in self._rays:
-            f, b = r.vec[:-1], r.vec[-1]
-            if all(c == 0 for c in f):
+            face = Face(r.vec[:-1], r.vec[-1])  # already coprime integers
+            if all(c == 0 for c in face.f):
                 raise AssertionError("interior direction reported as extreme ray")
-            out.append(normalize_face(f, b))
+            out.append(face)
         return sorted(set(out))

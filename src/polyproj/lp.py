@@ -144,14 +144,6 @@ def pivot_equations(eqs: Iterable[Face],
     return equations, pivots
 
 
-def as_face(obj) -> Face:
-    """Coerce a Face or a (coeffs, rhs) pair into a normalized Face."""
-    if isinstance(obj, Face):
-        return normalize_face(obj.f, obj.b)
-    coeffs, rhs = obj
-    return normalize_face(coeffs, rhs)
-
-
 @dataclass(frozen=True)
 class ConstraintSystem:
     """An inequality description L x >= a of a polyhedron in R^dim."""
@@ -166,7 +158,7 @@ class ConstraintSystem:
         """Build a system from Face objects or (coeffs, rhs) pairs, each
         normalized.  ``dim`` defaults to the width of the first row, so an
         empty system needs it."""
-        faces = [as_face(r) for r in rows]
+        faces = [normalize_face(*r) for r in rows]
         if dim is None:
             if not faces:
                 raise ValueError("dimension required for an empty system")
@@ -184,12 +176,8 @@ class ConstraintSystem:
         return all(r.b == 0 for r in self.rows)
 
     def with_rows(self, extra: Iterable) -> "ConstraintSystem":
-        extra = [as_face(r).pad(self.dim) for r in extra]
+        extra = [normalize_face(*r).pad(self.dim) for r in extra]
         return ConstraintSystem(self.rows + tuple(extra), self.dim, self.names)
-
-    def transpose(self) -> List[List[int]]:
-        """Columns of L as rows (cached); the constraint matrix of the dual."""
-        return self._dual()[0]
 
     def _dual(self) -> Tuple[List[List[int]], List[int]]:
         """(L^T, -a), cached: the dual's constraint matrix and costs.  Raises

@@ -25,13 +25,8 @@ Rational = object  # mpq | int; alias kept for documentation purposes
 Vector = Tuple[Rational, ...]
 
 
-def rational(value, denom=None) -> Rational:
-    """Coerce ints, strings like ``"3/4"``, and rationals to an exact scalar.
-
-    ``rational(p, q)`` builds the fraction p/q.
-    """
-    if denom is not None:
-        return mpq(value, denom)
+def rational(value) -> Rational:
+    """Coerce ints, strings like ``"3/4"``, and rationals to an exact scalar."""
     if isinstance(value, int):
         return value
     return mpq(value)

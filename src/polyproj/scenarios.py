@@ -31,7 +31,7 @@ from typing import (
     Tuple,
 )
 
-from .lp import ConstraintSystem, Face, as_face
+from .lp import ConstraintSystem, Face, normalize_face
 
 Subset = FrozenSet[int]
 
@@ -387,7 +387,7 @@ class SymmetryGroup:
     def orbit(self, face) -> Tuple[Face, ...]:
         """The images of a face, normalized (a coordinate permutation keeps
         a normalized face normalized), sorted and without repeats."""
-        face = as_face(face)
+        face = normalize_face(*face)
         if len(face.f) != self.dim:
             raise ValueError("face dimension does not match the group")
         images = {Face(self.apply_point(perm, face.f), face.b)

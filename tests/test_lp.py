@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from polyproj import ConstraintSystem, lp_feasible, lp_minimize, simplex
 from polyproj import epm, lp as lp_module
-from polyproj.epm import build_combination_polytope, combination_face, epm_sample_face
+from polyproj.epm import epm_sample_face
 from polyproj.geometry import capped
 from polyproj.linalg import orthogonal_complement
 from polyproj.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Face, combine,
                          normalize_face, pivot_equations, substitute)
-from polyproj.rationals import dot, rational
+from polyproj.rationals import dot, mpq
 from polyproj.scenarios import parse_scenario
 
 from .oracles import equality_rows
@@ -57,7 +57,7 @@ def test_point_is_built_from_the_integer_readout():
     sys_ = build([(2, 0, 1), (0, 3, 1), (-1, 0, -2), (0, -1, -3)], 2)
     sol = lp_minimize(sys_, [1, 1], ties=[[1, 0]])
     assert sol.x == (Fraction(1, 2), Fraction(1, 3))
-    X, D = simplex.solve_standard(sys_.transpose(), [1, 1],
+    X, D = simplex.solve_standard(sys_._dual()[0], [1, 1],
                                   [-row.b for row in sys_.rows]).multipliers()
     assert tuple(Fraction(x, D) for x in X) == sol.x
 
@@ -125,7 +125,7 @@ def test_system_without_rows(objective, ties):
 
 
 def test_rational_data():
-    half = rational(1, 2)
+    half = mpq(1, 2)
     sys_ = ConstraintSystem.from_rows(
         [((half, 0), half), ((0, 1), 0), ((-1, -1), -10)], 2
     )
@@ -210,7 +210,6 @@ def test_epm_sample_matches_the_explicit_standard_form(monkeypatch, spec):
     bundle = parse_scenario(spec)
     d = bundle.scenario.d
     work = capped(bundle.system, d)
-    cp = build_combination_polytope(work, d)
     A = [[1] * len(work.rows)] + [[row.f[j] for row in work.rows] for j in range(d, work.dim)]
     b = [1] + [0] * (work.dim - d)
     solutions = []
@@ -223,13 +222,15 @@ def test_epm_sample_matches_the_explicit_standard_form(monkeypatch, spec):
     rng = random.Random(0)
     for _ in range(3):
         p = [rng.randint(-(2**20), 2**20) for _ in work.rows]
-        face = epm_sample_face(cp, p)
+        face = epm_sample_face(work, d, p)
         res = simplex.solve_standard(A, b, p)
         assert res.status == simplex.OPTIMAL
         q = tuple(Fraction(v, res.den) for v in res.z_ints)
         sol = solutions.pop()
         assert sol.duals == q and -sol.objective == Fraction(res.value_ints[0], res.den)
-        assert face == combination_face(cp, q)
+        # the face is the combination ((q^T L)[:d], q^T a) of those duals
+        assert face == normalize_face([dot(q, [row.f[j] for row in work.rows]) for j in range(d)],
+                                      dot(q, [row.b for row in work.rows]))
 
 
 @pytest.mark.parametrize("objective", [[0, 0], [0, 1]])

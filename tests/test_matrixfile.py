@@ -12,7 +12,7 @@ from polyproj.matrixfile import (
     render,
     reorder_to,
 )
-from polyproj.rationals import rational
+from polyproj.rationals import mpq
 from polyproj.verify import canonical_classes
 
 
@@ -41,7 +41,7 @@ def test_round_trip_exact():
     assert parse(render(doubled)).system.rows[0] == Face((2, 0, 0), 0)
     # a row with p/q entries is read times the lcm of its denominators, 18
     fractional = ConstraintSystem(
-        rows=(Face((rational(1, 2), 0, rational(-7, 3)), rational(2, 9)),),
+        rows=(Face((mpq(1, 2), 0, mpq(-7, 3)), mpq(2, 9)),),
         dim=3, names=("x", "y", "z"),
     )
     assert parse(render(fractional)).system.rows == (Face((9, 0, -42), 4),)
