@@ -33,11 +33,13 @@ facet discovery (RFD): the walk cut off early, whose ``BudgetExhausted``
 error carries a sound, possibly partial facet list.
 
 Each image reaches the walk through ``geometry.project_image``, which caps
-cones, charts flat images and drops the cap's facets; the walk traverses a
-capped cone's truncated polytope, cap facet included, since the cap's ridges
-lead to genuine neighbors.  A facet's polytope is a flat image, charted by
-solving the facet's equation for a unit coefficient where it has one (every
-paper facet does), so the ridge subproblems keep the input's small integers.
+cones, answers points and segments (a segment's two facets are not
+adjacent, so no walk could connect them), charts flat images and drops the
+cap's facets; the walk traverses a capped cone's truncated polytope, cap
+facet included, since the cap's ridges lead to genuine neighbors.  A
+facet's polytope is a flat image, charted by solving the facet's equation
+for a unit coefficient where it has one (every paper facet does), so the
+ridge subproblems keep the input's small integers.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .geometry import (
     DegenerateInput,
     Known,
     basis_simplex,
-    capped,
     minimize_image,
     project_image,
 )
@@ -112,10 +113,12 @@ class _Budget:
 def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
     """Sweep the candidate inequality g around the pivot axis s until valid.
 
-    g and s are width-d inequalities with exactly orthogonal coefficient
-    vectors.  Each step finds a point x violating the current candidate and
-    replaces the pair by the unique (up to positive scale) pair in span{g, s}
-    that is tight at x and at the running pivot, keeping the sweep monotone:
+    The system's image must be bounded (a cone capped, as
+    ``project_image`` hands it over); g and s are width-d inequalities with
+    exactly orthogonal coefficient vectors.  Each step finds a point x
+    violating the current candidate and replaces the pair by the unique (up
+    to positive scale) pair in span{g, s} that is tight at x and at the
+    running pivot, keeping the sweep monotone:
 
         g' = sigma*g - gamma*s              b' = sigma*b - gamma*c
         s' = gamma*|s|^2*g + sigma*|g|^2*s  c' = gamma*|s|^2*b + sigma*|g|^2*c
@@ -137,12 +140,11 @@ def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
     d = len(g.f)
     if d > system.dim:
         raise ValueError("face is wider than the system")
-    work = capped(system, d)
     norm_g = dot(g.f, g.f)
     norm_s = dot(s.f, s.f)
     moved = False
     while True:
-        sol = minimize_image(work, g.f)
+        sol = minimize_image(system, g.f)
         x = sol.x[:d]
         gamma = sol.objective - g.b
         if gamma >= 0:
@@ -245,7 +247,7 @@ def _pencil(g: Face, h: Face) -> Callable[[Face], bool]:
 def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
           budget: _Budget, rng: random.Random) -> Set[Face]:
     """The adjacency walk proper, on a bounded full-dimensional image of
-    ``work`` with basis simplex ``P``.
+    ``work`` with basis simplex ``P`` and rank d >= 2.
 
     ``found`` holds every facet discovered so far with its orbit, and
     ``pending`` the representatives not yet explored, of which the walk
@@ -267,13 +269,6 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
     exploring, so under a budget the result may be partial; each member is
     still a facet.
     """
-    if P.rank == 1:
-        # a segment in R^1: its facets are its endpoints, which are not
-        # adjacent, so the walk cannot connect them; the driver's vertex
-        # probes have found both
-        (lo,), (hi,) = sorted(P.points)
-        return {normalize_face((1,), lo), normalize_face((-1,), -hi)}
-
     def orbit(facet: Face):
         return group.orbit(facet) if group is not None else (facet,)
 

@@ -3,16 +3,17 @@
 The image pi(P) of a polytope under "keep the first d coordinates" is
 computed from the outside in:
 
-1. seed with d+1 affinely independent vertices of pi(P) (vertex probes),
+1. seed with d+1 affinely independent vertices of pi(P), the driver's
+   vertex-probed basis simplex,
 2. hull the vertex set collected so far,
 3. test each hull facet for validity on pi(P) with one exact LP,
 4. every invalid facet yields a new vertex of pi(P) (the LP minimizer,
    sharpened to a vertex), which is inserted into the hull,
 5. repeat until all hull facets are valid — then the hull *is* pi(P).
 
-The driver ``geometry.project_image`` caps cones, charts flat images and
-drops the cap's facets; this module hulls the bounded, full-dimensional
-image it hands over.
+The driver ``geometry.project_image`` caps cones, answers points and
+segments, charts flat images and drops the cap's facets; this module hulls
+the bounded, full-dimensional image of rank at least 2 it hands over.
 
 A symmetry group, when supplied, multiplies every discovered vertex into
 its whole orbit before re-hulling, which cuts the number of LP rounds
@@ -51,7 +52,8 @@ def _full_dim_chm(
     work: ConstraintSystem, d: int, seeds: List[Tuple], group
 ) -> Tuple[List[Face], int]:
     """The facets of the full-dimensional image of ``work``, hulled from
-    ``seeds`` outwards, and the number of validation rounds."""
+    ``seeds``, its basis simplex, outwards, and the number of validation
+    rounds."""
     hull = IncrementalHull(seeds)
     validated = {}
     rounds = 0
@@ -61,7 +63,7 @@ def _full_dim_chm(
         for face in hull.facets():
             if validated.get(face):
                 continue
-            valid = is_implied(work, face.pad(work.dim))
+            valid = is_implied(work, face)
             validated[face] = valid
             if not valid:
                 new_points += _orbit_points(group, find_vertex(work, d, face.f))
@@ -84,7 +86,7 @@ def chm_project(system: ConstraintSystem, d: int, *, group=None,
     Unbounded non-homogeneous projections raise
     :class:`geometry.UnboundedProjection`; bound the system first.  Cones
     whose image has a ray outside the cap's domain raise it too (see
-    ``geometry.cap_face``).  ``known`` seeds the basis simplex
+    ``geometry.capped``).  ``known`` seeds the basis simplex
     (``geometry.basis_simplex``); the facets do not depend on it.
     """
     result = HullResult(facets=[])

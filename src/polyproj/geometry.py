@@ -7,13 +7,14 @@ coordinates.  pi(P) denotes the image of P under z -> z[:d].
 
 The vertex-finding and basis-simplex routines operate on pi(P) without ever
 materializing it: every query is answered by an exact LP over the input
-system.  Homogeneous systems (cones) are bounded internally by the canonical
-cap  sum_{i<d} x_i <= 1  where a polytope is required; ranks and affine hulls
-of cone faces are unchanged by the cap.
+system, which must have a bounded image.
 
 ``project_image`` is the one driver of the facet-listing methods (CHM and
-AFI): it caps cones, charts flat images and drops the cap's facets, and
-hands each method a bounded, full-dimensional image.
+AFI) and the one place that decides their preconditions: it bounds a cone
+by the canonical cap  sum_{i<d} x_i <= 1  (``capped``; ranks and affine
+hulls of cone faces are unchanged by the cap), answers a point or a segment
+itself, charts flat images, drops the cap's facets, and hands each method a
+bounded, full-dimensional image of rank at least 2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class UnboundedProjection(Exception):
     """The projected polyhedron is unbounded in a queried direction.
 
     For cones this usually means the cone is outside the domain of the
-    canonical cap (see ``cap_face``), which ``capped`` adds."""
+    canonical cap (see ``capped``)."""
 
 
 class DegenerateInput(Exception):
@@ -44,23 +45,19 @@ def pad_objective(direction: Sequence, dim: int) -> List:
     return out
 
 
-def cap_face(dim: int, d: int) -> Face:
-    """The canonical bounding cap  -sum_{i<d} x_i >= -1  in R^dim.
+def capped(system: ConstraintSystem, d: int) -> ConstraintSystem:
+    """A cone bounded by the canonical cap  -sum_{i<d} x_i >= -1  on its
+    first d coordinates; a system with a nonzero right-hand side comes back
+    unchanged.
 
-    This truncates a cone into a polytope whenever the cone's image in the
-    first d coordinates lies in the nonnegative orthant and is pointed
+    The cap truncates a cone into a polytope whenever the cone's image in
+    the first d coordinates lies in the nonnegative orthant and is pointed
     (entropy-style cones).  Cones with a nonzero image ray of coordinate
     sum <= 0 are outside the cap's domain; downstream LPs then stay
     unbounded and the callers raise rather than return wrong facets."""
-    return Face(tuple(-1 if i < d else 0 for i in range(dim)), -1)
-
-
-def capped(system: ConstraintSystem, d: int) -> ConstraintSystem:
-    """A cone bounded by the canonical cap on its first d coordinates; a
-    system with a nonzero right-hand side comes back unchanged."""
     if not system.homogeneous:
         return system
-    return system.with_rows([cap_face(system.dim, d)])
+    return system.with_rows([Face(tuple(-1 if i < d else 0 for i in range(system.dim)), -1)])
 
 
 def is_implied(system: ConstraintSystem, face) -> bool:
@@ -149,9 +146,8 @@ def _parallel(u: Sequence, v: Sequence) -> bool:
 def basis_simplex(system: ConstraintSystem, d: int, probe=None,
                   known: Known = Known()) -> BasisSimplex:
     """
-    r+1 affinely independent points of pi(P) (r = dim pi(P)).  Homogeneous
-    systems are capped first; the affine hull and ranks of cone faces are
-    unaffected.
+    r+1 affinely independent points of pi(P) (r = dim pi(P)), which must
+    be bounded: a cone is capped first (``project_image`` does it).
 
     x0 is probed along e_0; then g, the first basis vector of the exact
     orthogonal complement of everything recorded so far (spanning directions
@@ -170,13 +166,12 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None,
 
     Every test is exact, and each kept point is off the span recorded before
     it.  ``known`` saves LPs, not correctness: its vertices must be vertices
-    of the (capped) image whenever the points must be, and its normals flat
-    on it.  The result spans the same affine hull whatever is known, so
+    of the image whenever the points must be, and its normals flat on it.
+    The result spans the same affine hull whatever is known, so
     ``AffineEmbedding.chart`` gives the same chart.
     """
-    work = capped(system, d)
     e0 = tuple(int(i == 0) for i in range(d))
-    x0 = minimize_image(work, e0).x[:d] if probe is None else probe(e0)
+    x0 = minimize_image(system, e0).x[:d] if probe is None else probe(e0)
     points = [x0]
     recorded: List[Tuple] = []
     while len(recorded) < d:
@@ -193,7 +188,7 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None,
         for cand in (g, tuple(-a for a in g)):
             if cand == e0:
                 continue
-            sol = minimize_image(work, cand, want_point=probe is None)
+            sol = minimize_image(system, cand, want_point=probe is None)
             if sol.objective != dot(cand, x0):
                 x = sol.x[:d] if probe is None else probe(cand)
                 points.append(x)
@@ -275,6 +270,13 @@ def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> Con
     )
 
 
+def _endpoints(bs: BasisSimplex) -> List[Face]:
+    """The facets y >= lo and -y >= -hi of a segment in R^1 whose basis
+    simplex holds its two endpoints."""
+    (lo,), (hi,) = sorted(bs.points)
+    return [normalize_face((1,), lo), normalize_face((-1,), -hi)]
+
+
 def project_image(system: ConstraintSystem, d: int, full_dim, group=None,
                   known: Known = Known()) -> Tuple[List[Face], BasisSimplex]:
     """The facets of pi(P), sorted, with ``full_dim`` listing the facets of
@@ -282,22 +284,22 @@ def project_image(system: ConstraintSystem, d: int, full_dim, group=None,
     whose points are vertices, in the input's coordinates.
 
     ``full_dim(work, r, bs, group)`` returns the facets of the image of
-    ``work`` in its first r coordinates; ``bs`` is that image's basis
-    simplex.  Around it:
+    ``work`` in its first r >= 2 coordinates; ``bs`` is that image's basis
+    simplex, r+1 vertices.  Around it:
 
     - a cone is bounded by the canonical cap on the output coordinates
-      (``capped``), and the facets with a nonzero right-hand side, which are
-      tight only at the cap, are dropped on output; so a cone comes back as
-      its genuine facets;
+      (``capped``, whose only caller this is), and the facets with a
+      nonzero right-hand side, which are tight only at the cap, are dropped
+      on output; so a cone comes back as its genuine facets;
     - the image's basis simplex is computed once, by ``basis_simplex`` with
       ``find_vertex`` probes and ``known``, what the caller knows of the
       capped image, which saves the LPs it answers; a single point has no
-      facets;
+      facets, and a segment's facets are its endpoints, both probed;
     - a flat image (rank r < d) is charted onto r free coordinates of its
       affine hull by ``AffineEmbedding.chart`` (a cone's own facets keep
-      b = 0), ``full_dim`` runs on the reduced system and its facets are
-      lifted back with 0 on the chart's pivots.  The group acts on the
-      ambient coordinates, so the chart runs without it.
+      b = 0), its facets are found on the reduced system and lifted back
+      with 0 on the chart's pivots.  The group acts on the ambient
+      coordinates, so the chart runs without it.
     """
     if not 1 <= d <= system.dim:
         raise ValueError(f"projection dimension {d} out of range")
@@ -310,10 +312,11 @@ def project_image(system: ConstraintSystem, d: int, full_dim, group=None,
     if bs.rank < d:
         emb = AffineEmbedding.chart(bs)
         charted = BasisSimplex([emb.embed_point(p) for p in bs.points])
-        inner = full_dim(reduce_system(work, d, emb), bs.rank, charted, None)
+        inner = (_endpoints(charted) if bs.rank == 1 else
+                 full_dim(reduce_system(work, d, emb), bs.rank, charted, None))
         faces = [emb.lift_face(f) for f in inner]
     else:
-        faces = full_dim(work, d, bs, group)
+        faces = _endpoints(bs) if d == 1 else full_dim(work, d, bs, group)
     if system.homogeneous:
         faces = [f for f in faces if f.b == 0]
     return sorted(faces), bs

@@ -8,9 +8,10 @@ polar-style cone
 
 which is pointed and full-dimensional exactly when the points affinely span
 R^k.  Rays are maintained by the double-description method: start from the
-simplicial cone cut out by k+1 affinely independent points (whose rays are
-the columns of the inverse constraint matrix), then insert the remaining
-points one at a time, combining adjacent rays across the new hyperplane.
+simplicial cone cut out by an initial simplex, the k+1 affinely independent
+points the caller passes (the driver's basis simplex; its rays are the
+columns of the inverse constraint matrix), then insert further points one at
+a time, combining adjacent rays across the new hyperplane.
 The structure is incremental: callers may keep inserting points and reading
 off the current facet list, which is how the projection driver avoids
 recomputing hulls from scratch while it discovers vertices.
@@ -33,19 +34,6 @@ from .lp import Face
 from .rationals import dot, rational, scale_to_coprime_ints
 
 
-def _affinely_independent_subset(points: List[Tuple], k: int) -> List[int]:
-    """Indices of k+1 points spanning R^k affinely: the first point, then
-    each point whose difference from it is independent of the earlier ones
-    (the pivot columns of the differences, taken as columns)."""
-    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    pivots = rref(list(zip(*diffs)))[1]
-    if len(pivots) != k:
-        raise DegenerateInput(
-            "points span an affine subspace of dimension %d < %d" % (len(pivots), k)
-        )
-    return [0] + [c + 1 for c in pivots]
-
-
 def _solve_inverse_columns(mat: List[List]) -> List[List[int]]:
     """Columns of mat^-1 for a square exact matrix, all scaled by one
     positive integer (raises if singular)."""
@@ -66,7 +54,8 @@ class _Ray:
 
 
 class IncrementalHull:
-    """Double-description state for conv(points), extensible point by point."""
+    """Double-description state for conv(points), extensible point by point,
+    started from the k+1 vertices of a simplex in R^k."""
 
     def __init__(self, points: Sequence[Sequence]):
         pts = [tuple(rational(c) for c in p) for p in points]
@@ -77,25 +66,17 @@ class IncrementalHull:
             raise DegenerateInput("zero-dimensional ambient space")
         if any(len(p) != self.k for p in pts):
             raise ValueError("points of mixed dimensions")
+        if len(pts) != self.k + 1:
+            raise DegenerateInput("the initial simplex needs %d points" % (self.k + 1))
 
-        init = _affinely_independent_subset(pts, self.k)
         # Constraint normal for point p is (p, -1) acting on (f, b).
-        mat = [list(pts[i]) + [-1] for i in init]
+        mat = [list(p) + [-1] for p in pts]
         self._rays: List[_Ray] = []
         for j, col in enumerate(_solve_inverse_columns(mat)):
             # Ray j is tight on every initial constraint except the j-th.
-            mask = 0
-            for pos in range(len(init)):
-                if pos != j:
-                    mask |= 1 << init[pos]
-            self._rays.append(_Ray(tuple(col), mask))
-
+            self._rays.append(_Ray(tuple(col), (1 << len(pts)) - 1 - (1 << j)))
         self.points: List[Tuple] = pts
         self._seen = set(pts)
-        done = set(init)
-        for i in range(len(pts)):
-            if i not in done:
-                self._insert(i)
 
     def add_point(self, point: Sequence) -> bool:
         """Insert one more point; returns False if it was already present."""
@@ -114,11 +95,6 @@ class IncrementalHull:
         rays = self._rays
         values = [dot(normal, r.vec) for r in rays]
         bit = 1 << i
-        if all(v >= 0 for v in values):
-            for r, v in zip(rays, values):
-                if v == 0:
-                    r.mask |= bit
-            return
         keep, pos, neg = [], [], []
         for r, v in zip(rays, values):
             if v > 0:

@@ -84,10 +84,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-#: When true, every pivot re-checks the exact-divisibility invariant.  Slow;
-#: enabled by ``tests/test_simplex.py`` on small instances.
-CHECK_PIVOTS = False
-
 
 @dataclass
 class StandardResult:
@@ -163,10 +159,6 @@ class _Tableau:
             raise RuntimeError("zero pivot")
         rowr = N[r].copy()
         outer = N[:, s, None] * rowr
-        if CHECK_PIVOTS:
-            R = N * piv - outer
-            if det != 1 and (R % det).any():
-                raise AssertionError("integer pivoting divisibility violated")
         N *= piv
         N -= outer
         if det != 1:

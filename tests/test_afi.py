@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyproj import afi, analysis, epm, geometry, lp, redundancy, simplex
+from polyproj import afi, analysis, chm, epm, geometry, lp, redundancy, simplex
 from polyproj.afi import (
     AfiConfig,
     BudgetExhausted,
@@ -239,7 +239,8 @@ def test_afi_segments_reuse_the_driver_probes(monkeypatch):
     # at depth 2 each edge of the square is a segment: the driver's vertex
     # probes already give both endpoints, so neither the hull projector nor
     # a second vertex-probed basis simplex runs on the segment's chart (the
-    # seed facet's rank check, with the default probe, is not counted)
+    # seed facet's rank check, with the default probe, is not counted), and
+    # no hull is built: the driver answers each segment
     segments, hulls = [], []
     for module in (geometry, afi):
         def counted(work, dd, probe=None, known=Known(), _inner=module.basis_simplex):
@@ -256,7 +257,36 @@ def test_afi_segments_reuse_the_driver_probes(monkeypatch):
     monkeypatch.setattr(afi, "chm_project", counted_chm)
     facets = afi_project(SQUARE, 2, AfiConfig(depth=2))
     assert facets == chm_project(SQUARE, 2).facets
-    assert len(segments) <= len(facets) and len(hulls) <= len(facets)
+    assert len(segments) <= len(facets) and hulls == []
+
+
+RAY = ConstraintSystem.from_rows([((1, -1), 0), ((-1, 1), 0), ((1, 0), 0)], 2)
+
+
+@pytest.mark.parametrize("system, d, expected", [
+    # the segment x = y in the unit square, charted onto y and lifted back
+    (SQUARE.with_rows([Face((1, -1), 0), Face((-1, 1), 0)]), 2,
+     [Face((0, -1), -1), Face((0, 1), 0)]),
+    (SQUARE, 1, [Face((-1,), -1), Face((1,), 0)]),
+    # the ray x = y >= 0: capped, a segment, whose cap facet is dropped
+    (RAY, 2, [Face((0, 1), 0)]),
+], ids=["flat", "d=1", "ray"])
+def test_segments_are_decided_by_the_driver(monkeypatch, system, d, expected):
+    # a segment's facets are its endpoints, which the driver's vertex probes
+    # find, so neither CHM nor the walk at any depth builds a hull for it
+    hulls = []
+
+    def spy(points, _inner=chm.IncrementalHull):
+        hulls.append(points)
+        return _inner(points)
+
+    monkeypatch.setattr(chm, "IncrementalHull", spy)
+    assert chm_project(system, d).facets == expected
+    for depth in (0, 1, 2):
+        assert afi_project(system, d, AfiConfig(depth=depth)) == expected
+    assert hulls == []
+    for face in expected:
+        assert is_implied(system, face)
 
 
 @pytest.mark.parametrize("spec, rotations", [("cube", 5), ("bell:2x2:body=1,2", 3)])
@@ -358,7 +388,8 @@ def test_flat_images_share_the_chart(case):
         d = 4
     else:
         system, d = _flat_cone(int(case.split("-")[1]))
-    r = basis_simplex(system, d).rank
+    work = capped(system, d)
+    r = basis_simplex(work, d).rank
     assert r < d
     facets = chm_project(system, d).facets
     assert facets
@@ -366,7 +397,7 @@ def test_flat_images_share_the_chart(case):
     assert afi_project(system, d, AfiConfig(depth=2)) == facets
     for face in facets:
         assert is_implied(system, face.pad(system.dim))
-        assert _rank(system, d, face.pad(system.dim)) == r - 1
+        assert _rank(work, d, face.pad(system.dim)) == r - 1
 
 
 def test_bell_2x2_ridge_charts_stay_small_integer(monkeypatch):

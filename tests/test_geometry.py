@@ -18,6 +18,7 @@ from polyproj.geometry import (
     is_implied,
     minimize_image,
     pad_objective,
+    project_image,
     reduce_system,
 )
 from polyproj.linalg import rref
@@ -134,11 +135,25 @@ def test_basis_simplex_flat():
 
 
 def test_basis_simplex_on_cone_uses_cap():
+    # basis_simplex needs a bounded image; project_image caps the cone
+    # before it computes the basis simplex and hands the capped system on
     orthant = ConstraintSystem.from_rows(
         [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)], 3
     )
-    bs = basis_simplex(orthant, 3)
+    with pytest.raises(UnboundedProjection):
+        basis_simplex(orthant, 3)
+    seen = []
+
+    def full_dim(work, r, bs, group):
+        seen.append(work)
+        return [Face((1, 0, 0), 0), Face((-1, -1, -1), -1)]
+
+    facets, bs = project_image(orthant, 3, full_dim)
     assert bs.rank == 3
+    assert set(bs.points) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert [work.rows for work in seen] == [capped(orthant, 3).rows]
+    assert seen[0].rows[-1] == Face((-1, -1, -1), -1)
+    assert facets == [Face((1, 0, 0), 0)]  # the cap's facet is dropped
 
 
 def test_projection_of_simplex_is_lower_simplex():

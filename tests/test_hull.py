@@ -1,32 +1,47 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from polyproj.geometry import DegenerateInput
 from polyproj.hull import IncrementalHull
 from polyproj.rationals import dot
 
-from .oracles import brute_hull_facets
+from .oracles import affine_rank, brute_hull_facets
 
 
 def as_oracle_format(facets):
     return sorted((tuple(f.f), f.b) for f in facets)
 
 
+def hull_of(simplex, rest):
+    """The hull started from the simplex, with the other points added one
+    at a time; asserts that exactly the new ones are reported as added."""
+    hull = IncrementalHull(simplex)
+    seen = set(map(tuple, simplex))
+    for p in rest:
+        assert hull.add_point(p) == (tuple(p) not in seen)
+        seen.add(tuple(p))
+    return hull
+
+
 def test_unit_square():
     pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    facets = IncrementalHull(pts).facets()
+    facets = hull_of(pts[:3], pts[3:]).facets()
     assert len(facets) == 4
     assert as_oracle_format(facets) == brute_hull_facets(pts)
 
 
 def test_interior_and_boundary_points_are_ignored():
-    pts = [(0, 0), (4, 0), (0, 4), (4, 4), (2, 2), (1, 3), (4, 2), (0, 1)]
-    facets = IncrementalHull(pts).facets()
+    # (1, 1) is inside the first triangle and (2, 0) on its edge; after
+    # (4, 4) every later point is inside the square or on its boundary, so
+    # no ray value is negative and the facets stay those of the square
+    pts = [(0, 0), (4, 0), (0, 4), (1, 1), (2, 0), (4, 4), (2, 2), (1, 3), (4, 2), (0, 1)]
+    facets = hull_of(pts[:3], pts[3:]).facets()
     assert len(facets) == 4
     for f in facets:
         assert all(dot(f.f, p) >= f.b for p in pts)
+    assert as_oracle_format(facets) == brute_hull_facets(pts)
 
 
 def test_simplex_3d():
@@ -36,27 +51,32 @@ def test_simplex_3d():
 
 def test_octahedron():
     pts = [p for p in product((-1, 0, 1), repeat=3) if sum(abs(c) for c in p) == 1]
-    facets = IncrementalHull(pts).facets()
+    facets = hull_of(pts[:4], pts[4:]).facets()
     assert len(facets) == 8
     assert as_oracle_format(facets) == brute_hull_facets(pts)
 
 
 def test_cube_with_duplicates():
+    simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     pts = [p for p in product((0, 1), repeat=3)] * 2
-    facets = IncrementalHull(pts).facets()
+    facets = hull_of(simplex, pts).facets()
     assert len(facets) == 6
+    assert as_oracle_format(facets) == brute_hull_facets(pts)
 
 
 def test_degenerate_flat_input():
+    # the initial simplex is k+1 affinely independent points in R^k
     with pytest.raises(DegenerateInput):
-        IncrementalHull([(0, 0), (1, 1), (2, 2), (3, 3)]).facets()
+        IncrementalHull([(0, 0), (1, 0), (0, 1), (1, 1)])  # k+2 points
     with pytest.raises(DegenerateInput):
-        IncrementalHull([(1, 2)]).facets()
+        IncrementalHull([(0, 0), (1, 1), (2, 2)])  # k+1 collinear points
+    with pytest.raises(DegenerateInput):
+        IncrementalHull([(1, 2)])
 
 
 def test_rational_coordinates():
     pts = [("1/2", 0), (0, "1/3"), ("-1/2", 0), (0, "-1/3")]
-    facets = IncrementalHull(pts).facets()
+    facets = hull_of(pts[:3], pts[3:]).facets()
     assert len(facets) == 4
     assert as_oracle_format(facets) == brute_hull_facets(pts)
 
@@ -71,19 +91,15 @@ point3d = st.tuples(
 )
 
 
-@given(st.lists(point2d, min_size=3, max_size=12))
-def test_matches_oracle_2d(pts):
-    try:
-        facets = IncrementalHull(pts).facets()
-    except DegenerateInput:
-        return
-    assert as_oracle_format(facets) == brute_hull_facets(pts)
+@given(st.lists(point2d, min_size=3, max_size=3), st.lists(point2d, max_size=9))
+def test_matches_oracle_2d(simplex, rest):
+    assume(affine_rank(simplex) == 2)
+    facets = hull_of(simplex, rest).facets()
+    assert as_oracle_format(facets) == brute_hull_facets(simplex + rest)
 
 
-@given(st.lists(point3d, min_size=4, max_size=9))
-def test_matches_oracle_3d(pts):
-    try:
-        facets = IncrementalHull(pts).facets()
-    except DegenerateInput:
-        return
-    assert as_oracle_format(facets) == brute_hull_facets(pts)
+@given(st.lists(point3d, min_size=4, max_size=4), st.lists(point3d, max_size=5))
+def test_matches_oracle_3d(simplex, rest):
+    assume(affine_rank(simplex) == 3)
+    facets = hull_of(simplex, rest).facets()
+    assert as_oracle_format(facets) == brute_hull_facets(simplex + rest)

@@ -254,9 +254,8 @@ def test_corrupted_infeasibility_certificate_is_caught(monkeypatch, objective):
 
 
 @pytest.fixture
-def pivot_counts(monkeypatch):
+def pivot_counts(monkeypatch, check_pivots):
     """Checks every pivot's divisibility and counts pivots and dual runs."""
-    monkeypatch.setattr(simplex, "CHECK_PIVOTS", True)
     counts = {"pivots": 0, "dual_runs": 0}
     pivot, dual_run = simplex._Tableau.pivot, simplex._Tableau.dual_run
 

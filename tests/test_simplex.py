@@ -13,11 +13,6 @@ from polyproj import simplex
 from .oracles import basis_multipliers, dual_bland_choice, solve_linear
 
 
-@pytest.fixture
-def check_pivots(monkeypatch):
-    monkeypatch.setattr(simplex, "CHECK_PIVOTS", True)
-
-
 def _programs(seed, count):
     """Small random programs; some with a dependent row, some infeasible."""
     rng = random.Random(seed)
