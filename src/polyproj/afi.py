@@ -28,7 +28,7 @@ leave open; what is known about a facet is reused across its subproblem, as
 in the adjacency decomposition of Bremner, Dutour Sikirić & Schürmann
 (2009).  Only the subproblem's hull seeds change, not its facets.
 
-``afi_project`` with a ``budget`` of hull-projector calls is the randomized
+``afi_project`` with a ``budget`` of hulls built is the randomized
 facet discovery (RFD): the walk cut off early, whose ``BudgetExhausted``
 error carries a sound, possibly partial facet list.
 
@@ -94,20 +94,20 @@ class BudgetExhausted(Exception):
 
 
 class _Budget:
-    """Counts down hull-projector leaf calls; None means unlimited."""
+    """Counts down the hulls that leaf calls build; None means unlimited."""
 
     def __init__(self, left: Optional[int]):
         self.left = left
         self.denied = False  # a leaf call was refused: the walks stop
 
-    def take(self) -> bool:
-        if self.left is None:
-            return True
-        if self.left <= 0:
-            self.denied = True
-            return False
-        self.left -= 1
-        return True
+    def allows(self) -> bool:
+        """Whether a leaf call may run: refused once no hull is left."""
+        self.denied = self.left == 0
+        return not self.denied
+
+    def spend(self) -> None:
+        if self.left is not None:
+            self.left -= 1
 
 
 def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
@@ -304,9 +304,11 @@ def _project(system: ConstraintSystem, d: int, depth: int, group,
     facets and the vertices of the image's basis simplex, which ``known``
     seeds."""
     if depth == 0:
-        if not budget.take():
+        if not budget.allows():
             return [], []
         result = chm_project(system, d, group=group, known=known)
+        if result.lp_rounds > 0:  # the leaf built a hull
+            budget.spend()
         return result.facets, result.vertices
     facets, bs = project_image(
         system, d, lambda work, r, P, g: _walk(work, r, P, g, depth, budget, rng), group, known
@@ -323,12 +325,14 @@ def afi_project(system: ConstraintSystem, d: int, cfg: Optional[AfiConfig] = Non
     Cones come back as genuine cone facets (cap artifacts removed).
 
     Without a budget the list is complete.  A ``budget`` allows that many
-    hull-projector leaf calls in all (randomized facet discovery): the walk
-    stops at the first refused call and raises ``BudgetExhausted``, which
-    carries the sound, possibly partial, facet list found by then: the
-    explored facets and the discovered, not yet explored ones, each with
-    its whole orbit.  Every member is a facet.  A walk that finishes within
-    the budget returns its complete list.
+    hulls built in all by the hull-projector leaf calls (randomized facet
+    discovery); a leaf the driver answers without a hull, a point or a
+    segment, is free.  The walk stops at the first leaf call refused once
+    no budget is left and raises ``BudgetExhausted``, which carries the
+    sound, possibly partial, facet list found by then: the explored facets
+    and the discovered, not yet explored ones, each with its whole orbit.
+    Every member is a facet.  A walk that finishes within the budget
+    returns its complete list.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")

@@ -7,7 +7,7 @@ projects the scenario system named by SPEC (see
 :func:`polyproj.scenarios.parse_scenario`) onto its observable coordinates
 and prints the facets as a matrix file.  ``--method rfd`` is AFI with a
 budget: it needs ``--budget N`` and prints the facets that the adjacency
-walk finds within N hull-projector calls (randomized facet discovery).
+walk finds within N hulls built (randomized facet discovery).
 When the budget runs out first, that sound but partial list gets a
 ``partial`` header line and the exit status is 1.
 ``--verify`` compares the facets with a bundled listing (see
@@ -50,7 +50,7 @@ def _parser() -> argparse.ArgumentParser:
     project.add_argument("spec", help="scenario spec, e.g. cca:3 or bell:2x2:body=1,2")
     project.add_argument("--method", choices=METHODS, default="fme")
     project.add_argument("--budget", type=int, metavar="N",
-                         help="hull-projector calls allowed to --method rfd (required there)")
+                         help="hulls built that --method rfd may spend (required there)")
     project.add_argument("--verify", metavar="FIXTURE",
                          help="bundled listing to compare with, e.g. cca-3")
     return parser

@@ -9,17 +9,18 @@ This module builds every concrete system the package works on:
 * symmetry groups acting on the observable coordinates, and orbit
   classification of facets.
 
-Coordinate order is canonical and documented: subsets sorted by cardinality
-first, then by their sorted member tuple.  Scenario systems are permuted so
-the observable coordinates come first (projection code always eliminates
-"everything after the first ``d`` coordinates").
+Coordinate order is canonical and defined once, by ``EntropySpace.coords``:
+subsets sorted by cardinality first, then by their sorted member tuple.  Every
+scenario builder picks its observables by filtering that order.  Scenario
+systems are permuted so the observable coordinates come first (projection
+code always eliminates "everything after the first ``d`` coordinates").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import (
     Dict,
     FrozenSet,
@@ -34,10 +35,6 @@ from typing import (
 from .lp import ConstraintSystem, Face, normalize_face
 
 Subset = FrozenSet[int]
-
-
-def _canonical_key(subset: Subset) -> Tuple[int, Tuple[int, ...]]:
-    return (len(subset), tuple(sorted(subset)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +203,6 @@ class MarginalScenario:
         return tuple(self.observable) + tuple(hidden)
 
     @cached_property
-    def column_names(self) -> Tuple[str, ...]:
-        return tuple(self.space.label(subset) for subset in self.order)
-
-    @cached_property
     def observable_names(self) -> Tuple[str, ...]:
         return tuple(self.space.label(subset) for subset in self.observable)
 
@@ -223,15 +216,19 @@ class MarginalScenario:
             Face(f=tuple(row.f[pos] for pos in source), b=row.b)
             for row in system.rows
         )
-        return ConstraintSystem(rows=rows, dim=system.dim, names=self.column_names)
+        names = tuple(self.space.label(subset) for subset in self.order)
+        return ConstraintSystem(rows=rows, dim=system.dim, names=names)
 
 
 def marginal_scenario(
     space: EntropySpace, subsets: Iterable[Iterable[int]]
 ) -> MarginalScenario:
-    """Build a scenario with observable subsets in canonical order."""
+    """Build a scenario with observable subsets in ``space.coords`` order.
+    A subset outside the space sorts first, for ``MarginalScenario`` to
+    reject."""
 
-    normalized = sorted({frozenset(s) for s in subsets}, key=_canonical_key)
+    normalized = sorted({frozenset(s) for s in subsets},
+                        key=lambda s: space.index.get(s, -1))
     return MarginalScenario(space=space, observable=tuple(normalized))
 
 
@@ -240,42 +237,36 @@ def marginal_scenario(
 # ---------------------------------------------------------------------------
 
 
-def bell_variable_names(parties: int, settings: int) -> Tuple[str, ...]:
-    if not 1 <= parties <= 26:
-        raise ValueError("parties must be between 1 and 26")
-    if settings < 1:
-        raise ValueError("settings must be at least 1")
-    return tuple(
-        f"{chr(ord('A') + p)}{s}"
-        for p in range(parties)
-        for s in range(1, settings + 1)
-    )
-
-
 def bell_scenario(
     parties: int, settings: int, body_sizes: Iterable[int]
 ) -> Tuple[ConstraintSystem, MarginalScenario]:
     """Elemental system + scenario for a multipartite measurement setup.
 
-    Variables are party-major (``A1, A2, B1, ...``).  Observable subsets
-    contain at most one variable per party and have cardinality in
-    ``body_sizes``; they are listed in canonical order, which groups them by
-    size and then by party affiliation.
+    Variables are party-major (``A1, A2, B1, ...``), so variable ``v``
+    belongs to party ``(v - 1) // settings``.  Observable subsets contain at
+    most one variable per party and have cardinality in ``body_sizes``;
+    they are listed in canonical order, which groups them by size and then
+    by party affiliation.
     """
 
-    sizes = sorted(set(body_sizes))
+    if not 1 <= parties <= 26:
+        raise ValueError("parties must be between 1 and 26")
+    if settings < 1:
+        raise ValueError("settings must be at least 1")
+    sizes = set(body_sizes)
     if not sizes or any(k < 1 or k > parties for k in sizes):
         raise ValueError(f"body sizes must be within 1..{parties}")
-    names = bell_variable_names(parties, settings)
+    names = tuple(
+        f"{chr(ord('A') + p)}{s}"
+        for p in range(parties)
+        for s in range(1, settings + 1)
+    )
     space = entropy_space(parties * settings, names)
-    subsets: List[Subset] = []
-    for k in sizes:
-        for pcombo in combinations(range(parties), k):
-            for choice in product(range(settings), repeat=k):
-                subsets.append(
-                    frozenset(p * settings + s + 1 for p, s in zip(pcombo, choice))
-                )
-    scenario = marginal_scenario(space, subsets)
+    scenario = marginal_scenario(space, (
+        subset for subset in space.coords
+        if len(subset) in sizes
+        and len({(v - 1) // settings for v in subset}) == len(subset)
+    ))
     system = scenario.reorder(elemental_inequalities(space.n, names))
     return system, scenario
 
@@ -293,9 +284,7 @@ def _common_ancestor(n: int) -> Tuple[ConstraintSystem, MarginalScenario]:
     )
     space = entropy_space(2 * n, names)
     index = space.index
-    rows: List[Face] = list(
-        form_row(space, form) for form in elemental_forms(2 * n)
-    )
+    rows: List[Face] = []
 
     def equality(coeffs: List) -> None:
         face = Face(f=tuple(coeffs), b=0)
@@ -321,13 +310,9 @@ def _common_ancestor(n: int) -> Tuple[ConstraintSystem, MarginalScenario]:
         coeffs[index[parents]] -= 1
         equality(coeffs)
 
-    observable = [
-        frozenset(combo)
-        for k in range(1, n + 1)
-        for combo in combinations(range(1, n + 1), k)
-    ]
-    scenario = marginal_scenario(space, observable)
-    system = ConstraintSystem(rows=tuple(rows), dim=space.dim, names=None)
+    observed = frozenset(range(1, n + 1))
+    scenario = marginal_scenario(space, (s for s in space.coords if s <= observed))
+    system = elemental_inequalities(2 * n, names).with_rows(rows)
     return scenario.reorder(system), scenario
 
 

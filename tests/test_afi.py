@@ -499,6 +499,13 @@ def test_rfd_exhausts_square():
     assert afi_project(SQUARE, 2, cfg, budget=50) == sorted(SQUARE.rows)
 
 
+def test_rfd_charges_only_leaves_that_build_a_hull():
+    # every ridge subproblem of the square is a segment, which the driver
+    # answers without a hull, so one unit of budget is never spent
+    cfg = AfiConfig(depth=1, seed=1)
+    assert afi_project(SQUARE, 2, cfg, budget=1) == sorted(SQUARE.rows)
+
+
 def test_rfd_budget_one_is_sound():
     cfg = AfiConfig(depth=1, seed=2)
     out = _cut_off(CUBE, 3, cfg, budget=1)

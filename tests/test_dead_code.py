@@ -1,20 +1,22 @@
 """Every definition and import of the package has a reader in it.
 
-Checked are top-level functions and classes, the methods of top-level
+Checked are top-level functions and classes, the methods and the
+class-level annotated fields (of dataclasses and NamedTuples) of top-level
 classes, module-level constants and every imported name; dunder names are
 exempt, and so are the imports of ``__init__.py``, which re-export.  A
 definition counts as used when its name is read anywhere in ``src/polyproj``
 outside its own definition (annotations and decorators included): a
 top-level definition as a name or as an attribute, a method only as an
 attribute (``x.name``), so a local variable of the same name does not keep
-it alive.  Reads inside a method count for that method, so a method read
-only by itself or by nothing is dead even when its class is used.
-Importing a name is not a use.  An import counts as used when its module
-reads the name.  Tests do not count, so code kept alive only
-by its tests fails here.  The names are matched without resolving modules,
-so the check can miss dead code whose name is also used for something else;
-code reached only through a string (an entry point, ``getattr``) needs an
-entry in ``ALLOWED``.
+it alive, and a field only as an attribute that is loaded, so assigning
+``x.name = ...`` does not keep it alive either.  Reads inside a method
+count for that method, so a method read only by itself or by nothing is
+dead even when its class is used.  Importing a name is not a use.  An
+import counts as used when its module reads the name.  Tests do not count,
+so code kept alive only by its tests fails here.  The names are matched
+without resolving modules, so the check can miss dead code whose name is
+also used for something else; code reached only through a string (an
+entry point, ``getattr``) needs an entry in ``ALLOWED``.
 
 Defaulted parameters of top-level functions and of methods are checked the
 same way: a parameter that no call in the package reaches, to a function of
@@ -39,6 +41,8 @@ ALLOWED = {
     "matrixfile.load": "perfbench/workloads.py reads each workload's expected facets with it",
     "scenarios.ElementalForm.describe":
         "labels like I(A1:B1|A2); ROADMAP item 2 names Shannon classes with it",
+    "matrixfile.MatrixFile.comments":
+        "test_listings reads each fixture's scenario: header; ROADMAP item 2 adds a # classes: header",
     "cli.main(argv=)": "the test seam of the console-script entry point",
     "fme.fme_project(row_budget=)": "ROADMAP item 1's FME budget",
     "redundancy.implied_equalities(use_float=)":
@@ -46,6 +50,12 @@ ALLOWED = {
     "redundancy.prune_redundant(use_float=)":
         "the exact reference path that tests compare against",
 }
+
+
+def _fields(stmt):
+    """The names of a class's class-level annotated fields."""
+    return [item.target.id for item in stmt.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
 
 
 def _definitions(module, stmt):
@@ -57,6 +67,7 @@ def _definitions(module, stmt):
         if isinstance(stmt, ast.ClassDef):
             out += [("%s.%s" % (key, item.name), item.name) for item in stmt.body
                     if isinstance(item, _FUNCTIONS)]
+            out += [("%s.%s" % (key, name), name) for name in _fields(stmt)]
     elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         out += [("%s.%s" % (module, target.id), target.id) for target in targets
@@ -81,7 +92,8 @@ def _scopes(module, stmt, names):
 def _unread():
     """Definitions and imports ("module.name") that nothing reads."""
     defined = {}
-    used_by = {}  # (name, read as an attribute) -> owners of the reads
+    fields = set()
+    used_by = {}  # (name, "name" | "load" | "store") -> owners of the reads
     dead = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -90,16 +102,20 @@ def _unread():
         for stmt in tree.body:
             names = _definitions(module, stmt)
             defined.update(names)
+            if isinstance(stmt, ast.ClassDef):
+                fields.update("%s.%s.%s" % (module, stmt.name, name)
+                              for name in _fields(stmt))
             for owner, scope in _scopes(module, stmt, names):
                 for node in ast.walk(scope):
                     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                        name, attribute = node.id, False
+                        name, how = node.id, "name"
                     elif isinstance(node, ast.Attribute):
-                        name, attribute = node.attr, True
+                        name = node.attr
+                        how = "load" if isinstance(node.ctx, ast.Load) else "store"
                     else:
                         continue
                     read.add(name)
-                    used_by.setdefault((name, attribute), set()).add(owner)
+                    used_by.setdefault((name, how), set()).add(owner)
         if module == "__init__":
             continue
         for node in ast.walk(tree):
@@ -109,10 +125,13 @@ def _unread():
                             ((a.asname or a.name).split(".")[0] for a in node.names)
                             if bound not in read)
     def readers(key, name):
-        owners = used_by.get((name, True), set())
-        if key.count(".") == 1:  # top level: a bare name read counts too
-            owners = owners | used_by.get((name, False), set())
-        return owners - {key}
+        if key in fields:
+            hows = ["load"]
+        elif key.count(".") == 1:  # top level: a bare name read counts too
+            hows = ["load", "store", "name"]
+        else:
+            hows = ["load", "store"]
+        return set().union(*(used_by.get((name, how), set()) for how in hows)) - {key}
 
     dead.update(key for key, name in defined.items() if not readers(key, name))
     return dead

@@ -1,10 +1,12 @@
 import math
+from itertools import combinations, product
 
 import pytest
 
 from polyproj.geometry import is_implied
 from polyproj.lp import ConstraintSystem, Face
 from polyproj.scenarios import (
+    MarginalScenario,
     ScenarioBundle,
     SymmetryGroup,
     bell_scenario,
@@ -86,6 +88,61 @@ def test_bell_scenario_dimensions():
     assert chsh.observable_names == (
         "A1", "A2", "B1", "B2", "A1B1", "A1B2", "A2B1", "A2B2",
     )
+
+
+def _nonempty_subsets(items):
+    items = list(items)
+    return [set(c) for k in range(1, len(items) + 1) for c in combinations(items, k)]
+
+
+@pytest.mark.parametrize("parties", [1, 2, 3])
+@pytest.mark.parametrize("settings", [1, 2, 3])
+def test_bell_observables_are_one_setting_per_party_of_a_body_size(parties, settings):
+    for sizes in _nonempty_subsets(range(1, parties + 1)):
+        _, scenario = bell_scenario(parties, settings, sizes)
+        # choose k parties, then one setting of each; party p's setting s
+        # is variable p * settings + s + 1
+        expected = {
+            frozenset(p * settings + s + 1 for p, s in zip(chosen, choice))
+            for k in sizes
+            for chosen in combinations(range(parties), k)
+            for choice in product(range(settings), repeat=k)
+        }
+        assert len(scenario.observable) == len(expected)
+        assert scenario.observable == tuple(
+            subset for subset in scenario.space.coords if subset in expected)
+    # variables are party-major
+    assert scenario.space.names == tuple(
+        f"{party}{s}" for party in "ABC"[:parties] for s in range(1, settings + 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cca_observables_are_the_nonempty_subsets_of_the_observed(n):
+    scenario = parse_scenario(f"cca:{n}").scenario
+    expected = tuple(frozenset(s) for s in _nonempty_subsets(range(1, n + 1)))
+    assert scenario.observable == expected
+    assert scenario.observable == tuple(
+        subset for subset in scenario.space.coords if subset in set(expected))
+
+
+@pytest.mark.parametrize("bad", [[()], [(4,)], [(1,), (0, 1)]],
+                         ids=["empty", "out-of-range", "zero"])
+def test_marginal_scenario_rejects_non_subsets(bad):
+    with pytest.raises(ValueError, match="not a variable subset"):
+        marginal_scenario(entropy_space(3), [(1, 2)] + bad)
+
+
+def test_marginal_scenario_sorts_and_merges_repeats():
+    scenario = marginal_scenario(entropy_space(3), [(2, 3), (1,), (3, 2), (2,)])
+    assert scenario.observable == (frozenset({1}), frozenset({2}), frozenset({2, 3}))
+    with pytest.raises(ValueError, match="duplicate"):
+        MarginalScenario(entropy_space(3), (frozenset({1}), frozenset({1})))
+
+
+@pytest.mark.parametrize("parties, settings", [(0, 2), (27, 2), (2, 0)])
+def test_bell_scenario_rejects_party_and_setting_counts(parties, settings):
+    with pytest.raises(ValueError, match="parties|settings"):
+        bell_scenario(parties, settings, {1})
 
 
 def test_bell_reorder_is_a_bijection_preserving_labels():
