@@ -4,13 +4,15 @@ Every ridge ((r-2)-face) of an r-dimensional polytope lies in exactly two
 facets, and the facet graph is connected.  So the complete facet list can be
 grown from a single seed facet: compute the ridges of a known facet by
 projecting the facet's own polytope (one rank lower), find the neighboring
-facet across each ridge, repeat until no facet is left unexplored.  A
-neighbor already found is named by an exact integer test: the facets through
-a ridge are the members of one pencil of inequalities.  Only a ridge whose
-neighbor is new is rotated around, an exact LP sweep, so a complete walk
-makes one rotation per facet orbit after the seed's.  The ridge projector is
-chosen recursively — depth 0 uses the hull-based projector (chm), depth k
-uses this walk again — which trades hull size against LP count.
+facet across each ridge, repeat until no facet is left unexplored.  Each
+found facet, reduced modulo the explored facet's equation, is valid on the
+explored facet's polytope, so its subproblem proves no LP for it; and the
+neighbor across a ridge, if found, reduces to that very ridge, which names
+it.  Only a ridge whose neighbor is new is rotated around, an exact LP
+sweep, so a complete walk makes one rotation per facet orbit after the
+seed's.  The ridge projector is chosen recursively — depth 0 uses the
+hull-based projector (chm), depth k uses this walk again — which trades
+hull size against LP count.
 
 The seed facet comes from EPM: a random objective over the polytope of row
 combinations samples a valid inequality (``epm.epm_sample_face``), one
@@ -21,12 +23,14 @@ tight set's directions and the face's normal; the image is
 full-dimensional, so that complement is never empty.
 
 The walk keeps a pool of the exact vertices of its image: its own basis
-simplex's, then those of each ridge subproblem.  A facet's subproblem starts
-from the pool's vertices on that facet and from the facet's normal, along
-which it is flat, so its basis simplex runs LPs only for the directions they
-leave open; what is known about a facet is reused across its subproblem, as
-in the adjacency decomposition of Bremner, Dutour Sikirić & Schürmann
-(2009).  Only the subproblem's hull seeds change, not its facets.
+simplex's, then every vertex each ridge subproblem finds.  A facet's
+subproblem starts from the pool's vertices on that facet, from the facet's
+normal, along which it is flat, and from the reduced found facets, so its
+basis simplex runs LPs only for the directions the vertices leave open, its
+hull starts from those vertices, and it proves no LP for a reduced facet;
+what is known about a facet is reused across its subproblem, as in the
+adjacency decomposition of Bremner, Dutour Sikirić & Schürmann (2009).  The
+subproblem's facets do not depend on what it is handed.
 
 ``afi_project`` with a ``budget`` of hulls built is the randomized
 facet discovery (RFD): the walk cut off early, whose ``BudgetExhausted``
@@ -59,7 +63,7 @@ from .geometry import (
     project_image,
 )
 from .linalg import orthogonal_complement
-from .lp import ConstraintSystem, Face, normalize_face
+from .lp import ConstraintSystem, Face, normalize_face, pivot_equations, substitute
 from .rationals import dot, is_zero_vector, vec_sub
 
 _SAMPLE_RETRIES = 32
@@ -221,53 +225,47 @@ def _reject_from(face: Face, axis: Face) -> Face:
     return normalize_face(coeffs, norm * axis.b - lam * face.b)
 
 
-def _pencil(g: Face, h: Face) -> Callable[[Face], bool]:
-    """A predicate accepting exactly the faces in the pencil of g and h:
-    those whose (f, b) is a rational combination of (g.f, g.b) and
-    (h.f, h.b), which must be independent.  Cramer's rule on two entries
-    with a nonzero minor D gives the only possible coefficients alpha, beta;
-    D*Phi = alpha*G + beta*H is then checked entry by entry in integers."""
-    G = g.f + (g.b,)
-    H = h.f + (h.b,)
-    minors = ((i, j, G[i] * H[j] - G[j] * H[i])
-              for i in range(len(G)) for j in range(i + 1, len(G)))
-    i, j, D = next((m for m in minors if m[2]), (0, 0, 0))
-    if not D:
-        raise ValueError("the pencil needs two independent faces")
-
-    def contains(face: Face) -> bool:
-        phi = face.f + (face.b,)
-        alpha = phi[i] * H[j] - phi[j] * H[i]
-        beta = G[i] * phi[j] - G[j] * phi[i]
-        return all(D * p == alpha * x + beta * y for p, x, y in zip(phi, G, H))
-
-    return contains
+def _reducer(facet: Face) -> Callable[[Face], Face]:
+    """Reduction modulo the facet's equation, solved for its pivot as
+    ``AffineEmbedding.chart`` solves it (``lp.pivot_equations``): a face g
+    maps to the normalized face, 0 on the pivot, that is a positive multiple
+    of g on the facet's hyperplane.  So two faces reduce alike exactly when
+    the second is a positive multiple of the first plus a multiple of the
+    facet: when both lie in one pencil with it, on the same side."""
+    eqs, pivots = pivot_equations([facet], range(len(facet.f)))
+    return lambda g: substitute(g, eqs, pivots)
 
 
-def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
-          budget: _Budget, rng: random.Random) -> Set[Face]:
+def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, known: Known,
+          depth: int, budget: _Budget, rng: random.Random) -> Tuple[Set[Face], List[Tuple]]:
     """The adjacency walk proper, on a bounded full-dimensional image of
     ``work`` with basis simplex ``P`` and rank d >= 2.
 
     ``found`` holds every facet discovered so far with its orbit, and
     ``pending`` the representatives not yet explored, of which the walk
-    explores the least.  For a ridge R of facet F, the ridge inequality a,
-    made orthogonal to F.f, gives aff(R) = {F.x = b_F, a.x = b_a}; so a
-    found facet other than F is F's neighbor across R exactly when it lies
-    in the pencil of F and a (``_pencil``).  Only a ridge with no such facet
-    is rotated around, and the rotation must land outside ``found``
+    explores the least.  Exploring F, the walk reduces every found facet
+    G != F modulo F's equation (``_reducer``): G is valid on the image, so
+    the reduced face is valid on F's polytope, and F's subproblem is handed
+    these faces to spare their LPs.  A ridge R of F comes back in the same
+    chart, 0 on the pivot and normalized, and the facets through R form a
+    pencil with F, so the neighbor across R reduces to R itself.  That
+    pencil test, a lookup among the reduced faces kept up to date as F's
+    ridges add facets, names a found neighbor; only another ridge is
+    rotated around, and the rotation must land outside ``found``
     (asserted).
 
-    ``pool`` holds the exact vertices of the image known so far, in the
-    order they were found: P's points, then the basis-simplex points that
-    each ridge subproblem reports back.  The subproblem of F is handed the
-    pool's vertices on F (F.f.p = F.b, exactly) and F's normal, along which
-    F's polytope is flat, so its basis simplex solves only the directions
-    they leave open (``geometry.basis_simplex``).
+    The faces ``known`` holds valid on the image are reduced and handed
+    down too.  ``pool`` holds the exact vertices of the image known so far,
+    in the order they were found: P's points and ``known``'s, then every
+    vertex each ridge subproblem reports back.  The subproblem of F is
+    handed the pool's vertices on F (F.f.p = F.b, exactly) and F's normal,
+    along which F's polytope is flat, so its basis simplex solves only the
+    directions they leave open (``geometry.basis_simplex``) and its hull
+    starts from them.
 
-    Returns ``found``.  Once a leaf call is refused the walk stops
-    exploring, so under a budget the result may be partial; each member is
-    still a facet.
+    Returns ``found`` and the pool.  Once a leaf call is refused the walk
+    stops exploring, so under a budget the result may be partial; each
+    member is still a facet.
     """
     def orbit(facet: Face):
         return group.orbit(facet) if group is not None else (facet,)
@@ -275,25 +273,28 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, depth: int,
     seed = _seed_facet(work, d, rng)
     found: Set[Face] = set(orbit(seed))
     pending = {seed}
-    pool = dict.fromkeys(P.points)  # an ordered set
+    pool = dict.fromkeys(P.points + list(known.vertices))  # an ordered set
     while pending and not budget.denied:
         facet = min(pending)
         pending.remove(facet)
-        sub = work.with_rows([-facet])
-        known = Known(tuple(p for p in pool if dot(facet.f, p) == facet.b), (facet.f,))
-        ridges, vertices = _project(sub, d, depth - 1, None, budget, rng, known)
+        reduce = _reducer(facet)
+        across = {reduce(g): g for g in found if g != facet}
+        valid = tuple(across) + tuple(map(reduce, known.valid))
+        sub = Known(tuple(p for p in pool if dot(facet.f, p) == facet.b), (facet.f,), valid)
+        ridges, vertices = _project(work.with_rows([-facet]), d, depth - 1, None,
+                                    budget, rng, sub)
         pool.update(dict.fromkeys(vertices))
         for ridge in ridges:
-            axis = _reject_from(facet, ridge)
-            in_pencil = _pencil(facet, axis)
-            if any(g != facet and in_pencil(g) for g in found):
+            if ridge in across:
                 continue
-            neighbor, _ = rotate(work, -facet, axis)
+            neighbor, _ = rotate(work, -facet, _reject_from(facet, ridge))
             if neighbor in found:
                 raise AssertionError("rotation reached a found facet the pencil test missed")
-            found.update(orbit(neighbor))
+            for g in orbit(neighbor):
+                found.add(g)
+                across[reduce(g)] = g
             pending.add(neighbor)
-    return found
+    return found, list(pool)
 
 
 def _project(system: ConstraintSystem, d: int, depth: int, group,
@@ -301,8 +302,8 @@ def _project(system: ConstraintSystem, d: int, depth: int, group,
              known: Known = Known()) -> Tuple[List[Face], List[Tuple]]:
     """Recursive facet-list driver shared by the complete and budgeted
     modes: the hull projector at depth 0, else the walk.  Returns the
-    facets and the vertices of the image's basis simplex, which ``known``
-    seeds."""
+    facets and the vertices of the image the projector found, starting
+    from ``known``."""
     if depth == 0:
         if not budget.allows():
             return [], []
@@ -310,10 +311,9 @@ def _project(system: ConstraintSystem, d: int, depth: int, group,
         if result.lp_rounds > 0:  # the leaf built a hull
             budget.spend()
         return result.facets, result.vertices
-    facets, bs = project_image(
-        system, d, lambda work, r, P, g: _walk(work, r, P, g, depth, budget, rng), group, known
-    )
-    return facets, bs.points
+    return project_image(
+        system, d, lambda work, r, P, g, kn: _walk(work, r, P, g, kn, depth, budget, rng),
+        group, known)
 
 
 def afi_project(system: ConstraintSystem, d: int, cfg: Optional[AfiConfig] = None,

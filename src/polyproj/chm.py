@@ -4,9 +4,11 @@ The image pi(P) of a polytope under "keep the first d coordinates" is
 computed from the outside in:
 
 1. seed with d+1 affinely independent vertices of pi(P), the driver's
-   vertex-probed basis simplex,
+   vertex-probed basis simplex, then insert the vertices the caller
+   already knows,
 2. hull the vertex set collected so far,
-3. test each hull facet for validity on pi(P) with one exact LP,
+3. test each hull facet for validity on pi(P) with one exact LP unless the
+   face is known valid,
 4. every invalid facet yields a new vertex of pi(P) (the LP minimizer,
    sharpened to a vertex), which is inserted into the hull,
 5. repeat until all hull facets are valid — then the hull *is* pi(P).
@@ -34,8 +36,8 @@ from .lp import ConstraintSystem, Face
 class HullResult:
     """Outcome of ``chm_project``: the facets of pi(P), normalized and sorted
     (for cones: the genuine cone facets), the rounds of hull validation it
-    took, and the points of the image's basis simplex, which are vertices
-    (of the capped image, for a cone)."""
+    took, and vertices of the image (of the capped image, for a cone): every
+    point of its hull, or its basis simplex where no hull was built."""
 
     facets: List[Face]
     lp_rounds: int = 0
@@ -48,19 +50,22 @@ def _orbit_points(group, point: Tuple) -> List[Tuple]:
     return [group.apply_point(perm, point) for perm in group.elements]
 
 
-def _full_dim_chm(
-    work: ConstraintSystem, d: int, seeds: List[Tuple], group
-) -> Tuple[List[Face], int]:
+def _full_dim_chm(work: ConstraintSystem, d: int, seeds: List[Tuple], group,
+                  known: Known) -> Tuple[List[Face], List[Tuple], int]:
     """The facets of the full-dimensional image of ``work``, hulled from
-    ``seeds``, its basis simplex, outwards, and the number of validation
-    rounds."""
+    ``seeds``, its basis simplex, and the known vertices outwards, the
+    points of that hull, and the number of validation rounds.  A hull facet
+    among the known valid faces takes no LP."""
     hull = IncrementalHull(seeds)
-    validated = {}
+    for point in known.vertices:
+        hull.add_point(point)
+    validated = dict.fromkeys(known.valid, True)
     rounds = 0
     while True:
         rounds += 1
+        facets = hull.facets()
         new_points: List[Tuple] = []
-        for face in hull.facets():
+        for face in facets:
             if validated.get(face):
                 continue
             valid = is_implied(work, face)
@@ -68,7 +73,7 @@ def _full_dim_chm(
             if not valid:
                 new_points += _orbit_points(group, find_vertex(work, d, face.f))
         if not new_points:
-            return hull.facets(), rounds
+            return facets, hull.points, rounds
         added = [hull.add_point(point) for point in new_points]
         if not any(added):
             raise AssertionError(
@@ -87,14 +92,14 @@ def chm_project(system: ConstraintSystem, d: int, *, group=None,
     :class:`geometry.UnboundedProjection`; bound the system first.  Cones
     whose image has a ray outside the cap's domain raise it too (see
     ``geometry.capped``).  ``known`` seeds the basis simplex
-    (``geometry.basis_simplex``); the facets do not depend on it.
+    (``geometry.basis_simplex``) and the hull, and spares the LP of each
+    hull facet it knows valid; the facets do not depend on it.
     """
     result = HullResult(facets=[])
 
-    def full_dim(work, r, bs, g):
-        facets, result.lp_rounds = _full_dim_chm(work, r, bs.points, g)
-        return facets
+    def full_dim(work, r, bs, g, kn):
+        facets, points, result.lp_rounds = _full_dim_chm(work, r, bs.points, g, kn)
+        return facets, points
 
-    result.facets, bs = project_image(system, d, full_dim, group, known)
-    result.vertices = bs.points
+    result.facets, result.vertices = project_image(system, d, full_dim, group, known)
     return result

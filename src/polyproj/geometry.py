@@ -26,7 +26,7 @@ from .linalg import orthogonal_complement
 from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, InfeasibleSystem,
                  LpSolution, lp_minimize, normalize_face, pivot_equations,
                  substitute)
-from .rationals import dot, is_zero_vector, vec_sub
+from .rationals import dot, is_zero_vector, mpq, vec_sub
 
 
 class UnboundedProjection(Exception):
@@ -130,11 +130,12 @@ class BasisSimplex:
 @dataclass(frozen=True)
 class Known:
     """What a caller already knows of an image pi(P): some of its vertices,
-    and normals n along which it is flat (n.x is constant on pi(P)).  The
-    default knows nothing."""
+    normals n along which it is flat (n.x is constant on pi(P)), and faces
+    valid on it, normalized.  The default knows nothing."""
 
     vertices: Tuple[Tuple, ...] = ()
     flat: Tuple[Tuple, ...] = ()
+    valid: Tuple[Face, ...] = ()
 
 
 def _parallel(u: Sequence, v: Sequence) -> bool:
@@ -240,6 +241,27 @@ class AffineEmbedding:
             raise DegenerateInput("point is outside the affine hull")
         return tuple(x[i] for i in self.free)
 
+    def lift_point(self, y: Sequence) -> Tuple:
+        """The point of the hull with chart coordinates y, the inverse of
+        ``embed_point``: each pivot is solved from its equation, the last
+        first, since an equation is zero on the earlier pivots only."""
+        x = [0] * self.ambient_dim
+        for i, a in zip(self.free, y):
+            x[i] = a
+        for eq, p in zip(reversed(self.equations), reversed(self.pivots)):
+            x[p] = mpq(eq.b - dot(eq.f, x), eq.f[p])
+        return tuple(x)
+
+    def embed_face(self, face: Face) -> Face:
+        """``face``, over the charted coordinates and possibly more after
+        them, with the pivots substituted out (``lp.substitute``, the
+        equations zero-padded to its width): it keeps f[free] and the
+        coordinates after the charted ones, and on the hull it is a
+        positive multiple of ``face``."""
+        row = substitute(face, [eq.pad(len(face.f)) for eq in self.equations], self.pivots)
+        return normalize_face([row.f[i] for i in self.free] + list(row.f[self.ambient_dim:]),
+                              row.b)
+
     def lift_face(self, face) -> Face:
         """The reduced inequality on the free coordinates, 0 on the pivots:
         it agrees with the reduced one on the hull."""
@@ -253,21 +275,14 @@ class AffineEmbedding:
 def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> ConstraintSystem:
     """
     Rewrite a projection problem whose image is flat into reduced output
-    coordinates: each row (f, b) has the chart's pivots substituted out
-    (``lp.substitute``, the equations zero-padded to the system's width) and
-    keeps f[free] ++ f[d:] over r + (dim - d) variables.  A solution's first
-    r entries are the free coordinates of a point of the hull.
+    coordinates: each row is embedded (``AffineEmbedding.embed_face``) over
+    r + (dim - d) variables.  A solution's first r entries are the free
+    coordinates of a point of the hull.
     """
     if emb.ambient_dim != d:
         raise ValueError("embedding does not chart the first d coordinates")
-    eqs = [eq.pad(system.dim) for eq in emb.equations]
-    rows = []
-    for row in system.rows:
-        row = substitute(row, eqs, emb.pivots)
-        rows.append(normalize_face([row.f[i] for i in emb.free] + list(row.f[d:]), row.b))
-    return ConstraintSystem(
-        rows=tuple(rows), dim=emb.reduced_dim + (system.dim - d)
-    )
+    return ConstraintSystem(rows=tuple(emb.embed_face(row) for row in system.rows),
+                            dim=emb.reduced_dim + (system.dim - d))
 
 
 def _endpoints(bs: BasisSimplex) -> List[Face]:
@@ -278,28 +293,31 @@ def _endpoints(bs: BasisSimplex) -> List[Face]:
 
 
 def project_image(system: ConstraintSystem, d: int, full_dim, group=None,
-                  known: Known = Known()) -> Tuple[List[Face], BasisSimplex]:
+                  known: Known = Known()) -> Tuple[List[Face], List[Tuple]]:
     """The facets of pi(P), sorted, with ``full_dim`` listing the facets of
-    a bounded, full-dimensional image, and the basis simplex of pi(P),
-    whose points are vertices, in the input's coordinates.
+    a bounded, full-dimensional image, and vertices of pi(P) in the input's
+    coordinates: those ``full_dim`` reports, else the basis simplex's.
 
-    ``full_dim(work, r, bs, group)`` returns the facets of the image of
-    ``work`` in its first r >= 2 coordinates; ``bs`` is that image's basis
-    simplex, r+1 vertices.  Around it:
+    ``full_dim(work, r, bs, group, known)`` returns the facets of the image
+    of ``work`` in its first r >= 2 coordinates and vertices of that image;
+    ``bs`` is the image's basis simplex, r+1 vertices, and ``known`` what
+    the caller knows of the image.  Around it:
 
     - a cone is bounded by the canonical cap on the output coordinates
       (``capped``, whose only caller this is), and the facets with a
       nonzero right-hand side, which are tight only at the cap, are dropped
-      on output; so a cone comes back as its genuine facets;
+      on output; so a cone comes back as its genuine facets, and with
+      vertices of the capped image;
     - the image's basis simplex is computed once, by ``basis_simplex`` with
       ``find_vertex`` probes and ``known``, what the caller knows of the
       capped image, which saves the LPs it answers; a single point has no
       facets, and a segment's facets are its endpoints, both probed;
     - a flat image (rank r < d) is charted onto r free coordinates of its
       affine hull by ``AffineEmbedding.chart`` (a cone's own facets keep
-      b = 0), its facets are found on the reduced system and lifted back
-      with 0 on the chart's pivots.  The group acts on the ambient
-      coordinates, so the chart runs without it.
+      b = 0), as are the known vertices and valid faces; its facets are
+      found on the reduced system and lifted back with 0 on the chart's
+      pivots, and its vertices through the chart.  The group acts on the
+      ambient coordinates, so the chart runs without it.
     """
     if not 1 <= d <= system.dim:
         raise ValueError(f"projection dimension {d} out of range")
@@ -307,16 +325,24 @@ def project_image(system: ConstraintSystem, d: int, full_dim, group=None,
         raise ValueError("symmetry group dimension does not match the output space")
     work = capped(system, d)
     bs = basis_simplex(work, d, probe=lambda c: find_vertex(work, d, c), known=known)
+    vertices = bs.points
     if bs.rank == 0:
-        return [], bs
+        return [], vertices
     if bs.rank < d:
         emb = AffineEmbedding.chart(bs)
         charted = BasisSimplex([emb.embed_point(p) for p in bs.points])
-        inner = (_endpoints(charted) if bs.rank == 1 else
-                 full_dim(reduce_system(work, d, emb), bs.rank, charted, None))
+        if bs.rank == 1:
+            inner = _endpoints(charted)
+        else:
+            on_chart = Known(tuple(map(emb.embed_point, known.vertices)), (),
+                             tuple(map(emb.embed_face, known.valid)))
+            inner, points = full_dim(reduce_system(work, d, emb), bs.rank, charted, None, on_chart)
+            vertices = [emb.lift_point(y) for y in points]
         faces = [emb.lift_face(f) for f in inner]
+    elif d == 1:
+        faces = _endpoints(bs)
     else:
-        faces = _endpoints(bs) if d == 1 else full_dim(work, d, bs, group)
+        faces, vertices = full_dim(work, d, bs, group, known)
     if system.homogeneous:
         faces = [f for f in faces if f.b == 0]
-    return sorted(faces), bs
+    return sorted(faces), vertices

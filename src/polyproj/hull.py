@@ -16,6 +16,11 @@ The structure is incremental: callers may keep inserting points and reading
 off the current facet list, which is how the projection driver avoids
 recomputing hulls from scratch while it discovers vertices.
 
+Each point p enters as its constraint normal (D p, -D), where D is the lcm
+of p's denominators, which makes it a coprime integer vector: a positive
+multiple of (p, -1), so the cone is unchanged, and every ray value and
+combined ray is an integer.
+
 Two rays are adjacent iff no third ray is tight on every constraint they are
 both tight on; tight sets are tracked as bitmasks over the points processed
 so far.  A combined ray s+ . r-  +  (-s-) . r+ is tight on an old constraint
@@ -26,6 +31,7 @@ Every ray of the final cone with f != 0 is a facet of the hull; f = 0 cannot
 occur for an extreme ray (such a ray would be interior).
 """
 
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .geometry import DegenerateInput
@@ -45,11 +51,18 @@ def _solve_inverse_columns(mat: List[List]) -> List[List[int]]:
     return [[row[n + j] for row in reduced] for j in range(n)]
 
 
+def _normal(point: Tuple) -> Tuple[int, ...]:
+    """The constraint normal (D p, -D) of a point p: coprime integers, since
+    D is the lcm of p's denominators."""
+    return scale_to_coprime_ints(point + (-1,))
+
+
 class _Ray:
     __slots__ = ("vec", "mask")
 
-    def __init__(self, vec: Tuple, mask: int):
-        self.vec = scale_to_coprime_ints(vec)
+    def __init__(self, vec: Sequence[int], mask: int):
+        g = gcd(*vec)  # the ray's coprime integer multiple
+        self.vec = tuple(c // g for c in vec)
         self.mask = mask
 
 
@@ -69,12 +82,10 @@ class IncrementalHull:
         if len(pts) != self.k + 1:
             raise DegenerateInput("the initial simplex needs %d points" % (self.k + 1))
 
-        # Constraint normal for point p is (p, -1) acting on (f, b).
-        mat = [list(p) + [-1] for p in pts]
         self._rays: List[_Ray] = []
-        for j, col in enumerate(_solve_inverse_columns(mat)):
+        for j, col in enumerate(_solve_inverse_columns([_normal(p) for p in pts])):
             # Ray j is tight on every initial constraint except the j-th.
-            self._rays.append(_Ray(tuple(col), (1 << len(pts)) - 1 - (1 << j)))
+            self._rays.append(_Ray(col, (1 << len(pts)) - 1 - (1 << j)))
         self.points: List[Tuple] = pts
         self._seen = set(pts)
 
@@ -87,14 +98,12 @@ class IncrementalHull:
             return False
         self.points.append(p)
         self._seen.add(p)
-        self._insert(len(self.points) - 1)
+        self._insert(_normal(p), 1 << (len(self.points) - 1))
         return True
 
-    def _insert(self, i: int) -> None:
-        normal = list(self.points[i]) + [-1]
+    def _insert(self, normal: Tuple[int, ...], bit: int) -> None:
         rays = self._rays
         values = [dot(normal, r.vec) for r in rays]
-        bit = 1 << i
         keep, pos, neg = [], [], []
         for r, v in zip(rays, values):
             if v > 0:
@@ -118,7 +127,7 @@ class IncrementalHull:
                 if r3 is not rp and r3 is not rn
             ):
                 continue
-            vec = tuple(vp * x - vn * y for x, y in zip(rn.vec, rp.vec))
+            vec = [vp * x - vn * y for x, y in zip(rn.vec, rp.vec)]
             new_rays.append(_Ray(vec, common | bit))
         self._rays = keep + new_rays
 

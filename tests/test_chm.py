@@ -1,12 +1,15 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from polyproj import chm
 from polyproj.chm import chm_project
-from polyproj.geometry import UnboundedProjection, basis_simplex, is_implied
+from polyproj.geometry import Known, UnboundedProjection, basis_simplex, is_implied
 from polyproj.lp import ConstraintSystem, Face, normalize_face
 
-from .oracles import brute_hull_facets, brute_projection_facets, brute_vertices
+from .oracles import affine_rank, brute_hull_facets, brute_projection_facets, brute_vertices
 
 
 def cube_system(n=3, lo=0, hi=1):
@@ -118,3 +121,45 @@ def test_random_projections_match_brute_force(seed):
         pytest.skip("flat projection sample")
     result = chm_project(system, d)
     assert set(result.facets) == expected
+
+
+@st.composite
+def projection_with_knowledge(draw):
+    """A polytope in R^3 or R^4, its shadow on d >= 2 coordinates (full
+    dimensional, as the polytope is), and random subsets of the shadow's
+    oracle vertices and facets."""
+    dim = draw(st.integers(3, 4))
+    d = draw(st.integers(2, dim - 1))
+    coord = st.integers(-3, 3)
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 3))
+    assume(affine_rank(points) == dim)
+    rows = brute_hull_facets(points)
+    shadow = [normalize_face(*f) for f in brute_projection_facets(
+        [f for f, _ in rows], [b for _, b in rows], dim, d)]
+    vertices = brute_vertices([f.f for f in shadow], [f.b for f in shadow], d)
+    known = Known(tuple(draw(st.lists(st.sampled_from(vertices), unique=True))), (),
+                  tuple(draw(st.lists(st.sampled_from(shadow), unique=True))))
+    return ConstraintSystem.from_rows(rows, dim), d, sorted(shadow), vertices, known
+
+
+@given(projection_with_knowledge())
+def test_known_vertices_and_valid_faces_leave_the_facets_unchanged(case):
+    # the hull starts from the known vertices, a hull facet known valid takes
+    # no LP, and every hull point comes back as a vertex of the image
+    system, d, shadow, vertices, known = case
+    proved = []
+
+    def spy(work, face, _inner=chm.is_implied):
+        proved.append(face)
+        return _inner(work, face)
+
+    with mock.patch.object(chm, "is_implied", spy):
+        result = chm_project(system, d, known=known)
+        assert not set(proved) & set(known.valid)
+        proved.clear()
+        # knowing every vertex and facet, the first hull is the image: no LP
+        everything = Known(tuple(vertices), (), tuple(shadow))
+        assert chm_project(system, d, known=everything).facets == shadow
+        assert proved == []
+    assert result.facets == chm_project(system, d).facets == shadow
+    assert set(known.vertices) <= set(result.vertices) <= set(vertices)

@@ -144,13 +144,13 @@ def test_basis_simplex_on_cone_uses_cap():
         basis_simplex(orthant, 3)
     seen = []
 
-    def full_dim(work, r, bs, group):
+    def full_dim(work, r, bs, group, known):
         seen.append(work)
-        return [Face((1, 0, 0), 0), Face((-1, -1, -1), -1)]
+        assert bs.rank == 3
+        return [Face((1, 0, 0), 0), Face((-1, -1, -1), -1)], bs.points
 
-    facets, bs = project_image(orthant, 3, full_dim)
-    assert bs.rank == 3
-    assert set(bs.points) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    facets, vertices = project_image(orthant, 3, full_dim)
+    assert set(vertices) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert [work.rows for work in seen] == [capped(orthant, 3).rows]
     assert seen[0].rows[-1] == Face((-1, -1, -1), -1)
     assert facets == [Face((1, 0, 0), 0)]  # the cap's facet is dropped
@@ -395,7 +395,7 @@ def test_chart_round_trips_on_flat_polytopes(case):
     lifted = emb.lift_face(face)
     for j, p in enumerate(points):
         y = emb.embed_point(p)
-        assert _lift(emb, y) == p
+        assert _lift(emb, y) == p == emb.lift_point(y)
         # the reduced system holds at the chart image of (p, e_j)
         z = y + tuple(int(k == j) for k in range(m))
         assert all(dot(row.f, z) >= row.b for row in reduced.rows)
@@ -403,7 +403,18 @@ def test_chart_round_trips_on_flat_polytopes(case):
         assert (dot(face[0], y) - face[1] > 0) == (dot(lifted.f, p) - lifted.b > 0)
         assert (dot(face[0], y) == face[1]) == (dot(lifted.f, p) == lifted.b)
     back = reduce_system(ConstraintSystem.from_rows([lifted], d), d, emb).rows[0]
-    assert back == normalize_face(*face)
+    assert back == normalize_face(*face) == emb.embed_face(lifted)
+    # the chart is a bijection of R^r onto the hull: off the polytope too
+    y = tuple(Fraction(a, 3) for a in face[0])
+    x = emb.lift_point(y)
+    assert x == _lift(emb, y) and emb.embed_point(x) == y
+    # an ambient face and its chart agree in sign at every point of the hull
+    g = normalize_face(face[0] + (1,) * (d - len(face[0])), face[1])
+    e = emb.embed_face(g)
+    for p in points + [x]:
+        y = emb.embed_point(p)
+        assert (dot(g.f, p) > g.b) == (dot(e.f, y) > e.b)
+        assert (dot(g.f, p) == g.b) == (dot(e.f, y) == e.b)
     off = list(points[0])
     off[emb.pivots[0]] += 1
     with pytest.raises(DegenerateInput):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -103,3 +104,21 @@ def test_matches_oracle_3d(simplex, rest):
     assume(affine_rank(simplex) == 3)
     facets = hull_of(simplex, rest).facets()
     assert as_oracle_format(facets) == brute_hull_facets(simplex + rest)
+
+
+# large primes and products of them: the points' denominators are pairwise
+# coprime or share a large factor, so each constraint normal (D p, -D) has
+# entries far beyond 64 bits
+_DENOMINATORS = (1, 1000003, 2147483647, 1000003 * 998244353, 2**61 - 1)
+big_rational = st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(_DENOMINATORS))
+
+
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[big_rational] * k), min_size=k + 1, max_size=k + 1),
+    st.lists(st.tuples(*[big_rational] * k), max_size=6))))
+def test_matches_oracle_with_large_coprime_denominators(case):
+    simplex, rest = case
+    assume(affine_rank(simplex) == len(simplex[0]))
+    facets = hull_of(simplex, rest).facets()
+    assert as_oracle_format(facets) == brute_hull_facets(simplex + rest)
+    assert all(type(c) is int for f in facets for c in f.f + (f.b,))

@@ -91,3 +91,10 @@ def test_afi_reproduces_bell_12d_listing():
     bell = parse_scenario("bell:3x2:body=2")
     facets = afi_project(bell.system, bell.scenario.d, AfiConfig(depth=1, group=bell.group))
     _assert_matches(bell, facets, "bell-12d")
+
+
+@pytest.mark.slow
+def test_afi_reproduces_bell_14d_listing():
+    bell = parse_scenario("bell:3x2:body=1,3")
+    facets = afi_project(bell.system, bell.scenario.d, AfiConfig(depth=1, group=bell.group))
+    _assert_matches(bell, facets, "bell-14d")
