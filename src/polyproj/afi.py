@@ -23,7 +23,8 @@ tight set's directions and the face's normal; the image is
 full-dimensional, so that complement is never empty.
 
 The walk keeps a pool of the exact vertices of its image: its own basis
-simplex's, then every vertex each ridge subproblem finds.  A facet's
+simplex's, then every vertex each ridge subproblem finds, with the vertex's
+whole orbit under the group, which maps the image to itself.  A facet's
 subproblem starts from the pool's vertices on that facet, from the facet's
 normal, along which it is flat, and from the reduced found facets, so its
 basis simplex runs LPs only for the directions the vertices leave open, its
@@ -59,12 +60,17 @@ from .geometry import (
     DegenerateInput,
     Known,
     basis_simplex,
+    cut,
+    difference,
+    face_through,
     minimize_image,
+    orbit,
     project_image,
+    slack,
 )
 from .linalg import orthogonal_complement
 from .lp import ConstraintSystem, Face, normalize_face, pivot_equations, substitute
-from .rationals import dot, is_zero_vector, vec_sub
+from .rationals import dot, is_zero_vector
 
 _SAMPLE_RETRIES = 32
 
@@ -129,7 +135,8 @@ def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
 
     with gamma = g.x - b < 0 and sigma = s.x - c.  These are the unit-norm
     update rules cleared of denominators — the pair is only meaningful up to
-    positive scaling, so exact integer faces can be kept throughout.  On
+    positive scaling, so exact integer faces can be kept throughout; gamma
+    and sigma are taken times x's D > 0 (``geometry.slack``), in integers.  On
     return g is valid and tight (min g.x = b, asserted) and s is the rotated
     companion axis, still exactly orthogonal.
     """
@@ -148,14 +155,13 @@ def rotate(system: ConstraintSystem, g, s) -> Tuple[Face, Face]:
     norm_s = dot(s.f, s.f)
     moved = False
     while True:
-        sol = minimize_image(system, g.f)
-        x = sol.x[:d]
-        gamma = sol.objective - g.b
+        x = cut(minimize_image(system, g.f).point, d)
+        gamma = slack(g, x)
         if gamma >= 0:
             if moved and gamma != 0:
                 raise AssertionError("rotation terminated on a non-tight face")
             return g, s
-        sigma = dot(s.f, x) - s.b
+        sigma = slack(s, x)
         g2 = normalize_face(
             [sigma * a - gamma * c for a, c in zip(g.f, s.f)],
             sigma * g.b - gamma * s.b,
@@ -186,9 +192,9 @@ def _tighten(work: ConstraintSystem, d: int, face: Face) -> Face:
     """
     F = basis_simplex(work.with_rows([-face]), d)
     while F.rank != d - 1:
-        fdirs = [vec_sub(q, F.base) for q in F.points[1:]]
+        fdirs = [difference(q, F.base) for q in F.points[1:]]
         g = orthogonal_complement(fdirs + [face.f], d)[0]
-        axis = normalize_face(g, dot(g, F.base))
+        axis = face_through(g, F.base)
         if minimize_image(work, axis.f, want_point=False).objective >= axis.b:
             axis = -axis
         face, _ = rotate(work, -face, -axis)
@@ -257,8 +263,9 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, known: Known,
     The faces ``known`` holds valid on the image are reduced and handed
     down too.  ``pool`` holds the exact vertices of the image known so far,
     in the order they were found: P's points and ``known``'s, then every
-    vertex each ridge subproblem reports back.  The subproblem of F is
-    handed the pool's vertices on F (F.f.p = F.b, exactly) and F's normal,
+    vertex each ridge subproblem reports back, each followed by its orbit
+    (``geometry.orbit``).  The subproblem of F is handed the pool's
+    vertices on F (F.f.p = F.b, exactly) and F's normal,
     along which F's polytope is flat, so its basis simplex solves only the
     directions they leave open (``geometry.basis_simplex``) and its hull
     starts from them.
@@ -267,11 +274,11 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, known: Known,
     stops exploring, so under a budget the result may be partial; each
     member is still a facet.
     """
-    def orbit(facet: Face):
+    def facet_orbit(facet: Face):
         return group.orbit(facet) if group is not None else (facet,)
 
     seed = _seed_facet(work, d, rng)
-    found: Set[Face] = set(orbit(seed))
+    found: Set[Face] = set(facet_orbit(seed))
     pending = {seed}
     pool = dict.fromkeys(P.points + list(known.vertices))  # an ordered set
     while pending and not budget.denied:
@@ -280,17 +287,17 @@ def _walk(work: ConstraintSystem, d: int, P: BasisSimplex, group, known: Known,
         reduce = _reducer(facet)
         across = {reduce(g): g for g in found if g != facet}
         valid = tuple(across) + tuple(map(reduce, known.valid))
-        sub = Known(tuple(p for p in pool if dot(facet.f, p) == facet.b), (facet.f,), valid)
+        sub = Known(tuple(p for p in pool if slack(facet, p) == 0), (facet.f,), valid)
         ridges, vertices = _project(work.with_rows([-facet]), d, depth - 1, None,
                                     budget, rng, sub)
-        pool.update(dict.fromkeys(vertices))
+        pool.update(dict.fromkeys(q for v in vertices for q in orbit(group, v)))
         for ridge in ridges:
             if ridge in across:
                 continue
             neighbor, _ = rotate(work, -facet, _reject_from(facet, ridge))
             if neighbor in found:
                 raise AssertionError("rotation reached a found facet the pencil test missed")
-            for g in orbit(neighbor):
+            for g in facet_orbit(neighbor):
                 found.add(g)
                 across[reduce(g)] = g
             pending.add(neighbor)

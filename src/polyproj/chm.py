@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .geometry import Known, find_vertex, is_implied, project_image
+from .geometry import Known, find_vertex, is_implied, orbit, project_image
 from .hull import IncrementalHull
 from .lp import ConstraintSystem, Face
 
@@ -36,18 +36,13 @@ from .lp import ConstraintSystem, Face
 class HullResult:
     """Outcome of ``chm_project``: the facets of pi(P), normalized and sorted
     (for cones: the genuine cone facets), the rounds of hull validation it
-    took, and vertices of the image (of the capped image, for a cone): every
-    point of its hull, or its basis simplex where no hull was built."""
+    took, and vertices of the image (of the capped image, for a cone), as
+    ``geometry`` points: every point of its hull, or its basis simplex where
+    no hull was built."""
 
     facets: List[Face]
     lp_rounds: int = 0
     vertices: List[Tuple] = field(default_factory=list)
-
-
-def _orbit_points(group, point: Tuple) -> List[Tuple]:
-    if group is None:
-        return [point]
-    return [group.apply_point(perm, point) for perm in group.elements]
 
 
 def _full_dim_chm(work: ConstraintSystem, d: int, seeds: List[Tuple], group,
@@ -71,7 +66,7 @@ def _full_dim_chm(work: ConstraintSystem, d: int, seeds: List[Tuple], group,
             valid = is_implied(work, face)
             validated[face] = valid
             if not valid:
-                new_points += _orbit_points(group, find_vertex(work, d, face.f))
+                new_points += orbit(group, find_vertex(work, d, face.f))
         if not new_points:
             return facets, hull.points, rounds
         added = [hull.add_point(point) for point in new_points]

@@ -15,18 +15,28 @@ by the canonical cap  sum_{i<d} x_i <= 1  (``capped``; ranks and affine
 hulls of cone faces are unchanged by the cap), answers a point or a segment
 itself, charts flat images, drops the cap's facets, and hands each method a
 bounded, full-dimensional image of rank at least 2.
+
+Points are exact and integer: a point p of R^k is the coprime integer tuple
+(D p_1, ..., D p_k, D) with D > 0, the form ``lp.LpSolution.point`` holds,
+so equal points are equal tuples.  The vertices, basis simplices, charts and
+known vertices below all hold points in this form, and only this module
+reads it: CHM and the walk cut points to their first coordinates (``cut``),
+take directions between them (``difference``), their group orbits
+(``orbit``), and faces at them (``slack``, ``face_through``), all in
+integers; the hull takes each point as it is, as homogeneous coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
 from .linalg import orthogonal_complement
 from .lp import (INFEASIBLE, UNBOUNDED, ConstraintSystem, Face, InfeasibleSystem,
                  LpSolution, lp_minimize, normalize_face, pivot_equations,
                  substitute)
-from .rationals import dot, is_zero_vector, mpq, vec_sub
+from .rationals import dot, is_zero_vector
 
 
 class UnboundedProjection(Exception):
@@ -38,6 +48,42 @@ class UnboundedProjection(Exception):
 
 class DegenerateInput(Exception):
     """Input violates a rank/shape precondition (e.g. empty interior)."""
+
+
+def _coprime(values: Sequence[int]) -> Tuple[int, ...]:
+    """Integers divided by their gcd: a point once its last entry is positive."""
+    g = gcd(*values)
+    return tuple(values) if g == 1 else tuple(v // g for v in values)
+
+
+def cut(point: Tuple[int, ...], d: int) -> Tuple[int, ...]:
+    """The point's first d coordinates, a point of R^d."""
+    return _coprime(point[:d] + point[-1:])
+
+
+def difference(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The integer direction D_q X_p - D_p X_q, a positive multiple of p - q."""
+    Dp, Dq = p[-1], q[-1]
+    return tuple(Dq * a - Dp * b for a, b in zip(p[:-1], q[:-1]))
+
+
+def orbit(group, point: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The point's images under the group's elements, in their order
+    (the point itself without a group)."""
+    if group is None:
+        return [point]
+    D = point[-1:]
+    return [group.apply_point(perm, point[:-1]) + D for perm in group.elements]
+
+
+def slack(face: Face, point: Tuple[int, ...]) -> int:
+    """f.X - b D, which is D (f.p - b): of the sign of the face's slack at p."""
+    return dot(face.f, point[:-1]) - face.b * point[-1]
+
+
+def face_through(normal: Sequence[int], point: Tuple[int, ...]) -> Face:
+    """The normalized face n.x >= n.p, whose hyperplane passes through p."""
+    return normalize_face([a * point[-1] for a in normal], dot(normal, point[:-1]))
 
 
 def pad_objective(direction: Sequence, dim: int) -> List:
@@ -109,7 +155,7 @@ def find_vertex(system: ConstraintSystem, d: int, direction: Sequence) -> Tuple:
         raise ValueError("direction must be nonzero")
     skip = next(i for i, a in enumerate(direction) if a != 0)
     ties = [[int(j == i) for j in range(d)] for i in range(d) if i != skip]
-    return tuple(minimize_image(system, direction, ties=ties).x[:d])
+    return cut(minimize_image(system, direction, ties=ties).point, d)
 
 
 @dataclass
@@ -129,9 +175,9 @@ class BasisSimplex:
 
 @dataclass(frozen=True)
 class Known:
-    """What a caller already knows of an image pi(P): some of its vertices,
-    normals n along which it is flat (n.x is constant on pi(P)), and faces
-    valid on it, normalized.  The default knows nothing."""
+    """What a caller already knows of an image pi(P): some of its vertices
+    (points), normals n along which it is flat (n.x is constant on pi(P)),
+    and faces valid on it, normalized.  The default knows nothing."""
 
     vertices: Tuple[Tuple, ...] = ()
     flat: Tuple[Tuple, ...] = ()
@@ -142,6 +188,18 @@ def _parallel(u: Sequence, v: Sequence) -> bool:
     """True iff u is a nonzero multiple of the nonzero vector v."""
     k = next(i for i, a in enumerate(v) if a)
     return u[k] != 0 and all(a * v[k] == b * u[k] for a, b in zip(u, v))
+
+
+def _farthest(plane: Face, vertices: Sequence[Tuple[int, ...]]) -> Optional[Tuple[int, ...]]:
+    """The first of the vertices farthest from the plane, None when all lie
+    on it.  A vertex's distance is |slack| / D up to one positive factor, so
+    two are compared by cross-multiplying."""
+    far, top, den = None, 0, 1
+    for p in vertices:
+        s = abs(slack(plane, p))
+        if s * den > top * p[-1]:
+            far, top, den = p, s, p[-1]
+    return far
 
 
 def basis_simplex(system: ConstraintSystem, d: int, probe=None,
@@ -172,7 +230,7 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None,
     ``AffineEmbedding.chart`` gives the same chart.
     """
     e0 = tuple(int(i == 0) for i in range(d))
-    x0 = minimize_image(system, e0).x[:d] if probe is None else probe(e0)
+    x0 = cut(minimize_image(system, e0).point, d) if probe is None else probe(e0)
     points = [x0]
     recorded: List[Tuple] = []
     while len(recorded) < d:
@@ -180,20 +238,19 @@ def basis_simplex(system: ConstraintSystem, d: int, probe=None,
         if any(_parallel(g, n) for n in known.flat):
             recorded.append(g)
             continue
-        base = dot(g, x0)
-        far = max(known.vertices, key=lambda p: abs(dot(g, p) - base), default=None)
-        if far is not None and dot(g, far) != base:
+        far = _farthest(face_through(g, x0), known.vertices)
+        if far is not None:
             points.append(far)
-            recorded.append(vec_sub(far, x0))
+            recorded.append(difference(far, x0))
             continue
         for cand in (g, tuple(-a for a in g)):
             if cand == e0:
                 continue
             sol = minimize_image(system, cand, want_point=probe is None)
-            if sol.objective != dot(cand, x0):
-                x = sol.x[:d] if probe is None else probe(cand)
+            if sol.objective * x0[-1] != dot(cand, x0[:-1]):
+                x = cut(sol.point, d) if probe is None else probe(cand)
                 points.append(x)
-                recorded.append(vec_sub(x, x0))
+                recorded.append(difference(x, x0))
                 break
         else:
             recorded.append(g)
@@ -221,10 +278,10 @@ class AffineEmbedding:
         substitutions.  A cone's hull passes through the apex, so e = 0
         there, and a cone's facets keep b = 0 in the chart."""
         x0 = bs.base
-        normals = orthogonal_complement([vec_sub(p, x0) for p in bs.points[1:]], len(x0))
-        equations, pivots = pivot_equations(
-            [normalize_face(n, dot(n, x0)) for n in normals], range(len(x0)))
-        free = [i for i in range(len(x0)) if i not in pivots]
+        d = len(x0) - 1
+        normals = orthogonal_complement([difference(p, x0) for p in bs.points[1:]], d)
+        equations, pivots = pivot_equations([face_through(n, x0) for n in normals], range(d))
+        free = [i for i in range(d) if i not in pivots]
         return cls(equations=equations, pivots=pivots, free=free)
 
     @property
@@ -235,22 +292,28 @@ class AffineEmbedding:
     def reduced_dim(self) -> int:
         return len(self.free)
 
-    def embed_point(self, x: Sequence) -> Tuple:
+    def embed_point(self, x: Tuple[int, ...]) -> Tuple[int, ...]:
         """The chart coordinates x[free]; errors if x is off the hull."""
-        if any(dot(eq.f, x) != eq.b for eq in self.equations):
+        if any(slack(eq, x) for eq in self.equations):
             raise DegenerateInput("point is outside the affine hull")
-        return tuple(x[i] for i in self.free)
+        return _coprime([x[i] for i in self.free] + [x[-1]])
 
-    def lift_point(self, y: Sequence) -> Tuple:
+    def lift_point(self, y: Tuple[int, ...]) -> Tuple[int, ...]:
         """The point of the hull with chart coordinates y, the inverse of
         ``embed_point``: each pivot is solved from its equation, the last
-        first, since an equation is zero on the earlier pivots only."""
-        x = [0] * self.ambient_dim
-        for i, a in zip(self.free, y):
+        first, since an equation is zero on the earlier pivots only.  The
+        pivot's coefficient c > 0 may not divide the solved value, so the
+        point found so far, D included, is scaled by c over their gcd."""
+        x = [0] * self.ambient_dim + [y[-1]]
+        for i, a in zip(self.free, y[:-1]):
             x[i] = a
         for eq, p in zip(reversed(self.equations), reversed(self.pivots)):
-            x[p] = mpq(eq.b - dot(eq.f, x), eq.f[p])
-        return tuple(x)
+            c, num = eq.f[p], -slack(eq, x)
+            g = gcd(c, num)
+            if g != c:
+                x = [v * (c // g) for v in x]
+            x[p] = num // g
+        return _coprime(x)
 
     def embed_face(self, face: Face) -> Face:
         """``face``, over the charted coordinates and possibly more after
@@ -287,9 +350,12 @@ def reduce_system(system: ConstraintSystem, d: int, emb: AffineEmbedding) -> Con
 
 def _endpoints(bs: BasisSimplex) -> List[Face]:
     """The facets y >= lo and -y >= -hi of a segment in R^1 whose basis
-    simplex holds its two endpoints."""
-    (lo,), (hi,) = sorted(bs.points)
-    return [normalize_face((1,), lo), normalize_face((-1,), -hi)]
+    simplex holds its two endpoints, ordered by value: X_p / D_p against
+    X_q / D_q, cross-multiplied."""
+    lo, hi = bs.points
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        lo, hi = hi, lo
+    return [face_through((1,), lo), face_through((-1,), hi)]
 
 
 def project_image(system: ConstraintSystem, d: int, full_dim, group=None,

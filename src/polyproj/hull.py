@@ -1,10 +1,12 @@
 """
-Exact convex hull of rational points, as a list of facet inequalities.
+Exact convex hull of points, as a list of facet inequalities.
 
 The facets of conv(points) in R^k are computed as the extreme rays of the
 polar-style cone
 
-    C = {(f, b) in R^(k+1) : f . p - b >= 0 for every point p},
+    C = {(f, c) in R^(k+1) : f . p + c >= 0 for every point p},
+
+whose ray (f, c) is the inequality f . x >= -c,
 
 which is pointed and full-dimensional exactly when the points affinely span
 R^k.  Rays are maintained by the double-description method: start from the
@@ -16,10 +18,10 @@ The structure is incremental: callers may keep inserting points and reading
 off the current facet list, which is how the projection driver avoids
 recomputing hulls from scratch while it discovers vertices.
 
-Each point p enters as its constraint normal (D p, -D), where D is the lcm
-of p's denominators, which makes it a coprime integer vector: a positive
-multiple of (p, -1), so the cone is unchanged, and every ray value and
-combined ray is an integer.
+Points come in ``geometry``'s format: p in R^k is the coprime integer tuple
+(D p, D) with D > 0, a positive multiple of p's constraint normal (p, 1).  So
+each point is its own constraint normal, the cone is unchanged, and every
+ray value and combined ray is an integer.
 
 Two rays are adjacent iff no third ray is tight on every constraint they are
 both tight on; tight sets are tracked as bitmasks over the points processed
@@ -37,7 +39,7 @@ from typing import List, Sequence, Tuple
 from .geometry import DegenerateInput
 from .linalg import rref
 from .lp import Face
-from .rationals import dot, rational, scale_to_coprime_ints
+from .rationals import dot
 
 
 def _solve_inverse_columns(mat: List[List]) -> List[List[int]]:
@@ -49,12 +51,6 @@ def _solve_inverse_columns(mat: List[List]) -> List[List[int]]:
     if pivots != list(range(n)):
         raise DegenerateInput("singular initial simplex")
     return [[row[n + j] for row in reduced] for j in range(n)]
-
-
-def _normal(point: Tuple) -> Tuple[int, ...]:
-    """The constraint normal (D p, -D) of a point p: coprime integers, since
-    D is the lcm of p's denominators."""
-    return scale_to_coprime_ints(point + (-1,))
 
 
 class _Ray:
@@ -70,35 +66,34 @@ class IncrementalHull:
     """Double-description state for conv(points), extensible point by point,
     started from the k+1 vertices of a simplex in R^k."""
 
-    def __init__(self, points: Sequence[Sequence]):
-        pts = [tuple(rational(c) for c in p) for p in points]
+    def __init__(self, points: Sequence[Tuple[int, ...]]):
+        pts = list(points)
         if not pts:
             raise DegenerateInput("no points")
-        self.k = len(pts[0])
+        self.k = len(pts[0]) - 1
         if self.k == 0:
             raise DegenerateInput("zero-dimensional ambient space")
-        if any(len(p) != self.k for p in pts):
+        if any(len(p) != self.k + 1 for p in pts):
             raise ValueError("points of mixed dimensions")
         if len(pts) != self.k + 1:
             raise DegenerateInput("the initial simplex needs %d points" % (self.k + 1))
 
         self._rays: List[_Ray] = []
-        for j, col in enumerate(_solve_inverse_columns([_normal(p) for p in pts])):
+        for j, col in enumerate(_solve_inverse_columns(pts)):
             # Ray j is tight on every initial constraint except the j-th.
             self._rays.append(_Ray(col, (1 << len(pts)) - 1 - (1 << j)))
         self.points: List[Tuple] = pts
         self._seen = set(pts)
 
-    def add_point(self, point: Sequence) -> bool:
+    def add_point(self, point: Tuple[int, ...]) -> bool:
         """Insert one more point; returns False if it was already present."""
-        p = tuple(rational(c) for c in point)
-        if len(p) != self.k:
+        if len(point) != self.k + 1:
             raise ValueError("point of wrong dimension")
-        if p in self._seen:
+        if point in self._seen:
             return False
-        self.points.append(p)
-        self._seen.add(p)
-        self._insert(_normal(p), 1 << (len(self.points) - 1))
+        self.points.append(point)
+        self._seen.add(point)
+        self._insert(point, 1 << (len(self.points) - 1))
         return True
 
     def _insert(self, normal: Tuple[int, ...], bit: int) -> None:
@@ -135,7 +130,7 @@ class IncrementalHull:
         """Current facet list, normalized and sorted."""
         out = []
         for r in self._rays:
-            face = Face(r.vec[:-1], r.vec[-1])  # already coprime integers
+            face = Face(r.vec[:-1], -r.vec[-1])  # already coprime integers
             if all(c == 0 for c in face.f):
                 raise AssertionError("interior direction reported as extreme ray")
             out.append(face)

@@ -26,9 +26,11 @@ terminal cost row as integers X and D > 0 with x = X / D (feasible by the
 termination condition).  The simplex returns the optimal values as integers
 too, (objective, tie values) = -V / den, so every check is in integers:
 c.X den = -V_0 D for the objective and each tie, and f.X >= b D for every
-row, before x's rationals are built.  The dual vector is the simplex
-solution itself, kept as integers until ``LpSolution.duals`` is read, so a
-value-only solve builds one rational, its objective.  No primal-form tableau
+row.  The point is kept in that form, as ``LpSolution.point``, the coprime
+integer tuple (X, D) (see ``geometry``), and x's rationals are built only
+when ``LpSolution.x`` is read.  The dual vector is the simplex solution
+itself, kept as integers until ``LpSolution.duals`` is read, so a solve
+builds one rational, its objective.  No primal-form tableau
 is ever built.  An unbounded dual's ray is checked as the Farkas certificate
 r >= 0, r.L = 0, r.a > 0 of an infeasible system.  An infeasible dual means
 an unbounded minimum if the system has a point, which the zero objective
@@ -195,7 +197,7 @@ class ConstraintSystem:
 @dataclass
 class LpSolution:
     status: str
-    x: Optional[Tuple] = None
+    point: Optional[Tuple[int, ...]] = None  # (X, D), coprime with D > 0: x = X / D
     objective: Optional[object] = None
     ray: Optional[Tuple[int, ...]] = None  # recession direction, (c, t_1, ...).ray lex < 0
     # the duals as integers (Q, D) with D > 0, q = Q / D
@@ -204,6 +206,14 @@ class LpSolution:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
+
+    @property
+    def x(self) -> Optional[Tuple]:
+        """The attaining point as rationals; lp_minimize's optima with a point only."""
+        if self.point is None:
+            return None
+        D = self.point[-1]
+        return tuple(mpq(v, D) for v in self.point[:-1])
 
     @property
     def duals(self) -> Optional[Tuple]:
@@ -260,7 +270,8 @@ def lp_minimize(system: ConstraintSystem, objective: Sequence, *,
                 raise AssertionError("recovered point does not attain the LP objective")
             if any(dot(row.f, X) < row.b * D for row in system.rows):
                 raise AssertionError("recovered LP point violates the system")
-            sol.x = tuple(mpq(v, D) for v in X)
+            g = gcd(*X, D)
+            sol.point = tuple(v // g for v in X) + (D // g,)
         return sol
 
     if res.status == simplex.UNBOUNDED:

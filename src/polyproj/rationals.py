@@ -9,6 +9,12 @@ to ``mpq`` for genuinely fractional values.
 
 Vectors are plain tuples.  Tuples are hashable, which the rest of the package
 relies on for caching faces, deduplicating rows and building orbit sets.
+
+Rows, LPs and points are integers only.  A face is a coprime integer vector
+(``lp.Face``), and a point p of R^k the coprime integer tuple
+(D p_1, ..., D p_k, D) with D > 0 (``geometry``): an exact LP's point stays
+in that form from the simplex to the hull, and ``mpq`` is built only for
+values read out as rationals (an LP's objective, duals or ``x``).
 """
 
 from __future__ import annotations
@@ -45,10 +51,6 @@ def dot(u: Sequence, v: Sequence):
         if a and b:
             acc += a * b
     return acc
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def is_zero_vector(u: Sequence) -> bool:

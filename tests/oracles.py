@@ -14,6 +14,23 @@ from itertools import combinations
 from math import gcd
 
 
+def exact_point(p):
+    """A point given by rationals (ints, Fractions or strings like "1/2")
+    in the package's point format: the integer tuple (D p_1, ..., D p_k, D)
+    with D the lcm of p's denominators, which makes it coprime with D > 0.
+    ``rational_point`` is its inverse."""
+    coords = [Fraction(c) for c in p]
+    den = 1
+    for c in coords:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return tuple(int(c * den) for c in coords) + (den,)
+
+
+def rational_point(point):
+    """The Fractions of a point in the package's format (X, D): X / D."""
+    return tuple(Fraction(v, point[-1]) for v in point[:-1])
+
+
 def _solve_square(rows, rhs):
     """Solve a linear system by Gaussian elimination.
 

@@ -9,7 +9,8 @@ from polyproj.chm import chm_project
 from polyproj.geometry import Known, UnboundedProjection, basis_simplex, is_implied
 from polyproj.lp import ConstraintSystem, Face, normalize_face
 
-from .oracles import affine_rank, brute_hull_facets, brute_projection_facets, brute_vertices
+from .oracles import (affine_rank, brute_hull_facets, brute_projection_facets, brute_vertices,
+                      exact_point)
 
 
 def cube_system(n=3, lo=0, hi=1):
@@ -76,7 +77,7 @@ def test_point_projection():
     assert result.facets == []
     bs = basis_simplex(point, 2)
     assert bs.rank == 0
-    assert bs.points == [(0, 0)]
+    assert bs.points == [exact_point((0, 0))]
 
 
 def test_flat_segment_lifts_endpoint_faces():
@@ -136,7 +137,8 @@ def projection_with_knowledge(draw):
     rows = brute_hull_facets(points)
     shadow = [normalize_face(*f) for f in brute_projection_facets(
         [f for f, _ in rows], [b for _, b in rows], dim, d)]
-    vertices = brute_vertices([f.f for f in shadow], [f.b for f in shadow], d)
+    vertices = [exact_point(v) for v in
+                brute_vertices([f.f for f in shadow], [f.b for f in shadow], d)]
     known = Known(tuple(draw(st.lists(st.sampled_from(vertices), unique=True))), (),
                   tuple(draw(st.lists(st.sampled_from(shadow), unique=True))))
     return ConstraintSystem.from_rows(rows, dim), d, sorted(shadow), vertices, known

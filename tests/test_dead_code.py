@@ -44,6 +44,8 @@ ALLOWED = {
     "matrixfile.MatrixFile.comments":
         "test_listings reads each fixture's scenario: header; ROADMAP item 2 adds a # classes: header",
     "cli.main(argv=)": "the test seam of the console-script entry point",
+    "lp.LpSolution.x": "lp_minimize's point as rationals, public API; the package reads "
+                       "the integer LpSolution.point",
     "fme.fme_project(row_budget=)": "ROADMAP item 1's FME budget",
     "redundancy.implied_equalities(use_float=)":
         "the exact reference path that tests compare against",

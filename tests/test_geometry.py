@@ -28,8 +28,8 @@ from polyproj.rationals import dot
 from polyproj.redundancy import prune_redundant
 from polyproj.scenarios import parse_scenario
 
-from .oracles import (affine_rank, brute_vertices, equality_rows, satisfies, solve_linear,
-                      staged_basis_simplex)
+from .oracles import (affine_rank, brute_vertices, equality_rows, exact_point, rational_point,
+                      satisfies, solve_linear, staged_basis_simplex)
 from .test_afi import CUBE, _hull_of
 
 
@@ -81,7 +81,7 @@ def test_remove_redundancies_keeps_facets():
 
 def test_find_vertex_on_cube_face():
     sq = cube(2)
-    v = find_vertex(sq, 2, (1, 0))  # minimize x
+    v = rational_point(find_vertex(sq, 2, (1, 0)))  # minimize x
     assert v in {(0, 0), (0, 1)}
     # the result must be a vertex: exactly 2 tight independent rows
     tight = [row for row in sq.rows if dot(row.f, v) == row.b]
@@ -90,7 +90,7 @@ def test_find_vertex_on_cube_face():
 
 def test_find_vertex_on_cone_apex():
     orthant = ConstraintSystem.from_rows([((1, 0), 0), ((0, 1), 0)], 2)
-    assert find_vertex(orthant, 2, (1, 1)) == (0, 0)
+    assert find_vertex(orthant, 2, (1, 1)) == exact_point((0, 0))
 
 
 def test_find_vertex_unbounded():
@@ -110,7 +110,7 @@ def test_find_vertex_infeasible():
 
 
 def _inside(system, point):
-    return all(dot(row.f, point) >= row.b for row in system.rows)
+    return all(dot(row.f, rational_point(point)) >= row.b for row in system.rows)
 
 
 def test_basis_simplex_full_dimensional():
@@ -119,7 +119,8 @@ def test_basis_simplex_full_dimensional():
     assert len(bs.points) == 4
     assert all(_inside(cube(3), p) for p in bs.points)
     # the points span R^3 affinely
-    diffs = [[a - b for a, b in zip(p, bs.base)] for p in bs.points[1:]]
+    base = rational_point(bs.base)
+    diffs = [[a - b for a, b in zip(rational_point(p), base)] for p in bs.points[1:]]
     assert len(rref(diffs)[1]) == 3
 
 
@@ -131,7 +132,7 @@ def test_basis_simplex_flat():
     # two distinct points of the segment x + y = 1
     assert bs.points[0] != bs.points[1]
     for p in bs.points:
-        assert _inside(flat, p) and dot((1, 1), p) == 1
+        assert _inside(flat, p) and dot((1, 1), rational_point(p)) == 1
 
 
 def test_basis_simplex_on_cone_uses_cap():
@@ -150,7 +151,7 @@ def test_basis_simplex_on_cone_uses_cap():
         return [Face((1, 0, 0), 0), Face((-1, -1, -1), -1)], bs.points
 
     facets, vertices = project_image(orthant, 3, full_dim)
-    assert set(vertices) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(vertices) == set(map(exact_point, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     assert [work.rows for work in seen] == [capped(orthant, 3).rows]
     assert seen[0].rows[-1] == Face((-1, -1, -1), -1)
     assert facets == [Face((1, 0, 0), 0)]  # the cap's facet is dropped
@@ -160,7 +161,7 @@ def test_projection_of_simplex_is_lower_simplex():
     bs = basis_simplex(simplex3(), 2)
     assert bs.rank == 2
     for p in bs.points:
-        assert len(p) == 2
+        assert len(rational_point(p)) == 2
 
 
 def _basis_simplex_case(name):
@@ -188,12 +189,14 @@ def test_basis_simplex_equals_the_probe_every_candidate_loop(name, vertices):
 
     def probe_on(work):
         if vertices:
-            return lambda c: find_vertex(work, d, c)
+            return lambda c: rational_point(find_vertex(work, d, c))
         return lambda c: minimize_image(work, c).x[:d]
 
     work = capped(_fresh(system), d)  # each side solves on its own caches
-    got = basis_simplex(work, d, probe=probe_on(work) if vertices else None).points
-    assert got == staged_basis_simplex(probe_on(capped(_fresh(system), d)), d)
+    probe = (lambda c: find_vertex(work, d, c)) if vertices else None
+    got = basis_simplex(work, d, probe=probe).points
+    staged = staged_basis_simplex(probe_on(capped(_fresh(system), d)), d)
+    assert got == [exact_point(p) for p in staged]
 
 
 @pytest.mark.parametrize("system, d", [
@@ -238,7 +241,7 @@ def test_known_vertices_and_flat_normal_spare_the_facets_lps(monkeypatch, probed
     for facet in CUBE.rows:
         sub = _fresh(CUBE).with_rows([-facet])
         probe = (lambda c, sub=sub: find_vertex(sub, 3, c)) if probed else None
-        on = tuple(p for p in corners if dot(facet.f, p) == facet.b)
+        on = tuple(exact_point(p) for p in corners if dot(facet.f, p) == facet.b)
         del seen[:]
         bs = basis_simplex(sub, 3, probe=probe, known=Known(on, (facet.f,)))
         assert bs.rank == 2
@@ -285,14 +288,15 @@ def test_seeded_basis_simplex_spans_the_facet_like_the_unseeded(name, seed):
     work, d, facets, vertices = _facets_with_vertices(name, random.Random(seed))
     for facet in facets:
         sub = work.with_rows([-facet])
-        known = Known(tuple(p for p in vertices if dot(facet.f, p) == facet.b), (facet.f,))
+        known = Known(tuple(p for p in vertices
+                            if dot(facet.f, rational_point(p)) == facet.b), (facet.f,))
         assert known.vertices
         probe = lambda c, sub=sub: find_vertex(sub, d, c)  # noqa: E731
         seeded = basis_simplex(sub, d, probe=probe, known=known)
         plain = basis_simplex(sub, d, probe=probe)
         assert seeded.rank == plain.rank == d - 1
         assert AffineEmbedding.chart(seeded) == AffineEmbedding.chart(plain)
-        assert all(dot(facet.f, p) == facet.b for p in seeded.points)
+        assert all(dot(facet.f, rational_point(p)) == facet.b for p in seeded.points)
 
 
 def _lift(emb, y):
@@ -304,7 +308,7 @@ def _lift(emb, y):
 
 
 # the plane through (1, 2, 3) spanned by (1, 1, 0) and (0, 0, 2): x0 - x1 = -1
-PLANE = BasisSimplex([(1, 2, 3), (2, 3, 3), (1, 2, 5)])
+PLANE = BasisSimplex([exact_point(p) for p in [(1, 2, 3), (2, 3, 3), (1, 2, 5)]])
 
 
 def test_embedding_round_trip():
@@ -313,9 +317,9 @@ def test_embedding_round_trip():
     for y in [(0, 0), (1, 0), (2, -3)]:
         x = _lift(emb, y)
         assert x[0] - x[1] == -1
-        assert emb.embed_point(x) == y
+        assert emb.embed_point(exact_point(x)) == exact_point(y)
     with pytest.raises(DegenerateInput):
-        emb.embed_point((0, 0, 0))
+        emb.embed_point(exact_point((0, 0, 0)))
 
 
 def test_embedding_face_round_trip():
@@ -338,7 +342,8 @@ def test_embedding_face_round_trip():
 def test_chart_equations_are_normalized_integer_faces():
     # the segment x0 = 1/2, x1 = 1/3 along x2: a hull with fractional e
     half, third = Fraction(1, 2), Fraction(1, 3)
-    emb = AffineEmbedding.chart(BasisSimplex([(half, third, 0), (half, third, 1)]))
+    emb = AffineEmbedding.chart(BasisSimplex([exact_point((half, third, 0)),
+                                              exact_point((half, third, 1))]))
     assert emb.equations == [Face((2, 0, 0), 1), Face((0, 3, 0), 1)]
     assert emb.pivots == [0, 1] and emb.free == [2]
     for eq, p in zip(emb.equations, emb.pivots):
@@ -346,7 +351,7 @@ def test_chart_equations_are_normalized_integer_faces():
     for y in [(0,), (1,), (Fraction(-5, 2),)]:
         x = _lift(emb, y)
         assert x == (half, third, y[0])
-        assert emb.embed_point(x) == y
+        assert emb.embed_point(exact_point(x)) == exact_point(y)
     lifted = emb.lift_face(((-1,), -1))
     assert lifted == Face((0, 0, -1), -1)
     assert reduce_system(ConstraintSystem.from_rows([lifted], 3), 3, emb).rows == (
@@ -354,6 +359,31 @@ def test_chart_equations_are_normalized_integer_faces():
     # x0 + x1 + x2 >= 1 is x2 >= 1/6 on the segment
     assert reduce_system(ConstraintSystem.from_rows([((1, 1, 1), 1)], 3), 3, emb).rows == (
         Face((6,), 1),)
+
+
+def test_lift_point_scales_d_for_a_pivot_coefficient_of_2():
+    # a quadrilateral in the plane 2x + 3y + 4z = 12, whose chart solves for
+    # x, of coefficient 2: the chart point (3, 2) lifts to x = -5/2, so D
+    # doubles, and every vertex round-trips through the chart
+    corners = [(6, 0, 0), (0, 4, 0), (0, 0, 3), (Fraction(-5, 2), 3, 2)]
+    system = _hull_of(corners, homogeneous=False)
+    emb = AffineEmbedding.chart(basis_simplex(system, 3))
+    assert emb.equations == [Face((2, 3, 4), 12)] and emb.pivots == [0]
+    assert emb.lift_point(exact_point((3, 2))) == (-5, 6, 4, 2)
+    for p in map(exact_point, corners):
+        assert emb.lift_point(emb.embed_point(p)) == p
+    # CHM hulls the chart and lifts its points back: the four corners
+    assert set(chm_project(system, 3).vertices) == set(map(exact_point, corners))
+
+
+@pytest.mark.parametrize("ends", [(Fraction(1, 3), Fraction(1, 2)),
+                                  (Fraction(1, 2), Fraction(1, 3))])
+def test_segment_endpoints_are_ordered_by_value(ends):
+    # 1/3 < 1/2, though the points (1, 3) and (1, 2) sort the other way
+    bs = BasisSimplex([exact_point((e,)) for e in ends])
+    assert geometry._endpoints(bs) == [Face((3,), 1), Face((-2,), -1)]
+    segment = ConstraintSystem.from_rows([((3,), 1), ((-2,), -1)], 1)
+    assert chm_project(segment, 1).facets == sorted([Face((3,), 1), Face((-2,), -1)])
 
 
 @st.composite
@@ -394,8 +424,9 @@ def test_chart_round_trips_on_flat_polytopes(case):
     reduced = reduce_system(system, d, emb)
     lifted = emb.lift_face(face)
     for j, p in enumerate(points):
-        y = emb.embed_point(p)
-        assert _lift(emb, y) == p == emb.lift_point(y)
+        y = rational_point(emb.embed_point(exact_point(p)))
+        assert _lift(emb, y) == p
+        assert emb.lift_point(exact_point(y)) == exact_point(p)
         # the reduced system holds at the chart image of (p, e_j)
         z = y + tuple(int(k == j) for k in range(m))
         assert all(dot(row.f, z) >= row.b for row in reduced.rows)
@@ -406,19 +437,19 @@ def test_chart_round_trips_on_flat_polytopes(case):
     assert back == normalize_face(*face) == emb.embed_face(lifted)
     # the chart is a bijection of R^r onto the hull: off the polytope too
     y = tuple(Fraction(a, 3) for a in face[0])
-    x = emb.lift_point(y)
-    assert x == _lift(emb, y) and emb.embed_point(x) == y
+    x = emb.lift_point(exact_point(y))
+    assert x == exact_point(_lift(emb, y)) and emb.embed_point(x) == exact_point(y)
     # an ambient face and its chart agree in sign at every point of the hull
     g = normalize_face(face[0] + (1,) * (d - len(face[0])), face[1])
     e = emb.embed_face(g)
-    for p in points + [x]:
-        y = emb.embed_point(p)
+    for p in points + [rational_point(x)]:
+        y = rational_point(emb.embed_point(exact_point(p)))
         assert (dot(g.f, p) > g.b) == (dot(e.f, y) > e.b)
         assert (dot(g.f, p) == g.b) == (dot(e.f, y) == e.b)
     off = list(points[0])
     off[emb.pivots[0]] += 1
     with pytest.raises(DegenerateInput):
-        emb.embed_point(off)
+        emb.embed_point(exact_point(off))
 
 
 @st.composite
@@ -445,7 +476,7 @@ def test_find_vertex_returns_actual_vertices(case):
     rows = [list(r.f) for r in sys_.rows]
     rhs = [r.b for r in sys_.rows]
     verts = set(brute_vertices(rows, rhs, dim))
-    v = find_vertex(sys_, dim, tuple([1] * dim))
+    v = rational_point(find_vertex(sys_, dim, tuple([1] * dim)))
     assert satisfies(rows, rhs, v)
     assert tuple(v) in verts
 
@@ -467,7 +498,7 @@ def staged_find_vertex(system, d, direction):
             raise InfeasibleSystem("system is infeasible")
         x = sol.x
         current = current.with_rows(equality_rows(pad_objective(q, system.dim), sol.objective))
-    return tuple(x[:d])
+    return exact_point(x[:d])
 
 
 def _outcome(fn, *args):

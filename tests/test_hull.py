@@ -8,7 +8,7 @@ from polyproj.geometry import DegenerateInput
 from polyproj.hull import IncrementalHull
 from polyproj.rationals import dot
 
-from .oracles import affine_rank, brute_hull_facets
+from .oracles import affine_rank, brute_hull_facets, exact_point
 
 
 def as_oracle_format(facets):
@@ -18,12 +18,16 @@ def as_oracle_format(facets):
 def hull_of(simplex, rest):
     """The hull started from the simplex, with the other points added one
     at a time; asserts that exactly the new ones are reported as added."""
-    hull = IncrementalHull(simplex)
-    seen = set(map(tuple, simplex))
-    for p in rest:
-        assert hull.add_point(p) == (tuple(p) not in seen)
-        seen.add(tuple(p))
+    hull = IncrementalHull(points(simplex))
+    seen = set(points(simplex))
+    for p in points(rest):
+        assert hull.add_point(p) == (p not in seen)
+        seen.add(p)
     return hull
+
+
+def points(rationals):
+    return [exact_point(p) for p in rationals]
 
 
 def test_unit_square():
@@ -47,7 +51,7 @@ def test_interior_and_boundary_points_are_ignored():
 
 def test_simplex_3d():
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert len(IncrementalHull(pts).facets()) == 4
+    assert len(IncrementalHull(points(pts)).facets()) == 4
 
 
 def test_octahedron():
@@ -68,11 +72,11 @@ def test_cube_with_duplicates():
 def test_degenerate_flat_input():
     # the initial simplex is k+1 affinely independent points in R^k
     with pytest.raises(DegenerateInput):
-        IncrementalHull([(0, 0), (1, 0), (0, 1), (1, 1)])  # k+2 points
+        IncrementalHull(points([(0, 0), (1, 0), (0, 1), (1, 1)]))  # k+2 points
     with pytest.raises(DegenerateInput):
-        IncrementalHull([(0, 0), (1, 1), (2, 2)])  # k+1 collinear points
+        IncrementalHull(points([(0, 0), (1, 1), (2, 2)]))  # k+1 collinear points
     with pytest.raises(DegenerateInput):
-        IncrementalHull([(1, 2)])
+        IncrementalHull(points([(1, 2)]))
 
 
 def test_rational_coordinates():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,7 @@ def test_corrupted_point_readout_is_caught(monkeypatch, corrupt, message):
 def test_point_is_built_from_the_integer_readout():
     sys_ = build([(2, 0, 1), (0, 3, 1), (-1, 0, -2), (0, -1, -3)], 2)
     sol = lp_minimize(sys_, [1, 1], ties=[[1, 0]])
+    assert sol.point == (3, 2, 6)
     assert sol.x == (Fraction(1, 2), Fraction(1, 3))
     X, D = simplex.solve_standard(sys_._dual()[0], [1, 1],
                                   [-row.b for row in sys_.rows]).multipliers()
@@ -191,6 +193,24 @@ def test_certificates_prove_the_reported_status(case):
             method="highs",
         )
         assert res.status == 2, (res.status, res.message)
+
+
+@given(random_lp(), st.lists(st.lists(coeff, min_size=3, max_size=3), max_size=2))
+def test_point_is_coprime_integers_and_x_is_its_quotient(case, ties):
+    # an optimum's point is (X, D): coprime integers with D > 0 and x = X / D;
+    # it is built with no rational, and a value-only solve has none
+    rows, dim, objective = case
+    sys_ = ConstraintSystem.from_rows(rows, dim)
+    ties = [t[:dim] for t in ties]
+    sol = lp_minimize(sys_, objective, ties=ties)
+    if sol.status != OPTIMAL:
+        assert sol.point is None and sol.x is None
+        return
+    *X, D = sol.point
+    assert all(type(v) is int for v in sol.point)
+    assert len(X) == dim and D > 0 and gcd(*sol.point) == 1
+    assert sol.x == tuple(Fraction(v, D) for v in X)
+    assert lp_minimize(sys_, objective, ties=ties, want_point=False).point is None
 
 
 @given(random_lp())
@@ -434,6 +454,11 @@ def test_value_only_warm_solve_builds_one_rational(pivot_counts, monkeypatch):
     # the duals are built when read: q = (0, 2, 1, 0)
     assert sol.duals == (0, 2, 1, 0)
     assert len(built) == 1 + len(box.rows)
+    # a solve with the point builds no rational for it until x is read
+    del built[:]
+    with_point = lp_minimize(box, [2, -1])
+    assert with_point.point == (0, 3, 1) and len(built) == 1
+    assert with_point.x == (0, 3) and len(built) == 3
 
 
 def test_pivot_equations_solve_inside_the_columns():
